@@ -71,6 +71,17 @@ PROBE_TRIALS = 4
 #: the stacked arrays comfortably in cache for typical problem sizes.
 LOCKSTEP_MAX_TRIALS = 64
 
+#: Fewest trials (disk-cache misses) of a group the executor sends to the
+#: lockstep kernel; fewer run trial by trial on the reference engine.  This
+#: is the measured
+#: crossover over the five benchmark cells (widths 1, 2, 4, 5, 6, 8 and 64;
+#: docs/performance.md, "Executor integration"): up to width 5 the
+#: reference engine is faster on ``deep_random`` and the three contended
+#: cells, and from width 6 lockstep wins on both ``deep_random`` and
+#: ``butterfly_random``.  Unpinned sweeps, where every trial builds its own
+#: instance, always produce groups of 1.
+LOCKSTEP_MIN_TRIALS = 6
+
 #: Spec backends the lockstep kernel can execute, mapped to the kernel
 #: family that runs them.  ``frontier``/``frontier_vec`` (and the
 #: ``REPRO_BACKEND`` reroute between them) are byte-identical per trial,
@@ -173,7 +184,10 @@ class TrialExecutor:
         needing per-trial machinery peel off to :meth:`run`: telemetry or
         an ambient trace session (the lockstep kernel carries no
         observers), invariant audits, arrival schedules, non-lockstep
-        backends, or a missing numpy.
+        backends, or a missing numpy.  An eligible key only makes the spec
+        a candidate: :meth:`_run_lockstep` still runs a group per trial
+        when fewer than :data:`LOCKSTEP_MIN_TRIALS` of its trials miss the
+        disk cache.
         """
         if not self.lockstep or self.telemetry:
             return None
@@ -200,41 +214,44 @@ class TrialExecutor:
         """Execute a chunk of specs in order, lockstepping where possible.
 
         Consecutive specs sharing a :meth:`_group_key` (a fixed-problem
-        Monte Carlo run differing only in seed) execute as one stacked
-        batch of up to :data:`LOCKSTEP_MAX_TRIALS` trials; everything else
-        falls through to the ordinary per-trial :meth:`run`.  Records come
-        back in spec order and are byte-identical to a per-trial loop —
-        the kernel's per-trial RNG streams replay the serial draws exactly
-        (pinned by ``tests/test_engine_lockstep.py``).
+        Monte Carlo run differing only in seed) form a group of up to
+        :data:`LOCKSTEP_MAX_TRIALS` trials, handed to :meth:`_run_lockstep`;
+        every ineligible spec falls through to the ordinary per-trial
+        :meth:`run`.  Records come back in spec order and are
+        byte-identical to a per-trial loop — the kernel's per-trial RNG
+        streams replay the serial draws exactly (pinned by
+        ``tests/test_engine_lockstep.py``).
         """
         specs = list(specs)
         records: List = []
         i, n = 0, len(specs)
         while i < n:
             key = self._group_key(specs[i])
-            if key is None:
-                records.append(self.run(specs[i]))
-                i += 1
-                continue
             j = i + 1
             while (
-                j < n
+                key is not None
+                and j < n
                 and j - i < LOCKSTEP_MAX_TRIALS
                 and self._group_key(specs[j]) == key
             ):
                 j += 1
-            records.extend(self._run_lockstep(specs[i:j], key[1]))
+            if key is not None:
+                records.extend(self._run_lockstep(specs[i:j], key[1]))
+            else:
+                records.append(self.run(specs[i]))
             i = j
         return records
 
     def _run_lockstep(self, group: Sequence, family: str) -> List:
-        """Run one homogeneous group on the stacked kernel, in spec order.
+        """Run one homogeneous group, in spec order, choosing the kernel.
 
         Disk-cache hits peel out first (returned exactly as :func:`~repro.
-        scenarios.run_cached` would return them); the remaining misses run
-        as one lockstep batch over the group's shared warm problem and are
-        stored back, so cache contents match the per-trial path byte for
-        byte.
+        scenarios.run_cached` would return them).  When at least
+        :data:`LOCKSTEP_MIN_TRIALS` misses remain they run as one lockstep
+        batch over the group's shared warm problem and are stored back, so
+        cache contents match the per-trial path byte for byte; fewer misses
+        run through the per-trial :meth:`run`, where the reference engine
+        is the faster kernel.
         """
         from ..scenarios.dispatch import ScenarioRun, build_problem
 
@@ -257,7 +274,9 @@ class TrialExecutor:
             else:
                 slots.append(None)
                 misses.append(len(slots) - 1)
-        if not misses:
+        if len(misses) < LOCKSTEP_MIN_TRIALS:
+            for k in misses:
+                slots[k] = self.run(group[k])
             return slots
         first = group[misses[0]]
         problem = (
@@ -395,11 +414,13 @@ def run_spec_trials_batched(
 
     Within every strategy, consecutive specs that differ only in seed
     (fixed-problem Monte Carlo batches) execute on the lockstep stacked
-    kernel in groups of up to :data:`LOCKSTEP_MAX_TRIALS` — process-level
+    kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
+    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses — process-level
     parallelism multiplies lockstep width instead of replacing it.
-    ``lockstep=False`` forces the per-trial path everywhere (benchmarks
-    use it to measure the kernel's speedup; results are byte-identical
-    either way).
+    Narrower groups, including every trial of an unpinned sweep (each
+    trial its own instance), run per trial on the reference engine.  ``lockstep=False`` forces the
+    per-trial path everywhere (benchmarks use it to measure the kernel's
+    speedup; results are byte-identical either way).
     """
     from .parallel import default_chunksize, resolve_workers
 

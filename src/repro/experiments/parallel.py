@@ -255,7 +255,9 @@ def run_spec_trials(
     per-trial callback of :func:`parallel_map`.
 
     Fixed-problem seed sweeps additionally execute on the lockstep stacked
-    kernel in batches (``lockstep=False`` forces per-trial execution;
+    kernel in batches of at least
+    :data:`~repro.experiments.batch.LOCKSTEP_MIN_TRIALS` trials
+    (``lockstep=False`` forces per-trial execution;
     records are byte-identical either way — see
     :meth:`~repro.experiments.batch.TrialExecutor.run_chunk`).
     """

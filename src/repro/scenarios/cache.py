@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ..io import result_from_dict, result_to_dict
 from ..sim import RunResult
+from .registry import TOPOLOGIES
 from .spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -45,6 +46,37 @@ CACHE_FORMAT = 1
 DEFAULT_SCENARIO_CAPACITY = 32
 
 
+class _LRUTable:
+    """One bounded LRU table of :class:`ScenarioCache`, with its own counts."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.entries: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: str):
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+        else:
+            self.misses += 1
+        return entry
+
+    def put(self, key: str, value) -> None:
+        self.entries[key] = value
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def stats(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": len(self.entries),
+        }
+
+
 class ScenarioCache:
     """LRU cache of materialized scenarios, keyed by scenario hash.
 
@@ -53,43 +85,29 @@ class ScenarioCache:
     spec sharing a scenario hash; reuse is semantically safe because
     engines and schedulers treat problems as read-only plain data.
     Networks are cached separately so network-level (dynamic) backends and
-    problem builds share topology construction too.
+    problem builds share topology construction too — including across
+    specs whose scenarios differ only in seeds that a deterministic
+    topology ignores (see :func:`_network_key`).
     """
 
     def __init__(self, capacity: int = DEFAULT_SCENARIO_CAPACITY) -> None:
         self.capacity = max(1, int(capacity))
-        self._problems: "OrderedDict[str, RoutingProblem]" = OrderedDict()
-        self._networks: "OrderedDict[str, LeveledNetwork]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._problems = _LRUTable(self.capacity)
+        self._networks = _LRUTable(self.capacity)
 
     def __len__(self) -> int:
-        return len(self._problems)
-
-    def _get(self, table: OrderedDict, key: str):
-        entry = table.get(key)
-        if entry is not None:
-            table.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return entry
-
-    def _put(self, table: OrderedDict, key: str, value) -> None:
-        table[key] = value
-        if len(table) > self.capacity:
-            table.popitem(last=False)
+        return len(self._problems.entries)
 
     def network_for(self, spec: RunSpec) -> "LeveledNetwork":
         """The spec's topology, built once per distinct topology content."""
         from .dispatch import build_network
 
         key = _network_key(spec)
-        net = self._get(self._networks, key)
+        net = self._networks.get(key)
         if net is None:
             net = build_network(spec)
             net.geometry()  # precompute the dense tables while warm
-            self._put(self._networks, key, net)
+            self._networks.put(key, net)
         return net
 
     def problem_for(self, spec: RunSpec) -> "RoutingProblem":
@@ -97,31 +115,44 @@ class ScenarioCache:
         from .dispatch import build_problem
 
         key = spec.scenario_hash()
-        problem = self._get(self._problems, key)
+        problem = self._problems.get(key)
         if problem is None:
             problem = build_problem(spec, net=self.network_for(spec))
-            self._put(self._problems, key, problem)
+            self._problems.put(key, problem)
         return problem
 
     def stats(self) -> dict:
-        """Hit/miss counters plus current occupancy (for bench reports)."""
+        """Per-table hit/miss counters and occupancy (for bench reports).
+
+        ``{"problems": {"hits", "misses", "size"}, "networks": {...}}``;
+        the network table is consulted only on problem misses (and by
+        network-level backends), so its hits count topology reuse across
+        distinct scenarios.
+        """
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "problems": len(self._problems),
-            "networks": len(self._networks),
+            "problems": self._problems.stats(),
+            "networks": self._networks.stats(),
         }
 
     def clear(self) -> None:
         """Drop every cached build (counters keep accumulating)."""
-        self._problems.clear()
-        self._networks.clear()
+        self._problems.entries.clear()
+        self._networks.entries.clear()
 
 
 def _network_key(spec: RunSpec) -> str:
-    """Cache key for the topology component alone."""
+    """Cache key for the topology component alone.
+
+    The topology seed is part of the key unless the builder is registered
+    ``deterministic=True`` (it ignores its seed), so unpinned sweeps over a
+    fixed topology share one network while seeded builders — and any
+    unmarked third-party builder — still get one network per seed.
+    """
     params = dict(spec.topology_params)
-    params["seed"] = spec.topology_seed()
+    if getattr(TOPOLOGIES.get(spec.topology), "deterministic", False):
+        params.pop("seed", None)  # a pinned spec carries it explicitly
+    else:
+        params["seed"] = spec.topology_seed()
     return json.dumps(
         {"topology": spec.topology, "params": params},
         sort_keys=True,

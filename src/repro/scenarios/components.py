@@ -8,7 +8,10 @@ populates the four registries with wrappers over the existing builders in
 Conventions
 -----------
 * **Topology** entries: ``fn(*, seed, **params) -> LeveledNetwork``.
-  Deterministic topologies accept and ignore ``seed``.
+  Deterministic topologies accept and ignore ``seed`` and register with
+  ``deterministic=True``, so the warm :class:`~repro.scenarios.
+  ScenarioCache` shares one network across specs that differ only in
+  seed.  An unmarked builder is assumed to read its seed.
 * **Workload** entries: ``fn(net, *, seed, **params)`` returning either a
   :class:`~repro.workloads.Workload` (endpoints; paths still to be chosen)
   or a full :class:`~repro.paths.RoutingProblem` (adversarial workloads
@@ -65,37 +68,37 @@ from .registry import ARRIVALS, BACKENDS, PATH_SELECTORS, TOPOLOGIES, WORKLOADS
 # --------------------------------------------------------------- topologies
 
 
-@TOPOLOGIES.register("butterfly")
+@TOPOLOGIES.register("butterfly", deterministic=True)
 def _topology_butterfly(*, dim: int, seed=None):
     """Wrapped butterfly of the given dimension (2^dim rows)."""
     return butterfly(int(dim))
 
 
-@TOPOLOGIES.register("mesh")
+@TOPOLOGIES.register("mesh", deterministic=True)
 def _topology_mesh(*, rows: int, cols: Optional[int] = None, seed=None):
     """n x m mesh in its NORTH_WEST leveled orientation."""
     return mesh(int(rows), int(cols if cols is not None else rows))
 
 
-@TOPOLOGIES.register("hypercube")
+@TOPOLOGIES.register("hypercube", deterministic=True)
 def _topology_hypercube(*, dim: int, seed=None):
     """Leveled (unrolled) hypercube of the given dimension."""
     return hypercube(int(dim))
 
 
-@TOPOLOGIES.register("line")
+@TOPOLOGIES.register("line", deterministic=True)
 def _topology_line(*, length: int, seed=None):
     """Path network with one node per level."""
     return line(int(length))
 
 
-@TOPOLOGIES.register("omega")
+@TOPOLOGIES.register("omega", deterministic=True)
 def _topology_omega(*, dim: int, seed=None):
     """Omega (shuffle-exchange) network of the given dimension."""
     return omega_network(int(dim))
 
 
-@TOPOLOGIES.register("fat_tree", "fattree")
+@TOPOLOGIES.register("fat_tree", "fattree", deterministic=True)
 def _topology_fat_tree(
     *, height: int, branching: int = 2, capacity_cap: int = 8, seed=None
 ):
@@ -103,31 +106,31 @@ def _topology_fat_tree(
     return fat_tree(int(height), int(branching), int(capacity_cap))
 
 
-@TOPOLOGIES.register("btree")
+@TOPOLOGIES.register("btree", deterministic=True)
 def _topology_btree(*, height: int, root_at_top: bool = True, seed=None):
     """Complete binary tree, leveled leaf-to-root."""
     return complete_binary_tree(int(height), bool(root_at_top))
 
 
-@TOPOLOGIES.register("benes")
+@TOPOLOGIES.register("benes", deterministic=True)
 def _topology_benes(*, dim: int, seed=None):
     """Benes network (back-to-back butterflies)."""
     return benes(int(dim))
 
 
-@TOPOLOGIES.register("multidim")
+@TOPOLOGIES.register("multidim", deterministic=True)
 def _topology_multidim(*, shape: Sequence[int], seed=None):
     """Multidimensional array in leveled orientation."""
     return multidim_array([int(s) for s in shape])
 
 
-@TOPOLOGIES.register("layered")
+@TOPOLOGIES.register("layered", deterministic=True)
 def _topology_layered(*, level_sizes: Sequence[int], seed=None):
     """Layered-complete network (every consecutive pair fully connected)."""
     return layered_complete([int(s) for s in level_sizes])
 
 
-@TOPOLOGIES.register("diamond")
+@TOPOLOGIES.register("diamond", deterministic=True)
 def _topology_diamond(*, width: int, depth: int, seed=None):
     """Diamond network: single source/sink around wide middle levels."""
     return diamond(int(width), int(depth))

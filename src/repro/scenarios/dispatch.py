@@ -42,8 +42,10 @@ class ScenarioRun:
     #: machine-dependent, so they live here — never on the RunResult
     timings: Optional[dict] = None
     #: which execution path produced the result: "" for the ordinary
-    #: per-trial dispatch, ``"lockstep[w=K]"`` when the stacked batch
-    #: kernel ran this trial as one of K lockstep trials.  Advisory
+    #: per-trial dispatch (which also runs lockstep-eligible groups
+    #: narrower than ``experiments.batch.LOCKSTEP_MIN_TRIALS``),
+    #: ``"lockstep[w=K]"`` when the stacked batch kernel ran this trial as
+    #: one of K lockstep trials.  Advisory
     #: (surfaced in sweep heartbeats) — never serialized with results,
     #: so it cannot leak into record or shard byte-identity.
     executor: str = ""

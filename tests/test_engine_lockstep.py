@@ -6,11 +6,13 @@ produce, for every trial, exactly the ``RunResult`` the per-trial path
 produces for that trial's seed — same delivery times, same deflection
 counts, same makespans, regardless of how the other trials in the batch
 behave (stragglers, early quiescence, mixed finish times).  These tests
-fuzz that contract across batch widths and both kernel families, then
-pin the executor-level guarantees: grouping of homogeneous chunks,
-peel-off of trials needing per-trial machinery (telemetry, traces,
-audits, cache hits), and byte-identical sweep shards with lockstep on
-or off — including through a mid-shard kill and resume.
+fuzz that contract across batch widths and both kernel families (the
+kernel entry points directly, since the executor only sends groups of
+``LOCKSTEP_MIN_TRIALS`` or more), then pin the executor-level
+guarantees: grouping of homogeneous chunks, the width policy, peel-off of
+trials needing per-trial machinery (telemetry, traces, audits, cache
+hits), and byte-identical sweep shards with lockstep on or off —
+including through a mid-shard kill and resume.
 """
 
 from dataclasses import asdict
@@ -32,6 +34,7 @@ from repro.experiments import (
 )
 from repro.experiments.batch import (
     LOCKSTEP_MAX_TRIALS,
+    LOCKSTEP_MIN_TRIALS,
     TrialExecutor,
     run_spec_trials_batched,
 )
@@ -183,34 +186,76 @@ def test_executor_groups_homogeneous_chunks():
 
 @needs_numpy
 def test_executor_caps_group_width():
-    specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + 3)
+    specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor().run_chunk(specs)
     widths = {r.executor for r in records}
-    assert widths == {f"lockstep[w={LOCKSTEP_MAX_TRIALS}]", "lockstep[w=3]"}
+    assert widths == {
+        f"lockstep[w={LOCKSTEP_MAX_TRIALS}]",
+        f"lockstep[w={LOCKSTEP_MIN_TRIALS}]",
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "width, tag",
+    [
+        (LOCKSTEP_MIN_TRIALS - 1, ""),
+        (LOCKSTEP_MIN_TRIALS, f"lockstep[w={LOCKSTEP_MIN_TRIALS}]"),
+    ],
+)
+def test_executor_width_threshold(width, tag):
+    """Groups narrower than LOCKSTEP_MIN_TRIALS run per trial on the
+    reference engine; from the threshold up they lockstep.  Either way
+    the records equal the lockstep=False path byte for byte."""
+    specs = sweep_specs(base_spec(), width)
+    records = TrialExecutor().run_chunk(specs)
+    assert [r.executor for r in records] == [tag] * width
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
 @needs_numpy
 def test_executor_mixed_chunk_preserves_order_and_identity():
     """Ineligible specs interleaved with a homogeneous run split the chunk:
     the frontier run locksteps, the naive spec and the different-scenario
-    spec fall through to the per-trial path, and record order is spec
-    order throughout."""
-    frontier = sweep_specs(base_spec(), 4)
+    spec fall through to the per-trial path (groups of one), and record
+    order is spec order throughout."""
+    width = LOCKSTEP_MIN_TRIALS
+    frontier = sweep_specs(base_spec(), 2 * width)
     other = base_spec(seed=77).with_pinned_scenario()
     naive = base_spec(seed=23, backend="naive").with_pinned_scenario()
-    specs = frontier[:2] + [naive] + frontier[2:] + [other]
+    specs = frontier[:width] + [naive] + frontier[width:] + [other]
     records = TrialExecutor().run_chunk(specs)
     assert [r.spec for r in records] == specs
     tags = [r.executor for r in records]
-    assert tags == [
-        "lockstep[w=2]",
-        "lockstep[w=2]",
-        "lockstep[w=1]",
-        "lockstep[w=2]",
-        "lockstep[w=2]",
-        "lockstep[w=1]",
-    ]
+    group = [f"lockstep[w={width}]"] * width
+    assert tags == group + [""] + group + [""]
     for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "backend, params",
+    [("naive", {}), ("naive_vec", {}), ("naive", {"max_steps": 3})],
+)
+def test_executor_locksteps_naive_family(backend, params):
+    """Pinned naive and naive_vec groups run the naive lockstep kernel under
+    the spec's step budget: an explicit ``max_steps`` (tight enough here to
+    leave packets undelivered), else ``baseline_budget``."""
+    width = LOCKSTEP_MIN_TRIALS
+    specs = [
+        s.with_params(**params)
+        for s in sweep_specs(base_spec(backend=backend), width)
+    ]
+    records = TrialExecutor().run_chunk(specs)
+    assert [r.executor for r in records] == [f"lockstep[w={width}]"] * width
+    if params:
+        assert not any(r.result.all_delivered for r in records)
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, records):
+        assert ref.executor == ""
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
@@ -219,7 +264,7 @@ def test_telemetry_peels_off_to_per_trial_path():
     """Telemetry needs per-trial counter isolation, which the stacked
     kernel cannot provide: the executor must peel those trials off, and
     their counters must match the lockstep=False path exactly."""
-    specs = sweep_specs(base_spec(), 3)
+    specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor(telemetry=True).run_chunk(specs)
     refs = TrialExecutor(lockstep=False, telemetry=True).run_chunk(specs)
     for ref, got in zip(refs, records):
@@ -234,7 +279,7 @@ def test_ambient_session_peels_off_and_traces_identically():
     """An ambient telemetry/trace session disables lockstep grouping (the
     stacked kernel carries no observers); the session must end up with the
     same counter stream as a per-trial run."""
-    specs = sweep_specs(base_spec(), 3)
+    specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
     with TelemetrySession() as lockstep_session:
         records = TrialExecutor().run_chunk(specs)
     with TelemetrySession() as serial_session:
@@ -251,7 +296,8 @@ def test_ambient_session_peels_off_and_traces_identically():
 @needs_numpy
 def test_audit_specs_peel_off():
     specs = [
-        s.with_params(audit=True) for s in sweep_specs(base_spec(), 2)
+        s.with_params(audit=True)
+        for s in sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
     ]
     records = TrialExecutor().run_chunk(specs)
     assert all(r.executor == "" for r in records)
@@ -263,12 +309,15 @@ def test_audit_specs_peel_off():
 def test_cache_hits_peel_out_of_the_group(tmp_path):
     """Disk hits come back as cached records; only the misses lockstep,
     and the stored bytes match what the per-trial path would store."""
-    specs = sweep_specs(base_spec(), 6)
+    width = LOCKSTEP_MIN_TRIALS
+    specs = sweep_specs(base_spec(), 3 + width)
     primer = TrialExecutor(cache_root=tmp_path, lockstep=False)
     primed = [primer.run(s) for s in specs[:3]]
     records = TrialExecutor(cache_root=tmp_path).run_chunk(specs)
-    assert [r.cached for r in records] == [True] * 3 + [False] * 3
-    assert [r.executor for r in records] == [""] * 3 + ["lockstep[w=3]"] * 3
+    assert [r.cached for r in records] == [True] * 3 + [False] * width
+    assert [r.executor for r in records] == (
+        [""] * 3 + [f"lockstep[w={width}]"] * width
+    )
     for ref, got in zip(primed, records[:3]):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
     # A second pass hits the results the lockstep group stored back.
@@ -279,10 +328,31 @@ def test_cache_hits_peel_out_of_the_group(tmp_path):
 
 
 @needs_numpy
+def test_width_threshold_counts_cache_misses(tmp_path):
+    """A wide group whose disk misses fall below LOCKSTEP_MIN_TRIALS (a
+    resumed cached sweep) runs those misses per trial, not at a narrow
+    lockstep width, and stores them exactly as the per-trial path would."""
+    width = LOCKSTEP_MIN_TRIALS
+    specs = sweep_specs(base_spec(), 2 * width)
+    primer = TrialExecutor(cache_root=tmp_path, lockstep=False)
+    for spec in specs[1:width + 2]:
+        primer.run(spec)
+    records = TrialExecutor(cache_root=tmp_path).run_chunk(specs)
+    misses = [r for r in records if not r.cached]
+    assert len(misses) == width - 1
+    assert all(r.executor == "" for r in records)
+    replay = TrialExecutor(cache_root=tmp_path, lockstep=False).run_chunk(specs)
+    assert all(r.cached for r in replay)
+    for ref, got in zip(replay, records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+
+
+@needs_numpy
 def test_run_spec_trials_batched_lockstep_toggle_identical():
-    specs = sweep_specs(base_spec(), 9)
+    specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS + 1)
     fast = run_spec_trials_batched(specs, workers=1)
     slow = run_spec_trials_batched(specs, workers=1, lockstep=False)
+    assert all(r.executor.startswith("lockstep[") for r in fast)
     for ref, got in zip(slow, fast):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
@@ -290,12 +360,24 @@ def test_run_spec_trials_batched_lockstep_toggle_identical():
 # --------------------------------------------------- sweeps: shard identity
 
 
+#: Two trials land before the simulated kill, so shards of this size leave
+#: a resumed suffix of exactly LOCKSTEP_MIN_TRIALS: lockstep still runs it.
+SHARD_SIZE = LOCKSTEP_MIN_TRIALS + 2
+#: One full shard plus a ragged last shard that still reaches the threshold.
+SWEEP_TRIALS = SHARD_SIZE + LOCKSTEP_MIN_TRIALS + 1
+
+
+def counting_heartbeat(sink=None):
+    """A heartbeat that beats on every trial (sink None: count only)."""
+    return SweepHeartbeat(sink, total=SWEEP_TRIALS, interval_sec=0.0)
+
+
 @needs_numpy
 class TestSweepShardIdentity:
     @pytest.fixture
     def manifest(self):
         return SweepManifest.from_base(
-            base_spec(), num_trials=11, shard_size=4
+            base_spec(), num_trials=SWEEP_TRIALS, shard_size=SHARD_SIZE
         )
 
     def test_lockstep_shards_byte_identical_to_serial(
@@ -304,7 +386,9 @@ class TestSweepShardIdentity:
         serial = open_store(tmp_path / "serial", manifest)
         run_sweep(manifest, serial, compact=False, lockstep=False)
         lockstep = open_store(tmp_path / "lockstep", manifest)
-        run_sweep(manifest, lockstep, compact=False)
+        heartbeat = counting_heartbeat()
+        run_sweep(manifest, lockstep, heartbeat=heartbeat, compact=False)
+        assert heartbeat.lockstep_trials == SWEEP_TRIALS
         for shard in manifest.shard_ids():
             assert lockstep.shard_bytes(shard) == serial.shard_bytes(shard)
 
@@ -313,7 +397,8 @@ class TestSweepShardIdentity:
     ):
         """A killed lockstep sweep resumes mid-shard and must still emit
         the exact bytes of an uninterrupted serial (lockstep=False) run —
-        the resume point lands inside what would have been one batch."""
+        the resume point lands inside what would have been one batch, and
+        the resumed suffix still runs on the lockstep kernel."""
         reference = open_store(tmp_path / "ref", manifest)
         run_sweep(manifest, reference, compact=False, lockstep=False)
         ref_bytes = [
@@ -330,33 +415,57 @@ class TestSweepShardIdentity:
                 )
         with open(victim.part_path(0), "ab") as fh:
             fh.write(b'{"kind":"sweep_record","index":2')
-        outcome = run_sweep(manifest, victim, resume=True, compact=False)
+        heartbeat = counting_heartbeat()
+        outcome = run_sweep(
+            manifest, victim, resume=True, heartbeat=heartbeat, compact=False
+        )
         assert outcome.complete
         assert outcome.trials_resumed == 2
+        assert heartbeat.lockstep_trials == SWEEP_TRIALS - 2
         assert [
             victim.shard_bytes(s) for s in manifest.shard_ids()
         ] == ref_bytes
 
     def test_heartbeat_reports_lockstep_width(self, manifest, tmp_path):
         beats = []
-        heartbeat = SweepHeartbeat(beats.append, total=11, interval_sec=0.0)
         store = open_store(tmp_path / "s", manifest)
-        run_sweep(manifest, store, heartbeat=heartbeat, compact=False)
+        run_sweep(
+            manifest, store, heartbeat=counting_heartbeat(beats.append),
+            compact=False,
+        )
         final = beats[-1]
         assert final["final"] is True
-        assert final["lockstep_trials"] == 11
-        assert final["executor"].startswith("lockstep[w=")
+        assert final["lockstep_trials"] == SWEEP_TRIALS
+        tail = SWEEP_TRIALS - SHARD_SIZE
+        assert final["executor"] == f"lockstep[w={tail}]"
 
     def test_heartbeat_reports_per_trial_when_lockstep_off(
         self, manifest, tmp_path
     ):
         beats = []
-        heartbeat = SweepHeartbeat(beats.append, total=11, interval_sec=0.0)
         store = open_store(tmp_path / "s", manifest)
         run_sweep(
-            manifest, store, heartbeat=heartbeat, compact=False,
-            lockstep=False,
+            manifest, store, heartbeat=counting_heartbeat(beats.append),
+            compact=False, lockstep=False,
         )
         final = beats[-1]
         assert final["lockstep_trials"] == 0
         assert final["executor"] == "per-trial"
+
+    def test_unpinned_sweep_runs_per_trial(self, tmp_path):
+        """Every trial of an unpinned manifest routes its own instance, so
+        each group has width 1 and the executor never calls lockstep."""
+        manifest = SweepManifest.from_base(
+            base_spec(), num_trials=SHARD_SIZE, shard_size=SHARD_SIZE, pin=False
+        )
+        beats = []
+        store = open_store(tmp_path / "unpinned", manifest)
+        run_sweep(
+            manifest, store, heartbeat=counting_heartbeat(beats.append),
+            compact=False,
+        )
+        assert beats[-1]["lockstep_trials"] == 0
+        assert beats[-1]["executor"] == "per-trial"
+        serial = open_store(tmp_path / "serial", manifest)
+        run_sweep(manifest, serial, compact=False, lockstep=False)
+        assert store.shard_bytes(0) == serial.shard_bytes(0)

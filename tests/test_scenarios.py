@@ -450,8 +450,10 @@ class TestScenarioWarmCache:
         problems = [cache.problem_for(s) for s in specs]
         assert all(p is problems[0] for p in problems)
         stats = cache.stats()
-        assert stats["problems"] == 1 and stats["networks"] == 1
-        assert stats["hits"] >= len(specs) - 1
+        assert stats["problems"]["size"] == 1
+        assert stats["networks"]["size"] == 1
+        assert stats["problems"]["hits"] == len(specs) - 1
+        assert stats["networks"]["misses"] == 1
 
     def test_warm_and_cold_records_are_byte_identical(self):
         from dataclasses import asdict
@@ -472,9 +474,72 @@ class TestScenarioWarmCache:
         specs = [_spec("frontier", seed=s) for s in (1, 2, 3)]
         for spec in specs:
             cache.problem_for(spec)
-        assert cache.stats()["problems"] == 2
-        # Least recently used (seed=1) was evicted: re-fetch rebuilds (the
-        # network key derives from the seed too, so that misses as well).
-        before = cache.misses
+        assert cache.stats()["problems"]["size"] == 2
+        # Least recently used (seed=1) was evicted: re-fetch rebuilds the
+        # problem.  butterfly ignores its seed, so the one shared network
+        # survives and the rebuild reuses it.
+        before = cache.stats()
         cache.problem_for(specs[0])
-        assert cache.misses > before
+        after = cache.stats()
+        assert after["problems"]["misses"] == before["problems"]["misses"] + 1
+        assert after["networks"]["misses"] == before["networks"]["misses"]
+        assert after["networks"]["size"] == 1
+
+    @staticmethod
+    def _unpinned(topology, topology_params, seed):
+        return RunSpec(
+            topology=topology,
+            topology_params=topology_params,
+            workload="random_many_to_one",
+            workload_params={"num_packets": 6},
+            backend="frontier",
+            seed=seed,
+        )
+
+    @pytest.mark.parametrize(
+        "topology, params, shared",
+        [
+            ("butterfly", {"dim": 3}, True),
+            ("mesh", {"rows": 4}, True),
+            ("random_leveled", {"width": 4, "depth": 4}, False),
+        ],
+    )
+    def test_network_reuse_across_seeds(self, topology, params, shared):
+        """Unpinned specs over a seed-free topology share one network;
+        a seeded topology gets one per seed.  Records match the cold
+        path either way."""
+        from dataclasses import asdict
+
+        from repro.scenarios import ScenarioCache
+
+        specs = [self._unpinned(topology, params, seed) for seed in (1, 2, 3)]
+        assert len({s.scenario_hash() for s in specs}) == 3
+        cache = ScenarioCache()
+        nets = [cache.network_for(s) for s in specs]
+        built = 1 if shared else len(specs)
+        assert len({id(net) for net in nets}) == built
+        assert cache.stats()["networks"]["misses"] == built
+        for spec, net in zip(specs, nets):
+            warm = run_trial(spec, warm=cache)
+            assert warm.problem.net is net
+            assert asdict(run_trial(spec).result) == asdict(warm.result)
+
+    def test_only_marked_topologies_drop_the_seed(self, monkeypatch):
+        """Every built-in but ``random_leveled`` ignores its seed and says
+        so; an unmarked (e.g. third-party) builder keeps the seed in its
+        network key."""
+        from repro.scenarios.cache import _network_key
+
+        for name in TOPOLOGIES.names():
+            marked = getattr(TOPOLOGIES.get(name), "deterministic", False)
+            assert marked is (name != "random_leveled"), name
+        monkeypatch.setitem(
+            TOPOLOGIES._entries,
+            "third_party_butterfly",
+            lambda *, dim, seed=None: butterfly(int(dim)),
+        )
+        for topology, shared in (("butterfly", True), ("third_party_butterfly", False)):
+            a, b = (self._unpinned(topology, {"dim": 3}, s) for s in (1, 2))
+            assert (_network_key(a) == _network_key(b)) is shared
+            # Pinning resolves the seed the builder would get anyway.
+            assert _network_key(a) == _network_key(a.with_pinned_scenario())

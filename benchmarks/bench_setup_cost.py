@@ -4,10 +4,10 @@ Not a paper experiment — these separate the fixed per-trial construction
 costs that the warm scenario cache amortizes (network build, geometry
 precompute, path selection) from the cost that every trial must pay
 regardless (engine init), so the batching layer's savings stay explainable.
-The vectorized kernel adds its own split: the cold struct-of-arrays build
-(geometry tables + per-packet path packing) vs the warm template copy that
-repeat trials on a cached problem actually pay, vs full ``VecEngine``
-construction. The final case times a warm
+The lockstep array kernel adds its own split: the cold struct-of-arrays
+build (geometry tables + per-packet path packing) vs the warm template
+tiling that repeat batches on a cached problem actually pay, vs full
+``LockstepEngine`` construction. The final case times a warm
 :class:`~repro.scenarios.ScenarioCache` hit — the per-trial setup cost
 under batched execution.
 """
@@ -88,16 +88,17 @@ def test_setup_engine_init(benchmark, prebuilt_problem):
     assert engine.num_active == 0
 
 
-def test_setup_vec_arrays_cold_build(benchmark, prebuilt_problem):
+def test_setup_lockstep_arrays_cold_build(benchmark, prebuilt_problem):
     """Kernel array-build split, cold: geometry tables + path packing.
 
-    Both layers cache (``GeometryArrays`` on the geometry,
-    the :class:`PacketArrays` template on the problem), so each round
+    Both layers cache (``GeometryArrays`` on the geometry, the one-trial
+    :class:`StackedPacketArrays` template on the problem), so each round
     evicts them first — this is the one-time cost a fresh problem pays
-    before any ``VecEngine`` can step.
+    before any ``LockstepEngine`` can step.
     """
     pytest.importorskip("numpy")
-    from repro.sim import GeometryArrays, PacketArrays
+    from repro.sim import GeometryArrays
+    from repro.sim.soa import StackedPacketArrays
 
     geometry = prebuilt_problem.net.geometry()
 
@@ -107,33 +108,33 @@ def test_setup_vec_arrays_cold_build(benchmark, prebuilt_problem):
         except AttributeError:
             pass
         geo_arrays = GeometryArrays(geometry)
-        packets = PacketArrays.from_problem(prebuilt_problem)
+        packets = StackedPacketArrays.from_problem(prebuilt_problem, 1)
         return geo_arrays, packets
 
     _, packets = benchmark(cold_build)
     assert packets.num_packets == 12
 
 
-def test_setup_vec_arrays_warm_copy(benchmark, prebuilt_problem):
-    """Kernel array-build split, warm: the template ``.copy()`` per trial.
+def test_setup_lockstep_arrays_warm_copy(benchmark, prebuilt_problem):
+    """Kernel array-build split, warm: tiling the cached template.
 
     Warm-pool sweeps reuse one problem across seeds, so this — not the
-    cold build above — is the array cost every repeat trial pays.
+    cold build above — is the array cost every repeat batch pays.
     """
     pytest.importorskip("numpy")
-    from repro.sim import PacketArrays
+    from repro.sim.soa import StackedPacketArrays
 
-    PacketArrays.from_problem(prebuilt_problem)  # prime the template cache
+    StackedPacketArrays.from_problem(prebuilt_problem, 1)  # prime the cache
 
-    packets = benchmark(PacketArrays.from_problem, prebuilt_problem)
+    packets = benchmark(StackedPacketArrays.from_problem, prebuilt_problem, 1)
     assert packets.num_packets == 12
 
 
-def test_setup_vec_engine_init(benchmark, prebuilt_problem):
-    """Full ``VecEngine`` construction with warm array caches — the vec
-    analog of ``test_setup_engine_init``."""
+def test_setup_lockstep_engine_init(benchmark, prebuilt_problem):
+    """Full one-trial ``LockstepEngine`` construction with warm array
+    caches — the array-kernel analog of ``test_setup_engine_init``."""
     pytest.importorskip("numpy")
-    from repro.sim import VecEngine
+    from repro.sim.engine_lockstep import LockstepEngine
 
     params = AlgorithmParams.practical(
         prebuilt_problem.congestion,
@@ -143,12 +144,12 @@ def test_setup_vec_engine_init(benchmark, prebuilt_problem):
     prebuilt_problem.net.geometry().arrays()  # prime the geometry cache
 
     def init():
-        return VecEngine.frontier(
-            prebuilt_problem, params, router_seed=1, seed=2
+        return LockstepEngine.frontier(
+            prebuilt_problem, params, router_seeds=[1], engine_seeds=[2]
         )
 
     engine = benchmark(init)
-    assert engine.num_active == 0
+    assert int(engine.num_active.sum()) == 0
 
 
 def test_setup_warm_cache_hit(benchmark):

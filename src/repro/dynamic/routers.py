@@ -1,8 +1,8 @@
 """Dynamic-traffic router wrappers.
 
-Arrival release now lives in the engines themselves (both the reference
-:class:`~repro.sim.Engine` and the vectorized kernel gate injection
-eligibility on an :class:`~repro.traffic.ArrivalSchedule`), so these
+Arrival release now lives in the engine itself (the reference
+:class:`~repro.sim.Engine` gates injection eligibility on an
+:class:`~repro.traffic.ArrivalSchedule`), so these
 routers are thin adapters: they carry the schedule, install it at attach
 time, and otherwise behave exactly like their static baselines.  Runs are
 byte-identical to the old mixin-based release (same eligible set at every

@@ -83,9 +83,9 @@ LOCKSTEP_MAX_TRIALS = 64
 LOCKSTEP_MIN_TRIALS = 6
 
 #: Spec backends the lockstep kernel can execute, mapped to the kernel
-#: family that runs them.  ``frontier``/``frontier_vec`` (and the
-#: ``REPRO_BACKEND`` reroute between them) are byte-identical per trial,
-#: so they share one lockstep family; likewise the naive pair.
+#: family that runs them.  ``frontier_vec``/``naive_vec`` are registry
+#: aliases of ``frontier``/``naive``; specs keep the backend string as
+#: written (it is part of their hash), so both spellings appear here.
 _LOCKSTEP_FAMILIES = {
     "frontier": "frontier",
     "frontier_vec": "frontier",

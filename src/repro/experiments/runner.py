@@ -33,7 +33,7 @@ def resolve_trial_params(
     :meth:`~repro.core.AlgorithmParams.practical`.  This is the single
     funnel through which scenario ``backend_params`` become
     :class:`~repro.core.AlgorithmParams`, shared by the reference and
-    vectorized trial runners.
+    lockstep trial runners.
     """
     preset = params_kwargs.pop("preset", None)
     congestion = max(1, problem.congestion)
@@ -116,63 +116,6 @@ def run_frontier_trial(
     return TrialRecord(seed=seed, result=result, audit=report)
 
 
-def run_frontier_vec_trial(
-    problem: RoutingProblem,
-    seed: int,
-    params: Optional[AlgorithmParams] = None,
-    audit: bool = False,
-    condition_sets: bool = False,
-    fast_forward: bool = True,
-    max_steps: Optional[int] = None,
-    audit_congestion_bound: Optional[float] = None,
-    **params_kwargs,
-) -> TrialRecord:
-    """Run one frontier trial on the vectorized kernel.
-
-    Byte-identical to :func:`run_frontier_trial` with the same arguments
-    (same RNG stream derivations, same result digests) — see the
-    equivalence contract in :mod:`repro.sim.engine_vec`.  Falls back to
-    the reference engine when auditing is requested (the invariant
-    auditor needs the reference engine's post-step hooks) or when numpy
-    is unavailable.
-    """
-    from ..sim.engine_vec import VecEngine, numpy_available
-
-    if audit or not numpy_available():
-        return run_frontier_trial(
-            problem,
-            seed,
-            params=params,
-            audit=audit,
-            condition_sets=condition_sets,
-            fast_forward=fast_forward,
-            max_steps=max_steps,
-            audit_congestion_bound=audit_congestion_bound,
-            **params_kwargs,
-        )
-    if params is None:
-        params = resolve_trial_params(problem, **params_kwargs)
-    set_of = None
-    if condition_sets:
-        set_of = resample_until_bounded(
-            problem,
-            params.num_sets,
-            params.set_congestion_bound,
-            seed=stable_hash_seed(seed, 1),
-        )
-    engine = VecEngine.frontier(
-        problem,
-        params,
-        set_of=set_of,
-        router_seed=stable_hash_seed(seed, 2),
-        seed=stable_hash_seed(seed, 3),
-        enable_fast_forward=fast_forward,
-    )
-    budget = max_steps if max_steps is not None else params.total_steps
-    result = engine.run(budget)
-    return TrialRecord(seed=seed, result=result)
-
-
 def run_frontier_trials_lockstep(
     problem: RoutingProblem,
     seeds: Sequence[int],
@@ -185,8 +128,8 @@ def run_frontier_trials_lockstep(
 ) -> List[TrialRecord]:
     """Run one frontier trial per seed on the lockstep batch kernel.
 
-    Byte-identical, per trial, to :func:`run_frontier_vec_trial` (and the
-    reference :func:`run_frontier_trial`) with the same seed: the same RNG
+    Byte-identical, per trial, to the reference :func:`run_frontier_trial`
+    with the same seed: the same RNG
     stream derivations feed one per-trial generator pair each, and the
     stacked kernel preserves every per-trial draw order — see
     :mod:`repro.sim.engine_lockstep`.  Requires numpy and a problem
@@ -233,8 +176,9 @@ def run_naive_trials_lockstep(
 ) -> List[RunResult]:
     """Run the naive baseline once per seed on the lockstep batch kernel.
 
-    Byte-identical, per trial, to :func:`run_naive_vec_trial` with the
-    same seed.
+    Byte-identical, per trial, to :func:`run_router_trial` with a
+    ``NaivePathRouter`` factory and the same seed (the naive router draws
+    no randomness of its own, so only the engine stream matters).
     """
     from ..sim.engine_lockstep import LockstepEngine
 
@@ -243,30 +187,6 @@ def run_naive_trials_lockstep(
         engine_seeds=[stable_hash_seed(seed, 5) for seed in seeds],
         geometry=geometry,
     )
-    return engine.run(max_steps)
-
-
-def run_naive_vec_trial(
-    problem: RoutingProblem,
-    seed: int,
-    max_steps: int,
-) -> RunResult:
-    """Run the naive baseline on the vectorized kernel.
-
-    Byte-identical to ``run_router_trial`` with a ``NaivePathRouter``
-    factory and the same seed (the naive router draws no randomness of
-    its own, so only the engine stream matters).  Falls back to the
-    reference engine when numpy is unavailable.
-    """
-    from ..sim.engine_vec import VecEngine, numpy_available
-
-    if not numpy_available():
-        from ..baselines import NaivePathRouter
-
-        return run_router_trial(
-            problem, lambda _seed: NaivePathRouter(), seed, max_steps
-        )
-    engine = VecEngine.naive(problem, seed=stable_hash_seed(seed, 5))
     return engine.run(max_steps)
 
 

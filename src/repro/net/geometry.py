@@ -86,7 +86,8 @@ class NetworkGeometry:
         """Numpy views of the endpoint/level tables, built and cached lazily.
 
         Imported on first use so the geometry stays loadable without numpy;
-        only the vectorized kernel (:mod:`repro.sim.engine_vec`) calls this.
+        only the lockstep kernel (:mod:`repro.sim.engine_lockstep`) calls
+        this.
         """
         if self._vec_arrays is None:
             from ..sim.soa import GeometryArrays

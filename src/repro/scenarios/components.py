@@ -416,46 +416,18 @@ def _budget(problem, params) -> int:
     return int(explicit) if explicit is not None else baseline_budget(problem)
 
 
-def _env_backend() -> Optional[str]:
-    """The ``REPRO_BACKEND`` engine override, if set.
-
-    Lets CI (and users) rerun frontier-family scenarios on the vectorized
-    kernel without touching specs: ``REPRO_BACKEND=frontier_vec`` reroutes
-    the ``frontier`` backend to :func:`run_frontier_vec_trial`, which is
-    byte-identical to the reference path (the equivalence contract in
-    :mod:`repro.sim.engine_vec`).
-    """
-    import os
-
-    value = os.environ.get("REPRO_BACKEND")
-    return value if value else None
-
-
-@BACKENDS.register("frontier", needs="problem", family="frontier")
+@BACKENDS.register(
+    "frontier", "frontier_vec", needs="problem", family="frontier"
+)
 def _backend_frontier(problem, seed: int, params: dict):
-    """The paper's frontier-frame algorithm (Theorem 4.26)."""
-    if _env_backend() == "frontier_vec":
-        from ..experiments.runner import run_frontier_vec_trial
+    """The paper's frontier-frame algorithm (Theorem 4.26).
 
-        record = run_frontier_vec_trial(problem, seed=seed, **params)
-        return record.result, record.audit
+    ``frontier_vec`` is a legacy alias: specs naming it keep their content
+    hash and return the same records as ``frontier``.
+    """
     from ..experiments.runner import run_frontier_trial
 
     record = run_frontier_trial(problem, seed=seed, **params)
-    return record.result, record.audit
-
-
-@BACKENDS.register("frontier_vec", needs="problem", family="frontier")
-def _backend_frontier_vec(problem, seed: int, params: dict):
-    """Frontier-frame algorithm on the vectorized array kernel.
-
-    Same RunResult digests as ``frontier`` for any (problem, seed); falls
-    back to the reference engine when auditing is requested or numpy is
-    missing.
-    """
-    from ..experiments.runner import run_frontier_vec_trial
-
-    record = run_frontier_vec_trial(problem, seed=seed, **params)
     return record.result, record.audit
 
 
@@ -477,24 +449,16 @@ def _randgreedy_factory(router_seed: int):
     return RandomizedGreedyRouter(seed=router_seed)
 
 
-@BACKENDS.register("naive", needs="problem", family="deflection")
+@BACKENDS.register("naive", "naive_vec", needs="problem", family="deflection")
 def _backend_naive(problem, seed: int, params: dict):
-    """Uncoordinated path-following hot-potato strawman."""
+    """Uncoordinated path-following hot-potato strawman.
+
+    ``naive_vec`` is a legacy alias of ``naive`` (same hash, same records).
+    """
     from ..experiments.runner import run_router_trial
 
     return (
         run_router_trial(problem, _naive_factory, seed, _budget(problem, params)),
-        None,
-    )
-
-
-@BACKENDS.register("naive_vec", needs="problem", family="deflection")
-def _backend_naive_vec(problem, seed: int, params: dict):
-    """Naive path-following baseline on the vectorized array kernel."""
-    from ..experiments.runner import run_naive_vec_trial
-
-    return (
-        run_naive_vec_trial(problem, seed, _budget(problem, params)),
         None,
     )
 

@@ -114,7 +114,7 @@ def _build_arrival_problem(
     The source is collected over its horizon and each packet gets a random
     monotone path drawn from the selector seed, so the problem — arrival
     times included — is a pure function of the scenario fields and runs on
-    any problem-level backend (reference, frontier_vec, baselines).
+    any problem-level backend (the frontier algorithm, the baselines).
     """
     from ..errors import WorkloadError
     from ..traffic import collect_arrivals, problem_from_arrivals

@@ -5,9 +5,9 @@ from .events import EventKind, TraceEvent, TraceRecorder
 from .router import DesiredMove, Router
 from .metrics import RunResult
 from .engine import Engine, Slot
-from .soa import NUMPY_AVAILABLE, FrontierArrays, GeometryArrays, PacketArrays
-from .engine_vec import (
-    VecEngine,
+from .soa import (
+    NUMPY_AVAILABLE,
+    GeometryArrays,
     VectorBackendUnavailable,
     numpy_available,
 )
@@ -25,9 +25,6 @@ __all__ = [
     "Slot",
     "NUMPY_AVAILABLE",
     "GeometryArrays",
-    "PacketArrays",
-    "FrontierArrays",
-    "VecEngine",
     "VectorBackendUnavailable",
     "numpy_available",
 ]

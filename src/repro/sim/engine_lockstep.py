@@ -2,8 +2,8 @@
 
 :class:`LockstepEngine` advances a whole Monte Carlo batch of trials over
 one shared :class:`~repro.paths.RoutingProblem` in lockstep: every
-per-packet array of the vectorized kernel (:mod:`repro.sim.engine_vec`)
-gains a leading ``trial`` axis (:class:`~repro.sim.soa.StackedPacketArrays`),
+per-packet field of the reference engine becomes an array with a leading
+``trial`` axis (:class:`~repro.sim.soa.StackedPacketArrays`),
 so one "tick" of the batch advances every live trial by one executed step
 with a handful of numpy operations amortized across the batch.  Trials
 share geometry, paths, and initial packet layout exactly — they differ
@@ -13,8 +13,7 @@ only in their RNG streams — which is precisely the shape of
 Equivalence contract
 --------------------
 Per trial, a lockstep run is **byte-identical** to the per-trial
-:class:`~repro.sim.engine_vec.VecEngine` run (and therefore to the
-reference engine) with the same seeds: equal
+reference :class:`~repro.sim.Engine` run with the same seeds: equal
 :class:`~repro.sim.RunResult` fields including delivery times, deflection
 counts, and router extras.  The kernel preserves each trial's RNG draw
 order exactly:
@@ -48,9 +47,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import CapacityError, ReproError, SimulationError
 from ..rng import RngLike, make_rng
-from .engine_vec import require_numpy
 from .metrics import RunResult
-from .soa import StackedFrontierArrays, StackedPacketArrays
+from .soa import StackedFrontierArrays, StackedPacketArrays, require_numpy
 
 try:
     import numpy as np
@@ -79,7 +77,7 @@ def _isolation_flags(act_nodes: List[int], inj_nodes: List[int]) -> List[bool]:
 
 
 class LockstepEngine:
-    """Stacked-array twin of :class:`VecEngine` for whole trial batches.
+    """Stacked-array twin of the reference engine for whole trial batches.
 
     Construct through :meth:`frontier` or :meth:`naive`.  ``run`` returns
     one :class:`RunResult` per trial, in input order, each byte-identical
@@ -212,13 +210,14 @@ class LockstepEngine:
     ) -> "LockstepEngine":
         """Batch kernel for the paper's frontier-frame algorithm.
 
-        Trial ``i`` mirrors ``VecEngine.frontier(problem, params,
-        router_seed=router_seeds[i], seed=engine_seeds[i])`` exactly: when
-        ``set_rows`` is omitted each trial's frontier-set assignment is
-        drawn from its own router generator (leaving the excitation-coin
-        stream aligned with the reference); pass precomputed rows (e.g.
-        conditioned assignments) to skip the draw, exactly as passing
-        ``set_of`` does on the per-trial engines.
+        Trial ``i`` mirrors the reference ``Engine(problem,
+        FrontierFrameRouter(params, seed=router_seeds[i]),
+        seed=engine_seeds[i])`` exactly: when ``set_rows`` is omitted each
+        trial's frontier-set assignment is drawn from its own router
+        generator (leaving the excitation-coin stream aligned with the
+        reference); pass precomputed rows (e.g. conditioned assignments)
+        to skip the draw, exactly as passing ``set_of`` does on the
+        reference router.
         """
         require_numpy()
         from ..core.frontier import assign_frontier_sets
@@ -674,8 +673,8 @@ class LockstepEngine:
     ) -> None:
         """Reference arbitration replay for one conflicted trial's step.
 
-        A verbatim port of the VecEngine contended branch operating on
-        this trial's flat participant segment, drawing every tie-break
+        The reference engine's arbitration order, replayed on this
+        trial's flat participant segment, drawing every tie-break
         and shuffle from this trial's own engine generator.
         """
         fr = self.fr
@@ -842,7 +841,7 @@ class LockstepEngine:
         self, i, w_pids, w_edges, w_back, w_rev, inj_ids, violations,
         deflected,
     ) -> None:
-        """Row port of the VecEngine untraced move application."""
+        """Apply one trial's winning and deflected moves (untraced)."""
         soa = self.soa
         fr = self.fr
         ti = int(self.t[i])

@@ -3,10 +3,10 @@
 The batch pipeline (scenarios, caching, every problem-level backend) works
 on :class:`~repro.paths.RoutingProblem` instances; a dynamic workload is
 simply a problem whose ``arrival_schedule`` attribute carries the packets'
-injection times.  Both engines pick the schedule up at construction, so
-*any* backend — the reference engine, the vectorized kernel, the frontier
-algorithm, the baselines — accepts mid-run injection without knowing where
-the traffic came from.
+injection times.  The reference engine picks the schedule up at
+construction, so *any* problem-level backend — the frontier algorithm, the
+baselines — accepts mid-run injection without knowing where the traffic
+came from.
 """
 
 from __future__ import annotations

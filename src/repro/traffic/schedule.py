@@ -7,10 +7,11 @@ release state (which packets the router has approved but whose arrival has
 not come) lives in the engine — so one schedule object can be shared by any
 number of engines, including the warm scenario cache.
 
-Both engines (:class:`~repro.sim.Engine` and
-:class:`~repro.sim.VecEngine`) understand schedules natively: eligibility
-marks from the router are *gated* on the packet's arrival time, and due
-packets are released at the top of each step.  A packet therefore becomes
+The reference engine (:class:`~repro.sim.Engine`) understands schedules
+natively: eligibility marks from the router are *gated* on the packet's
+arrival time, and due packets are released at the top of each step.  (The
+lockstep batch kernel does not; the trial executor runs schedule-carrying
+problems per trial on the reference engine.)  A packet therefore becomes
 eligible at ``max(router mark time, arrival time)``, which degenerates to
 the classic mark-all-at-attach behavior when every time is zero.
 """

@@ -124,23 +124,30 @@ def test_chaos_runs_are_deterministic(problem):
 @given(fuzz_instance(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_vectorized_kernel_matches_reference_under_fuzz(problem, seed):
-    """The same adversarial instance pool also feeds the ref-vs-vec gate.
+    """The same adversarial instance pool also feeds the ref-vs-lockstep gate.
 
-    ChaosRouter itself uses FREE moves, which the vectorized kernel does
-    not support — so the differential check runs the supported frontier
-    family over the identical fuzzed instances instead.  Deep coverage
-    lives in test_engine_vec.py; this hook keeps the fuzz corpus shared.
+    ChaosRouter itself uses FREE moves, which the lockstep kernel does not
+    support — so the differential check runs the supported frontier family
+    over the identical fuzzed instances instead, as a batch of one trial
+    and as a batch of three.  Deep coverage lives in
+    test_engine_lockstep.py; this hook keeps the fuzz corpus shared.
     """
     from dataclasses import asdict
 
-    from repro.experiments import run_frontier_trial, run_frontier_vec_trial
+    from repro.experiments import (
+        run_frontier_trial,
+        run_frontier_trials_lockstep,
+    )
     from repro.sim import numpy_available
 
     if not numpy_available():
-        pytest.skip("vectorized backend requires numpy")
-    ref = run_frontier_trial(problem, seed)
-    vec = run_frontier_vec_trial(problem, seed)
-    assert asdict(ref.result) == asdict(vec.result)
+        pytest.skip("lockstep kernel requires numpy")
+    for width in (1, 3):
+        seeds = [seed + k for k in range(width)]
+        batch = run_frontier_trials_lockstep(problem, seeds)
+        for trial_seed, rec in zip(seeds, batch):
+            ref = run_frontier_trial(problem, trial_seed)
+            assert asdict(ref.result) == asdict(rec.result)
 
 
 def test_chaos_slot_capacity_never_violated():

@@ -1,4 +1,4 @@
-"""Differential tests: the lockstep batch kernel vs. the serial engines.
+"""Differential tests: the lockstep batch kernel vs. the reference engine.
 
 The contract of :mod:`repro.sim.engine_lockstep` is byte-identity *per
 trial*: a batch of T trials advanced in one set of stacked arrays must
@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.soa as soa_mod
 from repro.baselines import NaivePathRouter
+from repro.core import AlgorithmParams
 from repro.experiments import (
     baseline_budget,
     butterfly_hotrow_instance,
@@ -41,7 +43,8 @@ from repro.experiments.batch import (
 from repro.net import random_leveled
 from repro.paths import select_paths_random
 from repro.scenarios import RunSpec
-from repro.sim import numpy_available
+from repro.sim import VectorBackendUnavailable, numpy_available
+from repro.sim.engine_lockstep import LockstepEngine
 from repro.sweeps import (
     SweepHeartbeat,
     SweepManifest,
@@ -80,7 +83,7 @@ def assert_results_identical(ref, got, label=""):
 
 @st.composite
 def lockstep_instance(draw):
-    """Random leveled instance, mirroring test_engine_vec.vec_instance."""
+    """Random leveled instance, mirroring test_engine_fuzz.fuzz_instance."""
     depth = draw(st.integers(min_value=2, max_value=5))
     width = draw(st.integers(min_value=2, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -144,6 +147,48 @@ def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward):
 
 
 @needs_numpy
+@given(
+    lockstep_instance(),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.integers(min_value=1, max_value=60),
+)
+@settings(max_examples=25, deadline=None)
+def test_frontier_lockstep_fuzz_under_tight_budget(
+    problem, width, seed0, fast_forward, max_steps
+):
+    """Budgets short enough to cut trials off mid-schedule: undelivered
+    packets and the final step count must match the reference too."""
+    seeds = [seed0 + k for k in range(width)]
+    batch = run_frontier_trials_lockstep(
+        problem, seeds, fast_forward=fast_forward, max_steps=max_steps
+    )
+    for seed, rec in zip(seeds, batch):
+        ref = run_frontier_trial(
+            problem, seed, fast_forward=fast_forward, max_steps=max_steps
+        )
+        assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+
+
+@needs_numpy
+@given(
+    lockstep_instance(),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_naive_lockstep_fuzz(problem, width, seed0):
+    seeds = [seed0 + k for k in range(width)]
+    batch = run_naive_trials_lockstep(problem, seeds, 20000)
+    for seed, result in zip(seeds, batch):
+        ref = run_router_trial(
+            problem, lambda _s: NaivePathRouter(), seed, 20000
+        )
+        assert_results_identical(ref, result, f"(seed {seed})")
+
+
+@needs_numpy
 def test_condition_sets_lockstep_identical():
     problem = butterfly_random_instance(4, seed=99)
     seeds = [0, 5, 42]
@@ -151,6 +196,72 @@ def test_condition_sets_lockstep_identical():
     for seed, rec in zip(seeds, batch):
         ref = run_frontier_trial(problem, seed, condition_sets=True)
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_condition_sets_single_trial_identical(seed):
+    """A one-trial batch with resampled condition sets, with and without
+    fast-forward, against the reference engine."""
+    problem = butterfly_random_instance(4, seed=99)
+    for fast_forward in (True, False):
+        (rec,) = run_frontier_trials_lockstep(
+            problem, [seed], condition_sets=True, fast_forward=fast_forward
+        )
+        ref = run_frontier_trial(
+            problem, seed, condition_sets=True, fast_forward=fast_forward
+        )
+        assert_results_identical(
+            ref.result, rec.result, f"(fast_forward {fast_forward})"
+        )
+
+
+@needs_numpy
+def test_naive_lockstep_under_deflection():
+    """Hot-row contention forces the naive baseline to deflect, so the
+    contended arbitration and deflection moves are checked against the
+    reference engine, not only the conflict-free fast path."""
+    problem = butterfly_hotrow_instance(5, 24, seed=3)
+    seeds = [9, 10, 11]
+    batch = run_naive_trials_lockstep(problem, seeds, 20000)
+    for seed, result in zip(seeds, batch):
+        ref = run_router_trial(
+            problem, lambda _s: NaivePathRouter(), seed, 20000
+        )
+        assert_results_identical(ref, result, f"(seed {seed})")
+    # the fixture must actually exercise the deflection path
+    assert any(d for result in batch for d in result.deflections_per_packet)
+
+
+def test_lockstep_unavailable_raises_actionable_error(monkeypatch):
+    """Without numpy the kernel refuses with an actionable message."""
+    monkeypatch.setattr(soa_mod, "NUMPY_AVAILABLE", False)
+    problem = butterfly_random_instance(3, seed=1)
+    params = AlgorithmParams.practical(
+        max(1, problem.congestion), problem.net.depth, problem.num_packets
+    )
+    with pytest.raises(VectorBackendUnavailable) as excinfo:
+        LockstepEngine.frontier(
+            problem, params, router_seeds=[1], engine_seeds=[2]
+        )
+    message = str(excinfo.value)
+    assert "requires numpy" in message
+    assert "lockstep=False" in message
+
+
+def test_executor_runs_per_trial_without_numpy(monkeypatch):
+    """Without numpy the executor runs would-be lockstep groups on the
+    reference engine instead of raising."""
+    monkeypatch.setattr(soa_mod, "NUMPY_AVAILABLE", False)
+    for backend in ("frontier", "naive"):
+        specs = sweep_specs(base_spec(backend=backend), LOCKSTEP_MIN_TRIALS)
+        records = TrialExecutor().run_chunk(specs)
+        assert [r.executor for r in records] == [""] * LOCKSTEP_MIN_TRIALS
+        refs = TrialExecutor(lockstep=False).run_chunk(specs)
+        for ref, got in zip(refs, records):
+            assert_results_identical(
+                ref.result, got.result, f"({backend}, {got.spec.seed})"
+            )
 
 
 @needs_numpy

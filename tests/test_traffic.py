@@ -2,10 +2,10 @@
 
 Covers the four tentpole layers: injection sources (including byte-identity
 of :class:`BernoulliSource` with the legacy ``bernoulli_arrivals``), the
-engine-level arrival gating shared by the reference and vectorized kernels,
-windowed live metrics, and the open-loop streaming driver behind
-``repro serve``.  The golden-digest class pins the refactored dynamic
-pipeline to its pre-refactor behavior, hash for hash.
+engine-level arrival gating of the reference engine, windowed live
+metrics, and the open-loop streaming driver behind ``repro serve``.  The
+golden-digest class pins the refactored dynamic pipeline to its
+pre-refactor behavior, hash for hash.
 """
 
 import hashlib
@@ -28,7 +28,7 @@ from repro.net import butterfly
 from repro.paths import random_monotone_path
 from repro.rng import make_rng
 from repro.scenarios import RunSpec, run_trial
-from repro.sim import Engine, numpy_available
+from repro.sim import Engine
 from repro.sim.events import EventKind, TraceEvent
 from repro.telemetry import WindowedMetrics
 from repro.telemetry.live import WINDOW_SCHEMA, _quantile
@@ -43,16 +43,6 @@ from repro.traffic import (
     make_stream_router,
     problem_from_arrivals,
     run_stream,
-)
-from repro.experiments import (
-    run_frontier_trial,
-    run_frontier_vec_trial,
-    run_naive_vec_trial,
-    run_router_trial,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized backend requires numpy"
 )
 
 
@@ -208,50 +198,6 @@ class TestEngineGating:
         pid2 = engine.admit(lo, hi, random_monotone_path(net, lo, hi, rng))
         assert pid2 == pid  # slot reused
         assert len(engine.packets) == 1
-
-
-# --------------------------------------------------- ref/vec kernel identity
-
-
-def _asdict(result):
-    from dataclasses import asdict
-
-    return asdict(result)
-
-
-@needs_numpy
-class TestVecIdentityWithArrivals:
-    def test_naive_ref_vs_vec(self, net):
-        arrivals = collect_arrivals(BernoulliSource(net, 0.3, seed=21, horizon=60))
-        problem, _ = problem_from_arrivals(net, arrivals, seed=22)
-        ref = run_router_trial(problem, lambda s: NaivePathRouter(), 23, 60 + 5000)
-        vec = run_naive_vec_trial(problem, 23, 60 + 5000)
-        assert _asdict(ref) == _asdict(vec)
-
-    def test_frontier_ref_vs_vec(self, net):
-        arrivals = collect_arrivals(BernoulliSource(net, 0.2, seed=31, horizon=40))
-        problem, _ = problem_from_arrivals(net, arrivals, seed=32)
-        ref = run_frontier_trial(problem, 33).result
-        vec = run_frontier_vec_trial(problem, 33).result
-        assert _asdict(ref) == _asdict(vec)
-
-    def test_backend_env_override_identical(self, net, monkeypatch):
-        """Acceptance: REPRO_BACKEND=frontier_vec runs an injected-arrivals
-        scenario identically to the reference backend."""
-        spec = RunSpec(
-            topology="butterfly",
-            topology_params={"dim": 3},
-            workload="",
-            arrival="bernoulli",
-            arrival_params={"rate": 0.2, "horizon": 40},
-            backend="frontier",
-            seed=5,
-        )
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        ref = run_trial(spec).result
-        monkeypatch.setenv("REPRO_BACKEND", "frontier_vec")
-        vec = run_trial(spec).result
-        assert _asdict(ref) == _asdict(vec)
 
 
 # ----------------------------------------------------------- golden digests

@@ -56,20 +56,19 @@ SCHEMA_VERSION = 1
 
 
 def _engine_cases(smoke: bool):
-    """Pinned engine-stepping workloads: ``name -> (ref, vec, max_steps)``.
+    """Pinned engine-stepping workloads: ``name -> (factory, max_steps)``.
 
-    ``ref`` builds a fresh reference :class:`~repro.sim.Engine`; ``vec``
-    builds the same run on the vectorized kernel (same instance, same RNG
-    stream seeds, so the two runs must be byte-identical).  Instances are
-    fixed-seed so every run times the same work.
+    ``factory`` builds a fresh reference :class:`~repro.sim.Engine`.
+    Instances are fixed-seed so every run times the same work.
 
     * ``naive_deep_random`` / ``naive_hotrow`` are *dense*: every step moves
       tens of packets, and the router body is two attribute lookups, so
       their steps/sec is the cleanest signal for per-packet hot-loop cost
       (arbitration, deflection matching, move application).
-    * ``frontier_sparse`` disables the quiescence fast-forward so thousands
-      of near-empty oscillation steps execute; it measures the fixed
-      per-step overhead (which the kernel's bulk advance collapses).
+    * ``frontier_sparse`` is a microbenchmark of fixed per-step cost, not
+      a model of a real run: it disables the quiescence fast-forward (on
+      in every real run) so thousands of near-empty oscillation steps
+      execute.
     """
     from repro.baselines import NaivePathRouter
     from repro.core import AlgorithmParams, FrontierFrameRouter
@@ -79,15 +78,12 @@ def _engine_cases(smoke: bool):
         deep_random_spec,
     )
     from repro.scenarios import build_problem
-    from repro.sim import Engine, VecEngine
+    from repro.sim import Engine
 
     cases = {}
 
     def naive_case(problem):
-        return (
-            lambda: Engine(problem, NaivePathRouter(), seed=0),
-            lambda: VecEngine.naive(problem, seed=0),
-        )
+        return lambda: Engine(problem, NaivePathRouter(), seed=0)
 
     if smoke:
         deep = build_problem(
@@ -97,12 +93,12 @@ def _engine_cases(smoke: bool):
         deep = build_problem(
             deep_random_spec(64, 16, 60, seed=7, low_congestion=False)
         )
-    cases["naive_deep_random"] = (*naive_case(deep), 5000)
+    cases["naive_deep_random"] = (naive_case(deep), 5000)
 
     hotrow = build_problem(
         butterfly_hotrow_spec(5 if smoke else 7, 24 if smoke else 96, seed=3)
     )
-    cases["naive_hotrow"] = (*naive_case(hotrow), 20000)
+    cases["naive_hotrow"] = (naive_case(hotrow), 20000)
 
     bfly = build_problem(butterfly_random_spec(4, seed=1234))
     params = AlgorithmParams.practical(
@@ -115,9 +111,6 @@ def _engine_cases(smoke: bool):
             FrontierFrameRouter(params, seed=1),
             seed=0,
             enable_fast_forward=False,
-        ),
-        lambda: VecEngine.frontier(
-            bfly, params, router_seed=1, seed=0, enable_fast_forward=False
         ),
         params.total_steps,
     )
@@ -215,21 +208,17 @@ def time_streaming_case(smoke: bool, repeats: int, target_sec: float) -> dict:
 
 
 def _streaming_engine_case(smoke: bool):
-    """The streaming workload as a schedule-carrying problem, both kernels.
+    """The streaming workload as a schedule-carrying (closed-loop) problem.
 
-    The open-loop driver (:func:`_streaming_run`) is greedy-router-only
-    and therefore exercises just the reference engine.  This replica
-    collects the same Bernoulli arrival process into an
+    The open-loop driver (:func:`_streaming_run`) is greedy-router-only.
+    This replica collects the same Bernoulli arrival process into an
     :class:`~repro.traffic.ArrivalSchedule`-carrying problem and routes it
-    with the frontier algorithm on *both* engine kernels — the reference
-    :class:`~repro.sim.Engine` and the vectorized
-    :class:`~repro.sim.VecEngine` — so the streaming bench reports the
-    fast path's throughput (and its byte-identity) too, instead of only
-    the slow path.
+    with the frontier algorithm, so the streaming bench also reports the
+    paper's algorithm under arrivals.
     """
     from repro.core import AlgorithmParams, FrontierFrameRouter
     from repro.net import butterfly
-    from repro.sim import Engine, VecEngine
+    from repro.sim import Engine
     from repro.traffic import (
         BernoulliSource,
         collect_arrivals,
@@ -251,10 +240,7 @@ def _streaming_engine_case(smoke: bool):
             problem, FrontierFrameRouter(params, seed=12), seed=14
         )
 
-    def vec():
-        return VecEngine.frontier(problem, params, router_seed=12, seed=14)
-
-    return ref, vec, max_steps
+    return ref, max_steps
 
 
 def _one_run(engine_factory, max_steps: int):
@@ -301,45 +287,25 @@ def time_engine_case(
     return best
 
 
-def _ref_vec_identical(ref_factory, vec_factory, max_steps: int) -> bool:
-    """The ref-vs-vec equivalence gate: byte-equal RunResult payloads."""
-    from dataclasses import asdict
-
-    ref_result, _ = _one_run(ref_factory, max_steps)
-    vec_result, _ = _one_run(vec_factory, max_steps)
-    return asdict(ref_result) == asdict(vec_result)
-
-
 def run_engine_bench(smoke: bool, repeats: int, profile_dir=None):
-    from repro.sim import numpy_available
-
     target_sec = 0.1 if smoke else 0.5
     cases = {}
-    vec_cases = {}
-    vec_ok = numpy_available()
-    for name, (ref, vec, max_steps) in _engine_cases(smoke).items():
-        print(f"[engine] timing {name} ...", flush=True)
+    for name, (ref, max_steps) in _engine_cases(smoke).items():
+        micro = (
+            "fixed per-step cost, fast-forward off"
+            if name == "frontier_sparse"
+            else None
+        )
+        note = f" (microbenchmark: {micro})" if micro else ""
+        print(f"[engine] timing {name}{note} ...", flush=True)
         cases[name] = time_engine_case(ref, max_steps, repeats, target_sec)
+        if micro:
+            cases[name]["microbenchmark"] = micro
         _profiled(profile_dir, name, lambda: _one_run(ref, max_steps))
         print(
             f"[engine]   {cases[name]['steps_per_sec']:>10.1f} steps/sec "
             f"({cases[name]['steps_executed']} steps in "
             f"{cases[name]['elapsed_sec']}s)"
-        )
-        if not vec_ok:
-            continue
-        print(f"[engine] timing {name} (vectorized) ...", flush=True)
-        timing = time_engine_case(vec, max_steps, repeats, target_sec)
-        _profiled(profile_dir, f"{name}_vec", lambda: _one_run(vec, max_steps))
-        timing["vectorized_speedup"] = round(
-            timing["steps_per_sec"] / cases[name]["steps_per_sec"], 3
-        )
-        timing["ref_vec_identical"] = _ref_vec_identical(ref, vec, max_steps)
-        vec_cases[name] = timing
-        print(
-            f"[engine]   {timing['steps_per_sec']:>10.1f} steps/sec "
-            f"({timing['vectorized_speedup']:.2f}x, "
-            f"identical={timing['ref_vec_identical']})"
         )
     print("[engine] timing streaming_steady_state ...", flush=True)
     streaming = time_streaming_case(smoke, repeats, target_sec)
@@ -354,34 +320,18 @@ def run_engine_bench(smoke: bool, repeats: int, profile_dir=None):
         f"{streaming['packet_slots']} packet slots)"
     )
     # Satellite leg: the same streaming workload as a schedule-carrying
-    # problem, routed on both engine kernels (the open-loop driver above
-    # only exercises the reference engine's slow path).
-    sref, svec, smax = _streaming_engine_case(smoke)
-    print("[engine] timing streaming_steady_state (closed-loop ref) ...", flush=True)
+    # problem routed by the frontier algorithm (the open-loop driver above
+    # runs the greedy router only).
+    sref, smax = _streaming_engine_case(smoke)
+    print("[engine] timing streaming_steady_state (closed-loop) ...", flush=True)
     ref_timing = time_engine_case(sref, smax, repeats, target_sec)
     streaming["closed_loop_ref_steps_per_sec"] = ref_timing["steps_per_sec"]
-    if vec_ok:
-        print(
-            "[engine] timing streaming_steady_state (closed-loop vec) ...",
-            flush=True,
-        )
-        vec_timing = time_engine_case(svec, smax, repeats, target_sec)
-        streaming["closed_loop_vec_steps_per_sec"] = vec_timing["steps_per_sec"]
-        streaming["closed_loop_vec_speedup"] = round(
-            vec_timing["steps_per_sec"] / ref_timing["steps_per_sec"], 3
-        )
-        streaming["closed_loop_ref_vec_identical"] = _ref_vec_identical(
-            sref, svec, smax
-        )
-        print(
-            f"[engine]   closed-loop ref "
-            f"{ref_timing['steps_per_sec']:>10.1f} steps/sec, vec "
-            f"{vec_timing['steps_per_sec']:>10.1f} steps/sec "
-            f"({streaming['closed_loop_vec_speedup']:.2f}x, "
-            f"identical={streaming['closed_loop_ref_vec_identical']})"
-        )
+    print(
+        f"[engine]   closed-loop {ref_timing['steps_per_sec']:>10.1f} "
+        "steps/sec"
+    )
     cases["streaming_steady_state"] = streaming
-    return cases, vec_cases if vec_ok else None
+    return cases
 
 
 # ---------------------------------------------------------------- trial cases
@@ -727,7 +677,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats or (1 if args.smoke else 3)
-    engine_cases, vec_cases = run_engine_bench(
+    engine_cases = run_engine_bench(
         args.smoke, repeats, profile_dir=args.profile
     )
 
@@ -745,11 +695,9 @@ def main(argv=None) -> int:
         }
         if "trials" in prior:  # keep the trial speedup floor across recaptures
             payload["trials"] = prior["trials"]
-        # Keep the vectorized-speedup and streaming floors across recaptures
+        # Keep the streaming, sweep and preset floors across recaptures
         # too: they are deliberate hand-set minima (see docs/performance.md),
         # not a record of whatever this machine measured today.
-        if "vectorized" in prior:
-            payload["vectorized"] = prior["vectorized"]
         if "streaming" in prior:
             payload["streaming"] = prior["streaming"]
         if "sweeps" in prior:
@@ -768,7 +716,6 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "environment": environment_info(),
         "cases": engine_cases,
-        "vectorized": vec_cases,
         "baseline": baseline["cases"] if baseline else None,
     }
     if baseline:
@@ -783,40 +730,6 @@ def main(argv=None) -> int:
         for name, ratio in speedups.items():
             print(f"[engine] {name}: {ratio:.2f}x vs baseline")
     print(f"wrote {write_bench_json('engine', engine_report)}")
-
-    if vec_cases is not None:
-        # The equivalence gate is unconditional (smoke included): a vectorized
-        # run that diverges from the reference engine is a correctness bug,
-        # not a perf regression.
-        broken = [
-            name for name, case in vec_cases.items()
-            if not case["ref_vec_identical"]
-        ]
-        if broken:
-            print(
-                "ERROR: vectorized engine diverged from the reference engine "
-                f"on: {', '.join(broken)}",
-                file=sys.stderr,
-            )
-            return 1
-        floors = (baseline or {}).get("vectorized", {}).get("speedup_floor", {})
-        if floors and not args.smoke:
-            for name, floor in floors.items():
-                case = vec_cases.get(name)
-                if case is None:
-                    continue
-                measured = case["vectorized_speedup"]
-                print(
-                    f"[engine] {name}: vectorized floor {floor:.2f}x "
-                    f"(measured {measured:.2f}x)"
-                )
-                if measured < floor:
-                    print(
-                        f"ERROR: vectorized_speedup {measured:.2f}x on {name} "
-                        f"fell below the recorded floor {floor:.2f}x",
-                        file=sys.stderr,
-                    )
-                    return 1
 
     streaming_floor = (baseline or {}).get("streaming", {}).get(
         "vs_baseline_floor"

@@ -23,16 +23,21 @@ order exactly:
   batched coin buffer is filled trial-segment by trial-segment from each
   trial's own router generator);
 * arbitration tie-breaks and loser shuffles come from each trial's own
-  engine generator, drawn only when *that trial's* step is contended —
-  a conflicted trial falls out of the vectorized fast path for that tick
-  and replays the reference arbitration order on its own slot segment,
-  while the other trials stay on the batched path.
+  engine generator, drawn only when *that trial's* step is contended.
+  All conflicted trials of a tick are arbitrated together with array
+  operations: one ``(trial, slot)`` sort forms the contender groups,
+  ranks them (active before pending, then state priority) and finds the
+  ties and each node's losers; loser slots are matched per node in the
+  reference's candidate order.  Python loops only over tied slots and
+  multi-loser nodes, to make each trial's ``rng.integers`` and
+  ``rng.shuffle`` calls in the reference's order.
 
 Per-trial divergence is handled with masks: each trial has its own clock
 ``t[i]`` (quiescence fast-forward skips different spans per trial),
-finished trials drop out of the live set, and the conflict-free fast
-path / contended fallback split is decided per ``(trial, slot)`` — a
-conflict in one trial never serializes the others.
+finished trials drop out of the live set, and a tick with no duplicated
+``(trial, slot)`` skips arbitration altogether.  One apply pass moves the
+winners of every trial, clean or conflicted, in the reference's granted
+order; a second moves every deflected loser.
 
 Not supported (callers peel off to the per-trial engines): observers /
 tracing, post-step hooks (the invariant auditor), arrival schedules, and
@@ -43,7 +48,8 @@ applies exactly that peel-off policy when grouping chunks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import CapacityError, ReproError, SimulationError
 from ..rng import RngLike, make_rng
@@ -65,15 +71,20 @@ _EXCITED = 3
 _NO_PHASE = 2**62
 
 
-def _isolation_flags(act_nodes: List[int], inj_nodes: List[int]) -> List[bool]:
-    """Reference isolation test: alone at the node, sole injector."""
-    occ: Dict[int, int] = {}
-    for nd in act_nodes:
-        occ[nd] = occ.get(nd, 0) + 1
-    cnt: Dict[int, int] = {}
-    for nd in inj_nodes:
-        cnt[nd] = cnt.get(nd, 0) + 1
-    return [occ.get(nd, 0) == 0 and cnt[nd] == 1 for nd in inj_nodes]
+def _member(sorted_keys, q):
+    """Mask of the entries of ``q`` present in the sorted ``sorted_keys``.
+
+    ``np.isin`` sorts both inputs on every call, which costs more than the
+    whole lookup on the few dozen keys of a narrow batch's contended tick:
+    with ``np.isin`` in its place, ``_match_deflections`` made per-trial
+    time 4-31% slower on ``butterfly_hotrow`` and ``naive_hotrow`` at
+    widths 4, 6 and 64 (medians of 6 interleaved best-of-15 runs on a
+    2-core shared VM).
+    """
+    if not sorted_keys.size:
+        return np.zeros(q.size, dtype=bool)
+    ix = np.minimum(np.searchsorted(sorted_keys, q), sorted_keys.size - 1)
+    return sorted_keys[ix] == q
 
 
 class LockstepEngine:
@@ -156,6 +167,8 @@ class LockstepEngine:
         self.elig_cnt = zt()
         #: packets whose (node, last_edge) form last step's safe set E'
         self.safe_mask = np.zeros((trials, n), dtype=bool)
+        #: per-node deflection candidates, built on the first contended step
+        self._inc = None
 
         if mode == "frontier":
             if router_rngs is None or len(router_rngs) != trials:
@@ -385,49 +398,25 @@ class LockstepEngine:
         key = tid * span + slots
         sk = np.sort(key)
         dup = sk[1:] == sk[:-1]
-        conf_rows = np.unique(sk[:-1][dup] // span) if dup.any() else None
-
-        if conf_rows is None:
-            self.safe_mask[lt] = False
-            self._apply_clean(tid, pid, nodes, edges, backward, wait_at,
-                              is_elig)
-        else:
-            # Snapshot conflicted trials' safe sets before the global clear.
-            safe_snap = {}
-            for i in conf_rows.tolist():
-                sp = np.nonzero(self.safe_mask[i])[0]
-                safe_snap[i] = (
-                    soa.node[i, sp].tolist(),
-                    soa.last_edge[i, sp].tolist(),
-                )
-            self.safe_mask[lt] = False
-            conf_flag = np.zeros(self.trials, dtype=bool)
-            conf_flag[conf_rows] = True
-            clean = ~conf_flag[tid]
-            self._apply_clean(
-                tid[clean],
-                pid[clean],
-                nodes[clean],
-                edges[clean],
-                backward[clean],
-                wait_at[clean] if any_wait else None,
-                is_elig[clean],
+        occupants = (tid, nodes, is_elig)
+        deflected = None
+        if dup.any():
+            # Arbitration reads last step's safe set: run it before the clear.
+            win, deflected = self._arbitrate(
+                np.unique(sk[:-1][dup] // span), tid, pid, nodes, is_elig,
+                key, span,
             )
-            start = np.searchsorted(tid, conf_rows, side="left")
-            end = np.searchsorted(tid, conf_rows, side="right")
-            for idx in range(conf_rows.size):
-                s, e = int(start[idx]), int(end[idx])
-                self._step_contended_row(
-                    int(conf_rows[idx]),
-                    pid[s:e],
-                    nodes[s:e],
-                    edges[s:e],
-                    backward[s:e],
-                    wait_at[s:e] if any_wait else None,
-                    slots[s:e],
-                    is_elig[s:e],
-                    safe_snap[int(conf_rows[idx])],
-                )
+            tid, pid, nodes, edges, backward, is_elig = (
+                a[win] for a in (tid, pid, nodes, edges, backward, is_elig)
+            )
+            if wait_at is not None:
+                wait_at = wait_at[win]
+        self.safe_mask[lt] = False
+        self._apply_winners(
+            tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
+        )
+        if deflected is not None:
+            self._apply_deflections(*deflected)
 
         if fr is not None:
             self._post_step(lt, t_lt)
@@ -551,15 +540,192 @@ class LockstepEngine:
             self.phase_releases += c
             self.num_waiting -= c
 
-    # ------------------------------------------------- conflict-free apply
+    # ---------------------------------------------------------- arbitration
 
-    def _apply_clean(
-        self, tid, pid, nodes, edges, backward, wait_at, is_elig
+    def _arbitrate(self, conf_rows, tid, pid, nodes, is_elig, key, span):
+        """The reference arbitration for the conflicted trials of one tick.
+
+        ``conf_rows`` are the trials with a contended slot; ``key`` is each
+        flat participant's ``trial * span + slot``.  Returns the flat
+        indices of every trial's winners in the reference's granted order
+        (trials ascending; within a trial, slots in order of first
+        appearance, which for a conflict-free trial is its participant
+        order) and the deflections ``(tid, pid, edge, unsafe)`` of the
+        losers, or None when nobody is deflected.  Ranking, ties and loser
+        matching are array operations; Python loops only over tied slots
+        and multi-loser nodes, drawing each ``rng.integers`` and
+        ``rng.shuffle`` from the trial's own generator in the reference's
+        order (all tie-breaks, by slot first appearance, then the shuffles,
+        by node of first loser).
+        """
+        fr = self.fr
+        rngs = self.rngs
+        n = tid.size
+        conf = np.zeros(self.trials, dtype=bool)
+        conf[conf_rows] = True
+        cpos = np.nonzero(conf[tid])[0]
+
+        # Contender groups: one per (trial, slot), members in participant
+        # order (stable sort), ``first`` is each group's first appearance.
+        order = cpos[np.argsort(key[cpos], kind="stable")]
+        gkey = key[order]
+        head = np.ones(order.size, dtype=bool)
+        np.not_equal(gkey[1:], gkey[:-1], out=head[1:])
+        starts = np.nonzero(head)[0]
+        gid = np.cumsum(head) - 1
+        first = order[starts]
+        # Active packets outrank pending ones; the router's state priority
+        # (the frontier state value) ranks within each class.
+        rank = np.where(is_elig[order], 0, 4)
+        if fr is not None:
+            rank += fr.state[tid[order], pid[order]]
+        best = rank == np.maximum.reduceat(rank, starts)[gid]
+        nbest = np.bincount(gid[best], minlength=starts.size)
+        pick = np.cumsum(nbest) - nbest
+        tied = np.nonzero(nbest > 1)[0]
+        if tied.size:
+            tied = tied[np.argsort(first[tied])]
+            pick[tied] += [
+                rngs[i].integers(0, k)
+                for i, k in zip(
+                    tid[first[tied]].tolist(), nbest[tied].tolist()
+                )
+            ]
+        winner = order[best][pick]
+
+        # Losers grouped per (trial, node), each group in the reference's
+        # append order: slot first appearance, then participant order.
+        lose = ~is_elig[order] & (order != winner[gid])
+        deflected = None
+        if lose.any():
+            lpos = order[lose]
+            lfirst = first[gid[lose]]
+            lnode = tid[lpos] * self._num_nodes + nodes[lpos]
+            o = np.lexsort((lpos, lfirst, lnode))
+            lpos, lfirst, lnode = lpos[o], lfirst[o], lnode[o]
+            lhead = np.ones(lpos.size, dtype=bool)
+            np.not_equal(lnode[1:], lnode[:-1], out=lhead[1:])
+            lstarts = np.nonzero(lhead)[0]
+            need = np.diff(np.append(lstarts, lpos.size))
+            multi = np.nonzero(need > 1)[0]
+            if multi.size:
+                hs = lstarts[multi]
+                multi = multi[np.argsort(lfirst[hs] * n + lpos[hs])]
+                for s, k in zip(lstarts[multi].tolist(), need[multi].tolist()):
+                    seg = lpos[s:s + k].tolist()
+                    rngs[int(tid[seg[0]])].shuffle(seg)
+                    lpos[s:s + k] = seg
+            g_tid = tid[lpos[lstarts]]
+            g_node = nodes[lpos[lstarts]]
+            c_slot, c_safe, revoked = self._match_deflections(
+                conf_rows, g_tid, g_node, need, span,
+                key[winner], nodes[winner], is_elig[winner], first,
+            )
+            if revoked is not None:
+                first = first[~revoked]
+                winner = winner[~revoked]
+            deflected = (tid[lpos], pid[lpos], c_slot >> 1, ~c_safe)
+
+        win_at = np.arange(n, dtype=np.int64)
+        win_at[cpos] = -1
+        win_at[first] = winner
+        return win_at[win_at >= 0], deflected
+
+    def _incidence(self):
+        """Deflection candidates per node (CSR): in-edge slots, then out."""
+        if self._inc is None:
+            geo = self._geo
+            lists = [i + o for i, o in zip(geo.in_slot_ids, geo.out_slot_ids)]
+            ptr = np.zeros(len(lists) + 1, dtype=np.int64)
+            np.cumsum([len(x) for x in lists], out=ptr[1:])
+            slots = np.fromiter(
+                chain.from_iterable(lists), dtype=np.int64, count=int(ptr[-1])
+            )
+            self._inc = (ptr, slots)
+        return self._inc
+
+    def _match_deflections(
+        self, conf_rows, g_tid, g_node, need, span,
+        w_key, w_node, w_pending, w_first,
+    ):
+        """Loser slot matching for every (trial, node) loser group at once.
+
+        Each group takes its first ``need`` free incident slots in the
+        reference's order: safe in-edges (Lemma 2.1), unsafe in-edges, then
+        out-edges, each in geometry order.  The ``w_*`` arrays describe each
+        contender group's winner: its ``trial * span + slot`` key (sorted,
+        so also the set of granted slots), node, pending flag and the
+        group's first appearance.  Every slot belongs to one node, so groups
+        never compete.  A group still short revokes injection grants at its
+        node, latest first.  Returns the matched slots and safe flags,
+        grouped by group in candidate order, and the revoked contender
+        groups as a mask (or None).
+        """
+        soa = self.soa
+        num_edges = self._num_edges
+        sr, sp = np.nonzero(self.safe_mask[conf_rows])
+        srow = conf_rows[sr]
+        safe_edges = np.sort(srow * num_edges + soa.last_edge[srow, sp])
+        ptr, inc = self._incidence()
+        lo = ptr[g_node]
+        cnt = ptr[g_node + 1] - lo
+        grp = np.repeat(np.arange(g_node.size), cnt)
+        slot = inc[lo[grp] + np.arange(grp.size) - (np.cumsum(cnt) - cnt)[grp]]
+        ct = g_tid[grp]
+        free = ~_member(w_key, ct * span + slot)
+        grp, slot, ct = grp[free], slot[free], ct[free]
+        into = (slot & 1) == 1
+        safe = into & _member(safe_edges, ct * num_edges + (slot >> 1))
+        o = np.argsort(grp * 3 + 2 - into - safe, kind="stable")
+        grp, slot, safe = grp[o], slot[o], safe[o]
+        avail = np.bincount(grp, minlength=g_node.size)
+        rank = np.arange(grp.size) - (np.cumsum(avail) - avail)[grp]
+        take = rank < need[grp]
+        grp, slot, safe = grp[take], slot[take], safe[take]
+        short = np.nonzero(avail < need)[0]
+        if not short.size:
+            return slot, safe, None
+        # Deflected residents must move: revoke injection grants at the node
+        # and recycle their slots, as the reference does.
+        revoked = np.zeros(w_key.size, dtype=bool)
+        w_tid = w_key // span
+        extra_grp: List[int] = []
+        extra_slot: List[int] = []
+        for g in short.tolist():
+            i, node = int(g_tid[g]), int(g_node[g])
+            missing = int(need[g] - avail[g])
+            at = np.nonzero(w_pending & (w_tid == i) & (w_node == node))[0]
+            grants = at[np.argsort(w_first[at])].tolist()
+            while missing and grants:
+                h = grants.pop()
+                revoked[h] = True
+                extra_grp.append(g)
+                extra_slot.append(int(w_key[h] - i * span))
+                missing -= 1
+            if missing:
+                raise CapacityError(
+                    f"step {int(self.t[i])}: node {node} has {int(need[g])} "
+                    f"deflected packets but only {int(need[g]) - missing} "
+                    f"free slots"
+                )
+        grp = np.concatenate([grp, np.asarray(extra_grp, dtype=np.int64)])
+        slot = np.concatenate([slot, np.asarray(extra_slot, dtype=np.int64)])
+        safe = np.concatenate([safe, np.zeros(len(extra_grp), dtype=bool)])
+        o = np.argsort(grp, kind="stable")
+        return slot[o], safe[o], revoked
+
+    # ----------------------------------------------------------------- apply
+
+    def _apply_winners(
+        self, tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
     ) -> None:
-        """Vectorized winner application for conflict-free trials.
+        """Vectorized winner application for every trial of the tick.
 
-        Every desire is granted; flat order per trial is the reference's
-        granted order, so plain scatters reproduce it exactly.
+        Flat order is trial-major and, within a trial, the reference's
+        granted order, so plain scatters reproduce its injection order.
+        ``occupants`` is every participant's ``(tid, node, is_elig)``: the
+        injection-isolation test counts all active packets, deflected
+        losers included, and runs only when something is injected.
         """
         if not tid.size:
             return
@@ -584,8 +750,9 @@ class LockstepEngine:
             self.act_cnt += counts
             self.num_active += counts
             if fr is not None:
-                act_sel = ~is_elig
-                occ_keys = tid[act_sel] * self._num_nodes + nodes[act_sel]
+                o_tid, o_nodes, o_elig = occupants
+                act_sel = ~o_elig
+                occ_keys = o_tid[act_sel] * self._num_nodes + o_nodes[act_sel]
                 inj_keys = inj_t * self._num_nodes + nodes[is_elig]
                 occupied = np.isin(inj_keys, occ_keys)
                 uk, inv, cnts = np.unique(
@@ -665,295 +832,48 @@ class LockstepEngine:
                     self.wait_entries += wc
                     self.num_waiting += wc
 
-    # --------------------------------------------------- contended fallback
-
-    def _step_contended_row(
-        self, i, pid, nodes, edges, backward, wait_at, slots, is_elig,
-        safe_pairs,
-    ) -> None:
-        """Reference arbitration replay for one conflicted trial's step.
-
-        The reference engine's arbitration order, replayed on this
-        trial's flat participant segment, drawing every tie-break
-        and shuffle from this trial's own engine generator.
-        """
-        fr = self.fr
-        rng = self.rngs[i]
-        n_parts = pid.size
-        n_act = n_parts - int(is_elig.sum())
-        pids_list = pid.tolist()
-        nodes_list = nodes.tolist()
-        slots_list = slots.tolist()
-        prio_list = fr.state[i, pid].tolist() if fr is not None else None
-        slot_set = set(slots_list)
-
-        contenders: Dict[int, object] = {}
-        for pos, slot in enumerate(slots_list):
-            prev = contenders.get(slot)
-            if prev is None:
-                contenders[slot] = pos
-            elif type(prev) is list:
-                prev.append(pos)
-            else:
-                contenders[slot] = [prev, pos]
-        winner_pos: List[int] = []
-        losers_by_node: Dict[int, List[int]] = {}
-        pending_grants: Dict[int, List[Tuple[int, int]]] = {}
-        for slot, entry in contenders.items():
-            if type(entry) is int:
-                win = entry
-            else:
-                first = entry[0]
-                best = [first]
-                if prio_list is not None:
-                    bk = (1 if first < n_act else 0, prio_list[first])
-                    for pos in entry[1:]:
-                        k = (1 if pos < n_act else 0, prio_list[pos])
-                        if k > bk:
-                            best = [pos]
-                            bk = k
-                        elif k == bk:
-                            best.append(pos)
-                else:
-                    bk = 1 if first < n_act else 0
-                    for pos in entry[1:]:
-                        k = 1 if pos < n_act else 0
-                        if k > bk:
-                            best = [pos]
-                            bk = k
-                        elif k == bk:
-                            best.append(pos)
-                if len(best) > 1:
-                    win = best[int(rng.integers(0, len(best)))]
-                else:
-                    win = best[0]
-                for pos in entry:
-                    if pos != win and pos < n_act:
-                        losers_by_node.setdefault(
-                            nodes_list[pos], []
-                        ).append(pids_list[pos])
-            winner_pos.append(win)
-            if win >= n_act:
-                pending_grants.setdefault(nodes_list[win], []).append(
-                    (pids_list[win], slot)
-                )
-
-        deflected = None
-        if losers_by_node:
-            deflected, revoked = self._match_deflections_row(
-                i, losers_by_node, slot_set, pending_grants, safe_pairs
-            )
-            if revoked:
-                winner_pos = [
-                    pos for pos in winner_pos
-                    if pids_list[pos] not in revoked
-                ]
-        w_pos = np.asarray(winner_pos, dtype=np.int64)
-        w_pids = pid[w_pos]
-        w_edges = edges[w_pos]
-        w_back = backward[w_pos]
-        w_rev = wait_at[w_pos] if wait_at is not None else None
-        inj_pos = [pos for pos in winner_pos if pos >= n_act]
-        violations = 0
-        if inj_pos:
-            inj_ids = np.asarray(
-                [pids_list[pos] for pos in inj_pos], dtype=np.int64
-            )
-            if fr is not None:
-                isolated = _isolation_flags(
-                    nodes_list[:n_act],
-                    [nodes_list[pos] for pos in inj_pos],
-                )
-                violations = isolated.count(False)
-        else:
-            inj_ids = None
-        self._apply_row(
-            i, w_pids, w_edges, w_back, w_rev, inj_ids, violations, deflected
-        )
-
-    def _match_deflections_row(
-        self, i, losers_by_node, used_slots, pending_grants, safe_pairs
-    ):
-        """Per-trial loser matching (safe in-edges first, Lemma 2.1)."""
-        geo = self._geo
-        in_edges = geo.in_edges
-        in_slot_ids = geo.in_slot_ids
-        out_edges = geo.out_edges
-        out_slot_ids = geo.out_slot_ids
-        safe_by_node: Dict[int, Set[int]] = {}
-        for nd, e in zip(*safe_pairs):
-            safe_by_node.setdefault(nd, set()).add(e)
-        rng = self.rngs[i]
-        t = int(self.t[i])
-        deflected: List[Tuple[int, int, bool]] = []
-        revoked: Optional[Set[int]] = None
-        for node, losers in losers_by_node.items():
-            if len(losers) > 1:
-                rng.shuffle(losers)
-            safe_here = safe_by_node.get(node, ())
-            needed = len(losers)
-            candidates: List[Tuple[int, int, bool]] = []
-            node_in = in_edges[node]
-            node_in_slots = in_slot_ids[node]
-            if safe_here:
-                for e, s in zip(node_in, node_in_slots):
-                    if e in safe_here and s not in used_slots:
-                        candidates.append((e, s, True))
-                        if len(candidates) == needed:
-                            break
-                if len(candidates) < needed:
-                    for e, s in zip(node_in, node_in_slots):
-                        if e not in safe_here and s not in used_slots:
-                            candidates.append((e, s, False))
-                            if len(candidates) == needed:
-                                break
-            else:
-                for e, s in zip(node_in, node_in_slots):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            if len(candidates) < needed:
-                for e, s in zip(out_edges[node], out_slot_ids[node]):
-                    if s not in used_slots:
-                        candidates.append((e, s, False))
-                        if len(candidates) == needed:
-                            break
-            node_pending = pending_grants.get(node)
-            while len(candidates) < needed and node_pending:
-                revoke_pid, slot = node_pending.pop()
-                if revoked is None:
-                    revoked = set()
-                revoked.add(revoke_pid)
-                used_slots.discard(slot)
-                candidates.append((slot >> 1, slot, False))
-            if len(candidates) < needed:
-                raise CapacityError(
-                    f"step {t}: node {node} has {needed} deflected "
-                    f"packets but only {len(candidates)} free slots"
-                )
-            for pid, (edge, slot, safe) in zip(losers, candidates):
-                used_slots.add(slot)
-                deflected.append((pid, edge, safe))
-        return deflected, revoked
-
-    def _apply_row(
-        self, i, w_pids, w_edges, w_back, w_rev, inj_ids, violations,
-        deflected,
-    ) -> None:
-        """Apply one trial's winning and deflected moves (untraced)."""
+    def _apply_deflections(self, tid, pid, edges, unsafe) -> None:
+        """Apply every trial's deflections: REVERSE moves onto ``edges``."""
         soa = self.soa
         fr = self.fr
-        ti = int(self.t[i])
-
-        if inj_ids is not None:
-            soa.status[i, inj_ids] = _ACTIVE
-            soa.injected_at[i, inj_ids] = ti
-            self.elig_mask[i, inj_ids] = False
-            self.elig_cnt[i] -= inj_ids.size
-            c0 = int(self.act_cnt[i])
-            self.act_mat[i, c0:c0 + inj_ids.size] = inj_ids
-            self.act_cnt[i] = c0 + inj_ids.size
-            self.num_active[i] += inj_ids.size
-            self.isolation_violations[i] += violations
-
-        if w_rev is not None and w_rev.any():
-            rev_p = w_pids[w_rev]
-            if int(soa.cursor[i, rev_p].min()) == 0:
-                soa.grow_front()
-            soa.cursor[i, rev_p] -= 1
-            soa.path_buf[i, rev_p, soa.cursor[i, rev_p]] = w_edges[w_rev]
-            soa.cursor[i, w_pids[~w_rev]] += 1
-        else:
-            soa.cursor[i, w_pids] += 1
-        new_nodes = np.where(
-            w_back, self._edge_src[w_edges], self._edge_dst[w_edges]
-        )
-        if w_back.any():
-            soa.backward_moves[i, w_pids[w_back]] += 1
-        soa.last_direction[i, w_pids] = w_back
-        soa.node[i, w_pids] = new_nodes
-        soa.last_edge[i, w_pids] = w_edges
-        soa.moves[i, w_pids] += 1
-        fwd = ~w_back
-        self.safe_mask[i, w_pids[fwd]] = True
-
-        delivered = (soa.cursor[i, w_pids] == soa.width) & (
-            new_nodes == soa.destination[w_pids]
-        )
-        deliv_any = bool(delivered.any())
-        if deliv_any:
-            absorbed = w_pids[delivered]
-            soa.status[i, absorbed] = _ABSORBED
-            soa.absorbed_at[i, absorbed] = ti + 1
-            self.num_active[i] -= absorbed.size
-            self.num_absorbed[i] += absorbed.size
-            if fr is not None:
-                self.num_excited[i] -= int(
-                    (fr.state[i, absorbed] == _EXCITED).sum()
-                )
-            row = self.act_mat[i, : self.act_cnt[i]]
-            kept = row[soa.status[i, row] == _ACTIVE]
-            self.act_mat[i, : kept.size] = kept
-            self.act_cnt[i] = kept.size
-
-        if fr is not None:
-            cand = (fr.state[i, w_pids] != _WAIT) & fwd
-            if deliv_any:
-                cand &= ~delivered
-            if cand.any():
-                pids = w_pids[cand]
-                nn = new_nodes[cand]
-                we = w_edges[cand]
-                lvl_ok = (
-                    self._node_levels[nn]
-                    == self._target_by_set[i, fr.set_index[i, pids]]
-                )
-                if lvl_ok.any():
-                    entering = pids[lvl_ok]
-                    fr.state[i, entering] = _WAIT
-                    fr.wait_node[i, entering] = nn[lvl_ok]
-                    fr.wait_edge[i, entering] = we[lvl_ok]
-                    self.wait_entries[i] += entering.size
-                    self.num_waiting[i] += entering.size
-
-        if deflected:
-            pids = np.asarray([d[0] for d in deflected], dtype=np.int64)
-            eidx = np.asarray([d[1] for d in deflected], dtype=np.int64)
-            unsafe = np.asarray(
-                [not d[2] for d in deflected], dtype=bool
+        trials = self.trials
+        c = soa.cursor[tid, pid]
+        if int(c.min()) == 0:
+            soa.grow_front()
+            c = soa.cursor[tid, pid]
+        soa.cursor[tid, pid] = c - 1
+        soa.path_buf[tid, pid, c - 1] = edges
+        src = self._edge_src[edges]
+        back = soa.node[tid, pid] != src
+        soa.node[tid, pid] = np.where(back, src, self._edge_dst[edges])
+        soa.last_direction[tid, pid] = back
+        soa.backward_moves[tid, pid] += back
+        soa.last_edge[tid, pid] = edges
+        soa.moves[tid, pid] += 1
+        soa.deflections[tid, pid] += 1
+        if unsafe.any():
+            soa.unsafe_deflections[tid, pid] += unsafe
+            self.unsafe_deflections += np.bincount(
+                tid[unsafe], minlength=trials
             )
-            c = soa.cursor[i, pids]
-            if int(c.min()) == 0:
-                soa.grow_front()
-                c = soa.cursor[i, pids]
-            soa.cursor[i, pids] = c - 1
-            soa.path_buf[i, pids, c - 1] = eidx
-            src = self._edge_src[eidx]
-            back = soa.node[i, pids] != src
-            soa.node[i, pids] = np.where(back, src, self._edge_dst[eidx])
-            soa.last_direction[i, pids] = back
-            soa.backward_moves[i, pids] += back
-            soa.last_edge[i, pids] = eidx
-            soa.moves[i, pids] += 1
-            soa.deflections[i, pids] += 1
-            n_unsafe = int(unsafe.sum())
-            if n_unsafe:
-                soa.unsafe_deflections[i, pids] += unsafe
-                self.unsafe_deflections[i] += n_unsafe
-            if fr is not None:
-                st = fr.state[i, pids]
-                waiting = pids[st == _WAIT]
-                if waiting.size:
-                    fr.state[i, waiting] = _NORMAL
-                    fr.wait_node[i, waiting] = -1
-                    fr.wait_edge[i, waiting] = -1
-                    self.wait_evictions[i] += waiting.size
-                    self.num_waiting[i] -= waiting.size
-                excited = pids[st == _EXCITED]
-                if excited.size:
-                    fr.state[i, excited] = _NORMAL
-                    self.num_excited[i] -= excited.size
+        if fr is not None:
+            # on_deflected: a deflection evicts a waiting packet and calms
+            # an excited one.
+            st = fr.state[tid, pid]
+            waiting = st == _WAIT
+            if waiting.any():
+                wt, wp = tid[waiting], pid[waiting]
+                fr.state[wt, wp] = _NORMAL
+                fr.wait_node[wt, wp] = -1
+                fr.wait_edge[wt, wp] = -1
+                wc = np.bincount(wt, minlength=trials)
+                self.wait_evictions += wc
+                self.num_waiting -= wc
+            excited = st == _EXCITED
+            if excited.any():
+                et, ep = tid[excited], pid[excited]
+                fr.state[et, ep] = _NORMAL
+                self.num_excited -= np.bincount(et, minlength=trials)
 
     # ---------------------------------------------------------- fast-forward
 

@@ -39,6 +39,8 @@ import gzip
 import io
 import json
 import pathlib
+import zlib
+from contextlib import contextmanager
 from typing import IO, Iterator, Optional, Union
 
 from ..errors import ReproError
@@ -54,6 +56,10 @@ GZIP_LEVEL = 6
 MANIFEST_FILENAME = "manifest.json"
 AGGREGATE_FILENAME = "aggregate.json"
 COMPACTED_FILENAME = "sweep.jsonl.gz"
+
+#: What reading a damaged gzip file raises: a truncated stream, a bad
+#: header, or corrupt deflate data.
+_GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
 
 
 def encode_record(index: int, seed: int, spec_hash: str, result) -> bytes:
@@ -81,6 +87,23 @@ def _decode_line(line: bytes) -> Optional[dict]:
     if not isinstance(payload, dict) or payload.get("kind") != RECORD_KIND:
         return None
     return payload
+
+
+@contextmanager
+def _read_gzip(path: pathlib.Path) -> Iterator[IO[bytes]]:
+    """``gzip.open(path)`` for reading; a damaged file raises ReproError.
+
+    The error names the file and says how to recover instead of surfacing
+    a bare ``EOFError`` from deep inside the gzip module.
+    """
+    try:
+        with gzip.open(path, "rb") as fh:
+            yield fh
+    except _GZIP_ERRORS as exc:
+        raise ReproError(
+            f"{path} is truncated or corrupt ({exc}); delete it and rerun "
+            "the sweep with --resume"
+        ) from exc
 
 
 def _deterministic_gzip(raw: bytes) -> bytes:
@@ -282,7 +305,7 @@ class SweepStore:
                         yield record
                 return
             raise ReproError(f"shard {shard} has no finalized segment")
-        with gzip.open(path, "rb") as fh:
+        with _read_gzip(path) as fh:
             for line in fh:
                 payload = _decode_line(line)
                 if payload is None:
@@ -294,7 +317,7 @@ class SweepStore:
     def iter_records(self) -> Iterator[dict]:
         """Stream every record in trial order (compacted or per-shard)."""
         if self.is_compacted():
-            with gzip.open(self.compacted_path, "rb") as fh:
+            with _read_gzip(self.compacted_path) as fh:
                 for line in fh:
                     payload = _decode_line(line)
                     if payload is None:
@@ -347,7 +370,7 @@ class SweepStore:
                 compresslevel=GZIP_LEVEL,
             ) as zf:
                 for shard in self.manifest.shard_ids():
-                    with gzip.open(self.segment_path(shard), "rb") as fh:
+                    with _read_gzip(self.segment_path(shard)) as fh:
                         shutil.copyfileobj(fh, zf)
         tmp.replace(self.compacted_path)
         if not keep_shards:

@@ -8,13 +8,16 @@ counts, same makespans, regardless of how the other trials in the batch
 behave (stragglers, early quiescence, mixed finish times).  These tests
 fuzz that contract across batch widths and both kernel families (the
 kernel entry points directly, since the executor only sends groups of
-``LOCKSTEP_MIN_TRIALS`` or more), then pin the executor-level
+``LOCKSTEP_MIN_TRIALS`` or more), check the contended branches honest
+runs never reach from a forced start state, and check the benchmark's
+five cells at full width.  They then pin the executor-level
 guarantees: grouping of homogeneous chunks, the width policy, peel-off of
 trials needing per-trial machinery (telemetry, traces, audits, cache
 hits), and byte-identical sweep shards with lockstep on or off —
 including through a mid-shard kill and resume.
 """
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -27,7 +30,11 @@ from repro.core import AlgorithmParams
 from repro.experiments import (
     baseline_budget,
     butterfly_hotrow_instance,
+    butterfly_hotrow_spec,
     butterfly_random_instance,
+    butterfly_random_spec,
+    deep_random_spec,
+    mesh_corner_shift_spec,
     run_frontier_trial,
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
@@ -40,10 +47,15 @@ from repro.experiments.batch import (
     TrialExecutor,
     run_spec_trials_batched,
 )
-from repro.net import random_leveled
-from repro.paths import select_paths_random
+from repro.net import LeveledNetworkBuilder, random_leveled
+from repro.paths import PacketSpec, Path, RoutingProblem, select_paths_random
 from repro.scenarios import RunSpec
-from repro.sim import VectorBackendUnavailable, numpy_available
+from repro.sim import (
+    Engine,
+    PacketStatus,
+    VectorBackendUnavailable,
+    numpy_available,
+)
 from repro.sim.engine_lockstep import LockstepEngine
 from repro.sweeps import (
     SweepHeartbeat,
@@ -231,6 +243,160 @@ def test_naive_lockstep_under_deflection():
         assert_results_identical(ref, result, f"(seed {seed})")
     # the fixture must actually exercise the deflection path
     assert any(d for result in batch for d in result.deflections_per_packet)
+
+
+def _fork_problem():
+    """``s`` (level 0) forks to ``t1``/``t2``, which both feed ``d``.
+
+    Packets 0 and 1 route ``s -> t1 -> d``, packet 2 ``s -> t2 -> d`` and
+    packet 3 ``t2 -> d``; three share source ``s``.
+    """
+    builder = LeveledNetworkBuilder("fork")
+    s = builder.add_node(0, "s")
+    t1 = builder.add_node(1, "t1")
+    t2 = builder.add_node(1, "t2")
+    d = builder.add_node(2, "d")
+    e1, e2 = builder.add_edge(s, t1), builder.add_edge(s, t2)
+    f1, f2 = builder.add_edge(t1, d), builder.add_edge(t2, d)
+    net = builder.build()
+    routes = [(s, [e1, f1]), (s, [e1, f1]), (s, [e2, f2]), (t2, [f2])]
+    specs = [
+        PacketSpec(pid, src, d, Path(net, edges))
+        for pid, (src, edges) in enumerate(routes)
+    ]
+    return RoutingProblem(net, specs, allow_multi_source=True), (s, t1, e1)
+
+
+def _activate(ref, lock, trial, pid, node, detour=(), consumed=0):
+    """Force ``pid`` ACTIVE at ``node`` in the reference engine ``ref`` and
+    in row ``trial`` of ``lock``, identically: ``consumed`` path edges
+    dropped from the front, then ``detour`` edges put in front."""
+    packet = ref.packets[pid]
+    for _ in range(consumed):
+        packet.path.popleft()
+    for edge in reversed(detour):
+        packet.path.appendleft(edge)
+    packet.status = PacketStatus.ACTIVE
+    packet.injected_at = 0
+    packet.node = node
+    ref.num_active += 1
+    ref.active_ids[pid] = None
+    ref.eligible.discard(pid)
+
+    soa = lock.soa
+    cursor = soa.cursor[trial, pid] + consumed - len(detour)
+    soa.path_buf[trial, pid, cursor:cursor + len(detour)] = detour
+    soa.cursor[trial, pid] = cursor
+    soa.status[trial, pid] = int(PacketStatus.ACTIVE)
+    soa.injected_at[trial, pid] = 0
+    soa.node[trial, pid] = node
+    lock.elig_mask[trial, pid] = False
+    lock.elig_cnt[trial] -= 1
+    lock.act_mat[trial, lock.act_cnt[trial]] = pid
+    lock.act_cnt[trial] += 1
+    lock.num_active[trial] += 1
+
+
+@needs_numpy
+def test_contended_rare_branches_match_reference(monkeypatch):
+    """The contended branches honest runs never reach, at width 8.
+
+    Lemma 2.1 keeps a safe backward slot free for every loser, so from a
+    clean start the kernels never deflect unsafely, never revoke an
+    injection grant, and never run a deflected packet off the front of
+    its path buffer.  This test forces packets 0 and 1 ACTIVE at the
+    level-0 fork ``s`` in trials 0-3 (the same state in both engines),
+    both wanting ``s -> t1`` with a two-edge detour in front, which fills
+    the path buffer.  The loser has no in-edges and the other out-edge is
+    granted to pending packet 2, so the grant is revoked, the loser is
+    deflected forward (unsafe) and its push grows the buffer. Trials 4-7
+    start packet 1 at ``t1`` instead and stay conflict-free, injecting in
+    the same tick as the conflicted trials.  Counters confirm each branch
+    fired; every trial must equal its reference run.
+    """
+    problem, (s, t1, e1) = _fork_problem()
+    seeds = list(range(8))
+    refs = [Engine(problem, NaivePathRouter(), seed=seed) for seed in seeds]
+    lock = LockstepEngine.naive(problem, engine_seeds=seeds)
+    assert lock.soa.width == 4  # longest path (2) + front slack (2)
+    for trial, ref in enumerate(refs):
+        if trial < 4:
+            for pid in (0, 1):
+                _activate(ref, lock, trial, pid, s, detour=(e1, e1))
+        else:
+            _activate(ref, lock, trial, 1, t1, consumed=1)
+
+    fired = Counter()
+    conflicted = set()
+    arbitrate = LockstepEngine._arbitrate
+    match = LockstepEngine._match_deflections
+    apply_winners = LockstepEngine._apply_winners
+    apply_deflections = LockstepEngine._apply_deflections
+
+    def spy_arbitrate(self, conf_rows, *args):
+        conflicted.update(conf_rows.tolist())
+        return arbitrate(self, conf_rows, *args)
+
+    def spy_match(self, *args):
+        out = match(self, *args)
+        fired["revocation"] += out[2] is not None
+        return out
+
+    def spy_winners(self, tid, pid, nodes, edges, backward, wait_at,
+                    is_elig, occupants):
+        injecting = set(tid[is_elig].tolist())
+        fired["mixed_injection"] += bool(
+            injecting & conflicted and injecting - conflicted
+        )
+        conflicted.clear()
+        apply_winners(self, tid, pid, nodes, edges, backward, wait_at,
+                      is_elig, occupants)
+
+    def spy_deflections(self, tid, pid, edges, unsafe):
+        width = self.soa.width
+        fired["unsafe"] += bool(unsafe.any())
+        apply_deflections(self, tid, pid, edges, unsafe)
+        fired["grow_front"] += self.soa.width > width
+
+    monkeypatch.setattr(LockstepEngine, "_arbitrate", spy_arbitrate)
+    monkeypatch.setattr(LockstepEngine, "_match_deflections", spy_match)
+    monkeypatch.setattr(LockstepEngine, "_apply_winners", spy_winners)
+    monkeypatch.setattr(
+        LockstepEngine, "_apply_deflections", spy_deflections
+    )
+    results = lock.run(100)
+    for trial, ref in enumerate(refs):
+        assert_results_identical(ref.run(100), results[trial], f"({trial})")
+    for branch in ("revocation", "unsafe", "grow_front", "mixed_injection"):
+        assert fired[branch], f"branch {branch!r} never fired"
+    assert all(r.unsafe_deflections for r in results[:4])
+    assert all(r.delivered == problem.num_packets for r in results)
+
+
+#: The five fixed-problem instances of the repo benchmark's sweep workloads.
+BENCH_CELLS = {
+    "deep_random": lambda: deep_random_spec(20, 6, 12),
+    "butterfly_random": lambda: butterfly_random_spec(6),
+    "butterfly_hotrow": lambda: butterfly_hotrow_spec(5, 32),
+    "mesh_corner_shift": lambda: mesh_corner_shift_spec(6),
+    "naive_hotrow": lambda: butterfly_hotrow_spec(5, 32, backend="naive"),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("cell", sorted(BENCH_CELLS))
+def test_benchmark_cells_width_64_identical(cell):
+    """64 seeds of each benchmark cell, one lockstep batch, against the
+    reference engine trial by trial; the hot-row cells arbitrate and
+    deflect on most steps."""
+    specs = sweep_specs(BENCH_CELLS[cell](), 64)
+    batch = TrialExecutor().run_chunk(specs)
+    assert {r.executor for r in batch} == {"lockstep[w=64]"}
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, batch):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+    if cell.endswith("hotrow"):
+        assert sum(sum(r.result.deflections_per_packet) for r in batch)
 
 
 def test_lockstep_unavailable_raises_actionable_error(monkeypatch):

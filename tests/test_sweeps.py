@@ -203,6 +203,47 @@ class TestStore:
         assert indexes == list(range(manifest.num_trials))
         assert store.all_complete()
 
+    def test_truncated_segment_names_the_file(self, manifest, tmp_path):
+        """A finalized segment cut short (a crash mid-copy, a full disk)
+        fails with an error naming the file and the remedy; following the
+        remedy recomputes the shard byte for byte."""
+        store = open_store(tmp_path / "s", manifest)
+        run_sweep(manifest, store, compact=False)
+        good = store.shard_bytes(1)
+        segment = store.segment_path(1)
+        segment.write_bytes(good[: len(good) // 2])
+        pattern = r"shard-00001\.jsonl\.gz is truncated.*delete it.*--resume"
+        with pytest.raises(ReproError, match=pattern):
+            list(store.iter_records())
+        with pytest.raises(ReproError, match=pattern):
+            run_sweep(manifest, store, resume=True)
+        with pytest.raises(ReproError, match=pattern):
+            store.compact()
+        segment.unlink()
+        run_sweep(manifest, store, resume=True, compact=False)
+        assert store.shard_bytes(1) == good
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blob: blob[:-12], lambda blob: b"not gzip" + blob[8:]],
+        ids=["truncated", "bad-header"],
+    )
+    def test_damaged_compacted_stream_names_the_file(
+        self, manifest, tmp_path, damage
+    ):
+        store = open_store(tmp_path / "s", manifest)
+        run_sweep(manifest, store)
+        blob = store.compacted_path.read_bytes()
+        store.compacted_path.write_bytes(damage(blob))
+        with pytest.raises(
+            ReproError, match=r"sweep\.jsonl\.gz is truncated or corrupt"
+        ):
+            list(store.iter_records())
+        store.compacted_path.unlink()
+        run_sweep(manifest, store, resume=True)
+        assert store.compacted_path.read_bytes() == blob
+        assert store.all_complete()
+
     def test_store_refuses_foreign_manifest(self, manifest, tmp_path):
         store = open_store(tmp_path / "s", manifest)
         other = SweepManifest.from_base(

@@ -369,7 +369,11 @@ def run_trials_bench(smoke: bool, workers: int, profile_dir=None) -> dict:
     the per-trial path — floor-gated via ``trials.lockstep_speedup_floor``
     in tools/bench_baseline.json.
     """
-    from repro.experiments import run_spec_trials
+    from repro.experiments import (
+        butterfly_hotrow_spec,
+        run_spec_trials,
+        sweep_specs,
+    )
     from repro.experiments.batch import TrialExecutor
 
     num_trials = 8 if smoke else 64
@@ -414,10 +418,28 @@ def run_trials_bench(smoke: bool, workers: int, profile_dir=None) -> dict:
         profile_dir, "trials_lockstep", lambda: lockstep_exec.run_chunk(specs)
     )
 
+    # deep_random never deflects at width 64, so the lockstep identity
+    # verdict also covers a full-width naive hot-row group (in smoke runs
+    # too), whose trials arbitrate ties and deflect losers on most steps.
+    print("[trials] 64 naive_hotrow specs, lockstep vs per-trial ...",
+          flush=True)
+    contended_specs = sweep_specs(
+        butterfly_hotrow_spec(5, 32, backend="naive"), 64
+    )
+    contended = TrialExecutor().run_chunk(contended_specs)
+    contended_identical = _records_identical(
+        TrialExecutor(lockstep=False).run_chunk(contended_specs), contended
+    )
+    contended_deflections = sum(
+        sum(r.result.deflections_per_packet) for r in contended
+    )
+
     identical = _records_identical(serial, parallel)
-    lockstep_identical = _records_identical(
-        warm_serial, lockstep
-    ) and _records_identical(serial, lockstep)
+    lockstep_identical = (
+        _records_identical(warm_serial, lockstep)
+        and _records_identical(serial, lockstep)
+        and contended_identical
+    )
     speedup = serial_elapsed / parallel_elapsed if parallel_elapsed > 0 else 0.0
     lockstep_speedup = (
         warm_elapsed / lockstep_elapsed if lockstep_elapsed > 0 else 0.0
@@ -437,13 +459,16 @@ def run_trials_bench(smoke: bool, workers: int, profile_dir=None) -> dict:
         "serial_parallel_identical": identical,
         "warm_serial_trials_per_sec": round(num_trials / warm_elapsed, 3),
         "lockstep_trials_per_sec": round(num_trials / lockstep_elapsed, 3),
-        "lockstep_width": max(
-            (int(r.executor.split("w=")[1].rstrip("]"))
-             for r in lockstep if r.executor.startswith("lockstep")),
-            default=0,
-        ),
+        "lockstep_width": _lockstep_width(lockstep),
         "lockstep_speedup": round(lockstep_speedup, 3),
         "lockstep_serial_identical": lockstep_identical,
+        "lockstep_contended": {
+            "scenario": contended_specs[0].name,
+            "backend": contended_specs[0].backend,
+            "width": _lockstep_width(contended),
+            "deflections": contended_deflections,
+            "identical": contended_identical,
+        },
     }
     print(
         f"[trials] cold serial {serial_elapsed:.2f}s, batched "
@@ -454,7 +479,22 @@ def run_trials_bench(smoke: bool, workers: int, profile_dir=None) -> dict:
         f"lockstep {num_trials / lockstep_elapsed:.1f} trials/sec "
         f"({lockstep_speedup:.2f}x, identical={lockstep_identical})"
     )
+    print(
+        f"[trials] contended lockstep group: width "
+        f"{report['lockstep_contended']['width']}, "
+        f"{contended_deflections} deflections, "
+        f"identical={contended_identical}"
+    )
     return report
+
+
+def _lockstep_width(records) -> int:
+    """Widest lockstep batch among ``records`` (0 when none ran lockstep)."""
+    return max(
+        (int(r.executor.split("w=")[1].rstrip("]"))
+         for r in records if r.executor.startswith("lockstep")),
+        default=0,
+    )
 
 
 def run_sweep_bench(smoke: bool, workers: int) -> dict:

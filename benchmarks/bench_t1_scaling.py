@@ -20,14 +20,14 @@ from repro.analysis import (
     fit_affine,
     format_table,
 )
-from repro.core import AlgorithmParams
 from repro.experiments import (
-    butterfly_hotrow_instance,
-    deep_random_instance,
+    butterfly_hotrow_spec,
+    deep_random_spec,
     run_frontier_trial,
-    run_trials_for_problem,
+    run_spec_trials,
 )
 from repro.rng import stable_hash_seed
+from repro.scenarios import build_problem
 
 from _common import bench_workers, emit, once, reset
 
@@ -37,35 +37,25 @@ SEEDS = [0, 1, 2]
 
 
 def run_point(problem, seed):
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion),
-        problem.net.depth,
-        problem.num_packets,
-        **FRAME_KW,
-    )
-    return run_frontier_trial(problem, seed=seed, params=params)
+    return run_frontier_trial(problem, seed=seed, **FRAME_KW)
 
 
 def sweep(instances, label):
     rows = []
     xs, ys = [], []
     workers = bench_workers()
-    for index, (name, problem) in enumerate(instances):
-        # Per-seed trials of one instance are independent; fan them across
-        # $REPRO_BENCH_WORKERS processes (records are identical at any
-        # worker count, so the table never changes — only the wall clock).
-        params = AlgorithmParams.practical(
-            max(1, problem.congestion),
-            problem.net.depth,
-            problem.num_packets,
-            **FRAME_KW,
-        )
-        records = run_trials_for_problem(
-            problem,
-            [stable_hash_seed(seed, index) for seed in SEEDS],
+    for index, (name, spec) in enumerate(instances):
+        # The instance is held fixed while the algorithm's coins vary: pin
+        # the component seeds, then re-seed only the routing.  Per-seed
+        # trials are independent; fan them across $REPRO_BENCH_WORKERS
+        # processes (records are identical at any worker count, so the
+        # table never changes — only the wall clock).
+        pinned = spec.with_pinned_scenario()
+        records = run_spec_trials(
+            [pinned.with_seed(stable_hash_seed(seed, index)) for seed in SEEDS],
             workers=workers,
-            params=params,
         )
+        problem = build_problem(pinned)
         makespans = []
         for record in records:
             assert record.result.all_delivered, (name, record.result.summary())
@@ -96,7 +86,7 @@ def sweep(instances, label):
 def test_t1_congestion_sweep(benchmark):
     reset("t1_scaling")
     instances = [
-        (f"bf(5) hot-row N={n}", butterfly_hotrow_instance(5, n, seed=11))
+        (f"bf(5) hot-row N={n}", butterfly_hotrow_spec(5, n, seed=11, **FRAME_KW))
         for n in (4, 8, 12, 16, 24, 32)
     ]
     rows, fit = sweep(instances, "C")
@@ -113,14 +103,14 @@ def test_t1_congestion_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, instances[-1][1], 0)
+    once(benchmark, run_point, build_problem(instances[-1][1]), 0)
 
 
 def test_t1_depth_sweep(benchmark):
     instances = [
         (
             f"random w=6 L={depth}",
-            deep_random_instance(depth, 6, 12, seed=13),
+            deep_random_spec(depth, 6, 12, seed=13, **FRAME_KW),
         )
         for depth in (10, 16, 24, 32, 48, 64)
     ]
@@ -138,4 +128,4 @@ def test_t1_depth_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, instances[-1][1], 0)
+    once(benchmark, run_point, build_problem(instances[-1][1]), 0)

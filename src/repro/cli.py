@@ -46,6 +46,11 @@ from .scenarios import (
 )
 from .scenarios.registry import UnknownNameError
 
+#: Environment variable through which ``repro experiment --workers`` hands
+#: the trial-sweep worker count to the benchmark harness
+#: (``benchmarks/_common.bench_workers``).
+WORKERS_ENV_VAR = "REPRO_BENCH_WORKERS"
+
 # ------------------------------------------------------- topology spec syntax
 #
 # ``name:arg1:arg2`` shorthand over the topology registry.  Each parser maps
@@ -752,8 +757,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         str(src_dir) if not existing else str(src_dir) + os.pathsep + existing
     )
     if args.workers is not None:
-        from .experiments import WORKERS_ENV_VAR
-
         env[WORKERS_ENV_VAR] = str(args.workers)
     print("running:", " ".join(command))
     return subprocess.call(command, cwd=str(bench_dir), env=env)

@@ -13,7 +13,6 @@ from .arrivals import Arrival, arrivals_to_problem, bernoulli_arrivals, offered_
 from .routers import (
     DynamicGreedyRouter,
     DynamicNaiveRouter,
-    Router_attach,
     router_attach,
 )
 from .metrics import DynamicStats, dynamic_stats
@@ -27,6 +26,5 @@ __all__ = [
     "DynamicNaiveRouter",
     "DynamicStats",
     "dynamic_stats",
-    "Router_attach",
     "router_attach",
 ]

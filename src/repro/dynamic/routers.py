@@ -11,7 +11,6 @@ step, same RNG draw sequence).
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from ..baselines import GreedyHotPotatoRouter, NaivePathRouter
@@ -51,12 +50,3 @@ def router_attach(router, engine: Engine) -> None:
 
     Router.attach(router, engine)
 
-
-def Router_attach(router, engine: Engine) -> None:  # noqa: N802
-    """Deprecated alias of :func:`router_attach`."""
-    warnings.warn(
-        "Router_attach is deprecated; use router_attach instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    router_attach(router, engine)

@@ -1,9 +1,9 @@
 """Experiment harness shared by benchmarks/ and examples/.
 
 Instances live in :mod:`repro.experiments.configs` as a catalog of named
-:class:`~repro.scenarios.RunSpec` factories; trial execution fans out
-through :mod:`repro.experiments.parallel` and dispatches through the
-scenario layer (:mod:`repro.scenarios`).
+:class:`~repro.scenarios.RunSpec` factories; every trial sweep runs through
+:func:`~repro.experiments.batch.run_spec_trials`, which dispatches each
+spec through the scenario layer (:mod:`repro.scenarios`).
 """
 
 from .runner import (
@@ -11,32 +11,21 @@ from .runner import (
     resolve_trial_params,
     run_frontier_trial,
     run_router_trial,
-    run_frontier_trials,
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
 )
-from .parallel import (
-    WORKERS_ENV_VAR,
-    default_chunksize,
-    derive_sweep_seeds,
-    env_workers,
-    parallel_map,
-    resolve_workers,
-    run_frontier_trials_parallel,
-    run_router_trials,
-    run_spec_trials,
-    run_specs,
-    run_trials_for_problem,
-)
 from .batch import (
     TrialExecutor,
-    run_spec_trials_batched,
+    default_chunksize,
+    resolve_workers,
+    run_spec_trials,
     should_use_pool,
     usable_cpus,
 )
 from .configs import (
     CATALOG,
     PRESET_FAMILIES,
+    derive_sweep_seeds,
     sweep_specs,
     butterfly_random_instance,
     butterfly_random_spec,
@@ -62,24 +51,15 @@ __all__ = [
     "resolve_trial_params",
     "run_frontier_trial",
     "run_router_trial",
-    "run_frontier_trials",
     "run_frontier_trials_lockstep",
     "run_naive_trials_lockstep",
-    "WORKERS_ENV_VAR",
-    "default_chunksize",
-    "derive_sweep_seeds",
-    "env_workers",
-    "parallel_map",
-    "resolve_workers",
-    "run_frontier_trials_parallel",
-    "run_router_trials",
-    "run_spec_trials",
-    "run_specs",
-    "run_trials_for_problem",
     "TrialExecutor",
-    "run_spec_trials_batched",
+    "default_chunksize",
+    "resolve_workers",
+    "run_spec_trials",
     "should_use_pool",
     "usable_cpus",
+    "derive_sweep_seeds",
     "sweep_specs",
     "CATALOG",
     "PRESET_FAMILIES",

@@ -15,18 +15,17 @@ return **byte-identical** records for the same specs:
   scenario registries and opens the on-disk :class:`~repro.scenarios.
   ResultCache` once, so no per-trial import or open cost remains.
 * **Chunked dispatch.**  Workers receive chunks of
-  :class:`~repro.scenarios.RunSpec` (sized by
-  :func:`~repro.experiments.parallel.default_chunksize`, which respects a
-  minimum per-chunk duration) instead of one pickled task per trial, and
-  return chunks of data-only records — the materialized problem never
-  crosses the process boundary.
+  :class:`~repro.scenarios.RunSpec` (sized by :func:`default_chunksize`,
+  which respects a minimum and a maximum per-chunk duration) instead of
+  one pickled task per trial, and return chunks of data-only records —
+  the materialized problem never crosses the process boundary.
 * **Per-worker scenario warm cache.**  Each worker holds a
   :class:`~repro.scenarios.ScenarioCache` keyed by
   :meth:`RunSpec.scenario_hash`, so all trials sharing a scenario (seeds
   re-randomize frontier-set assignment and tie-breaks, never the problem —
   see :meth:`RunSpec.with_pinned_scenario`) build the problem once per
   worker.
-* **Adaptive dispatch.**  :func:`run_spec_trials_batched` first runs a
+* **Adaptive dispatch.**  :func:`run_spec_trials` first runs a
   small probe chunk in the parent, estimates per-trial cost, and falls
   back to (warm) serial execution when the remaining batch is too small to
   amortize pool spin-up — so tiny sweeps are never slower than a plain
@@ -44,6 +43,7 @@ size) can never leak into results, telemetry counters, or trace digests
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from time import perf_counter
@@ -100,6 +100,59 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Clamp a worker count: ``None``/0/negatives mean serial."""
+    if workers is None or workers < 1:
+        return 1
+    return workers
+
+
+#: Minimum wall-clock duration one dispatched chunk should represent: for
+#: very cheap items, chunks grow beyond the count-based default so pickling
+#: and queue round-trips stay amortized.
+MIN_CHUNK_SEC = 0.025
+
+#: Maximum wall-clock duration one dispatched chunk should represent.
+#: Progress callbacks fire as whole chunks stream back to the parent, so
+#: uncapped chunks on very large batches (a 10^5-trial shard split 4 ways
+#: is a 6000+-trial chunk) would go *minutes* between callbacks — starving
+#: sweep heartbeats, lease liveness, and resume granularity.
+MAX_CHUNK_SEC = 2.0
+
+#: Absolute chunk cap when no per-item cost estimate is available: bounds
+#: worst-case callback latency and the records held in flight per chunk.
+MAX_CHUNK_ITEMS = 512
+
+
+def default_chunksize(
+    num_items: int,
+    workers: int,
+    per_item_sec: Optional[float] = None,
+    min_chunk_sec: float = MIN_CHUNK_SEC,
+    max_chunk_sec: float = MAX_CHUNK_SEC,
+) -> int:
+    """Chunked dispatch: ~4 chunks per worker bounds scheduling overhead
+    while keeping the pool load-balanced when trial durations vary.
+
+    When the caller knows the per-item cost (the adaptive dispatcher's
+    probe measures it), chunks are additionally sized up to a minimum
+    duration target — capped at one chunk per worker so every worker still
+    gets work — and *down* to a maximum duration target, so progress
+    callbacks keep firing every few seconds on 10^5-item batches.  Without
+    a cost estimate the count-based heuristic applies under an absolute
+    ``MAX_CHUNK_ITEMS`` cap.
+    """
+    if workers <= 1:
+        return max(1, num_items)
+    size = max(1, math.ceil(num_items / (workers * 4)))
+    if per_item_sec is not None and per_item_sec > 0:
+        by_duration = math.ceil(min_chunk_sec / per_item_sec)
+        per_worker_cap = max(1, math.ceil(num_items / workers))
+        size = max(size, min(by_duration, per_worker_cap))
+        size = min(size, max(1, int(max_chunk_sec / per_item_sec)))
+    return min(size, MAX_CHUNK_ITEMS)
 
 
 def should_use_pool(
@@ -376,7 +429,7 @@ def _cache_root(cache) -> Optional[pathlib.Path]:
     return pathlib.Path(getattr(cache, "root", cache))
 
 
-def run_spec_trials_batched(
+def run_spec_trials(
     specs: Sequence,
     workers: int = 1,
     chunksize: Optional[int] = None,
@@ -388,11 +441,14 @@ def run_spec_trials_batched(
     collect: bool = True,
     lockstep: bool = True,
 ):
-    """Batched spec sweep: warm serial, or chunked over a persistent pool.
+    """Run a list of :class:`~repro.scenarios.RunSpec`, records in spec order.
 
-    The implementation behind :func:`repro.experiments.run_spec_trials`;
-    see its docstring for the caller-facing contract.  ``dispatch`` picks
-    the strategy:
+    The one sweep primitive: each spec runs through
+    :func:`repro.scenarios.run_trial` (or :func:`~repro.scenarios.run_cached`
+    when ``cache`` names a cache directory), and because a spec's outcome
+    is a pure function of its content, every execution strategy returns
+    byte-identical records.  Specs are plain data, so they pickle across
+    the pool by construction.  ``dispatch`` picks the strategy:
 
     * ``"auto"`` (default) — clamp ``workers`` to usable CPUs, run a probe
       chunk in the parent to estimate per-trial cost, then either finish
@@ -403,8 +459,17 @@ def run_spec_trials_batched(
       clamp); used by tests and benchmarks that must exercise the pool
       machinery regardless of host shape.
 
-    Records come back in spec order and are byte-identical across every
-    strategy.
+    Trials sharing a scenario reuse one materialized problem per process
+    (``warm=True``, the default — disable to force a fresh build per
+    trial).  Records are data-only: ``record.problem`` is ``None`` (the
+    build lives in the warm cache, not on the record), so sweeps never
+    pickle networks back from workers.
+
+    ``telemetry=True`` runs every trial under its own telemetry session
+    (one per worker process): each record comes back with
+    ``result.telemetry`` counters and pipeline ``timings`` attached, ready
+    for :func:`repro.telemetry.aggregate_counters`.  ``progress(done,
+    total, record)`` fires in the parent after each record, in spec order.
 
     ``collect=False`` switches to streaming mode for very large batches:
     each record is handed to ``progress`` exactly as usual but *not*
@@ -418,12 +483,11 @@ def run_spec_trials_batched(
     :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses — process-level
     parallelism multiplies lockstep width instead of replacing it.
     Narrower groups, including every trial of an unpinned sweep (each
-    trial its own instance), run per trial on the reference engine.  ``lockstep=False`` forces the
-    per-trial path everywhere (benchmarks use it to measure the kernel's
-    speedup; results are byte-identical either way).
+    trial its own instance), run per trial on the reference engine.
+    ``lockstep=False`` forces the per-trial path everywhere (benchmarks use
+    it to measure the kernel's speedup; results are byte-identical either
+    way — see :meth:`TrialExecutor.run_chunk`).
     """
-    from .parallel import default_chunksize, resolve_workers
-
     if dispatch not in ("auto", "serial", "pool"):
         raise ValueError(
             f"dispatch must be 'auto', 'serial', or 'pool', got {dispatch!r}"

@@ -254,6 +254,11 @@ def catalog_spec(name: str, seed: int | None = None) -> RunSpec:
     return spec if seed is None else spec.with_seed(seed)
 
 
+def derive_sweep_seeds(base_seed: int, count: int) -> List[int]:
+    """Deterministic, well-separated per-trial seeds for a sweep."""
+    return [stable_hash_seed(base_seed, index) for index in range(count)]
+
+
 def sweep_specs(
     base: RunSpec, num_trials: int, base_seed: int | None = None
 ) -> List[RunSpec]:
@@ -272,8 +277,6 @@ def sweep_specs(
     ``(network, geometry, paths)`` triple once per worker and reuses it
     across the whole sweep.
     """
-    from .parallel import derive_sweep_seeds
-
     pinned = base.with_pinned_scenario()
     seeds = derive_sweep_seeds(
         base.seed if base_seed is None else base_seed, num_trials

@@ -200,33 +200,3 @@ def run_router_trial(
     router = router_factory(stable_hash_seed(seed, 4))
     engine = Engine(problem, router, seed=stable_hash_seed(seed, 5))
     return engine.run(max_steps)
-
-
-def run_frontier_trials(
-    problem_factory: Callable[[int], RoutingProblem],
-    seeds: Sequence[int],
-    workers: int = 1,
-    chunksize: Optional[int] = None,
-    **kwargs,
-) -> List[TrialRecord]:
-    """One frontier trial per seed, each on a freshly generated problem.
-
-    ``workers > 1`` fans the seeds across a process pool (see
-    :mod:`repro.experiments.parallel`); every trial's RNG streams derive
-    from its own seed, so the records are identical to a serial run and
-    come back in seed order.  ``problem_factory`` must then be picklable.
-    """
-    if workers is not None and workers > 1:
-        from .parallel import run_frontier_trials_parallel
-
-        return run_frontier_trials_parallel(
-            problem_factory,
-            seeds,
-            workers=workers,
-            chunksize=chunksize,
-            **kwargs,
-        )
-    return [
-        run_frontier_trial(problem_factory(seed), seed=seed, **kwargs)
-        for seed in seeds
-    ]

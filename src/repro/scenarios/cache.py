@@ -12,8 +12,9 @@ pipeline (single-seed determinism is the repo's core invariant):
   :meth:`RunSpec.scenario_hash`; holds materialized ``(network, geometry,
   paths)`` builds so trials that share a scenario (Monte Carlo sweeps over
   routing coins, see :meth:`RunSpec.with_pinned_scenario`) pay problem
-  construction once.  Safe because trials never mutate their problem —
-  the fixed-problem parallel runners have relied on that since PR 1.
+  construction once.  Safe because trials never mutate their problem:
+  the engine and the lockstep kernel only read the shared network,
+  geometry and paths.
 
 The default on-disk location is ``$REPRO_CACHE_DIR`` or ``.repro_cache/``
 under the current directory; sweeps and the CLI pass an explicit directory.

@@ -9,7 +9,7 @@
 3. **resumes** its in-progress part file from the last valid record, so a
    killed sweep re-runs only the missing suffix;
 4. **executes** the remaining trials through the warm-pool batched layer
-   (:func:`~repro.experiments.run_spec_trials_batched`) in streaming mode
+   (:func:`~repro.experiments.run_spec_trials`) in streaming mode
    — each record is appended to the shard segment and folded into the
    running aggregate the moment it arrives, never accumulated;
 5. **finalizes** the segment atomically and releases the lease.
@@ -222,7 +222,7 @@ def run_sweep(
     finalized, the store is compacted (unless ``compact=False``) and the
     streaming aggregate is computed and persisted to ``aggregate.json``.
     """
-    from ..experiments.batch import run_spec_trials_batched
+    from ..experiments.batch import run_spec_trials
     from ..scenarios import ScenarioCache
 
     # One warm scenario cache for the whole walk: fixed-problem manifests
@@ -285,7 +285,7 @@ def run_sweep(
                         lease.heartbeat()
 
                 if remaining:
-                    run_spec_trials_batched(
+                    run_spec_trials(
                         remaining,
                         workers=workers,
                         chunksize=chunksize,

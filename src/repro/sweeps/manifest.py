@@ -92,7 +92,7 @@ class SweepManifest:
         trial's master seed: every trial then routes an independent
         instance (the instance-distribution sweep).
         """
-        from ..experiments.parallel import derive_sweep_seeds
+        from ..experiments.configs import derive_sweep_seeds
 
         if num_trials < 1:
             raise ReproError(f"num_trials must be >= 1, got {num_trials}")
@@ -241,10 +241,15 @@ class SweepManifest:
 
 
 def save_manifest(manifest: SweepManifest, path: PathLike) -> None:
-    """Write a manifest as a JSON file."""
-    pathlib.Path(path).write_text(
-        manifest.to_json() + "\n", encoding="utf-8"
-    )
+    """Write a manifest as a JSON file, atomically (tmp + rename).
+
+    A process killed mid-write leaves at most a stray ``.tmp`` file, never
+    a partial manifest under ``path``.
+    """
+    target = pathlib.Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.write_text(manifest.to_json() + "\n", encoding="utf-8")
+    tmp.replace(target)
 
 
 def load_manifest(path: PathLike) -> SweepManifest:

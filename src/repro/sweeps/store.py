@@ -173,14 +173,23 @@ class SweepStore:
 
         Re-opening an existing store verifies the on-disk manifest hashes
         to the same sweep (the directory name is the hash, so a mismatch
-        means a hand-edited file — refuse rather than mix records).
+        means a hand-edited file — refuse rather than mix records).  An
+        unparseable manifest is named with its remedy: the directory name
+        pins which sweep it held, so deleting it and resuming rewrites the
+        same file.
         """
         self.dir.mkdir(parents=True, exist_ok=True)
         self.shards_dir.mkdir(exist_ok=True)
         self.leases_dir.mkdir(exist_ok=True)
         manifest_path = self.dir / MANIFEST_FILENAME
         if manifest_path.exists():
-            existing = load_manifest(manifest_path)
+            try:
+                existing = load_manifest(manifest_path)
+            except ReproError as exc:
+                raise ReproError(
+                    f"{manifest_path} is truncated or corrupt ({exc}); "
+                    "delete it and rerun the sweep with --resume"
+                ) from exc
             if existing.manifest_hash() != self.manifest.manifest_hash():
                 raise ReproError(
                     f"store {self.dir} holds a different sweep "

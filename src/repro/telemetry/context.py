@@ -8,7 +8,7 @@ check per engine construction — nothing per step, nothing per event.
 
 Sessions are process-local.  Parallel trial workers each activate their own
 session inside their own process (see
-:func:`repro.experiments.parallel.run_spec_trials`), so there is no shared
+:func:`repro.experiments.batch.run_spec_trials`), so there is no shared
 mutable state to synchronize.
 """
 

@@ -45,7 +45,7 @@ from repro.experiments.batch import (
     LOCKSTEP_MAX_TRIALS,
     LOCKSTEP_MIN_TRIALS,
     TrialExecutor,
-    run_spec_trials_batched,
+    run_spec_trials,
 )
 from repro.net import LeveledNetworkBuilder, random_leveled
 from repro.paths import PacketSpec, Path, RoutingProblem, select_paths_random
@@ -627,8 +627,8 @@ def test_width_threshold_counts_cache_misses(tmp_path):
 @needs_numpy
 def test_run_spec_trials_batched_lockstep_toggle_identical():
     specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS + 1)
-    fast = run_spec_trials_batched(specs, workers=1)
-    slow = run_spec_trials_batched(specs, workers=1, lockstep=False)
+    fast = run_spec_trials(specs, workers=1)
+    slow = run_spec_trials(specs, workers=1, lockstep=False)
     assert all(r.executor.startswith("lockstep[") for r in fast)
     for ref, got in zip(slow, fast):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")

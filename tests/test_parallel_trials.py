@@ -2,9 +2,10 @@
 
 Two safety nets for the performance subsystem:
 
-* the process-pool trial runner must return records *byte-identical* to a
-  serial run for the same seeds (every trial's RNG streams derive from its
-  own seed, so worker count can never leak into results);
+* the pooled sweep path of :func:`~repro.experiments.run_spec_trials` must
+  return records *byte-identical* to a cold serial run for the same specs
+  (every trial's RNG streams derive from its own seed, so worker count can
+  never leak into results);
 * the engine's fast-path implementation (geometry cache, slot-id encoding,
   scratch reuse, inlined moves) must preserve the reference semantics —
   pinned here as the exact trace-event sequence and golden outcomes of
@@ -17,21 +18,15 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
+from repro.baselines import NaivePathRouter
 from repro.experiments import (
     butterfly_hotrow_instance,
-    butterfly_random_instance,
     butterfly_random_spec,
     default_chunksize,
     derive_sweep_seeds,
-    env_workers,
-    parallel_map,
     resolve_workers,
     run_frontier_trial,
-    run_frontier_trials,
-    run_router_trials,
     run_spec_trials,
-    run_trials_for_problem,
     should_use_pool,
     sweep_specs,
 )
@@ -40,68 +35,46 @@ from repro.sim import Engine, TraceRecorder
 from repro.types import Direction
 
 
-def _problem_factory(seed):
-    """Module-level (hence picklable) sweep factory."""
-    return butterfly_random_instance(3, seed=seed)
-
-
-def _naive_factory(seed):
-    return NaivePathRouter()
-
-
-def _greedy_factory(seed):
-    return GreedyHotPotatoRouter(seed=seed)
+def _records(specs, workers):
+    """Full result dicts of a cold serial run and a forced-pool run."""
+    serial = run_spec_trials(specs, dispatch="serial", warm=False)
+    pooled = run_spec_trials(specs, workers=workers, dispatch="pool")
+    assert [r.spec.content_hash() for r in serial] == [
+        r.spec.content_hash() for r in pooled
+    ]
+    return [asdict(r.result) for r in serial], [asdict(r.result) for r in pooled]
 
 
 class TestSerialParallelEquivalence:
     SEEDS = [0, 1, 2, 3]
 
     def test_frontier_trials_identical(self):
-        serial = run_frontier_trials(
-            _problem_factory, self.SEEDS, workers=1, m=8, w_factor=8.0
-        )
-        parallel = run_frontier_trials(
-            _problem_factory, self.SEEDS, workers=4, m=8, w_factor=8.0
-        )
-        assert [r.seed for r in serial] == [r.seed for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.result.makespan == b.result.makespan
-            assert a.result.delivery_times == b.result.delivery_times
-            assert (
-                a.result.deflections_per_packet
-                == b.result.deflections_per_packet
-            )
-            # ... and every other field, byte for byte.
-            assert asdict(a.result) == asdict(b.result)
+        # Unpinned: every trial builds its own instance from its seed.
+        specs = [
+            butterfly_random_spec(3, seed=seed, m=8, w_factor=8.0)
+            for seed in self.SEEDS
+        ]
+        serial, pooled = _records(specs, workers=4)
+        assert serial == pooled
 
     def test_fixed_problem_trials_identical(self):
-        problem = butterfly_random_instance(3, seed=99)
-        serial = run_trials_for_problem(
-            problem, self.SEEDS, workers=1, m=8, w_factor=8.0
+        specs = sweep_specs(
+            butterfly_random_spec(3, seed=99, m=8, w_factor=8.0),
+            len(self.SEEDS),
         )
-        parallel = run_trials_for_problem(
-            problem, self.SEEDS, workers=2, m=8, w_factor=8.0
-        )
-        assert [asdict(a.result) for a in serial] == [
-            asdict(b.result) for b in parallel
-        ]
+        serial, pooled = _records(specs, workers=2)
+        assert serial == pooled
 
-    @pytest.mark.parametrize("factory", [_naive_factory, _greedy_factory])
-    def test_router_trials_identical(self, factory):
-        problem = butterfly_random_instance(3, seed=5)
-        serial = run_router_trials(
-            problem, factory, self.SEEDS, 3000, workers=1
-        )
-        parallel = run_router_trials(
-            problem, factory, self.SEEDS, 3000, workers=3
-        )
-        assert [asdict(r) for r in serial] == [asdict(r) for r in parallel]
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(23))
-        assert parallel_map(str, items, workers=4, chunksize=3) == [
-            str(i) for i in items
-        ]
+    @pytest.mark.parametrize(
+        "backend", ["naive", "greedy"], ids=["_naive_factory", "_greedy_factory"]
+    )
+    def test_router_trials_identical(self, backend):
+        pinned = butterfly_random_spec(
+            3, seed=5, backend=backend, max_steps=3000
+        ).with_pinned_scenario()
+        specs = [pinned.with_seed(seed) for seed in self.SEEDS]
+        serial, pooled = _records(specs, workers=3)
+        assert serial == pooled
 
 
 class TestParallelHelpers:
@@ -128,7 +101,7 @@ class TestParallelHelpers:
         assert default_chunksize(100, 1, per_item_sec=0.0001) == 100
 
     def test_default_chunksize_max_duration_cap(self):
-        from repro.experiments.parallel import MAX_CHUNK_ITEMS, MAX_CHUNK_SEC
+        from repro.experiments.batch import MAX_CHUNK_ITEMS, MAX_CHUNK_SEC
 
         # A 10^5-item batch over 4 workers would be 6250-item chunks on
         # the count heuristic; with a cost estimate the duration cap keeps
@@ -147,14 +120,6 @@ class TestParallelHelpers:
         assert a == b
         assert len(set(a)) == 5
         assert derive_sweep_seeds(43, 5) != a
-
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-        assert env_workers() == 1
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "6")
-        assert env_workers() == 6
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "zero")
-        assert env_workers(default=2) == 2
 
 
 class TestBatchedDispatch:

@@ -244,6 +244,25 @@ class TestStore:
         assert store.compacted_path.read_bytes() == blob
         assert store.all_complete()
 
+    def test_truncated_manifest_names_the_file(self, manifest, tmp_path):
+        """A manifest.json cut short (a full disk, a copy interrupted)
+        fails with an error naming the file and the remedy; following the
+        remedy leaves every shard byte-identical."""
+        store = open_store(tmp_path / "s", manifest)
+        run_sweep(manifest, store, compact=False)
+        shards = [store.shard_bytes(s) for s in manifest.shard_ids()]
+        path = store.dir / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        pattern = r"manifest\.json is truncated or corrupt.*delete it.*--resume"
+        with pytest.raises(ReproError, match=pattern):
+            open_store(tmp_path / "s", manifest)
+        path.unlink()
+        store = open_store(tmp_path / "s", manifest)
+        run_sweep(manifest, store, resume=True, compact=False)
+        assert path.read_text(encoding="utf-8") == text
+        assert [store.shard_bytes(s) for s in manifest.shard_ids()] == shards
+
     def test_store_refuses_foreign_manifest(self, manifest, tmp_path):
         store = open_store(tmp_path / "s", manifest)
         other = SweepManifest.from_base(

@@ -19,7 +19,6 @@ import pytest
 from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
 from repro.dynamic import (
     DynamicNaiveRouter,
-    Router_attach,
     bernoulli_arrivals,
     router_attach,
 )
@@ -429,13 +428,6 @@ class TestDeprecations:
             warnings.simplefilter("error")
             engine = Engine(problem, DynamicNaiveRouter(times), seed=3)
             router_attach(NaivePathRouter(), engine)
-
-    def test_Router_attach_warns_and_delegates(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=20, seed=1)
-        problem, times = problem_from_arrivals(net, arrivals, seed=2)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=3)
-        with pytest.warns(DeprecationWarning):
-            Router_attach(NaivePathRouter(), engine)
 
 
 # --------------------------------------------------------- RunSpec arrivals

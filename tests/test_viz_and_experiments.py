@@ -11,7 +11,6 @@ from repro.experiments import (
     mesh_corner_shift_instance,
     mesh_monotone_instance,
     run_frontier_trial,
-    run_frontier_trials,
     run_router_trial,
     small_audit_suite,
 )
@@ -97,14 +96,6 @@ class TestRunner:
         a = run_frontier_trial(problem, seed=7).result
         b = run_frontier_trial(problem, seed=7).result
         assert a.delivery_times == b.delivery_times
-
-    def test_run_frontier_trials_multi(self):
-        records = run_frontier_trials(
-            lambda seed: butterfly_random_instance(3, seed=seed),
-            seeds=[1, 2],
-        )
-        assert len(records) == 2
-        assert all(r.result.all_delivered for r in records)
 
     def test_run_router_trial(self):
         from repro.baselines import GreedyHotPotatoRouter

@@ -11,16 +11,16 @@ load-independent).
 """
 
 from repro.analysis import format_table
-from repro.dynamic import (
-    DynamicGreedyRouter,
-    DynamicNaiveRouter,
-    arrivals_to_problem,
-    bernoulli_arrivals,
-    dynamic_stats,
-    offered_load,
-)
+from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
 from repro.net import butterfly
 from repro.sim import Engine
+from repro.traffic import (
+    BernoulliSource,
+    collect_arrivals,
+    dynamic_stats,
+    offered_load,
+    problem_from_arrivals,
+)
 
 from _common import emit, once, reset
 
@@ -28,12 +28,15 @@ HORIZON = 200
 
 
 def run_dynamic(net, rate, router_kind, seed):
-    arrivals = bernoulli_arrivals(net, rate, horizon=HORIZON, seed=seed)
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
+    arrivals = collect_arrivals(
+        BernoulliSource(net, rate, seed=seed, horizon=HORIZON)
+    )
+    problem, times = problem_from_arrivals(net, arrivals, seed=seed + 1)
     if router_kind == "naive":
-        router = DynamicNaiveRouter(times)
+        router = NaivePathRouter()
     else:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
+        router = GreedyHotPotatoRouter(seed=seed + 2)
+    # The problem carries its arrival schedule; the engine gates on it.
     engine = Engine(problem, router, seed=seed + 3)
     result = engine.run(HORIZON + 50000)
     stats = dynamic_stats(

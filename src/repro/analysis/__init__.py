@@ -17,14 +17,7 @@ from .bounds import (
     effective_polylog_exponent,
     theory_constants_table,
 )
-from .fitting import (
-    LinearFit,
-    fit_through_origin,
-    AffineFit,
-    fit_affine,
-    fit_power_law,
-    correlation,
-)
+from .fitting import AffineFit, fit_affine
 from .report import format_table, format_kv, format_bar, print_table
 
 __all__ = [
@@ -45,12 +38,8 @@ __all__ = [
     "compare_with_bounds",
     "effective_polylog_exponent",
     "theory_constants_table",
-    "LinearFit",
-    "fit_through_origin",
     "AffineFit",
     "fit_affine",
-    "fit_power_law",
-    "correlation",
     "format_table",
     "format_kv",
     "format_bar",

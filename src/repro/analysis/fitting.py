@@ -1,53 +1,19 @@
-"""Regression helpers for the scaling experiment (T1).
+"""Regression helper for the scaling experiments (T1, T7).
 
 Theorem 4.26 predicts ``T = Θ((C + L) · polylog)``.  On a sweep of
-instances we fit ``T = α·(C + L)`` (through the origin) and report the
+instances we fit ``T = a + b·(C + L)`` by least squares and report the
 coefficient of determination: near-linear behavior (R² close to 1) with a
-moderate α is the empirical signature of the theorem's shape.
+moderate slope is the empirical signature of the theorem's shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ParameterError
-
-
-@dataclass(frozen=True)
-class LinearFit:
-    """``y ≈ slope · x`` (through the origin)."""
-
-    slope: float
-    r_squared: float
-    n: int
-
-    def predict(self, x: float) -> float:
-        """Fitted value at ``x``."""
-        return self.slope * x
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"y = {self.slope:.3f}·x (R²={self.r_squared:.4f}, n={self.n})"
-
-
-def fit_through_origin(x: Sequence[float], y: Sequence[float]) -> LinearFit:
-    """Least-squares fit of ``y = slope·x``."""
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) == 0:
-        raise ParameterError("x and y must be equal-length non-empty vectors")
-    denom = float(np.dot(xs, xs))
-    if denom == 0.0:
-        raise ParameterError("x is identically zero")
-    slope = float(np.dot(xs, ys)) / denom
-    residual = ys - slope * xs
-    total = ys - ys.mean()
-    ss_tot = float(np.dot(total, total))
-    ss_res = float(np.dot(residual, residual))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return LinearFit(slope=slope, r_squared=r2, n=len(xs))
 
 
 @dataclass(frozen=True)
@@ -78,25 +44,3 @@ def fit_affine(x: Sequence[float], y: Sequence[float]) -> AffineFit:
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return AffineFit(slope=slope, intercept=intercept, r_squared=r2, n=len(xs))
-
-
-def fit_power_law(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float, float]:
-    """Fit ``y = c·x^β`` by log-log least squares; returns ``(c, β, R²)``.
-
-    Used to check that makespan grows ~linearly (β ≈ 1) in ``C + L``.
-    """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ParameterError("power-law fit needs strictly positive data")
-    fit = fit_affine(np.log(xs), np.log(ys))
-    return float(np.exp(fit.intercept)), fit.slope, fit.r_squared
-
-
-def correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation coefficient."""
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if len(xs) < 2:
-        raise ParameterError("need at least two points")
-    return float(np.corrcoef(xs, ys)[0, 1])

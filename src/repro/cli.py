@@ -1,9 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
 The interactive workflows all funnel into the scenario layer
-(:mod:`repro.scenarios`): ``route``, ``sweep``, and ``dynamic`` translate
-their flags into a :class:`~repro.scenarios.RunSpec` and dispatch it, and
-the spec-native commands expose the catalog directly:
+(:mod:`repro.scenarios`): ``route`` and ``sweep`` translate their flags
+into a :class:`~repro.scenarios.RunSpec` and dispatch it, and the
+spec-native commands expose the catalog directly (continuous-injection
+runs are arrival specs, e.g. ``repro spec dynamic_greedy``):
 
 * ``topo``    — build a named topology, validate it, print its profile;
 * ``params``  — show the algorithm parameters (practical and theory-exact)
@@ -11,7 +12,6 @@ the spec-native commands expose the catalog directly:
 * ``frames``  — render the Figure-2 film strip for a parameterization;
 * ``route``   — build an instance, route it with a chosen backend;
 * ``sweep``   — seeded multi-trial frontier sweep (optionally parallel);
-* ``dynamic`` — continuous-injection routing (T9-style);
 * ``list``    — show the catalog specs and every registered component;
 * ``spec``    — print (or write) a catalog spec as JSON;
 * ``run``     — run a spec from a JSON file, optionally result-cached,
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .analysis import format_kv
 from .core import AlgorithmParams, FrameGeometry, compute_theory_values
-from .errors import ReproError, WorkloadError
+from .errors import ReproError
 from .net import LeveledNetwork, profile, validate_leveled
 from .paths import RoutingProblem
 from .scenarios import (
@@ -305,52 +305,6 @@ def cmd_route(args: argparse.Namespace) -> int:
     if record.audit is not None:
         print(f"audit: {record.audit.summary()}")
     return 0 if record.ok else 1
-
-
-def cmd_dynamic(args: argparse.Namespace) -> int:
-    topology, topology_params = parse_topology(args.net, seed=args.seed)
-    spec = RunSpec(
-        name=f"dynamic({args.net}, {args.router})",
-        topology=topology,
-        topology_params=topology_params,
-        workload="",
-        selector="none",
-        backend=f"dynamic_{args.router}",
-        backend_params={
-            "rate": args.rate,
-            "horizon": args.horizon,
-            "drain": args.drain,
-        },
-        seed=args.seed,
-    )
-    net = build_network(spec)
-    try:
-        record = run_trial(spec)
-    except WorkloadError as exc:
-        print(exc)
-        return 1
-    result = record.result
-    extra = result.extra
-    offered = int(extra["offered"])
-    delivered = int(extra["delivered"])
-    drained = extra["drained"] == 1.0
-    print(f"network   : {net.describe()}")
-    print(
-        f"traffic   : rate {args.rate}/source/step over {args.horizon} "
-        f"steps -> {offered} packets, utilization {extra['offered_load']:.2f}"
-    )
-    print(
-        f"outcome   : delivered {delivered}/{offered}"
-        f" ({'drained' if drained else 'NOT drained'})"
-    )
-    print(
-        f"latency   : mean {extra['mean_latency']:.1f}, p50 "
-        f"{extra['p50_latency']:.0f}, p95 {extra['p95_latency']:.0f}, max "
-        f"{extra['max_latency']:.0f} (hop stretch {extra['mean_hop_stretch']:.2f})"
-    )
-    print(f"deflection: {result.total_deflections} total, "
-          f"{result.unsafe_deflections} unsafe")
-    return 0 if drained else 1
 
 
 def _benchmarks_dir():
@@ -768,7 +722,9 @@ def cmd_list(args: argparse.Namespace) -> int:
 
     print("catalog specs (repro spec <name> / repro run --spec):")
     for name, spec in CATALOG.items():
-        workload = spec.workload or "-"
+        workload = spec.workload or (
+            f"~{spec.arrival}" if spec.arrival else "-"
+        )
         print(
             f"  {name:24s} {spec.topology} / {workload} / {spec.selector} "
             f"-> {spec.backend}"
@@ -1005,17 +961,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--audit", action="store_true", help="audit invariants I_a..I_f"
     )
     p_route.set_defaults(func=cmd_route)
-
-    p_dyn = sub.add_parser(
-        "dynamic", help="continuous-injection routing (T9-style)"
-    )
-    p_dyn.add_argument("--net", default="butterfly:4")
-    p_dyn.add_argument("--rate", type=float, default=0.3)
-    p_dyn.add_argument("--horizon", type=int, default=200)
-    p_dyn.add_argument("--drain", type=int, default=50000)
-    p_dyn.add_argument("--router", default="naive", help="naive | greedy")
-    p_dyn.add_argument("--seed", type=int, default=0)
-    p_dyn.set_defaults(func=cmd_dynamic)
 
     p_sweep = sub.add_parser(
         "sweep", help="run a seeded multi-trial frontier sweep"

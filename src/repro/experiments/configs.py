@@ -164,20 +164,24 @@ def dynamic_spec(
     dim: int = 4,
     rate: float = 0.3,
     horizon: int = 200,
-    drain: int = 50000,
     seed: int = 0,
     greedy: bool = True,
 ) -> RunSpec:
-    """Continuous Bernoulli injection on a butterfly (experiment T9)."""
+    """Continuous Bernoulli injection on a butterfly (experiment T9).
+
+    The arrivals carry no explicit seed, so re-seeding the spec re-rolls
+    them.  ``repro run`` materializes them up front; ``repro serve``
+    admits them step by step.
+    """
     router = "greedy" if greedy else "naive"
     return RunSpec(
         name=f"dynamic_{router}(dim={dim}, rate={rate})",
         topology="butterfly",
-        topology_params={"dim": dim, "seed": seed},
-        workload="",
-        selector="none",
-        backend=f"dynamic_{router}",
-        backend_params={"rate": rate, "horizon": horizon, "drain": drain},
+        topology_params={"dim": dim},
+        arrival="bernoulli",
+        arrival_params={"rate": rate, "horizon": horizon},
+        selector="random",
+        backend=router,
         seed=seed,
     )
 

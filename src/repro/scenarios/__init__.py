@@ -1,11 +1,11 @@
 """The scenario layer: named, serializable, cacheable experiment specs.
 
-Every execution path in the repo — the frontier algorithm, the deflection
-and buffered baselines, and dynamic continuous-injection routing — runs
-through one pipeline::
+Every execution path in the repo — the frontier algorithm and the
+deflection and buffered baselines, on batch or continuous-injection
+traffic — runs through one pipeline::
 
     RunSpec  --build_network-->  LeveledNetwork
-             --workload/selector-->  RoutingProblem
+             --workload/selector or arrival-->  RoutingProblem
              --backend-->  RunResult
 
 Components are resolved by name through five plugin registries

@@ -85,10 +85,10 @@ class ScenarioCache:
     sweeps).  ``problem_for`` returns the *same* problem object for every
     spec sharing a scenario hash; reuse is semantically safe because
     engines and schedulers treat problems as read-only plain data.
-    Networks are cached separately so network-level (dynamic) backends and
-    problem builds share topology construction too — including across
-    specs whose scenarios differ only in seeds that a deterministic
-    topology ignores (see :func:`_network_key`).
+    Networks are cached separately so problem builds share topology
+    construction too — including across specs whose scenarios differ only
+    in seeds that a deterministic topology ignores (see
+    :func:`_network_key`).
     """
 
     def __init__(self, capacity: int = DEFAULT_SCENARIO_CAPACITY) -> None:
@@ -126,9 +126,8 @@ class ScenarioCache:
         """Per-table hit/miss counters and occupancy (for bench reports).
 
         ``{"problems": {"hits", "misses", "size"}, "networks": {...}}``;
-        the network table is consulted only on problem misses (and by
-        network-level backends), so its hits count topology reuse across
-        distinct scenarios.
+        the network table is consulted only on problem misses, so its hits
+        count topology reuse across distinct scenarios.
         """
         return {
             "problems": self._problems.stats(),

@@ -1,9 +1,10 @@
-"""Registry entries for every built-in topology, workload, selector, backend.
+"""Registry entries for every built-in topology, workload, arrival process,
+selector, and backend.
 
 Importing this module (which :mod:`repro.scenarios` does automatically)
-populates the four registries with wrappers over the existing builders in
+populates the five registries with wrappers over the existing builders in
 :mod:`repro.net`, :mod:`repro.workloads`, :mod:`repro.paths`,
-:mod:`repro.baselines`, :mod:`repro.core`, and :mod:`repro.dynamic`.
+:mod:`repro.baselines`, :mod:`repro.core`, and :mod:`repro.traffic`.
 
 Conventions
 -----------
@@ -18,20 +19,20 @@ Conventions
   where the paths *are* the point).
 * **Path-selector** entries: ``fn(net, endpoints, *, seed, **params) ->
   RoutingProblem``.
-* **Backend** entries: ``fn(problem, seed, params) -> (RunResult, audit)``
-  for the batch families, mirroring each family's legacy call path
-  seed-for-seed (the parametrized equality tests in
-  ``tests/test_scenarios.py`` pin this).  Backends registered with
-  ``needs="network"`` (the dynamic family) instead receive the bare
-  network and generate their own timed traffic, exactly like the legacy
-  ``repro dynamic`` command.
+* **Arrival** entries: ``fn(net, *, seed, **params)`` returning a
+  :class:`~repro.traffic.InjectionSource`; a spec naming one is
+  materialized into a schedule-carrying problem.
+* **Backend** entries: ``fn(problem, seed, params) -> (RunResult, audit)``,
+  mirroring each family's legacy call path seed-for-seed (the
+  parametrized equality tests in ``tests/test_scenarios.py`` pin this).
+  Arrival specs reach the backend as schedule-carrying problems.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..errors import ReproError, WorkloadError
+from ..errors import ReproError
 from ..net import (
     benes,
     butterfly,
@@ -397,7 +398,7 @@ def _select_none(net, endpoints, *, seed=None):
 
 # ----------------------------------------------------------------- backends
 #
-# Batch backends mirror their family's legacy call path exactly:
+# Backends mirror their family's legacy call path exactly:
 #
 # * frontier      -> experiments.runner.run_frontier_trial(problem, seed)
 # * deflection    -> experiments.runner.run_router_trial(problem, factory,
@@ -406,7 +407,6 @@ def _select_none(net, endpoints, *, seed=None):
 # * storeforward  -> StoreForwardScheduler(problem, policy, seed).run()
 # * random_delay  -> run_random_delay(problem, alpha, seed)
 # * bounded_buffer-> BoundedBufferScheduler(problem, k, seed).run()
-# * dynamic_*     -> the legacy ``repro dynamic`` pipeline (seed..seed+3)
 
 
 def _budget(problem, params) -> int:
@@ -416,9 +416,7 @@ def _budget(problem, params) -> int:
     return int(explicit) if explicit is not None else baseline_budget(problem)
 
 
-@BACKENDS.register(
-    "frontier", "frontier_vec", needs="problem", family="frontier"
-)
+@BACKENDS.register("frontier", "frontier_vec", family="frontier")
 def _backend_frontier(problem, seed: int, params: dict):
     """The paper's frontier-frame algorithm (Theorem 4.26).
 
@@ -449,7 +447,7 @@ def _randgreedy_factory(router_seed: int):
     return RandomizedGreedyRouter(seed=router_seed)
 
 
-@BACKENDS.register("naive", "naive_vec", needs="problem", family="deflection")
+@BACKENDS.register("naive", "naive_vec", family="deflection")
 def _backend_naive(problem, seed: int, params: dict):
     """Uncoordinated path-following hot-potato strawman.
 
@@ -463,7 +461,7 @@ def _backend_naive(problem, seed: int, params: dict):
     )
 
 
-@BACKENDS.register("greedy", needs="problem", family="deflection")
+@BACKENDS.register("greedy", family="deflection")
 def _backend_greedy(problem, seed: int, params: dict):
     """Distance-greedy hot-potato deflection routing."""
     from ..experiments.runner import run_router_trial
@@ -474,7 +472,7 @@ def _backend_greedy(problem, seed: int, params: dict):
     )
 
 
-@BACKENDS.register("randgreedy", needs="problem", family="deflection")
+@BACKENDS.register("randgreedy", family="deflection")
 def _backend_randgreedy(problem, seed: int, params: dict):
     """Randomized greedy hot-potato deflection routing."""
     from ..experiments.runner import run_router_trial
@@ -487,7 +485,7 @@ def _backend_randgreedy(problem, seed: int, params: dict):
     )
 
 
-@BACKENDS.register("storeforward", needs="problem", family="store_forward")
+@BACKENDS.register("storeforward", family="store_forward")
 def _backend_storeforward(problem, seed: int, params: dict):
     """Store-and-forward with unbounded buffers (the buffered reference)."""
     from ..baselines import QueuePolicy, StoreForwardScheduler
@@ -499,7 +497,7 @@ def _backend_storeforward(problem, seed: int, params: dict):
     return result, None
 
 
-@BACKENDS.register("random_delay", needs="problem", family="store_forward")
+@BACKENDS.register("random_delay", family="store_forward")
 def _backend_random_delay(problem, seed: int, params: dict):
     """LMRR random-initial-delay store-and-forward (O(C+L+log N) yardstick)."""
     from ..baselines import run_random_delay
@@ -514,7 +512,7 @@ def _backend_random_delay(problem, seed: int, params: dict):
     return result, None
 
 
-@BACKENDS.register("bounded_buffer", needs="problem", family="bounded_buffer")
+@BACKENDS.register("bounded_buffer", family="bounded_buffer")
 def _backend_bounded_buffer(problem, seed: int, params: dict):
     """Store-and-forward with bounded per-edge buffers and backpressure."""
     from ..baselines import BoundedBufferScheduler
@@ -525,61 +523,3 @@ def _backend_bounded_buffer(problem, seed: int, params: dict):
     max_steps = params.get("max_steps")
     result = scheduler.run(None if max_steps is None else int(max_steps))
     return result, None
-
-
-def _run_dynamic(net, seed: int, params: dict, greedy: bool):
-    from ..dynamic import (
-        DynamicGreedyRouter,
-        DynamicNaiveRouter,
-        arrivals_to_problem,
-        bernoulli_arrivals,
-        dynamic_stats,
-        offered_load,
-    )
-    from ..sim import Engine
-
-    rate = float(params.get("rate", 0.3))
-    horizon = int(params.get("horizon", 200))
-    drain = int(params.get("drain", 50000))
-    arrivals = bernoulli_arrivals(net, rate, horizon=horizon, seed=seed)
-    if not arrivals:
-        raise WorkloadError(
-            f"no arrivals generated on {net.name} at rate {rate} "
-            f"over {horizon} steps (rate too low?)"
-        )
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
-    if greedy:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
-    else:
-        router = DynamicNaiveRouter(times)
-    engine = Engine(problem, router, seed=seed + 3)
-    result = engine.run(horizon + drain)
-    stats = dynamic_stats(result, times, [len(s.path) for s in problem])
-    result.extra.update(
-        {
-            "rate": rate,
-            "horizon": float(horizon),
-            "offered": float(stats.offered),
-            "delivered": float(stats.delivered),
-            "drained": 1.0 if stats.drained else 0.0,
-            "mean_latency": float(stats.mean_latency),
-            "p50_latency": float(stats.p50_latency),
-            "p95_latency": float(stats.p95_latency),
-            "max_latency": float(stats.max_latency),
-            "mean_hop_stretch": float(stats.mean_hop_stretch),
-            "offered_load": float(offered_load(net, arrivals, horizon)),
-        }
-    )
-    return result, None
-
-
-@BACKENDS.register("dynamic_naive", needs="network", family="dynamic")
-def _backend_dynamic_naive(net, seed: int, params: dict):
-    """Continuous Bernoulli injection, path-following deflection routing."""
-    return _run_dynamic(net, seed, params, greedy=False)
-
-
-@BACKENDS.register("dynamic_greedy", needs="network", family="dynamic")
-def _backend_dynamic_greedy(net, seed: int, params: dict):
-    """Continuous Bernoulli injection, distance-greedy deflection routing."""
-    return _run_dynamic(net, seed, params, greedy=True)

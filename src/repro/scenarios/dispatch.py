@@ -4,10 +4,9 @@ The dispatcher materializes a :class:`~repro.scenarios.RunSpec` in stages —
 topology, workload, path selection, backend — resolving each name through
 its registry, and returns the same :class:`~repro.sim.RunResult` record the
 legacy hand-wired call paths produced (pinned by
-``tests/test_scenarios.py``).  Batch backends consume a
-:class:`~repro.paths.RoutingProblem`; dynamic backends (registered with
-``needs="network"``) consume the bare network and generate their own timed
-traffic.
+``tests/test_scenarios.py``).  Every backend consumes a
+:class:`~repro.paths.RoutingProblem`, built from either a workload plus a
+path selector or an arrival process (a schedule-carrying problem).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ class ScenarioRun:
     result: RunResult
     #: invariant-audit report when the backend was asked to audit
     audit: Optional[object] = None
-    #: the materialized problem (None for dynamic backends and cache hits)
+    #: the materialized problem (None for cache hits)
     problem: Optional[RoutingProblem] = None
     #: whether the result came from the on-disk cache
     cached: bool = False
@@ -76,9 +75,8 @@ def build_problem(
         return _build_arrival_problem(spec, net)
     if not spec.workload:
         raise ReproError(
-            f"spec {spec.name or spec.content_hash()!r} has no workload; "
-            f"only network-level backends ({_network_backend_names()}) "
-            "run without one"
+            f"spec {spec.name or spec.content_hash()!r} has neither a "
+            "workload nor an arrival process"
         )
     workload_fn = WORKLOADS.get(spec.workload)
     wparams = dict(spec.workload_params)
@@ -142,26 +140,11 @@ def _build_arrival_problem(
     return problem
 
 
-def _network_backend_names() -> str:
-    names = [
-        name
-        for name in BACKENDS.names()
-        if getattr(BACKENDS.get(name), "needs", "problem") == "network"
-    ]
-    return ", ".join(names)
-
-
 def _dispatch(
     spec: RunSpec, problem: Optional[RoutingProblem], warm=None
 ) -> ScenarioRun:
     backend = BACKENDS.get(spec.backend)
-    needs = getattr(backend, "needs", "problem")
     params = dict(spec.backend_params)
-    if needs == "network":
-        net = warm.network_for(spec) if warm is not None else build_network(spec)
-        with span("backend"):
-            result, audit = backend(net, spec.seed, params)
-        return ScenarioRun(spec=spec, result=result, audit=audit)
     if problem is None:
         problem = (
             warm.problem_for(spec) if warm is not None else build_problem(spec)
@@ -191,7 +174,7 @@ def run_trial(
     callers are responsible for it matching the spec.
 
     ``warm`` may pass a :class:`~repro.scenarios.cache.ScenarioCache`: the
-    problem (or network) is then fetched by scenario hash and built only on
+    problem is then fetched by scenario hash and built only on
     a miss, so trials sharing a scenario amortize construction.  Results
     are byte-identical with and without a warm cache — the cache only
     deduplicates pure builds (pinned by ``tests/test_scenarios.py``).

@@ -52,8 +52,9 @@ class Registry:
     ) -> Callable[[Callable], Callable]:
         """Decorator: register the function under ``name`` (plus aliases).
 
-        ``attributes`` are set on the function (e.g. a backend's ``needs``),
-        letting the dispatcher read per-entry metadata without a side table.
+        ``attributes`` are set on the function (e.g. a topology's
+        ``deterministic``), letting the scenario layer read per-entry
+        metadata without a side table.
         """
 
         def decorate(fn: Callable) -> Callable:

@@ -70,14 +70,12 @@ def _plain(value: Any) -> Any:
 class RunSpec:
     """One fully specified routing experiment, as data.
 
-    ``topology`` and ``backend`` are required registry names; ``workload``
-    may be empty for backends that generate their own traffic (the dynamic
-    family), and ``selector`` defaults to random monotone paths.  As an
-    alternative to ``workload``, ``arrival`` names an injection process
-    (``bernoulli``, ``poisson``, ``trace``): the process is materialized
-    over its horizon into a schedule-carrying problem, so streaming
-    scenarios hash, cache, and dispatch like batch ones and run on any
-    problem-level backend.
+    ``topology`` and ``backend`` are required registry names, and
+    ``selector`` defaults to random monotone paths.  The traffic comes from
+    exactly one of ``workload`` or ``arrival``: the latter names an
+    injection process (``bernoulli``, ``poisson``, ``trace``) that is
+    materialized over its horizon into a schedule-carrying problem, so
+    streaming scenarios hash, cache, and dispatch like batch ones.
     """
 
     topology: str

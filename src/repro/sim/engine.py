@@ -176,8 +176,7 @@ class Engine:
         Router eligibility marks for packets whose arrival time has not come
         are *held* and released at the top of the step they become due, so a
         packet becomes eligible at ``max(mark time, arrival time)``.  Called
-        automatically for problems carrying ``arrival_schedule``; routers
-        (the dynamic adapters) may also call it from ``attach``.
+        automatically for problems carrying ``arrival_schedule``.
         """
         schedule.validate_for(len(self.packets))
         self._arrivals = schedule

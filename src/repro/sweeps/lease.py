@@ -16,7 +16,9 @@ host — is *stale*: a claimer running with ``steal_stale=True`` (the CLI's
 ``--resume``) breaks it and takes over, resuming the shard's part file
 from its last valid record.  Breaking a lease never corrupts records:
 the part file is re-validated line by line on takeover, and finalization
-is an atomic rename.
+is an atomic rename.  A heartbeat more than ``stale_after`` seconds in the
+*future* (the owner's clock runs ahead of ours) could never go stale, so
+judging it raises an error naming the lease and the remedy instead.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import pathlib
 import socket
 import time
 from typing import Optional, Union
+
+from ..errors import ReproError
 
 PathLike = Union[str, pathlib.Path]
 
@@ -100,7 +104,11 @@ class LeaseManager:
             return None
 
     def is_stale(self, shard: int) -> bool:
-        """Whether the shard's lease (if any) shows no recent liveness."""
+        """Whether the shard's lease (if any) shows no recent liveness.
+
+        Raises :class:`~repro.errors.ReproError` for another host's lease
+        whose heartbeat lies more than ``stale_after`` in the future.
+        """
         path = self.path_for(shard)
         try:
             age = time.time() - path.stat().st_mtime
@@ -115,6 +123,19 @@ class LeaseManager:
             and isinstance(owner.get("pid"), int)
         ):
             return not _pid_alive_on_this_host(owner["pid"])
+        if -age > self.stale_after:
+            who = (
+                f"{owner.get('host')} pid {owner.get('pid')}"
+                if owner is not None
+                else "unreadable"
+            )
+            raise ReproError(
+                f"lease {path} (owner {who}) has a heartbeat {-age:.0f}s in "
+                f"the future, beyond the {self.stale_after:.0f}s stale "
+                "window, so it can never go stale; sync the clocks of the "
+                "hosts sharing the store, or delete the lease if its owner "
+                "is gone, then rerun the sweep with --resume"
+            )
         return False
 
     def claim(

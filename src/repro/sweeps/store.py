@@ -35,6 +35,7 @@ is aggregated without ever holding more than one record in memory.
 
 from __future__ import annotations
 
+import errno
 import gzip
 import io
 import json
@@ -123,7 +124,9 @@ class ShardWriter:
     Holds the ``.part`` file open in append mode and flushes after every
     record, so a killed process loses at most the torn final line —
     everything flushed before the kill survives for :meth:`SweepStore.
-    resume_shard`.
+    resume_shard`.  A full disk is the same case: the append fails with a
+    :class:`~repro.errors.ReproError` naming the file and the remedy, and
+    the resumed shard drops the torn line.
     """
 
     def __init__(self, store: "SweepStore", shard: int, start_index: int):
@@ -134,14 +137,29 @@ class ShardWriter:
 
     def append(self, seed: int, spec_hash: str, result) -> None:
         """Append the next trial's record (indexes are assigned in order)."""
+        path = self.store.part_path(self.shard)
         if self._fh is None:
-            path = self.store.part_path(self.shard)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(path, "ab")
-        self._fh.write(
-            encode_record(self.next_index, seed, spec_hash, result)
-        )
-        self._fh.flush()
+        try:
+            self._fh.write(
+                encode_record(self.next_index, seed, spec_hash, result)
+            )
+            self._fh.flush()
+        except OSError as exc:
+            if exc.errno != errno.ENOSPC:
+                raise
+            # Drop the handle without retrying the flush: the torn tail
+            # stays on disk for resume_shard to truncate.
+            try:
+                self._fh.close()
+            except OSError:
+                pass
+            self._fh = None
+            raise ReproError(
+                f"no space left on device while appending to {path}; "
+                "free space and rerun the sweep with --resume"
+            ) from exc
         self.next_index += 1
 
     def close(self) -> None:

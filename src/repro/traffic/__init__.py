@@ -5,10 +5,13 @@ The workload-generator / switch-model split: injection processes
 arrival *schedules* (:mod:`~repro.traffic.schedule`) are the materialized
 form both engines gate eligibility on, materialization
 (:mod:`~repro.traffic.materialize`) turns arrivals into cacheable routing
-problems, and the stream driver (:mod:`~repro.traffic.stream`) runs an
-open-loop source against an engine with bounded memory.
+problems, the stream driver (:mod:`~repro.traffic.stream`) runs an
+open-loop source against an engine with bounded memory, and
+:mod:`~repro.traffic.latency` summarizes a finished run's per-packet
+latencies (experiment T9's stability table).
 """
 
+from .latency import DynamicStats, dynamic_stats
 from .materialize import offered_load, problem_from_arrivals
 from .schedule import ArrivalSchedule
 from .sources import (
@@ -27,11 +30,13 @@ __all__ = [
     "ArrivalSchedule",
     "BatchSource",
     "BernoulliSource",
+    "DynamicStats",
     "InjectionSource",
     "PoissonSource",
     "TraceSource",
     "StreamSummary",
     "collect_arrivals",
+    "dynamic_stats",
     "make_stream_router",
     "offered_load",
     "problem_from_arrivals",

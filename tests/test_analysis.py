@@ -10,12 +10,9 @@ from repro.analysis import (
     bootstrap_ci,
     chernoff_upper_tail,
     compare_with_bounds,
-    correlation,
     effective_polylog_exponent,
     empirical_exceedance_rate,
     fit_affine,
-    fit_power_law,
-    fit_through_origin,
     format_kv,
     format_table,
     lemma22_failure_bound,
@@ -155,39 +152,13 @@ class TestBounds:
 
 
 class TestFitting:
-    def test_through_origin_exact(self):
-        fit = fit_through_origin([1, 2, 3], [2, 4, 6])
-        assert fit.slope == pytest.approx(2.0)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.predict(5) == pytest.approx(10.0)
-
     def test_affine_exact(self):
         fit = fit_affine([0, 1, 2], [3, 5, 7])
         assert fit.intercept == pytest.approx(3.0)
         assert fit.slope == pytest.approx(2.0)
         assert fit.predict(10) == pytest.approx(23.0)
 
-    def test_power_law(self):
-        xs = [1, 2, 4, 8, 16]
-        ys = [3 * x**1.5 for x in xs]
-        c, beta, r2 = fit_power_law(xs, ys)
-        assert c == pytest.approx(3.0, rel=1e-6)
-        assert beta == pytest.approx(1.5, rel=1e-6)
-        assert r2 == pytest.approx(1.0)
-
-    def test_power_law_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            fit_power_law([0, 1], [1, 2])
-
-    def test_correlation(self):
-        assert correlation([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0)
-        assert correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            fit_through_origin([], [])
-        with pytest.raises(ParameterError):
-            fit_through_origin([0, 0], [1, 2])
         with pytest.raises(ParameterError):
             fit_affine([1], [1])
 

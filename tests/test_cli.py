@@ -152,26 +152,16 @@ class TestCommands:
         assert main(["experiment", "e1"]) == 0
 
     @pytest.mark.parametrize("router", ["naive", "greedy"])
-    def test_dynamic_command(self, capsys, router):
-        code = main(
-            [
-                "dynamic",
-                "--net",
-                "butterfly:3",
-                "--rate",
-                "0.2",
-                "--horizon",
-                "60",
-                "--router",
-                router,
-                "--seed",
-                "1",
-            ]
-        )
+    def test_dynamic_command(self, tmp_path, capsys, router):
+        """Continuous injection runs as an arrival spec through ``run``."""
+        target = tmp_path / "dynamic.json"
+        name = f"dynamic_{router}"
+        assert main(["spec", name, "--seed", "1", "--out", str(target)]) == 0
+        assert "~bernoulli" in capsys.readouterr().out
+        code = main(["run", "--spec", str(target)])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "drained" in out
-        assert "latency" in out
+        assert "ok" in out
 
 
 class TestSpecCommands:
@@ -180,6 +170,8 @@ class TestSpecCommands:
         out = capsys.readouterr().out
         assert "butterfly_random" in out
         assert "topologies:" in out and "backends:" in out
+        # Arrival-driven entries show their process, like RunSpec.describe.
+        assert "butterfly / ~bernoulli / random -> greedy" in out
 
     def test_spec_prints_json(self, capsys):
         assert main(["spec", "butterfly_random"]) == 0

@@ -1,26 +1,37 @@
-"""Tests for the dynamic (continuous-injection) routing extension."""
+"""Tests for dynamic (continuous-injection) routing: Bernoulli arrivals
+materialized into schedule-carrying problems, routed by the static
+deflection routers, and summarized by the latency metrics of
+:mod:`repro.traffic`."""
 
 import math
 
 import pytest
 
-from repro.dynamic import (
-    Arrival,
-    DynamicGreedyRouter,
-    DynamicNaiveRouter,
-    arrivals_to_problem,
-    bernoulli_arrivals,
-    dynamic_stats,
-    offered_load,
-)
+from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
 from repro.errors import WorkloadError
 from repro.net import butterfly
 from repro.sim import Engine
+from repro.traffic import (
+    Arrival,
+    ArrivalSchedule,
+    BernoulliSource,
+    collect_arrivals,
+    dynamic_stats,
+    offered_load,
+    problem_from_arrivals,
+)
 
 
 @pytest.fixture
 def net():
     return butterfly(3)
+
+
+def draw_arrivals(net, rate, horizon, seed=None, **kwargs):
+    """A Bernoulli source materialized over its horizon."""
+    return collect_arrivals(
+        BernoulliSource(net, rate, seed=seed, horizon=horizon, **kwargs)
+    )
 
 
 def _fixture_result(delivery_times, delivered):
@@ -49,24 +60,24 @@ def _fixture_result(delivery_times, delivered):
 
 class TestArrivals:
     def test_rate_controls_volume(self, net):
-        low = bernoulli_arrivals(net, 0.05, horizon=200, seed=1)
-        high = bernoulli_arrivals(net, 0.5, horizon=200, seed=1)
+        low = draw_arrivals(net, 0.05, horizon=200, seed=1)
+        high = draw_arrivals(net, 0.5, horizon=200, seed=1)
         assert len(high) > 3 * len(low)
 
     def test_arrival_fields_valid(self, net):
-        for arrival in bernoulli_arrivals(net, 0.2, horizon=50, seed=2):
+        for arrival in draw_arrivals(net, 0.2, horizon=50, seed=2):
             assert 0 <= arrival.time < 50
             assert net.level(arrival.destination) > net.level(arrival.source)
 
     def test_source_levels_respected(self, net):
-        arrivals = bernoulli_arrivals(
+        arrivals = draw_arrivals(
             net, 0.3, horizon=50, seed=3, source_levels=[0]
         )
         assert arrivals
         assert all(net.level(a.source) == 0 for a in arrivals)
 
     def test_min_hops(self, net):
-        arrivals = bernoulli_arrivals(net, 0.3, horizon=50, seed=4, min_hops=3)
+        arrivals = draw_arrivals(net, 0.3, horizon=50, seed=4, min_hops=3)
         assert all(
             net.level(a.destination) - net.level(a.source) >= 3
             for a in arrivals
@@ -74,18 +85,18 @@ class TestArrivals:
 
     def test_rate_validated(self, net):
         with pytest.raises(WorkloadError):
-            bernoulli_arrivals(net, 1.5, horizon=10)
+            draw_arrivals(net, 1.5, horizon=10)
         with pytest.raises(WorkloadError):
-            bernoulli_arrivals(net, 0.1, horizon=0)
+            draw_arrivals(net, 0.1, horizon=0)
 
     def test_reproducible(self, net):
-        a = bernoulli_arrivals(net, 0.2, horizon=100, seed=9)
-        b = bernoulli_arrivals(net, 0.2, horizon=100, seed=9)
+        a = draw_arrivals(net, 0.2, horizon=100, seed=9)
+        b = draw_arrivals(net, 0.2, horizon=100, seed=9)
         assert a == b
 
     def test_offered_load_monotone(self, net):
-        low = bernoulli_arrivals(net, 0.05, horizon=100, seed=1)
-        high = bernoulli_arrivals(net, 0.5, horizon=100, seed=1)
+        low = draw_arrivals(net, 0.05, horizon=100, seed=1)
+        high = draw_arrivals(net, 0.5, horizon=100, seed=1)
         assert offered_load(net, high, 100) > offered_load(net, low, 100)
 
 
@@ -95,20 +106,20 @@ class TestProblemConversion:
             Arrival(0, net.nodes_at_level(0)[0], net.nodes_at_level(3)[0]),
             Arrival(5, net.nodes_at_level(0)[0], net.nodes_at_level(3)[1]),
         ]
-        problem, times = arrivals_to_problem(net, arrivals, seed=0)
+        problem, times = problem_from_arrivals(net, arrivals, seed=0)
         assert problem.num_packets == 2
         assert times == [0, 5]
 
 
 class TestDynamicRouting:
-    @pytest.mark.parametrize("router_cls", [DynamicNaiveRouter, DynamicGreedyRouter])
+    @pytest.mark.parametrize(
+        "router_cls", [NaivePathRouter, GreedyHotPotatoRouter]
+    )
     def test_packets_respect_arrival_times(self, net, router_cls):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=60, seed=5)
-        problem, times = arrivals_to_problem(net, arrivals, seed=6)
+        arrivals = draw_arrivals(net, 0.2, horizon=60, seed=5)
+        problem, times = problem_from_arrivals(net, arrivals, seed=6)
         router = (
-            router_cls(times)
-            if router_cls is DynamicNaiveRouter
-            else router_cls(times, seed=7)
+            router_cls() if router_cls is NaivePathRouter else router_cls(seed=7)
         )
         engine = Engine(problem, router, seed=8)
         result = engine.run(60 + 5000)
@@ -119,9 +130,9 @@ class TestDynamicRouting:
     def test_high_load_does_not_crash(self, net):
         """Regression: pending injections must never starve deflected
         residents of slots (the revocation rule)."""
-        arrivals = bernoulli_arrivals(net, 0.9, horizon=100, seed=11)
-        problem, times = arrivals_to_problem(net, arrivals, seed=12)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=13)
+        arrivals = draw_arrivals(net, 0.9, horizon=100, seed=11)
+        problem, times = problem_from_arrivals(net, arrivals, seed=12)
+        engine = Engine(problem, NaivePathRouter(), seed=13)
         result = engine.run(100 + 30000)
         assert result.all_delivered
         assert result.unsafe_deflections == 0
@@ -129,9 +140,9 @@ class TestDynamicRouting:
     def test_latency_grows_with_load(self, net):
         stats_by_rate = {}
         for rate in (0.1, 0.8):
-            arrivals = bernoulli_arrivals(net, rate, horizon=150, seed=21)
-            problem, times = arrivals_to_problem(net, arrivals, seed=22)
-            engine = Engine(problem, DynamicNaiveRouter(times), seed=23)
+            arrivals = draw_arrivals(net, rate, horizon=150, seed=21)
+            problem, times = problem_from_arrivals(net, arrivals, seed=22)
+            engine = Engine(problem, NaivePathRouter(), seed=23)
             result = engine.run(150 + 30000)
             assert result.all_delivered
             stats_by_rate[rate] = dynamic_stats(
@@ -142,21 +153,22 @@ class TestDynamicRouting:
         )
 
     def test_schedule_length_validated(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=30, seed=31)
-        problem, times = arrivals_to_problem(net, arrivals, seed=32)
+        arrivals = draw_arrivals(net, 0.2, horizon=30, seed=31)
+        problem, times = problem_from_arrivals(net, arrivals, seed=32)
+        problem.arrival_schedule = ArrivalSchedule(times[:-1])
         with pytest.raises(WorkloadError):
-            Engine(problem, DynamicNaiveRouter(times[:-1]), seed=33)
+            Engine(problem, NaivePathRouter(), seed=33)
 
     def test_negative_times_rejected(self):
         with pytest.raises(WorkloadError):
-            DynamicNaiveRouter([-1, 0])
+            ArrivalSchedule([-1, 0])
 
 
 class TestDynamicStats:
     def test_stats_fields(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=50, seed=41)
-        problem, times = arrivals_to_problem(net, arrivals, seed=42)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=43)
+        arrivals = draw_arrivals(net, 0.2, horizon=50, seed=41)
+        problem, times = problem_from_arrivals(net, arrivals, seed=42)
+        engine = Engine(problem, NaivePathRouter(), seed=43)
         result = engine.run(50 + 5000)
         stats = dynamic_stats(result, times, [len(s.path) for s in problem])
         assert stats.drained
@@ -166,9 +178,9 @@ class TestDynamicStats:
         assert len(stats.as_row()) == 7
 
     def test_undelivered_handled(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=50, seed=51)
-        problem, times = arrivals_to_problem(net, arrivals, seed=52)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=53)
+        arrivals = draw_arrivals(net, 0.2, horizon=50, seed=51)
+        problem, times = problem_from_arrivals(net, arrivals, seed=52)
+        engine = Engine(problem, NaivePathRouter(), seed=53)
         result = engine.run(3)  # cut off early
         stats = dynamic_stats(result, times)
         assert not stats.drained
@@ -189,9 +201,9 @@ class TestDynamicStats:
 
     def test_single_step_run(self, net):
         """A run cut off after one step is summarized, mostly undelivered."""
-        arrivals = bernoulli_arrivals(net, 0.3, horizon=20, seed=61)
-        problem, times = arrivals_to_problem(net, arrivals, seed=62)
-        engine = Engine(problem, DynamicNaiveRouter(times), seed=63)
+        arrivals = draw_arrivals(net, 0.3, horizon=20, seed=61)
+        problem, times = problem_from_arrivals(net, arrivals, seed=62)
+        engine = Engine(problem, NaivePathRouter(), seed=63)
         result = engine.run(1)
         stats = dynamic_stats(result, times, [len(s.path) for s in problem])
         assert stats.offered == problem.num_packets

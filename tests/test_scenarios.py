@@ -78,8 +78,6 @@ class TestRegistries:
             "storeforward",
             "random_delay",
             "bounded_buffer",
-            "dynamic_naive",
-            "dynamic_greedy",
         ):
             assert name in BACKENDS.names()
 
@@ -106,8 +104,6 @@ class TestRegistries:
             WORKLOADS.get("nope")
 
     def test_backend_metadata(self):
-        assert getattr(BACKENDS.get("frontier"), "needs") == "problem"
-        assert getattr(BACKENDS.get("dynamic_naive"), "needs") == "network"
         assert getattr(BACKENDS.get("greedy"), "family") == "deflection"
 
 
@@ -207,7 +203,9 @@ class TestDispatch:
             selector="none",
             backend="frontier",
         )
-        with pytest.raises(ReproError, match="has no workload"):
+        with pytest.raises(
+            ReproError, match="neither a workload nor an arrival process"
+        ):
             build_problem(spec)
 
     def test_run_trial_reports_audit(self):
@@ -277,38 +275,38 @@ def _legacy_bounded_buffer():
     ).run()
 
 
+def _dynamic_spec(greedy: bool) -> RunSpec:
+    from repro.experiments import dynamic_spec
+
+    return dynamic_spec(4, rate=0.3, horizon=120, seed=PINNED_SEED, greedy=greedy)
+
+
 def _legacy_dynamic(greedy: bool):
-    # The historical ``repro dynamic`` pipeline: seeds seed..seed+3.
-    from repro.dynamic import (
-        DynamicGreedyRouter,
-        DynamicNaiveRouter,
-        arrivals_to_problem,
-        bernoulli_arrivals,
-    )
+    # Arrivals and paths from the spec's derived seeds, then the deflection
+    # backends' router/engine seeds; the engine gates on the schedule the
+    # problem carries.
+    from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
+    from repro.experiments.configs import baseline_budget
+    from repro.rng import stable_hash_seed
     from repro.sim import Engine
-
-    seed = PINNED_SEED
-    net = butterfly(4)
-    arrivals = bernoulli_arrivals(net, 0.3, horizon=120, seed=seed)
-    problem, times = arrivals_to_problem(net, arrivals, seed=seed + 1)
-    if greedy:
-        router = DynamicGreedyRouter(times, seed=seed + 2)
-    else:
-        router = DynamicNaiveRouter(times)
-    return Engine(problem, router, seed=seed + 3).run(120 + 50000)
-
-
-def _dynamic_spec(backend: str) -> RunSpec:
-    return RunSpec(
-        name=f"equivalence-{backend}",
-        topology="butterfly",
-        topology_params={"dim": 4},
-        workload="",
-        selector="none",
-        backend=backend,
-        backend_params={"rate": 0.3, "horizon": 120, "drain": 50000},
-        seed=PINNED_SEED,
+    from repro.traffic import (
+        BernoulliSource,
+        collect_arrivals,
+        problem_from_arrivals,
     )
+
+    spec = _dynamic_spec(greedy)
+    net = butterfly(4)
+    source = BernoulliSource(net, 0.3, seed=spec.arrival_seed(), horizon=120)
+    problem, _ = problem_from_arrivals(
+        net, collect_arrivals(source), seed=spec.selector_seed()
+    )
+    if greedy:
+        router = GreedyHotPotatoRouter(seed=stable_hash_seed(PINNED_SEED, 4))
+    else:
+        router = NaivePathRouter()
+    engine = Engine(problem, router, seed=stable_hash_seed(PINNED_SEED, 5))
+    return engine.run(baseline_budget(problem))
 
 
 EQUIVALENCE_CASES = {
@@ -322,14 +320,8 @@ EQUIVALENCE_CASES = {
         _spec("bounded_buffer", buffer_size=2),
         _legacy_bounded_buffer,
     ),
-    "dynamic_naive": (
-        _dynamic_spec("dynamic_naive"),
-        lambda: _legacy_dynamic(False),
-    ),
-    "dynamic_greedy": (
-        _dynamic_spec("dynamic_greedy"),
-        lambda: _legacy_dynamic(True),
-    ),
+    "dynamic_naive": (_dynamic_spec(False), lambda: _legacy_dynamic(False)),
+    "dynamic_greedy": (_dynamic_spec(True), lambda: _legacy_dynamic(True)),
 }
 
 
@@ -339,15 +331,7 @@ class TestLegacyEquivalence:
         spec, legacy = EQUIVALENCE_CASES[family]
         via_spec = run(spec)
         reference = legacy()
-        got = dataclasses.asdict(via_spec)
-        want = dataclasses.asdict(reference)
-        # The dynamic backends enrich ``extra`` with derived statistics;
-        # the raw engine record underneath must still match exactly.
-        if spec.backend.startswith("dynamic_"):
-            for key in list(got["extra"]):
-                if key not in want["extra"]:
-                    del got["extra"][key]
-        assert got == want
+        assert dataclasses.asdict(via_spec) == dataclasses.asdict(reference)
 
     def test_equivalence_is_byte_level(self):
         spec, legacy = EQUIVALENCE_CASES["frontier"]

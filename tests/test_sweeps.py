@@ -7,9 +7,11 @@ it.  Everything else (manifests, leases, the streaming store, aggregation,
 the CLI wiring) is exercised around that invariant.
 """
 
+import errno
 import gzip
 import json
 import os
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.errors import ReproError
 from repro.experiments import run_spec_trials, sweep_specs
 from repro.experiments.batch import TrialExecutor
 from repro.scenarios import RunSpec
+from repro.sweeps import store as store_module
 from repro.sweeps import (
     DEFAULT_STALE_AFTER_SEC,
     IntSketch,
@@ -263,6 +266,51 @@ class TestStore:
         assert path.read_text(encoding="utf-8") == text
         assert [store.shard_bytes(s) for s in manifest.shard_ids()] == shards
 
+    def test_full_disk_names_the_part_file(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        """ENOSPC mid-append (a torn line on disk) fails with an error
+        naming the part file and the remedy; following the remedy
+        finishes every shard byte for byte."""
+        reference = open_store(tmp_path / "ref", manifest)
+        run_sweep(manifest, reference, compact=False)
+        real_open = open
+
+        class FullDisk:
+            """Appends two records, then tears the third and fails."""
+
+            def __init__(self, path, mode):
+                self._fh = real_open(path, mode)
+                self._writes = 0
+
+            def write(self, data):
+                self._writes += 1
+                if self._writes == 3:
+                    self._fh.write(data[: len(data) // 2])
+                    self._fh.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self._fh.write(data)
+
+            def flush(self):
+                self._fh.flush()
+
+            def close(self):
+                self._fh.close()
+
+        monkeypatch.setattr(store_module, "open", FullDisk, raising=False)
+        store = open_store(tmp_path / "s", manifest)
+        pattern = (
+            r"no space left.*shard-00000\.part\.jsonl.*free space.*--resume"
+        )
+        with pytest.raises(ReproError, match=pattern):
+            run_sweep(manifest, store, compact=False)
+        monkeypatch.undo()
+        assert store.resume_shard(0) == 2  # the torn third line is dropped
+        run_sweep(manifest, store, resume=True, compact=False)
+        assert [store.shard_bytes(s) for s in manifest.shard_ids()] == [
+            reference.shard_bytes(s) for s in manifest.shard_ids()
+        ]
+
     def test_store_refuses_foreign_manifest(self, manifest, tmp_path):
         store = open_store(tmp_path / "s", manifest)
         other = SweepManifest.from_base(
@@ -309,6 +357,53 @@ class TestLeases:
         payload["pid"] = 2 ** 22 + 1  # beyond any default pid_max
         held.path.write_text(json.dumps(payload))
         assert leases.is_stale(0)
+
+    @staticmethod
+    def _foreign_lease(leases, shard, skew):
+        """A lease held by another host whose clock is ``skew`` s ahead."""
+        held = leases.claim(shard)
+        payload = json.loads(held.path.read_text())
+        payload.update(host="other-host.invalid", pid=4242)
+        held.path.write_text(json.dumps(payload))
+        ahead = time.time() + skew
+        os.utime(held.path, (ahead, ahead))
+        return held.path
+
+    def test_future_lease_names_the_file(self, tmp_path):
+        """Clock skew past the stale window: a lease that could never go
+        stale fails with the file, its owner and the remedy."""
+        leases = LeaseManager(tmp_path, stale_after=60.0)
+        path = self._foreign_lease(leases, 0, skew=3600.0)
+        pattern = (
+            r"shard-00000\.lease \(owner other-host\.invalid pid 4242\)"
+            r".*in the future.*sync the clocks.*delete the lease.*--resume"
+        )
+        with pytest.raises(ReproError, match=pattern):
+            leases.is_stale(0)
+        assert leases.claim(0) is None  # a polite claim never judges it
+        with pytest.raises(ReproError, match=pattern):
+            leases.claim(0, steal_stale=True)
+        path.unlink()
+        assert leases.claim(0, steal_stale=True) is not None
+
+    def test_future_lease_within_window_is_live(self, tmp_path):
+        leases = LeaseManager(tmp_path, stale_after=60.0)
+        self._foreign_lease(leases, 0, skew=30.0)
+        assert not leases.is_stale(0)
+
+    def test_future_lease_resume_is_byte_identical(self, manifest, tmp_path):
+        reference = open_store(tmp_path / "ref", manifest)
+        run_sweep(manifest, reference, compact=False)
+        store = open_store(tmp_path / "s", manifest)
+        leases = LeaseManager(store.leases_dir)
+        path = self._foreign_lease(leases, 1, skew=10 * DEFAULT_STALE_AFTER_SEC)
+        with pytest.raises(ReproError, match=r"shard-00001\.lease"):
+            run_sweep(manifest, store, resume=True, compact=False)
+        path.unlink()
+        run_sweep(manifest, store, resume=True, compact=False)
+        assert [store.shard_bytes(s) for s in manifest.shard_ids()] == [
+            reference.shard_bytes(s) for s in manifest.shard_ids()
+        ]
 
     def test_fresh_lease_is_not_stale(self, tmp_path):
         leases = LeaseManager(tmp_path)

@@ -1,27 +1,21 @@
 """Tests for the streaming traffic core (``repro.traffic``).
 
-Covers the four tentpole layers: injection sources (including byte-identity
-of :class:`BernoulliSource` with the legacy ``bernoulli_arrivals``), the
-engine-level arrival gating of the reference engine, windowed live
-metrics, and the open-loop streaming driver behind ``repro serve``.  The
-golden-digest class pins the refactored dynamic pipeline to its
-pre-refactor behavior, hash for hash.
+Covers the four tentpole layers: injection sources (including a pinned
+digest of the :class:`BernoulliSource` draw stream), the engine-level
+arrival gating of the reference engine, windowed live metrics, and the
+open-loop streaming driver behind ``repro serve``.  The golden-digest
+class pins dynamic runs (static routers over schedule-carrying problems)
+to their historical results, telemetry and event traces, hash for hash.
 """
 
 import hashlib
 import json
 import pathlib
 import tempfile
-import warnings
 
 import pytest
 
 from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
-from repro.dynamic import (
-    DynamicNaiveRouter,
-    bernoulli_arrivals,
-    router_attach,
-)
 from repro.errors import ParameterError, ReproError, SimulationError, WorkloadError
 from repro.net import butterfly
 from repro.paths import random_monotone_path
@@ -29,7 +23,7 @@ from repro.rng import make_rng
 from repro.scenarios import RunSpec, run_trial
 from repro.sim import Engine
 from repro.sim.events import EventKind, TraceEvent
-from repro.telemetry import WindowedMetrics
+from repro.telemetry import TelemetrySession, WindowedMetrics
 from repro.telemetry.live import WINDOW_SCHEMA, _quantile
 from repro.traffic import (
     Arrival,
@@ -39,7 +33,9 @@ from repro.traffic import (
     PoissonSource,
     TraceSource,
     collect_arrivals,
+    dynamic_stats,
     make_stream_router,
+    offered_load,
     problem_from_arrivals,
     run_stream,
 )
@@ -83,14 +79,15 @@ class TestArrivalSchedule:
 
 class TestSources:
     def test_bernoulli_matches_legacy_stream(self, net):
-        """Draw-for-draw identity with repro.dynamic.bernoulli_arrivals."""
-        legacy = bernoulli_arrivals(
-            net, 0.3, horizon=120, seed=17, source_levels=[0, 1], min_hops=2
-        )
+        """The draw stream is pinned: 606 arrivals, hashed as triples."""
         src = BernoulliSource(
             net, 0.3, seed=17, horizon=120, source_levels=[0, 1], min_hops=2
         )
-        assert collect_arrivals(src) == legacy
+        arrivals = collect_arrivals(src)
+        assert len(arrivals) == 606
+        triples = [[a.time, a.source, a.destination] for a in arrivals]
+        digest = hashlib.sha256(json.dumps(triples).encode()).hexdigest()[:16]
+        assert digest == "dd5692c7ed715054"
 
     def test_bernoulli_validation(self, net):
         with pytest.raises(WorkloadError):
@@ -202,21 +199,58 @@ class TestEngineGating:
 # ----------------------------------------------------------- golden digests
 
 
+#: Content hashes of the specs the golden runs were first recorded under;
+#: the trace header still carries them.
+_GOLDEN_SPEC_HASHES = {
+    ("dynamic_naive", 0): "7b786d3d704b171c",
+    ("dynamic_naive", 7): "4bdb11f1098bcebd",
+    ("dynamic_greedy", 0): "15e13d594c539f76",
+    ("dynamic_greedy", 7): "3129c3f7b415b0d3",
+}
+
+
 def _digest_dynamic_run(backend, seed):
-    """Pre-refactor digest recipe for the dynamic backends (pinned)."""
-    spec = RunSpec(
-        topology="butterfly",
-        topology_params={"dim": 3},
-        workload="",
-        selector="none",
-        backend=backend,
-        backend_params={"rate": 0.45, "horizon": 80, "drain": 5000},
-        seed=seed,
+    """Digest one dynamic run: Bernoulli arrivals (rate 0.45, horizon 80)
+    on butterfly(3), routed with a 5000-step drain under seeds
+    ``seed .. seed + 3``.
+
+    Returns ``(result digest, telemetry digest, trace-body digest,
+    header router name)``; the trace body is every line after the header.
+    """
+    rate, horizon, drain = 0.45, 80, 5000
+    net = butterfly(3)
+    arrivals = collect_arrivals(
+        BernoulliSource(net, rate, seed=seed, horizon=horizon)
     )
+    problem, times = problem_from_arrivals(net, arrivals, seed=seed + 1)
+    if backend == "dynamic_greedy":
+        router = GreedyHotPotatoRouter(seed=seed + 2)
+    else:
+        router = NaivePathRouter()
     with tempfile.TemporaryDirectory() as td:
         trace = pathlib.Path(td) / "t.jsonl"
-        rec = run_trial(spec, telemetry=True, trace_path=str(trace))
-        r = rec.result
+        with TelemetrySession(
+            trace_path=str(trace),
+            spec_hash=_GOLDEN_SPEC_HASHES[(backend, seed)],
+        ) as session:
+            r = Engine(problem, router, seed=seed + 3).run(horizon + drain)
+            stats = dynamic_stats(r, times, [len(s.path) for s in problem])
+            r.extra.update(
+                {
+                    "rate": rate,
+                    "horizon": float(horizon),
+                    "offered": float(stats.offered),
+                    "delivered": float(stats.delivered),
+                    "drained": 1.0 if stats.drained else 0.0,
+                    "mean_latency": stats.mean_latency,
+                    "p50_latency": stats.p50_latency,
+                    "p95_latency": stats.p95_latency,
+                    "max_latency": stats.max_latency,
+                    "mean_hop_stretch": stats.mean_hop_stretch,
+                    "offered_load": offered_load(net, arrivals, horizon),
+                }
+            )
+            session.finalize_result(r)
         res_payload = {
             "makespan": r.makespan,
             "delivered": r.delivered,
@@ -237,33 +271,40 @@ def _digest_dynamic_run(backend, seed):
         tel_d = hashlib.sha256(
             json.dumps(r.telemetry, sort_keys=True).encode()
         ).hexdigest()[:16]
-        trace_d = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
-    return res_d, tel_d, trace_d
+        header, body = trace.read_bytes().split(b"\n", 1)
+        body_d = hashlib.sha256(body).hexdigest()[:16]
+    return res_d, tel_d, body_d, json.loads(header)["router"]
 
 
 class TestDynamicGoldenDigests:
-    """The refactored dynamic path must stay byte-identical to the
-    pre-refactor routers (digests recorded before injection moved into the
-    engines): results, telemetry, and full event traces."""
+    """Dynamic runs stay byte-identical to their historical digests:
+    results and telemetry as first recorded, and every trace line after
+    the header (the header names the router class that ran)."""
 
     GOLDEN = {
         ("dynamic_naive", 0): (
-            "b97220aa8197ddf7", "37355310fe02669b", "d802311b6b354e52",
+            "b97220aa8197ddf7", "37355310fe02669b", "e68f44240cf30770",
         ),
         ("dynamic_naive", 7): (
-            "5f967754777271db", "ee205cb2b37341e9", "f22c7f0421866158",
+            "5f967754777271db", "ee205cb2b37341e9", "44dd928cdaf99b47",
         ),
         ("dynamic_greedy", 0): (
-            "b97220aa8197ddf7", "37355310fe02669b", "e5bfc637b9c2b68c",
+            "b97220aa8197ddf7", "37355310fe02669b", "e68f44240cf30770",
         ),
         ("dynamic_greedy", 7): (
-            "5f967754777271db", "ee205cb2b37341e9", "f7d2e3dd3c9a9435",
+            "5f967754777271db", "ee205cb2b37341e9", "44dd928cdaf99b47",
         ),
+    }
+    ROUTER = {
+        "dynamic_naive": "NaivePathRouter",
+        "dynamic_greedy": "GreedyHotPotatoRouter",
     }
 
     @pytest.mark.parametrize("backend,seed", sorted(GOLDEN))
     def test_digests_pinned(self, backend, seed):
-        assert _digest_dynamic_run(backend, seed) == self.GOLDEN[(backend, seed)]
+        *digests, router = _digest_dynamic_run(backend, seed)
+        assert tuple(digests) == self.GOLDEN[(backend, seed)]
+        assert router == self.ROUTER[backend]
 
 
 # ----------------------------------------------------------------- streaming
@@ -415,19 +456,6 @@ class TestWindowedMetrics:
             assert _quantile(data, q) == pytest.approx(
                 float(np.quantile(data, q))
             )
-
-
-# ------------------------------------------------------- deprecation shims
-
-
-class TestDeprecations:
-    def test_router_attach_new_name_clean(self, net):
-        arrivals = bernoulli_arrivals(net, 0.2, horizon=20, seed=1)
-        problem, times = problem_from_arrivals(net, arrivals, seed=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = Engine(problem, DynamicNaiveRouter(times), seed=3)
-            router_attach(NaivePathRouter(), engine)
 
 
 # --------------------------------------------------------- RunSpec arrivals

@@ -1,21 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-The interactive workflows all funnel into the scenario layer
-(:mod:`repro.scenarios`): ``route`` and ``sweep`` translate their flags
-into a :class:`~repro.scenarios.RunSpec` and dispatch it, and the
-spec-native commands expose the catalog directly (continuous-injection
-runs are arrival specs, e.g. ``repro spec dynamic_greedy``):
+Every command that runs a scenario takes it as a
+:class:`~repro.scenarios.RunSpec` JSON (``--spec PATH``, or ``-`` for
+stdin); ``repro spec NAME`` prints a catalog entry to start from, and
+continuous-injection runs are arrival specs (``repro spec dynamic_greedy``):
 
-* ``topo``    — build a named topology, validate it, print its profile;
+* ``topo``    — build a ``name:args`` topology, validate it, print its profile;
 * ``params``  — show the algorithm parameters (practical and theory-exact)
   for a given (C, L, N);
 * ``frames``  — render the Figure-2 film strip for a parameterization;
-* ``route``   — build an instance, route it with a chosen backend;
-* ``sweep``   — seeded multi-trial frontier sweep (optionally parallel);
+* ``sweep``   — seeded multi-trial sweep of a spec through the sharded
+  manifest engine (resumable store, streaming aggregate);
+* ``tune``    — successive-halving parameter search over a frontier spec;
 * ``list``    — show the catalog specs and every registered component;
 * ``spec``    — print (or write) a catalog spec as JSON;
-* ``run``     — run a spec from a JSON file, optionally result-cached,
-  with ``--trace``/``--telemetry`` observability;
+* ``run``     — run one spec, optionally result-cached, with
+  ``--trace``/``--telemetry`` observability (an audited run is a spec
+  with ``"backend_params": {"audit": true}``);
 * ``serve``   — open-loop streaming service: a spec with an ``arrival``
   process in, windowed live metrics (JSONL or SSE) out;
 * ``report``  — render a run summary from a spec, cached result, result
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .analysis import format_kv
 from .core import AlgorithmParams, FrameGeometry, compute_theory_values
 from .errors import ReproError
 from .net import LeveledNetwork, profile, validate_leveled
-from .paths import RoutingProblem
 from .scenarios import (
     PATH_SELECTORS,
     TOPOLOGIES,
@@ -44,7 +44,6 @@ from .scenarios import (
     run_trial,
     save_spec,
 )
-from .scenarios.registry import UnknownNameError
 
 #: Environment variable through which ``repro experiment --workers`` hands
 #: the trial-sweep worker count to the benchmark harness
@@ -105,13 +104,9 @@ _TOPOLOGY_ARG_PARSERS = {
     "random_leveled": _topo_args_random,
 }
 
-#: Topologies whose builder actually consumes the seed; only these carry an
-#: explicit seed in the specs the CLI constructs.
-_SEEDED_TOPOLOGIES = frozenset({"random", "random_leveled"})
 
-
-def parse_topology(spec: str, seed: int = 0) -> Tuple[str, dict]:
-    """Parse ``name:arg1:arg2`` shorthand into (registry name, params).
+def build_topology(spec: str, seed: int = 0) -> LeveledNetwork:
+    """Materialize ``name:arg1:arg2`` shorthand through the topology registry.
 
     Examples: ``butterfly:5``, ``mesh:8x8``, ``hypercube:5``, ``line:20``,
     ``omega:4``, ``fattree:4``, ``btree:4``, ``random:6x20`` (width x depth).
@@ -132,95 +127,14 @@ def parse_topology(spec: str, seed: int = 0) -> Tuple[str, dict]:
         params = parser(rest)
     except ValueError as exc:
         raise SystemExit(f"bad topology spec {spec!r}: {exc}") from exc
-    if name in _SEEDED_TOPOLOGIES:
-        params["seed"] = seed
-    return name, params
+    return TOPOLOGIES.get(name)(seed=seed, **params)
 
 
-def build_topology(spec: str, seed: int = 0) -> LeveledNetwork:
-    """Materialize a ``name:args`` topology spec through the registry."""
-    name, params = parse_topology(spec, seed=seed)
-    builder = TOPOLOGIES.get(name)
-    params.setdefault("seed", seed)
-    return builder(**params)
-
-
-# -------------------------------------------------------- workload shorthand
-#
-# Legacy CLI workload names -> (workload registry name, selector registry
-# name).  Seeds follow the historical convention: the workload draws from
-# ``seed`` and the selector from ``seed + 1``.
-
-_CLI_WORKLOADS: Dict[str, Tuple[str, str]] = {
-    "random": ("random_many_to_one", "random"),
-    "bottleneck": ("random_many_to_one", "bottleneck"),
-    "hotspot": ("hotspot", "random"),
-    "permutation": ("bf_permutation", "bit_fixing"),
-    "hotrow": ("bf_hot_row", "bit_fixing"),
-}
-
-
-def _workload_pair(workload: str) -> Tuple[str, str]:
-    try:
-        return _CLI_WORKLOADS[workload]
-    except KeyError:
-        raise UnknownNameError("workload", workload, _CLI_WORKLOADS) from None
-
-
-def _workload_params(
-    net: Optional[LeveledNetwork], workload: str, packets: Optional[int]
-) -> dict:
-    params: dict = {}
-    if workload == "hotrow" and packets is None and net is not None:
-        # The historical CLI default: half the input rows.
-        packets = len(net.nodes_at_level(0)) // 2
-    if packets is not None and workload != "permutation":
-        params["num_packets"] = packets
-    return params
-
-
-def build_problem(
-    net: LeveledNetwork, workload: str, packets: Optional[int], seed: int
-) -> RoutingProblem:
-    """Build a routing problem from a legacy CLI workload name."""
-    workload_name, selector_name = _workload_pair(workload)
-    workload_fn = WORKLOADS.get(workload_name)
-    selector_fn = PATH_SELECTORS.get(selector_name)
-    params = _workload_params(net, workload, packets)
-    built = workload_fn(net, seed=seed, **params)
-    return selector_fn(net, built.endpoints, seed=seed + 1)
-
-
-def _cli_spec(
-    net_arg: str,
-    workload: str,
-    packets: Optional[int],
-    seed: int,
-    backend: str,
-    backend_params: Optional[dict] = None,
-    net: Optional[LeveledNetwork] = None,
-) -> RunSpec:
-    """Translate route/sweep flags into a dispatchable spec.
-
-    Component seeds are pinned explicitly (workload ``seed``, selector
-    ``seed + 1``) so the spec reproduces the historical CLI byte-for-byte.
-    """
-    topology, topology_params = parse_topology(net_arg, seed=seed)
-    workload_name, selector_name = _workload_pair(workload)
-    workload_params = _workload_params(net, workload, packets)
-    workload_params["seed"] = seed
-    return RunSpec(
-        name=f"route({net_arg}, {workload}, {backend})",
-        topology=topology,
-        topology_params=topology_params,
-        workload=workload_name,
-        workload_params=workload_params,
-        selector=selector_name,
-        selector_params={"seed": seed + 1},
-        backend=backend,
-        backend_params=backend_params or {},
-        seed=seed,
-    )
+def _read_spec(arg: str) -> RunSpec:
+    """The ``--spec`` argument: a JSON file path, or ``-`` for stdin."""
+    if arg == "-":
+        return RunSpec.from_json(sys.stdin.read())
+    return load_spec(arg)
 
 
 # ------------------------------------------------------------------ commands
@@ -286,27 +200,6 @@ def cmd_frames(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_route(args: argparse.Namespace) -> int:
-    net = build_topology(args.net, seed=args.seed)
-    backend_params = {"audit": True} if args.audit else {}
-    spec = _cli_spec(
-        args.net,
-        args.workload,
-        args.packets,
-        args.seed,
-        backend=args.router,
-        backend_params=backend_params,
-        net=net,
-    )
-    problem = build_problem(net, args.workload, args.packets, args.seed)
-    print(f"instance: {problem.describe()}")
-    record = run_trial(spec, problem=problem)
-    print(record.result.summary())
-    if record.audit is not None:
-        print(f"audit: {record.audit.summary()}")
-    return 0 if record.ok else 1
-
-
 def _benchmarks_dir():
     import pathlib
 
@@ -331,40 +224,9 @@ def _parse_shard_ids(text: str) -> list:
     return shards
 
 
-def _manifest_base_spec(args: argparse.Namespace, packets, backend_params):
-    """The manifest's base spec for the sweep-store path.
-
-    ``--fixed-problem`` keeps :func:`_cli_spec`'s explicitly pinned
-    component seeds (manifest trials then reproduce the legacy
-    :func:`~repro.experiments.sweep_specs` bytes exactly).  Otherwise the
-    explicit component seeds are stripped so each trial's *master* seed
-    derives its own topology/workload/selector streams — one independent
-    instance per trial, the manifest-native form of the legacy per-seed
-    sweep (equivalent design, different seed derivation).
-    """
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """The sharded manifest engine behind ``repro sweep`` (docs/sweeps.md)."""
     import dataclasses
-
-    base = _cli_spec(
-        args.net,
-        args.workload,
-        packets,
-        args.seed,
-        backend="frontier",
-        backend_params=backend_params,
-    )
-    if args.fixed_problem:
-        return base
-    strip = lambda params: {k: v for k, v in params.items() if k != "seed"}  # noqa: E731
-    return dataclasses.replace(
-        base,
-        topology_params=strip(base.topology_params),
-        workload_params=strip(base.workload_params),
-        selector_params=strip(base.selector_params),
-    )
-
-
-def _cmd_sweep_store(args: argparse.Namespace, packets, backend_params) -> int:
-    """The sharded sweep engine behind ``repro sweep --store/--manifest``."""
     import json
     import pathlib
 
@@ -379,6 +241,9 @@ def _cmd_sweep_store(args: argparse.Namespace, packets, backend_params) -> int:
         save_manifest,
     )
 
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return 2
     manifest_path = pathlib.Path(args.manifest) if args.manifest else None
     if manifest_path is not None and manifest_path.exists():
         manifest = load_manifest(manifest_path)
@@ -390,7 +255,28 @@ def _cmd_sweep_store(args: argparse.Namespace, packets, backend_params) -> int:
             )
             return 2
     else:
-        base = _manifest_base_spec(args, packets, backend_params)
+        if args.spec is None:
+            print(
+                "error: --spec is required unless --manifest names an "
+                "existing file",
+                file=sys.stderr,
+            )
+            return 2
+        base = _read_spec(args.spec)
+        if not args.fixed_problem:
+            # Strip explicit component seeds so each trial's master seed
+            # derives its own component streams: one independent instance
+            # per trial.
+            strip = lambda params: {  # noqa: E731
+                k: v for k, v in params.items() if k != "seed"
+            }
+            base = dataclasses.replace(
+                base,
+                topology_params=strip(base.topology_params),
+                workload_params=strip(base.workload_params),
+                selector_params=strip(base.selector_params),
+                arrival_params=strip(base.arrival_params),
+            )
         manifest = SweepManifest.from_base(
             base,
             num_trials=args.trials,
@@ -435,113 +321,10 @@ def _cmd_sweep_store(args: argparse.Namespace, packets, backend_params) -> int:
         # is success: another invocation finishes the manifest.
         return 0
     aggregate = outcome.aggregate or {}
-    return 0 if aggregate.get("delivered_all") == aggregate.get("trials") else 1
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    import time
-
-    from .experiments import derive_sweep_seeds, run_spec_trials
-
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
-    packets = args.packets
-    if args.workload == "hotrow" and packets is None:
-        # Resolve the net-dependent default once: hot-row only applies to
-        # deterministic (butterfly) topologies, where it is seed-invariant.
-        probe = build_topology(args.net, seed=args.seed)
-        packets = len(probe.nodes_at_level(0)) // 2
-    backend_params = {"audit": True} if args.audit else {}
-    if args.store or args.manifest:
-        return _cmd_sweep_store(args, packets, backend_params)
-    if args.fixed_problem:
-        # Monte Carlo over the algorithm's coins: one instance, many
-        # routings (the shape of the paper's probabilistic guarantees).
-        # All trials share a scenario hash, so batched execution builds
-        # the problem once per worker.
-        from .experiments import sweep_specs
-
-        base = _cli_spec(
-            args.net,
-            args.workload,
-            packets,
-            args.seed,
-            backend="frontier",
-            backend_params=backend_params,
-        )
-        specs = sweep_specs(base, args.trials)
-    else:
-        specs = [
-            _cli_spec(
-                args.net,
-                args.workload,
-                packets,
-                seed,
-                backend="frontier",
-                backend_params=backend_params,
-            )
-            for seed in derive_sweep_seeds(args.seed, args.trials)
-        ]
-    progress = None
-    if args.telemetry:
-
-        def progress(done, total, record):
-            print(
-                f"  trial {done}/{total}: T={record.result.makespan} "
-                f"({'ok' if record.result.all_delivered else 'incomplete'})",
-                file=sys.stderr,
-            )
-
-    start = time.perf_counter()
-    records = run_spec_trials(
-        specs,
-        workers=args.workers,
-        telemetry=args.telemetry,
-        progress=progress,
+    ok = (
+        aggregate.get("delivered_all") == aggregate.get("trials")
+        and not aggregate.get("audit_violations")
     )
-    elapsed = time.perf_counter() - start
-    delivered = sum(1 for r in records if r.result.all_delivered)
-    audits_ok = all(r.audit is None or r.audit.ok for r in records)
-    makespans = sorted(r.result.makespan for r in records)
-    ratios = [
-        r.result.makespan / max(1, r.result.congestion + r.result.dilation)
-        for r in records
-    ]
-    print(
-        f"sweep     : {args.trials} frontier trials on {args.net} / "
-        f"{args.workload} (workers={args.workers}"
-        + (", fixed problem)" if args.fixed_problem else ")")
-    )
-    print(
-        f"delivered : {delivered}/{len(records)} trials"
-        + ("" if not args.audit else f", invariants {'OK' if audits_ok else 'VIOLATED'}")
-    )
-    print(
-        f"makespan  : min {makespans[0]}, median "
-        f"{makespans[len(makespans) // 2]}, max {makespans[-1]} "
-        f"(T/(C+L) mean {sum(ratios) / len(ratios):.1f})"
-    )
-    print(
-        f"throughput: {len(records) / elapsed:.2f} trials/sec "
-        f"({elapsed:.2f}s wall)"
-    )
-    if args.telemetry:
-        from .telemetry import aggregate_counters
-
-        combined = aggregate_counters(
-            [r.result.telemetry for r in records]
-        )
-        if combined is not None:
-            print(
-                f"telemetry : {combined['events_total']} events over "
-                f"{combined['runs']} trials; deflections "
-                f"{combined['deflections']['safe']} safe / "
-                f"{combined['deflections']['unsafe']} unsafe; "
-                f"absorptions {combined['absorptions']}; "
-                f"max phases {combined['phases_seen']}"
-            )
-    ok = delivered == len(records) and audits_ok
     return 0 if ok else 1
 
 
@@ -569,7 +352,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from .experiments import catalog_spec
     from .tuning import (
         TuningStudy,
         default_grid,
@@ -582,27 +364,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.study:
         study = load_study(args.study)
     else:
-        if args.catalog:
-            base = catalog_spec(args.catalog, seed=args.seed)
-            if base.backend not in ("frontier", "frontier_vec"):
-                print(
-                    f"error: catalog entry {args.catalog!r} uses backend "
-                    f"{base.backend!r}; tuning needs a frontier scenario",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            packets = args.packets
-            if args.workload == "hotrow" and packets is None:
-                probe = build_topology(args.net, seed=args.seed)
-                packets = len(probe.nodes_at_level(0)) // 2
-            base = _cli_spec(
-                args.net,
-                args.workload,
-                packets,
-                args.seed,
-                backend="frontier",
+        if args.spec is None:
+            print(
+                "error: --spec is required unless --study names a study file",
+                file=sys.stderr,
             )
+            return 2
+        base = _read_spec(args.spec)
         candidates = default_grid(
             c_stars=_parse_grid_values(args.c_stars, float),
             ms=_parse_grid_values(args.ms, int),
@@ -757,7 +525,7 @@ def cmd_spec(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = load_spec(args.spec)
+    spec = _read_spec(args.spec)
     print(f"spec  : {spec.describe()}")
     telemetry = args.telemetry or args.trace is not None
     profiler = None
@@ -803,7 +571,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"events: {counters['events_total']} "
             f"(deflections {counters['deflections']['safe']} safe / "
             f"{counters['deflections']['unsafe']} unsafe; "
-            f"view with: python -m repro report {args.spec}"
+            "view with: python -m repro report "
+            + (spec.content_hash() if args.spec == "-" else args.spec)
             + (" --cache-dir ..." if args.cache_dir else "")
             + ")"
         )
@@ -820,10 +589,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .telemetry import WindowedMetrics
     from .traffic import make_stream_router, run_stream
 
-    if args.spec == "-":
-        spec = RunSpec.from_json(sys.stdin.read())
-    else:
-        spec = load_spec(args.spec)
+    spec = _read_spec(args.spec)
     if not spec.arrival:
         print(
             "error: serve requires a spec with an 'arrival' process "
@@ -942,36 +708,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_frames.add_argument("--phases", type=int, default=24)
     p_frames.set_defaults(func=cmd_frames)
 
-    p_route = sub.add_parser("route", help="route one instance")
-    p_route.add_argument("--net", default="butterfly:5")
-    p_route.add_argument(
-        "--workload",
-        default="random",
-        help="random | bottleneck | hotspot | permutation | hotrow",
-    )
-    p_route.add_argument(
-        "--router",
-        default="frontier",
-        help="a backend name: frontier | naive | greedy | randgreedy | "
-        "storeforward | random_delay | bounded_buffer (see 'repro list')",
-    )
-    p_route.add_argument("--packets", type=int, default=None)
-    p_route.add_argument("--seed", type=int, default=0)
-    p_route.add_argument(
-        "--audit", action="store_true", help="audit invariants I_a..I_f"
-    )
-    p_route.set_defaults(func=cmd_route)
-
     p_sweep = sub.add_parser(
-        "sweep", help="run a seeded multi-trial frontier sweep"
+        "sweep", help="run a seeded multi-trial sweep of a spec"
     )
-    p_sweep.add_argument("--net", default="butterfly:4")
     p_sweep.add_argument(
-        "--workload",
-        default="random",
-        help="random | bottleneck | hotspot | permutation | hotrow",
+        "--spec",
+        default=None,
+        metavar="PATH",
+        help="the base RunSpec JSON ('-' = stdin); required unless "
+        "--manifest names an existing file",
     )
-    p_sweep.add_argument("--packets", type=int, default=None)
     p_sweep.add_argument("--trials", type=int, default=8)
     p_sweep.add_argument(
         "--workers",
@@ -979,7 +725,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         help="trial processes (1 = serial; results are identical either way)",
     )
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument(
         "--fixed-problem",
         action="store_true",
@@ -988,28 +733,24 @@ def make_parser() -> argparse.ArgumentParser:
         "one warm-cached problem build per worker)",
     )
     p_sweep.add_argument(
-        "--audit", action="store_true", help="audit invariants I_a..I_f"
-    )
-    p_sweep.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect per-trial counters (aggregated summary + per-trial "
-        "progress on stderr)",
+        help="collect per-trial counters (folded into the aggregate)",
     )
     p_sweep.add_argument(
         "--store",
         default=None,
         metavar="DIR",
-        help="sweep-store root: run through the sharded manifest engine "
-        "(resumable segments + streaming aggregate under "
-        "DIR/<manifest-hash>/; cooperating invocations share it)",
+        help="sweep-store root: resumable segments + streaming aggregate "
+        "under DIR/<manifest-hash>/; cooperating invocations share it "
+        "(omit to just emit/describe the manifest)",
     )
     p_sweep.add_argument(
         "--manifest",
         default=None,
         metavar="PATH",
         help="manifest JSON: load it if it exists, else derive one from "
-        "the flags and write it there (without --store: emit and stop)",
+        "--spec and the trial flags and write it there",
     )
     p_sweep.add_argument(
         "--shard",
@@ -1057,25 +798,18 @@ def make_parser() -> argparse.ArgumentParser:
         help="auto-tune frontier parameters (successive-halving sweep "
         "study; see docs/tuning.md)",
     )
-    p_tune.add_argument("--net", default="butterfly:4")
     p_tune.add_argument(
-        "--workload",
-        default="random",
-        help="random | bottleneck | hotspot | permutation | hotrow",
-    )
-    p_tune.add_argument("--packets", type=int, default=None)
-    p_tune.add_argument("--seed", type=int, default=0)
-    p_tune.add_argument(
-        "--catalog",
+        "--spec",
         default=None,
-        metavar="NAME",
-        help="tune a catalog scenario instead of --net/--workload",
+        metavar="PATH",
+        help="the base frontier RunSpec JSON ('-' = stdin); required "
+        "unless --study is given",
     )
     p_tune.add_argument(
         "--study",
         default=None,
         metavar="PATH",
-        help="load a saved study JSON (ignores the scenario/grid flags); "
+        help="load a saved study JSON (ignores --spec and the grid flags); "
         "reproduces that exact search",
     )
     p_tune.add_argument(
@@ -1216,7 +950,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spec)
 
     p_run = sub.add_parser("run", help="run a scenario spec from a JSON file")
-    p_run.add_argument("--spec", required=True, help="path to a spec JSON file")
+    p_run.add_argument(
+        "--spec", required=True, help="path to a spec JSON file, or '-' for stdin"
+    )
     p_run.add_argument(
         "--cache",
         action="store_true",

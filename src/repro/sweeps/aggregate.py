@@ -20,7 +20,9 @@ fixed-size state:
   never coarsens and percentiles are exact.
 * telemetry counter snapshots merged pairwise through
   :func:`repro.telemetry.aggregate_counters` (additive fields sum, peaks
-  max — the same semantics the CLI sweep summary always used).
+  max — the same semantics the CLI sweep summary always used);
+* invariant-audit tallies (audited trials, violated audits), present
+  only when records carry an ``audit``.
 
 ``to_dict`` emits a JSON-stable summary; ``aggregate_store`` streams a
 finished (or compacted) store through one pass.
@@ -114,6 +116,10 @@ class StreamingAggregate:
         self.packets_delivered = 0
         self.unsafe_deflections = 0
         self.cache_hits = 0
+        #: trials whose record carries an invariant audit, and how many
+        #: of those audits recorded a violation
+        self.audited = 0
+        self.audit_violations = 0
         self.makespan = IntSketch()
         self.delivery_time = IntSketch()
         self.deflections = IntSketch()
@@ -150,6 +156,11 @@ class StreamingAggregate:
         from ..io import result_from_dict
 
         self.add_result(result_from_dict(record["result"]))
+        audit = record.get("audit")
+        if audit is not None:
+            self.audited += 1
+            if not audit["ok"]:
+                self.audit_violations += 1
 
     def _fold_telemetry(self, snapshot: dict) -> None:
         from ..telemetry import aggregate_counters
@@ -172,6 +183,8 @@ class StreamingAggregate:
         self.packets_delivered += other["packets_delivered"]
         self.unsafe_deflections += other["unsafe_deflections"]
         self.cache_hits += other.get("cache_hits", 0)
+        self.audited += other.get("audited", 0)
+        self.audit_violations += other.get("audit_violations", 0)
         for name, sketch in (
             ("makespan", self.makespan),
             ("delivery_time", self.delivery_time),
@@ -212,6 +225,11 @@ class StreamingAggregate:
             "deflections": self.deflections.to_dict(),
             "slowdown_milli": self.slowdown_milli.to_dict(),
         }
+        if self.audited:
+            # Only audited sweeps carry the keys: unaudited aggregates stay
+            # byte-identical to those written before audits were stored.
+            record["audited"] = self.audited
+            record["audit_violations"] = self.audit_violations
         if self._telemetry is not None:
             record["telemetry"] = self._telemetry
         return record
@@ -256,6 +274,11 @@ def render_aggregate(record: dict) -> str:
         lines.append(
             f"slowdown  : T/max(C,D) mean {sd['mean'] / 1000:.2f}, "
             f"p95 {(sd['p95'] or 0) / 1000:.2f}"
+        )
+    if record.get("audited"):
+        lines.append(
+            f"invariants: {record['audited']} audited, "
+            f"{record['audit_violations']} violated"
         )
     telemetry = record.get("telemetry")
     if telemetry:

@@ -268,6 +268,7 @@ def run_sweep(
                         record.spec.seed,
                         record.spec.content_hash(),
                         record.result,
+                        record.audit,
                     )
                     executed += 1
                     now = perf_counter()

@@ -16,10 +16,11 @@ rooted at ``<store_root>/<manifest_hash>/``::
 
 **Byte identity per shard.**  A record line is the canonical JSON
 (``sort_keys``, compact separators) of ``{index, seed, spec_hash,
-result}`` — all pure functions of the manifest — and finalized segments
-are gzipped with ``mtime=0`` and a fixed compression level.  Same shard ⇒
-same bytes, no matter which host wrote it, how many pool workers ran it,
-or where a previous attempt was killed.
+result}``, plus ``audit`` for audited trials — all pure functions of the
+manifest — and finalized segments are gzipped with ``mtime=0`` and a
+fixed compression level.  Same shard ⇒ same bytes, no matter which host
+wrote it, how many pool workers ran it, or where a previous attempt was
+killed.
 
 **Resumability.**  Writers append to the ``.part`` file record-by-record
 and finalize atomically (tmp + rename) only when the shard is complete.
@@ -63,8 +64,14 @@ COMPACTED_FILENAME = "sweep.jsonl.gz"
 _GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
 
 
-def encode_record(index: int, seed: int, spec_hash: str, result) -> bytes:
-    """One trial as one canonical JSONL line (the byte-identity unit)."""
+def encode_record(
+    index: int, seed: int, spec_hash: str, result, audit=None
+) -> bytes:
+    """One trial as one canonical JSONL line (the byte-identity unit).
+
+    An audited trial's :class:`~repro.core.AuditReport` adds an ``audit``
+    key (``ok`` plus the one-line summary); unaudited records have none.
+    """
     payload = {
         "kind": RECORD_KIND,
         "index": int(index),
@@ -72,6 +79,8 @@ def encode_record(index: int, seed: int, spec_hash: str, result) -> bytes:
         "spec_hash": spec_hash,
         "result": result_to_dict(result),
     }
+    if audit is not None:
+        payload["audit"] = {"ok": audit.ok, "summary": audit.summary()}
     return (
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     ).encode("utf-8")
@@ -135,7 +144,7 @@ class ShardWriter:
         self.next_index = start_index
         self._fh: Optional[IO[bytes]] = None
 
-    def append(self, seed: int, spec_hash: str, result) -> None:
+    def append(self, seed: int, spec_hash: str, result, audit=None) -> None:
         """Append the next trial's record (indexes are assigned in order)."""
         path = self.store.part_path(self.shard)
         if self._fh is None:
@@ -143,7 +152,7 @@ class ShardWriter:
             self._fh = open(path, "ab")
         try:
             self._fh.write(
-                encode_record(self.next_index, seed, spec_hash, result)
+                encode_record(self.next_index, seed, spec_hash, result, audit)
             )
             self._fh.flush()
         except OSError as exc:

@@ -1,10 +1,30 @@
 """Tests for the command-line interface."""
 
+import io
+import json
+
 import pytest
 
-from repro.cli import build_problem, build_topology, main
+from repro.cli import build_topology, main
 from repro.errors import ReproError
 from repro.scenarios import UnknownNameError
+
+#: A hand-written base spec: random many-to-one traffic on butterfly(3).
+SPEC = {
+    "topology": "butterfly",
+    "topology_params": {"dim": 3},
+    "workload": "random_many_to_one",
+    "workload_params": {"num_packets": 6, "seed": 0},
+    "selector": "random",
+    "selector_params": {"seed": 1},
+    "backend": "frontier",
+    "seed": 0,
+}
+
+
+def write_spec(path, **overrides):
+    path.write_text(json.dumps({**SPEC, **overrides}), encoding="utf-8")
+    return str(path)
 
 
 class TestTopologySpecs:
@@ -46,28 +66,6 @@ class TestTopologySpecs:
             build_topology("butterfly:abc")
 
 
-class TestWorkloads:
-    def test_random_workload(self):
-        net = build_topology("butterfly:3")
-        problem = build_problem(net, "random", 6, seed=0)
-        assert problem.num_packets == 6
-
-    def test_permutation(self):
-        net = build_topology("butterfly:3")
-        problem = build_problem(net, "permutation", None, seed=0)
-        assert problem.num_packets == 8
-
-    def test_hotrow(self):
-        net = build_topology("butterfly:3")
-        problem = build_problem(net, "hotrow", 6, seed=0)
-        assert len({d for _, d in ((s.source, s.destination) for s in problem)}) == 1
-
-    def test_unknown_workload(self):
-        net = build_topology("butterfly:3")
-        with pytest.raises(UnknownNameError, match="unknown workload 'nope'"):
-            build_problem(net, "nope", None, seed=0)
-
-
 class TestCommands:
     def test_topo_command(self, capsys):
         assert main(["topo", "mesh:4x4"]) == 0
@@ -85,50 +83,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "phase |" in out
 
-    def test_route_frontier_audited(self, capsys):
-        code = main(
-            [
-                "route",
-                "--net",
-                "butterfly:3",
-                "--workload",
-                "random",
-                "--packets",
-                "6",
-                "--router",
-                "frontier",
-                "--audit",
-                "--seed",
-                "1",
-            ]
+    def test_route_frontier_audited(self, tmp_path, capsys):
+        # An audited run is a spec with backend_params.audit set.
+        spec = write_spec(
+            tmp_path / "spec.json", backend_params={"audit": True}, seed=1
         )
+        code = main(["run", "--spec", spec])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "all invariants held" in out
+        assert "audit: all invariants held" in out
 
     @pytest.mark.parametrize(
         "router", ["naive", "greedy", "randgreedy", "storeforward"]
     )
-    def test_route_baselines(self, capsys, router):
-        code = main(
-            [
-                "route",
-                "--net",
-                "butterfly:3",
-                "--workload",
-                "permutation",
-                "--router",
-                router,
-                "--seed",
-                "2",
-            ]
-        )
+    def test_route_baselines(self, tmp_path, capsys, router):
+        target = tmp_path / "spec.json"
+        assert main(["spec", f"butterfly_{router}", "--out", str(target)]) == 0
+        code = main(["run", "--spec", str(target)])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "ok" in out
 
-    def test_route_unknown_router(self, capsys):
-        assert main(["route", "--router", "quantum"]) == 2
+    def test_route_unknown_router(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", backend="quantum")
+        assert main(["run", "--spec", spec]) == 2
         err = capsys.readouterr().err
         assert "unknown backend 'quantum'" in err
         assert "available:" in err
@@ -207,13 +185,39 @@ class TestSpecCommands:
         # The cached result is the same record the live run produced.
         assert first.splitlines()[-1] == second.splitlines()[-1]
 
-    def test_sweep_matches_serial(self, capsys):
-        # The sweep output is deterministic for fixed seeds regardless of
-        # worker count.
-        args = ["sweep", "--net", "butterfly:3", "--trials", "3", "--seed", "5"]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        line = next(l for l in serial.splitlines() if l.startswith("makespan"))
-        assert line in parallel
+    def test_sweep_matches_serial(self, tmp_path, capsys):
+        # The sweep store is byte-identical regardless of worker count.
+        spec = write_spec(tmp_path / "spec.json", seed=5)
+        args = ["sweep", "--spec", spec, "--trials", "3", "--no-compact"]
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(args + ["--store", str(serial)]) == 0
+        assert main(args + ["--store", str(parallel), "--workers", "2"]) == 0
+        capsys.readouterr()
+        (serial_dir,) = serial.iterdir()
+        (parallel_dir,) = parallel.iterdir()
+        assert serial_dir.name == parallel_dir.name
+        shards = sorted((serial_dir / "shards").glob("*.jsonl.gz"))
+        assert shards
+        for shard in shards:
+            assert shard.read_bytes() == (
+                parallel_dir / "shards" / shard.name
+            ).read_bytes()
+
+    def test_run_spec_from_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SPEC)))
+        assert main(["run", "--spec", "-"]) == 0
+        out = capsys.readouterr().out
+        assert "butterfly / random_many_to_one / random -> frontier" in out
+        assert "ok" in out
+
+    def test_sweep_and_tune_need_a_spec(self, capsys):
+        assert main(["sweep", "--trials", "2"]) == 2
+        assert "--spec is required" in capsys.readouterr().err
+        assert main(["tune"]) == 2
+        assert "--spec is required" in capsys.readouterr().err
+
+    def test_tune_rejects_non_frontier_spec(self, tmp_path, capsys):
+        target = tmp_path / "spec.json"
+        assert main(["spec", "butterfly_greedy", "--out", str(target)]) == 0
+        assert main(["tune", "--spec", str(target)]) == 2
+        assert "frontier" in capsys.readouterr().err

@@ -609,25 +609,47 @@ class TestAggregation:
 
 
 class TestSweepCli:
-    NET_ARGS = [
-        "sweep", "--net", "butterfly:3", "--packets", "6",
-        "--trials", "10", "--shard-size", "4", "--fixed-problem",
-    ]
+    #: Random many-to-one traffic, 6 packets on butterfly(3).
+    SPEC = {
+        "topology": "butterfly",
+        "topology_params": {"dim": 3},
+        "workload": "random_many_to_one",
+        "workload_params": {"num_packets": 6, "seed": 0},
+        "selector": "random",
+        "selector_params": {"seed": 1},
+        "backend": "frontier",
+        "seed": 0,
+    }
 
-    def test_manifest_only_invocation(self, tmp_path, capsys):
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPEC), encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture
+    def sweep_args(self, spec_path):
+        return [
+            "sweep", "--spec", spec_path,
+            "--trials", "10", "--shard-size", "4", "--fixed-problem",
+        ]
+
+    def test_manifest_only_invocation(self, tmp_path, capsys, sweep_args):
         path = tmp_path / "m.json"
-        assert main(self.NET_ARGS + ["--manifest", str(path)]) == 0
+        assert main(sweep_args + ["--manifest", str(path)]) == 0
         manifest = load_manifest(path)
         assert manifest.num_trials == 10
         assert manifest.shard_size == 4
+        # Pinned: the same sweep the retired --net/--packets flags named.
+        assert manifest.manifest_hash() == "7023b2305c9254a9"
         out = capsys.readouterr().out
         assert "wrote" in out and manifest.manifest_hash() in out
 
-    def test_store_end_to_end(self, tmp_path, capsys):
+    def test_store_end_to_end(self, tmp_path, capsys, sweep_args):
         store_root = tmp_path / "store"
         progress = tmp_path / "hb.jsonl"
         code = main(
-            self.NET_ARGS
+            sweep_args
             + ["--store", str(store_root), "--progress", str(progress)]
         )
         assert code == 0
@@ -640,14 +662,15 @@ class TestSweepCli:
         assert beats and beats[-1]["done"] == 10
         (store_dir,) = store_root.iterdir()
         assert (store_dir / "sweep.jsonl.gz").exists()
-        assert (store_dir / "aggregate.json").exists()
+        aggregate = json.loads((store_dir / "aggregate.json").read_text())
+        assert "audited" not in aggregate  # no audits, no audit keys
 
     def test_cooperating_shard_invocations_match_single_shot(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, sweep_args
     ):
         shared = tmp_path / "shared"
         single = tmp_path / "single"
-        args = self.NET_ARGS + ["--no-compact"]
+        args = sweep_args + ["--no-compact"]
         assert main(args + ["--store", str(shared), "--shard", "0,2"]) == 0
         assert main(args + ["--store", str(shared), "--shard", "1"]) == 0
         assert main(args + ["--store", str(single)]) == 0
@@ -667,27 +690,53 @@ class TestSweepCli:
         b = json.loads((single_dir / "aggregate.json").read_text())
         assert a == b
 
-    def test_loaded_manifest_drives_store_run(self, tmp_path, capsys):
+    def test_loaded_manifest_drives_store_run(self, tmp_path, capsys, sweep_args):
         path = tmp_path / "m.json"
-        main(self.NET_ARGS + ["--manifest", str(path)])
-        # A second invocation with *different* trial flags loads the
-        # manifest verbatim: the file, not the flags, names the sweep.
+        main(sweep_args + ["--manifest", str(path)])
+        # A second invocation with *different* trial flags and no spec
+        # loads the manifest verbatim: the file, not the flags, names the
+        # sweep.
         code = main(
             [
-                "sweep", "--net", "butterfly:3", "--trials", "999",
+                "sweep", "--trials", "999",
                 "--manifest", str(path), "--store", str(tmp_path / "s"),
             ]
         )
         assert code == 0
         assert "10 trials" in capsys.readouterr().out
 
-    def test_conflicting_shard_size_rejected(self, tmp_path, capsys):
+    def test_conflicting_shard_size_rejected(self, tmp_path, capsys, sweep_args):
         path = tmp_path / "m.json"
-        main(self.NET_ARGS + ["--manifest", str(path)])
+        main(sweep_args + ["--manifest", str(path)])
         code = main(
-            self.NET_ARGS[:-3]
+            sweep_args[:-3]
             + ["--shard-size", "8", "--manifest", str(path),
                "--store", str(tmp_path / "s")]
         )
         assert code == 2
         assert "conflicts" in capsys.readouterr().err
+
+    def test_audit_verdicts_reach_the_store(self, tmp_path, capsys, monkeypatch):
+        from repro.core.invariants import AuditReport
+
+        spec = tmp_path / "audited.json"
+        spec.write_text(
+            json.dumps({**self.SPEC, "backend_params": {"audit": True}}),
+            encoding="utf-8",
+        )
+        args = ["sweep", "--spec", str(spec), "--trials", "4", "--fixed-problem"]
+        assert main(args + ["--store", str(tmp_path / "clean")]) == 0
+        assert "invariants: 4 audited, 0 violated" in capsys.readouterr().out
+
+        # A planted violation: every audit reports a broken invariant.
+        monkeypatch.setattr(AuditReport, "ok", property(lambda self: False))
+        root = tmp_path / "planted"
+        assert main(args + ["--store", str(root)]) == 1
+        assert "invariants: 4 audited, 4 violated" in capsys.readouterr().out
+        monkeypatch.undo()
+
+        (store_dir,) = root.iterdir()
+        store = open_store(root, load_manifest(store_dir / "manifest.json"))
+        replayed = aggregate_store(store).to_dict()
+        assert replayed["audited"] == 4 and replayed["audit_violations"] == 4
+        assert replayed == json.loads((store_dir / "aggregate.json").read_text())

@@ -429,23 +429,28 @@ class TestCacheAndReport:
         out = capsys.readouterr().out
         assert "deflection breakdown" in out
 
-    def test_sweep_telemetry_summary(self, capsys):
+    def test_sweep_telemetry_summary(self, tmp_path, capsys):
         from repro.cli import main
 
+        spec_file = tmp_path / "spec.json"
+        save_spec(_spec(), spec_file)
         code = main(
             [
                 "sweep",
-                "--net",
-                "butterfly:3",
+                "--spec",
+                str(spec_file),
                 "--trials",
                 "2",
                 "--telemetry",
+                "--store",
+                str(tmp_path / "store"),
             ]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "telemetry :" in captured.out
-        assert "trial 1/2" in captured.err
+        # The aggregate folds every trial's counters.
+        assert "telemetry : " in captured.out
+        assert "over 2 trials" in captured.out
 
 
 # --------------------------------------------------- batched-sweep identity

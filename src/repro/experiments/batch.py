@@ -233,16 +233,17 @@ class TrialExecutor:
         Two specs with equal keys are guaranteed to materialize the *same*
         routing problem (``scenario_hash`` covers every resolved component
         seed) and run it under the same backend family and parameters, so
-        the stacked kernel can advance them in one set of arrays.  Trials
-        needing per-trial machinery peel off to :meth:`run`: telemetry or
-        an ambient trace session (the lockstep kernel carries no
-        observers), invariant audits, arrival schedules, non-lockstep
-        backends, or a missing numpy.  An eligible key only makes the spec
-        a candidate: :meth:`_run_lockstep` still runs a group per trial
-        when fewer than :data:`LOCKSTEP_MIN_TRIALS` of its trials miss the
-        disk cache.
+        the stacked kernel can advance them in one set of arrays.  Telemetry
+        counters do not split groups: the kernel computes them itself.
+        Trials needing per-trial machinery peel off to :meth:`run`: an
+        ambient telemetry or trace session (the lockstep kernel carries no
+        per-event observers), invariant audits, arrival schedules,
+        non-lockstep backends, or a missing numpy.  An eligible key only
+        makes the spec a candidate: :meth:`_run_lockstep` still runs a
+        group per trial when fewer than :data:`LOCKSTEP_MIN_TRIALS` of its
+        trials miss the disk cache.
         """
-        if not self.lockstep or self.telemetry:
+        if not self.lockstep:
             return None
         family = _LOCKSTEP_FAMILIES.get(spec.backend)
         if family is None or spec.arrival:
@@ -302,9 +303,12 @@ class TrialExecutor:
         scenarios.run_cached` would return them).  When at least
         :data:`LOCKSTEP_MIN_TRIALS` misses remain they run as one lockstep
         batch over the group's shared warm problem and are stored back, so
-        cache contents match the per-trial path byte for byte; fewer misses
+        cached results match the per-trial path byte for byte; fewer misses
         run through the per-trial :meth:`run`, where the reference engine
-        is the faster kernel.
+        is the faster kernel.  With telemetry on, the batch attaches each
+        trial's counters to its result; a batch has no per-trial
+        wall-clock spans, so its records (and cache entries) carry no
+        ``timings``.
         """
         from ..scenarios.dispatch import ScenarioRun, build_problem
 
@@ -353,6 +357,7 @@ class TrialExecutor:
                     condition_sets=bool(params.pop("condition_sets", False)),
                     fast_forward=bool(params.pop("fast_forward", True)),
                     max_steps=params.pop("max_steps", None),
+                    telemetry=self.telemetry,
                     **params,
                 )
             ]
@@ -366,7 +371,9 @@ class TrialExecutor:
                 if explicit is not None
                 else baseline_budget(problem)
             )
-            results = run_naive_trials_lockstep(problem, seeds, budget)
+            results = run_naive_trials_lockstep(
+                problem, seeds, budget, telemetry=self.telemetry
+            )
         for k, result in zip(misses, results):
             spec = group[k]
             if cache is not None:
@@ -465,10 +472,11 @@ def run_spec_trials(
     build lives in the warm cache, not on the record), so sweeps never
     pickle networks back from workers.
 
-    ``telemetry=True`` runs every trial under its own telemetry session
-    (one per worker process): each record comes back with
-    ``result.telemetry`` counters and pipeline ``timings`` attached, ready
-    for :func:`repro.telemetry.aggregate_counters`.  ``progress(done,
+    ``telemetry=True`` gives every record ``result.telemetry`` counters,
+    ready for :func:`repro.telemetry.aggregate_counters`.  Per-trial runs
+    take them from their own telemetry session and also attach pipeline
+    ``timings``; lockstep groups compute byte-equal counters in the kernel
+    and attach no ``timings`` (a batch has no per-trial spans).  ``progress(done,
     total, record)`` fires in the parent after each record, in spec order.
 
     ``collect=False`` switches to streaming mode for very large batches:
@@ -480,8 +488,9 @@ def run_spec_trials(
     Within every strategy, consecutive specs that differ only in seed
     (fixed-problem Monte Carlo batches) execute on the lockstep stacked
     kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
-    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses — process-level
-    parallelism multiplies lockstep width instead of replacing it.
+    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses, telemetry or not —
+    process-level parallelism multiplies lockstep width instead of
+    replacing it.
     Narrower groups, including every trial of an unpinned sweep (each
     trial its own instance), run per trial on the reference engine.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks use

@@ -124,6 +124,7 @@ def run_frontier_trials_lockstep(
     fast_forward: bool = True,
     max_steps: Optional[int] = None,
     geometry=None,
+    telemetry: bool = False,
     **params_kwargs,
 ) -> List[TrialRecord]:
     """Run one frontier trial per seed on the lockstep batch kernel.
@@ -132,9 +133,11 @@ def run_frontier_trials_lockstep(
     with the same seed: the same RNG
     stream derivations feed one per-trial generator pair each, and the
     stacked kernel preserves every per-trial draw order — see
-    :mod:`repro.sim.engine_lockstep`.  Requires numpy and a problem
-    without an arrival schedule; callers peel such trials off to the
-    per-trial paths.
+    :mod:`repro.sim.engine_lockstep`.  ``telemetry=True`` attaches each
+    trial's event counters to ``result.telemetry``, equal to those of the
+    reference run under a telemetry session.  Requires numpy and a
+    problem without an arrival schedule; callers peel such trials off to
+    the per-trial paths.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
@@ -159,6 +162,7 @@ def run_frontier_trials_lockstep(
         set_rows=set_rows,
         enable_fast_forward=fast_forward,
         geometry=geometry,
+        telemetry=telemetry,
     )
     budget = max_steps if max_steps is not None else params.total_steps
     results = engine.run(budget)
@@ -173,12 +177,14 @@ def run_naive_trials_lockstep(
     seeds: Sequence[int],
     max_steps: int,
     geometry=None,
+    telemetry: bool = False,
 ) -> List[RunResult]:
     """Run the naive baseline once per seed on the lockstep batch kernel.
 
     Byte-identical, per trial, to :func:`run_router_trial` with a
     ``NaivePathRouter`` factory and the same seed (the naive router draws
-    no randomness of its own, so only the engine stream matters).
+    no randomness of its own, so only the engine stream matters), counters
+    included when ``telemetry`` is on.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
@@ -186,6 +192,7 @@ def run_naive_trials_lockstep(
         problem,
         engine_seeds=[stable_hash_seed(seed, 5) for seed in seeds],
         geometry=geometry,
+        telemetry=telemetry,
     )
     return engine.run(max_steps)
 

@@ -223,8 +223,10 @@ class ResultCache:
         """Cached ``(result, timings)`` for ``spec``, or None on miss.
 
         ``timings`` is the wall-clock sidecar recorded when the result was
-        produced under telemetry (None otherwise) — advisory data, kept out
-        of the result itself.
+        produced per trial under telemetry — advisory data, kept out of the
+        result itself.  It is None otherwise, including for results a
+        lockstep batch stored: those carry counters but no per-trial
+        spans.
         """
         payload = self._validated_payload(spec)
         if payload is None:

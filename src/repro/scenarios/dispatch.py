@@ -38,7 +38,9 @@ class ScenarioRun:
     #: whether the result came from the on-disk cache
     cached: bool = False
     #: wall-clock pipeline spans (repro.telemetry.TimingSpans.to_dict());
-    #: machine-dependent, so they live here — never on the RunResult
+    #: machine-dependent, so they live here — never on the RunResult.
+    #: None without telemetry, and for trials run in a lockstep batch,
+    #: which has no per-trial spans (its counters are still on the result)
     timings: Optional[dict] = None
     #: which execution path produced the result: "" for the ordinary
     #: per-trial dispatch (which also runs lockstep-eligible groups

@@ -25,7 +25,8 @@ order exactly:
 * arbitration tie-breaks and loser shuffles come from each trial's own
   engine generator, drawn only when *that trial's* step is contended.
   All conflicted trials of a tick are arbitrated together with array
-  operations: one ``(trial, slot)`` sort forms the contender groups,
+  operations (:mod:`repro.sim.lockstep_arbitration`): one
+  ``(trial, slot)`` sort forms the contender groups,
   ranks them (active before pending, then state priority) and finds the
   ties and each node's losers; loser slots are matched per node in the
   reference's candidate order.  Python loops only over tied slots and
@@ -39,20 +40,38 @@ finished trials drop out of the live set, and a tick with no duplicated
 winners of every trial, clean or conflicted, in the reference's granted
 order; a second moves every deflected loser.
 
-Not supported (callers peel off to the per-trial engines): observers /
-tracing, post-step hooks (the invariant auditor), arrival schedules, and
-routers other than the frontier-frame algorithm and the naive
-path-following baseline.  ``repro.experiments.batch.TrialExecutor``
-applies exactly that peel-off policy when grouping chunks.
+Telemetry counters
+------------------
+With ``telemetry=True`` each trial's result carries the
+:meth:`Counters.to_dict() <repro.telemetry.Counters.to_dict>` snapshot the
+reference run builds from its event stream, byte for byte, computed from
+the kernel's own arrays (no events are constructed).  Most counts are
+points the kernel already visits.  ``level_peaks`` is a running maximum
+taken event by event, so each tick lists its occupancy changes in the
+reference's event order — winners in granted order (inject, move,
+absorb), then deflections node by node in order of first loser — and a
+segmented cumulative sum over ``(trial, level)`` folds them, many ticks at
+a time (:mod:`repro.sim.lockstep_counters`).  A packet's level is the
+level of its latest event, never re-derived from its node: an odd-length
+fast-forward span moves oscillating packets without emitting moves.  With
+fast-forward disabled, counters step every tick (the reference emits
+per-step events there) instead of bulk-advancing quiescent spans.
+
+Not supported (callers peel off to the per-trial engines): per-event
+observers (traces, ambient telemetry sessions), post-step hooks (the
+invariant auditor), arrival schedules, and routers other than the
+frontier-frame algorithm and the naive path-following baseline.
+``repro.experiments.batch.TrialExecutor`` applies exactly that peel-off
+policy when grouping chunks.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import CapacityError, ReproError, SimulationError
+from ..errors import ReproError, SimulationError
 from ..rng import RngLike, make_rng
+from .lockstep_arbitration import ArbitrationMixin, _member
 from .metrics import RunResult
 from .soa import StackedFrontierArrays, StackedPacketArrays, require_numpy
 
@@ -71,23 +90,7 @@ _EXCITED = 3
 _NO_PHASE = 2**62
 
 
-def _member(sorted_keys, q):
-    """Mask of the entries of ``q`` present in the sorted ``sorted_keys``.
-
-    ``np.isin`` sorts both inputs on every call, which costs more than the
-    whole lookup on the few dozen keys of a narrow batch's contended tick:
-    with ``np.isin`` in its place, ``_match_deflections`` made per-trial
-    time 4-31% slower on ``butterfly_hotrow`` and ``naive_hotrow`` at
-    widths 4, 6 and 64 (medians of 6 interleaved best-of-15 runs on a
-    2-core shared VM).
-    """
-    if not sorted_keys.size:
-        return np.zeros(q.size, dtype=bool)
-    ix = np.minimum(np.searchsorted(sorted_keys, q), sorted_keys.size - 1)
-    return sorted_keys[ix] == q
-
-
-class LockstepEngine:
+class LockstepEngine(ArbitrationMixin):
     """Stacked-array twin of the reference engine for whole trial batches.
 
     Construct through :meth:`frontier` or :meth:`naive`.  ``run`` returns
@@ -109,6 +112,7 @@ class LockstepEngine:
         set_rows=None,
         enable_fast_forward: bool = True,
         geometry=None,
+        telemetry: bool = False,
     ) -> None:
         require_numpy()
         if getattr(problem, "arrival_schedule", None) is not None:
@@ -206,6 +210,12 @@ class LockstepEngine:
             # NaivePathRouter.attach marks everything eligible immediately.
             self.elig_mask[:] = True
             self.elig_cnt[:] = n
+        #: per-trial event counters (None: untelemetered run)
+        self.counters = None
+        if telemetry:
+            from .lockstep_counters import TrialCounters
+
+            self.counters = TrialCounters(self)
 
     # ------------------------------------------------------------- factories
 
@@ -220,6 +230,7 @@ class LockstepEngine:
         set_rows=None,
         enable_fast_forward: bool = True,
         geometry=None,
+        telemetry: bool = False,
     ) -> "LockstepEngine":
         """Batch kernel for the paper's frontier-frame algorithm.
 
@@ -230,7 +241,8 @@ class LockstepEngine:
         generator (leaving the excitation-coin stream aligned with the
         reference); pass precomputed rows (e.g. conditioned assignments)
         to skip the draw, exactly as passing ``set_of`` does on the
-        reference router.
+        reference router.  ``telemetry`` attaches each trial's event
+        counters to its result (see the module docstring).
         """
         require_numpy()
         from ..core.frontier import assign_frontier_sets
@@ -269,6 +281,7 @@ class LockstepEngine:
             set_rows=np.asarray(set_rows, dtype=np.int64),
             enable_fast_forward=enable_fast_forward,
             geometry=geometry,
+            telemetry=telemetry,
         )
 
     @classmethod
@@ -278,10 +291,15 @@ class LockstepEngine:
         *,
         engine_seeds: Sequence[RngLike],
         geometry=None,
+        telemetry: bool = False,
     ) -> "LockstepEngine":
         """Batch kernel for the naive path-following baseline."""
         return cls(
-            problem, mode="naive", rngs=engine_seeds, geometry=geometry
+            problem,
+            mode="naive",
+            rngs=engine_seeds,
+            geometry=geometry,
+            telemetry=telemetry,
         )
 
     # ------------------------------------------------------------------- run
@@ -295,7 +313,7 @@ class LockstepEngine:
         """Run every trial to delivery or the step budget; per-trial results."""
         frontier = self.fr is not None
         ff = frontier and self._enable_fast_forward
-        bulk = frontier and not self._enable_fast_forward
+        bulk = frontier and not ff and self.counters is None
         live = (self.num_absorbed < self.num_packets) & (self.t < max_steps)
         while live.any():
             lt = np.nonzero(live)[0]
@@ -310,7 +328,13 @@ class LockstepEngine:
             live = (self.num_absorbed < self.num_packets) & (
                 self.t < max_steps
             )
-        return [self.result(i) for i in range(self.trials)]
+        results = [self.result(i) for i in range(self.trials)]
+        if self.counters is not None:
+            for result, counters in zip(
+                results, self.counters.to_dicts(self)
+            ):
+                result.telemetry = counters
+        return results
 
     # ------------------------------------------------------------------ step
 
@@ -335,6 +359,15 @@ class LockstepEngine:
         a_tid, a_pid = self._flat_active(lt)
         if fr is not None:
             self._pre_step(lt, t_lt, a_tid, a_pid)
+        tc = self.counters
+        if tc is not None:
+            # A trial emits events this tick iff it starts a round (or a
+            # phase), or has a participant: active packets always move, and
+            # without them some eligible packet wins its slot and injects.
+            ev = (self.act_cnt[lt] > 0) | (self.elig_cnt[lt] > 0)
+            if fr is not None:
+                ev |= (t_lt % self._w) == 0
+            tc.last_time[lt[ev]] = t_lt[ev]
 
         erow, ecol = np.nonzero(self.elig_mask[lt])
         e_tid = lt[erow]
@@ -402,9 +435,10 @@ class LockstepEngine:
         deflected = None
         if dup.any():
             # Arbitration reads last step's safe set: run it before the clear.
+            # (Distinct rows by bincount: plain np.unique imports numpy.ma.)
             win, deflected = self._arbitrate(
-                np.unique(sk[:-1][dup] // span), tid, pid, nodes, is_elig,
-                key, span,
+                np.flatnonzero(np.bincount(sk[:-1][dup] // span)),
+                tid, pid, nodes, is_elig, key, span,
             )
             tid, pid, nodes, edges, backward, is_elig = (
                 a[win] for a in (tid, pid, nodes, edges, backward, is_elig)
@@ -412,11 +446,15 @@ class LockstepEngine:
             if wait_at is not None:
                 wait_at = wait_at[win]
         self.safe_mask[lt] = False
-        self._apply_winners(
+        delivered = self._apply_winners(
             tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
         )
         if deflected is not None:
             self._apply_deflections(*deflected)
+        if tc is not None and tid.size:
+            tc.count_moves(
+                self, tid, pid, nodes, backward, is_elig, delivered, deflected
+            )
 
         if fr is not None:
             self._post_step(lt, t_lt)
@@ -432,10 +470,13 @@ class LockstepEngine:
         trials = self.trials
         spp, w_, q = self._spp, self._w, self._q
         ps_sel = (t_lt % spp) == 0
+        tc = self.counters
         if ps_sel.any():
             ps = lt[ps_sel]
             phase = self.t[ps] // spp
             self.current_phase[ps] = phase
+            if tc is not None:
+                tc.phase_start(self, ps, phase)
             sub_elig = self.elig_mask[ps]
             newly = (
                 (soa.status[ps] == _PENDING)
@@ -448,6 +489,8 @@ class LockstepEngine:
         rs_sel = (t_lt % w_) == 0
         if rs_sel.any():
             rs = lt[rs_sel]
+            if tc is not None:
+                tc.rounds[rs] += 1
             tr = self.t[rs]
             phase = tr // spp
             rnd = (tr % spp) // w_
@@ -471,6 +514,8 @@ class LockstepEngine:
                     )
                     if mask.any():
                         mt, mp = wt[mask], wp[mask]
+                        if tc is not None:
+                            tc.wait_entries(mt, fr.state[mt, mp])
                         fr.state[mt, mp] = _WAIT
                         fr.wait_node[mt, mp] = soa.node[mt, mp]
                         fr.wait_edge[mt, mp] = soa.last_edge[mt, mp]
@@ -540,185 +585,11 @@ class LockstepEngine:
             self.phase_releases += c
             self.num_waiting -= c
 
-    # ---------------------------------------------------------- arbitration
-
-    def _arbitrate(self, conf_rows, tid, pid, nodes, is_elig, key, span):
-        """The reference arbitration for the conflicted trials of one tick.
-
-        ``conf_rows`` are the trials with a contended slot; ``key`` is each
-        flat participant's ``trial * span + slot``.  Returns the flat
-        indices of every trial's winners in the reference's granted order
-        (trials ascending; within a trial, slots in order of first
-        appearance, which for a conflict-free trial is its participant
-        order) and the deflections ``(tid, pid, edge, unsafe)`` of the
-        losers, or None when nobody is deflected.  Ranking, ties and loser
-        matching are array operations; Python loops only over tied slots
-        and multi-loser nodes, drawing each ``rng.integers`` and
-        ``rng.shuffle`` from the trial's own generator in the reference's
-        order (all tie-breaks, by slot first appearance, then the shuffles,
-        by node of first loser).
-        """
-        fr = self.fr
-        rngs = self.rngs
-        n = tid.size
-        conf = np.zeros(self.trials, dtype=bool)
-        conf[conf_rows] = True
-        cpos = np.nonzero(conf[tid])[0]
-
-        # Contender groups: one per (trial, slot), members in participant
-        # order (stable sort), ``first`` is each group's first appearance.
-        order = cpos[np.argsort(key[cpos], kind="stable")]
-        gkey = key[order]
-        head = np.ones(order.size, dtype=bool)
-        np.not_equal(gkey[1:], gkey[:-1], out=head[1:])
-        starts = np.nonzero(head)[0]
-        gid = np.cumsum(head) - 1
-        first = order[starts]
-        # Active packets outrank pending ones; the router's state priority
-        # (the frontier state value) ranks within each class.
-        rank = np.where(is_elig[order], 0, 4)
-        if fr is not None:
-            rank += fr.state[tid[order], pid[order]]
-        best = rank == np.maximum.reduceat(rank, starts)[gid]
-        nbest = np.bincount(gid[best], minlength=starts.size)
-        pick = np.cumsum(nbest) - nbest
-        tied = np.nonzero(nbest > 1)[0]
-        if tied.size:
-            tied = tied[np.argsort(first[tied])]
-            pick[tied] += [
-                rngs[i].integers(0, k)
-                for i, k in zip(
-                    tid[first[tied]].tolist(), nbest[tied].tolist()
-                )
-            ]
-        winner = order[best][pick]
-
-        # Losers grouped per (trial, node), each group in the reference's
-        # append order: slot first appearance, then participant order.
-        lose = ~is_elig[order] & (order != winner[gid])
-        deflected = None
-        if lose.any():
-            lpos = order[lose]
-            lfirst = first[gid[lose]]
-            lnode = tid[lpos] * self._num_nodes + nodes[lpos]
-            o = np.lexsort((lpos, lfirst, lnode))
-            lpos, lfirst, lnode = lpos[o], lfirst[o], lnode[o]
-            lhead = np.ones(lpos.size, dtype=bool)
-            np.not_equal(lnode[1:], lnode[:-1], out=lhead[1:])
-            lstarts = np.nonzero(lhead)[0]
-            need = np.diff(np.append(lstarts, lpos.size))
-            multi = np.nonzero(need > 1)[0]
-            if multi.size:
-                hs = lstarts[multi]
-                multi = multi[np.argsort(lfirst[hs] * n + lpos[hs])]
-                for s, k in zip(lstarts[multi].tolist(), need[multi].tolist()):
-                    seg = lpos[s:s + k].tolist()
-                    rngs[int(tid[seg[0]])].shuffle(seg)
-                    lpos[s:s + k] = seg
-            g_tid = tid[lpos[lstarts]]
-            g_node = nodes[lpos[lstarts]]
-            c_slot, c_safe, revoked = self._match_deflections(
-                conf_rows, g_tid, g_node, need, span,
-                key[winner], nodes[winner], is_elig[winner], first,
-            )
-            if revoked is not None:
-                first = first[~revoked]
-                winner = winner[~revoked]
-            deflected = (tid[lpos], pid[lpos], c_slot >> 1, ~c_safe)
-
-        win_at = np.arange(n, dtype=np.int64)
-        win_at[cpos] = -1
-        win_at[first] = winner
-        return win_at[win_at >= 0], deflected
-
-    def _incidence(self):
-        """Deflection candidates per node (CSR): in-edge slots, then out."""
-        if self._inc is None:
-            geo = self._geo
-            lists = [i + o for i, o in zip(geo.in_slot_ids, geo.out_slot_ids)]
-            ptr = np.zeros(len(lists) + 1, dtype=np.int64)
-            np.cumsum([len(x) for x in lists], out=ptr[1:])
-            slots = np.fromiter(
-                chain.from_iterable(lists), dtype=np.int64, count=int(ptr[-1])
-            )
-            self._inc = (ptr, slots)
-        return self._inc
-
-    def _match_deflections(
-        self, conf_rows, g_tid, g_node, need, span,
-        w_key, w_node, w_pending, w_first,
-    ):
-        """Loser slot matching for every (trial, node) loser group at once.
-
-        Each group takes its first ``need`` free incident slots in the
-        reference's order: safe in-edges (Lemma 2.1), unsafe in-edges, then
-        out-edges, each in geometry order.  The ``w_*`` arrays describe each
-        contender group's winner: its ``trial * span + slot`` key (sorted,
-        so also the set of granted slots), node, pending flag and the
-        group's first appearance.  Every slot belongs to one node, so groups
-        never compete.  A group still short revokes injection grants at its
-        node, latest first.  Returns the matched slots and safe flags,
-        grouped by group in candidate order, and the revoked contender
-        groups as a mask (or None).
-        """
-        soa = self.soa
-        num_edges = self._num_edges
-        sr, sp = np.nonzero(self.safe_mask[conf_rows])
-        srow = conf_rows[sr]
-        safe_edges = np.sort(srow * num_edges + soa.last_edge[srow, sp])
-        ptr, inc = self._incidence()
-        lo = ptr[g_node]
-        cnt = ptr[g_node + 1] - lo
-        grp = np.repeat(np.arange(g_node.size), cnt)
-        slot = inc[lo[grp] + np.arange(grp.size) - (np.cumsum(cnt) - cnt)[grp]]
-        ct = g_tid[grp]
-        free = ~_member(w_key, ct * span + slot)
-        grp, slot, ct = grp[free], slot[free], ct[free]
-        into = (slot & 1) == 1
-        safe = into & _member(safe_edges, ct * num_edges + (slot >> 1))
-        o = np.argsort(grp * 3 + 2 - into - safe, kind="stable")
-        grp, slot, safe = grp[o], slot[o], safe[o]
-        avail = np.bincount(grp, minlength=g_node.size)
-        rank = np.arange(grp.size) - (np.cumsum(avail) - avail)[grp]
-        take = rank < need[grp]
-        grp, slot, safe = grp[take], slot[take], safe[take]
-        short = np.nonzero(avail < need)[0]
-        if not short.size:
-            return slot, safe, None
-        # Deflected residents must move: revoke injection grants at the node
-        # and recycle their slots, as the reference does.
-        revoked = np.zeros(w_key.size, dtype=bool)
-        w_tid = w_key // span
-        extra_grp: List[int] = []
-        extra_slot: List[int] = []
-        for g in short.tolist():
-            i, node = int(g_tid[g]), int(g_node[g])
-            missing = int(need[g] - avail[g])
-            at = np.nonzero(w_pending & (w_tid == i) & (w_node == node))[0]
-            grants = at[np.argsort(w_first[at])].tolist()
-            while missing and grants:
-                h = grants.pop()
-                revoked[h] = True
-                extra_grp.append(g)
-                extra_slot.append(int(w_key[h] - i * span))
-                missing -= 1
-            if missing:
-                raise CapacityError(
-                    f"step {int(self.t[i])}: node {node} has {int(need[g])} "
-                    f"deflected packets but only {int(need[g]) - missing} "
-                    f"free slots"
-                )
-        grp = np.concatenate([grp, np.asarray(extra_grp, dtype=np.int64)])
-        slot = np.concatenate([slot, np.asarray(extra_slot, dtype=np.int64)])
-        safe = np.concatenate([safe, np.zeros(len(extra_grp), dtype=bool)])
-        o = np.argsort(grp, kind="stable")
-        return slot[o], safe[o], revoked
-
     # ----------------------------------------------------------------- apply
 
     def _apply_winners(
         self, tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
-    ) -> None:
+    ):
         """Vectorized winner application for every trial of the tick.
 
         Flat order is trial-major and, within a trial, the reference's
@@ -726,9 +597,10 @@ class LockstepEngine:
         ``occupants`` is every participant's ``(tid, node, is_elig)``: the
         injection-isolation test counts all active packets, deflected
         losers included, and runs only when something is injected.
+        Returns the mask of winners absorbed, or None when none were.
         """
         if not tid.size:
-            return
+            return None
         soa = self.soa
         fr = self.fr
         trials = self.trials
@@ -749,12 +621,14 @@ class LockstepEngine:
             self.act_mat[inj_t, self.act_cnt[inj_t] + rank] = inj_p
             self.act_cnt += counts
             self.num_active += counts
-            if fr is not None:
+            if fr is not None or self.counters is not None:
                 o_tid, o_nodes, o_elig = occupants
                 act_sel = ~o_elig
                 occ_keys = o_tid[act_sel] * self._num_nodes + o_nodes[act_sel]
                 inj_keys = inj_t * self._num_nodes + nodes[is_elig]
-                occupied = np.isin(inj_keys, occ_keys)
+                # (_member, not np.isin, which imports numpy.ma: about
+                # 1.2 MB of resident memory.)
+                occupied = _member(np.sort(occ_keys), inj_keys)
                 uk, inv, cnts = np.unique(
                     inj_keys, return_inverse=True, return_counts=True
                 )
@@ -805,7 +679,7 @@ class LockstepEngine:
                     self.num_excited -= np.bincount(
                         dt_[exc], minlength=trials
                     )
-            for i in np.unique(dt_).tolist():
+            for i in np.flatnonzero(dc).tolist():
                 row = self.act_mat[i, : self.act_cnt[i]]
                 kept = row[soa.status[i, row] == _ACTIVE]
                 self.act_mat[i, : kept.size] = kept
@@ -825,12 +699,15 @@ class LockstepEngine:
                 )
                 if lvl_ok.any():
                     et, ep = ct[lvl_ok], cp[lvl_ok]
+                    if self.counters is not None:
+                        self.counters.wait_entries(et, fr.state[et, ep])
                     fr.state[et, ep] = _WAIT
                     fr.wait_node[et, ep] = nn[lvl_ok]
                     fr.wait_edge[et, ep] = edges[cand][lvl_ok]
                     wc = np.bincount(et, minlength=trials)
                     self.wait_entries += wc
                     self.num_waiting += wc
+        return delivered if deliv_any else None
 
     def _apply_deflections(self, tid, pid, edges, unsafe) -> None:
         """Apply every trial's deflections: REVERSE moves onto ``edges``."""
@@ -873,7 +750,10 @@ class LockstepEngine:
             if excited.any():
                 et, ep = tid[excited], pid[excited]
                 fr.state[et, ep] = _NORMAL
-                self.num_excited -= np.bincount(et, minlength=trials)
+                calmed = np.bincount(et, minlength=trials)
+                self.num_excited -= calmed
+                if self.counters is not None:
+                    self.counters.deflection_calms += calmed
 
     # ---------------------------------------------------------- fast-forward
 
@@ -977,6 +857,8 @@ class LockstepEngine:
             return
         rows, target, k = rows[adv], target[adv], k[adv]
         self._advance_span(rows, k)
+        if self.counters is not None:
+            self.counters.fast_forward(rows, self.t[rows])
         self.t[rows] = target
         self.steps_skipped[rows] += k
 
@@ -1000,7 +882,11 @@ class LockstepEngine:
     # ---------------------------------------------------------------- result
 
     def result(self, i: int) -> RunResult:
-        """Trial ``i``'s metrics, field-identical to its per-trial run."""
+        """Trial ``i``'s metrics, field-identical to its per-trial run.
+
+        Without its telemetry counters: :meth:`run` attaches those for the
+        whole batch at once.
+        """
         soa = self.soa
         n = self.num_packets
         aa = soa.absorbed_at[i]

@@ -375,4 +375,9 @@ def render_report(source: ReportSource) -> str:
             "\n\nnote: no telemetry attached to this record; re-run with "
             "--telemetry (or --trace) for the deflection/phase detail."
         )
+    elif source.counters is not None and not source.timings:
+        body += (
+            "\n\nnote: counters but no wall-clock timings (lockstep batch "
+            "runs, traces and saved results record no per-trial spans)."
+        )
     return body

@@ -10,11 +10,14 @@ fuzz that contract across batch widths and both kernel families (the
 kernel entry points directly, since the executor only sends groups of
 ``LOCKSTEP_MIN_TRIALS`` or more), check the contended branches honest
 runs never reach from a forced start state, and check the benchmark's
-five cells at full width.  They then pin the executor-level
-guarantees: grouping of homogeneous chunks, the width policy, peel-off of
-trials needing per-trial machinery (telemetry, traces, audits, cache
-hits), and byte-identical sweep shards with lockstep on or off —
-including through a mid-shard kill and resume.
+five cells at full width.  With ``telemetry`` on, each trial's counters
+must equal, byte for byte, the ones the reference run's
+:class:`~repro.telemetry.Counters` observer builds from its event stream.
+They then pin the executor-level guarantees: grouping of homogeneous
+chunks (telemetered or not), the width policy, peel-off of trials
+needing per-trial machinery (ambient traces, audits, cache hits), and
+byte-identical sweep shards with lockstep on or off — including through a
+mid-shard kill and resume.
 """
 
 from collections import Counter
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.batch as batch_mod
 import repro.sim.soa as soa_mod
 from repro.baselines import NaivePathRouter
 from repro.core import AlgorithmParams
@@ -33,6 +37,7 @@ from repro.experiments import (
     butterfly_hotrow_spec,
     butterfly_random_instance,
     butterfly_random_spec,
+    catalog_spec,
     deep_random_spec,
     mesh_corner_shift_spec,
     run_frontier_trial,
@@ -64,6 +69,7 @@ from repro.sweeps import (
     run_sweep,
 )
 from repro.telemetry import TelemetrySession
+from repro.tuning import TuningCandidate
 from repro.workloads import random_many_to_one
 
 needs_numpy = pytest.mark.skipif(
@@ -91,6 +97,17 @@ def assert_results_identical(ref, got, label=""):
     ref_d, got_d = asdict(ref), asdict(got)
     diff = {k: (ref_d[k], got_d[k]) for k in ref_d if ref_d[k] != got_d[k]}
     assert not diff, f"serial/lockstep RunResult mismatch {label}: {diff}"
+
+
+def reference(run, telemetry):
+    """``run()``'s result, with the counters a telemetry session's
+    observer builds from its events attached when ``telemetry`` is on."""
+    if not telemetry:
+        return run()
+    with TelemetrySession(timings=False) as session:
+        result = run()
+    session.finalize_result(result)
+    return result
 
 
 @st.composite
@@ -146,16 +163,22 @@ def test_naive_lockstep_matches_serial_across_widths(width):
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
+    st.booleans(),
 )
-@settings(max_examples=20, deadline=None)
-def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward):
+@settings(max_examples=40, deadline=None)
+def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward, telemetry):
     seeds = [seed0 + k for k in range(width)]
     batch = run_frontier_trials_lockstep(
-        problem, seeds, fast_forward=fast_forward
+        problem, seeds, fast_forward=fast_forward, telemetry=telemetry
     )
     for seed, rec in zip(seeds, batch):
-        ref = run_frontier_trial(problem, seed, fast_forward=fast_forward)
-        assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+        ref = reference(
+            lambda: run_frontier_trial(
+                problem, seed, fast_forward=fast_forward
+            ).result,
+            telemetry,
+        )
+        assert_results_identical(ref, rec.result, f"(seed {seed})")
 
 
 @needs_numpy
@@ -165,22 +188,30 @@ def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward):
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
     st.integers(min_value=1, max_value=60),
+    st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_frontier_lockstep_fuzz_under_tight_budget(
-    problem, width, seed0, fast_forward, max_steps
+    problem, width, seed0, fast_forward, max_steps, telemetry
 ):
     """Budgets short enough to cut trials off mid-schedule: undelivered
     packets and the final step count must match the reference too."""
     seeds = [seed0 + k for k in range(width)]
     batch = run_frontier_trials_lockstep(
-        problem, seeds, fast_forward=fast_forward, max_steps=max_steps
+        problem,
+        seeds,
+        fast_forward=fast_forward,
+        max_steps=max_steps,
+        telemetry=telemetry,
     )
     for seed, rec in zip(seeds, batch):
-        ref = run_frontier_trial(
-            problem, seed, fast_forward=fast_forward, max_steps=max_steps
+        ref = reference(
+            lambda: run_frontier_trial(
+                problem, seed, fast_forward=fast_forward, max_steps=max_steps
+            ).result,
+            telemetry,
         )
-        assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+        assert_results_identical(ref, rec.result, f"(seed {seed})")
 
 
 @needs_numpy
@@ -188,14 +219,20 @@ def test_frontier_lockstep_fuzz_under_tight_budget(
     lockstep_instance(),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
 )
-@settings(max_examples=15, deadline=None)
-def test_naive_lockstep_fuzz(problem, width, seed0):
+@settings(max_examples=30, deadline=None)
+def test_naive_lockstep_fuzz(problem, width, seed0, telemetry):
     seeds = [seed0 + k for k in range(width)]
-    batch = run_naive_trials_lockstep(problem, seeds, 20000)
+    batch = run_naive_trials_lockstep(
+        problem, seeds, 20000, telemetry=telemetry
+    )
     for seed, result in zip(seeds, batch):
-        ref = run_router_trial(
-            problem, lambda _s: NaivePathRouter(), seed, 20000
+        ref = reference(
+            lambda: run_router_trial(
+                problem, lambda _s: NaivePathRouter(), seed, 20000
+            ),
+            telemetry,
         )
         assert_results_identical(ref, result, f"(seed {seed})")
 
@@ -537,18 +574,100 @@ def test_executor_locksteps_naive_family(backend, params):
 
 
 @needs_numpy
-def test_telemetry_peels_off_to_per_trial_path():
-    """Telemetry needs per-trial counter isolation, which the stacked
-    kernel cannot provide: the executor must peel those trials off, and
-    their counters must match the lockstep=False path exactly."""
+def test_telemetry_groups_run_on_lockstep():
+    """Telemetry no longer splits a group: the kernel computes each
+    trial's counters, equal to the lockstep=False path's observer-built
+    ones, and the records carry no wall-clock timings."""
     specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor(telemetry=True).run_chunk(specs)
     refs = TrialExecutor(lockstep=False, telemetry=True).run_chunk(specs)
     for ref, got in zip(refs, records):
-        assert got.executor == ""
+        assert got.executor == f"lockstep[w={LOCKSTEP_MIN_TRIALS}]"
+        assert got.timings is None and ref.timings is not None
         assert got.result.telemetry is not None
         assert got.result.telemetry == ref.result.telemetry
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+
+
+@needs_numpy
+def test_counters_fold_deflections_in_reference_node_order():
+    """A tick deflecting losers at several nodes folds their level changes
+    node by node in order of first loser, as the reference emits them, not
+    in node-id order: on this crowded naive instance the two orders give
+    different transient occupancies, and so different ``level_peaks``."""
+    net = random_leveled(
+        [7] * 6,
+        edge_probability=0.5,
+        seed=127023494,
+        min_out_degree=1,
+        min_in_degree=1,
+    )
+    workload = random_many_to_one(net, 34, seed=127023495)
+    problem = select_paths_random(net, workload.endpoints, seed=127023496)
+    seeds = [0, 1, 2, 3]
+    batch = run_naive_trials_lockstep(problem, seeds, 20000, telemetry=True)
+    for seed, result in zip(seeds, batch):
+        ref = reference(
+            lambda: run_router_trial(
+                problem, lambda _s: NaivePathRouter(), seed, 20000
+            ),
+            True,
+        )
+        assert_results_identical(ref, result, f"(seed {seed})")
+
+
+#: ``tune_audit``'s candidate grid (the repo benchmark's tuning study).
+TUNE_AUDIT_CANDIDATES = [TuningCandidate()] + [
+    TuningCandidate(
+        set_congestion_target=3.0, m=m, w_factor=wf, q=0.5, oversplit=1.0
+    )
+    for m in (None, 8, 6, 5)
+    for wf in (1.0, 0.75)
+]
+
+#: Counter cases: the benchmark cells, the tuning base under each
+#: candidate, conditioned set draws, and a budget too tight to deliver.
+COUNTER_CASES = {
+    **{name: (make, {}) for name, make in BENCH_CELLS.items()},
+    **{
+        f"tune[{cand.key()}]": (
+            lambda: catalog_spec("mesh_corner_shift", seed=0),
+            cand.params_kwargs(),
+        )
+        for cand in TUNE_AUDIT_CANDIDATES
+    },
+    "condition_sets": (
+        lambda: butterfly_random_spec(5),
+        {"condition_sets": True},
+    ),
+    "tight_budget": (
+        lambda: butterfly_hotrow_spec(5, 32, backend="naive"),
+        {"max_steps": 10},
+    ),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+def test_counters_match_observer_across_widths(case, monkeypatch):
+    """Lockstep counters at widths 1, 6 and 64 equal the per-trial
+    observer's, with every other RunResult field, through the executor
+    (its width threshold lowered to 1 so a single trial locksteps)."""
+    make, params = COUNTER_CASES[case]
+    specs = [s.with_params(**params) for s in sweep_specs(make(), 64)]
+    refs = TrialExecutor(lockstep=False, telemetry=True).run_chunk(specs)
+    monkeypatch.setattr(batch_mod, "LOCKSTEP_MIN_TRIALS", 1)
+    for width in (1, 6, 64):
+        records = TrialExecutor(telemetry=True).run_chunk(specs[:width])
+        assert {r.executor for r in records} == {f"lockstep[w={width}]"}
+        for ref, got in zip(refs, records):
+            assert_results_identical(
+                ref.result, got.result, f"(w={width}, {got.spec.seed})"
+            )
+    if case == "tight_budget":
+        assert not any(r.result.all_delivered for r in refs)
+    if case.endswith("hotrow") or case == "tight_budget":
+        assert sum(r.result.telemetry["deflections"]["safe"] for r in refs)
 
 
 @needs_numpy
@@ -660,14 +779,24 @@ class TestSweepShardIdentity:
     def test_lockstep_shards_byte_identical_to_serial(
         self, manifest, tmp_path
     ):
-        serial = open_store(tmp_path / "serial", manifest)
-        run_sweep(manifest, serial, compact=False, lockstep=False)
-        lockstep = open_store(tmp_path / "lockstep", manifest)
-        heartbeat = counting_heartbeat()
-        run_sweep(manifest, lockstep, heartbeat=heartbeat, compact=False)
-        assert heartbeat.lockstep_trials == SWEEP_TRIALS
-        for shard in manifest.shard_ids():
-            assert lockstep.shard_bytes(shard) == serial.shard_bytes(shard)
+        for telemetry in (False, True):
+            root = tmp_path / f"telemetry-{telemetry}"
+            serial = open_store(root / "serial", manifest)
+            run_sweep(
+                manifest, serial, compact=False, lockstep=False,
+                telemetry=telemetry,
+            )
+            lockstep = open_store(root / "lockstep", manifest)
+            heartbeat = counting_heartbeat()
+            run_sweep(
+                manifest, lockstep, heartbeat=heartbeat, compact=False,
+                telemetry=telemetry,
+            )
+            assert heartbeat.lockstep_trials == SWEEP_TRIALS
+            for shard in manifest.shard_ids():
+                assert lockstep.shard_bytes(shard) == serial.shard_bytes(
+                    shard
+                )
 
     def test_kill_resume_lockstep_matches_serial_shards(
         self, manifest, tmp_path
@@ -704,17 +833,18 @@ class TestSweepShardIdentity:
         ] == ref_bytes
 
     def test_heartbeat_reports_lockstep_width(self, manifest, tmp_path):
-        beats = []
-        store = open_store(tmp_path / "s", manifest)
-        run_sweep(
-            manifest, store, heartbeat=counting_heartbeat(beats.append),
-            compact=False,
-        )
-        final = beats[-1]
-        assert final["final"] is True
-        assert final["lockstep_trials"] == SWEEP_TRIALS
-        tail = SWEEP_TRIALS - SHARD_SIZE
-        assert final["executor"] == f"lockstep[w={tail}]"
+        for telemetry in (False, True):
+            beats = []
+            store = open_store(tmp_path / f"telemetry-{telemetry}", manifest)
+            run_sweep(
+                manifest, store, heartbeat=counting_heartbeat(beats.append),
+                compact=False, telemetry=telemetry,
+            )
+            final = beats[-1]
+            assert final["final"] is True
+            assert final["lockstep_trials"] == SWEEP_TRIALS
+            tail = SWEEP_TRIALS - SHARD_SIZE
+            assert final["executor"] == f"lockstep[w={tail}]"
 
     def test_heartbeat_reports_per_trial_when_lockstep_off(
         self, manifest, tmp_path

@@ -25,7 +25,9 @@ from repro.errors import ReproError
 from repro.experiments import (
     butterfly_hotrow_instance,
     run_spec_trials,
+    sweep_specs,
 )
+from repro.experiments.batch import LOCKSTEP_MIN_TRIALS, TrialExecutor
 from repro.scenarios import RunSpec, run_cached, run_trial, save_spec
 from repro.sim import Engine, EventKind, TraceEvent, TraceRecorder
 from repro.telemetry import (
@@ -404,6 +406,26 @@ class TestCacheAndReport:
         text = render_report(source)
         assert "phase timeline" in text
         assert str(spec.content_hash()) in text
+
+    def test_report_notes_lockstep_records_without_timings(self, tmp_path):
+        """A lockstep batch stores counters but no per-trial spans; the
+        report says so in one line instead of dropping the section."""
+        cache_dir = tmp_path / "cache"
+        specs = sweep_specs(_spec(), LOCKSTEP_MIN_TRIALS)
+        records = TrialExecutor(cache_dir, telemetry=True).run_chunk(specs)
+        assert records[0].executor.startswith("lockstep")
+        text = render_report(
+            resolve_source(specs[0].content_hash(), cache_dir=cache_dir)
+        )
+        assert "phase timeline" in text
+        assert "wall-clock spans" not in text
+        assert "counters but no wall-clock timings" in text
+        run_cached(_spec(), cache=cache_dir, telemetry=True)
+        text = render_report(
+            resolve_source(_spec().content_hash(), cache_dir=cache_dir)
+        )
+        assert "wall-clock spans" in text
+        assert "no wall-clock timings" not in text
 
     def test_report_errors(self, tmp_path, capsys):
         from repro.cli import main

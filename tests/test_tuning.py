@@ -8,12 +8,14 @@ portfolio), the delivery-success threshold — prune exactly the candidates
 they claim to.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.errors import ReproError
+from repro.experiments import catalog_spec
 from repro.scenarios import RunSpec
 from repro.tuning import (
     CANDIDATE_FIELDS,
@@ -235,6 +237,42 @@ class TestRunStudy:
         run_study(small_study(), tmp_path / "study")
         with pytest.raises(ReproError, match="different study"):
             run_study(small_study(budget=4), tmp_path / "study")
+
+    def test_lockstep_rungs_pinned_to_per_trial_bytes(self, tmp_path):
+        """Both rungs of this study have at least LOCKSTEP_MIN_TRIALS cache
+        misses per candidate, so they run on the lockstep kernel with its
+        own counters.  The report and every sweep stream must hash to the
+        bytes the study wrote when telemetry sent every trial through the
+        per-trial engine's observer."""
+        study = TuningStudy(
+            base=catalog_spec("mesh_corner_shift", seed=0),
+            candidates=(
+                TuningCandidate(),
+                TuningCandidate(**dict(PRACTICAL, m=8)),
+                TuningCandidate(**dict(PRACTICAL, m=6, w_factor=1.0)),
+            ),
+            budget=16,
+            rungs=2,
+            success_threshold=0.0,
+            audit_trials=1,
+            name="pin",
+        )
+        events = []
+        run_study(study, tmp_path, progress=events.append)
+        finals = [
+            e for e in events
+            if e["kind"] == "sweep_heartbeat" and e["final"]
+        ]
+        assert len(finals) == 5
+        assert all(e["executor"] == "lockstep[w=8]" for e in finals)
+        report = (tmp_path / REPORT_FILENAME).read_bytes()
+        streams = b"".join(store_streams(tmp_path).values())
+        assert hashlib.sha256(report).hexdigest() == (
+            "5d952caf06b7500479086ef9a438ffbf944e809d8dc393530dc1ac95d03d7b54"
+        )
+        assert hashlib.sha256(streams).hexdigest() == (
+            "cf90f0d31ae6cb5a935bddae8b89c9a4412589d8062469dd3d1bd9230e0e4a9b"
+        )
 
     def test_progress_file_sink(self, tmp_path):
         sink = tmp_path / "progress.jsonl"

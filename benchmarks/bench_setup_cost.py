@@ -108,7 +108,7 @@ def test_setup_lockstep_arrays_cold_build(benchmark, prebuilt_problem):
         except AttributeError:
             pass
         geo_arrays = GeometryArrays(geometry)
-        packets = StackedPacketArrays.from_problem(prebuilt_problem, 1)
+        packets = StackedPacketArrays.from_problems([prebuilt_problem])
         return geo_arrays, packets
 
     _, packets = benchmark(cold_build)
@@ -124,9 +124,10 @@ def test_setup_lockstep_arrays_warm_copy(benchmark, prebuilt_problem):
     pytest.importorskip("numpy")
     from repro.sim.soa import StackedPacketArrays
 
-    StackedPacketArrays.from_problem(prebuilt_problem, 1)  # prime the cache
+    # A problem serving two trials keeps its template: prime the cache.
+    StackedPacketArrays.from_problems([prebuilt_problem] * 2)
 
-    packets = benchmark(StackedPacketArrays.from_problem, prebuilt_problem, 1)
+    packets = benchmark(StackedPacketArrays.from_problems, [prebuilt_problem])
     assert packets.num_packets == 12
 
 
@@ -145,7 +146,7 @@ def test_setup_lockstep_engine_init(benchmark, prebuilt_problem):
 
     def init():
         return LockstepEngine.frontier(
-            prebuilt_problem, params, router_seeds=[1], engine_seeds=[2]
+            [prebuilt_problem], [params], router_seeds=[1], engine_seeds=[2]
         )
 
     engine = benchmark(init)

@@ -46,6 +46,7 @@ import json
 import math
 import os
 import pathlib
+from itertools import groupby
 from time import perf_counter
 from typing import List, Optional, Sequence
 
@@ -78,8 +79,10 @@ LOCKSTEP_MAX_TRIALS = 64
 #: docs/performance.md, "Executor integration"): up to width 5 the
 #: reference engine is faster on ``deep_random`` and the three contended
 #: cells, and from width 6 lockstep wins on both ``deep_random`` and
-#: ``butterfly_random``.  Unpinned sweeps, where every trial builds its own
-#: instance, always produce groups of 1.
+#: ``butterfly_random``.  Unpinned groups (one problem per trial) cross
+#: over at about the same widths: from 4 on ``butterfly_random``, from 6 on
+#: ``naive_hotrow``, and above 8 on ``butterfly_hotrow`` and
+#: ``mesh_corner_shift``, which also lose narrow pinned groups.
 LOCKSTEP_MIN_TRIALS = 6
 
 #: Spec backends the lockstep kernel can execute, mapped to the kernel
@@ -230,18 +233,22 @@ class TrialExecutor:
     def _group_key(self, spec):
         """Lockstep grouping key for ``spec``, or None when ineligible.
 
-        Two specs with equal keys are guaranteed to materialize the *same*
-        routing problem (``scenario_hash`` covers every resolved component
-        seed) and run it under the same backend family and parameters, so
-        the stacked kernel can advance them in one set of arrays.  Telemetry
-        counters do not split groups: the kernel computes them itself.
+        Specs with equal keys route over the *same* network (equal
+        :func:`~repro.scenarios.cache._network_key`) under the same
+        workload and selector with the same params — only the component
+        seeds may differ — and run under the same backend family and
+        parameters, so the stacked kernel can advance them in one set of
+        arrays: a fixed-problem sweep shares one problem, an instance sweep
+        gives each trial its own.  The key reads the spec alone; nothing
+        is built to compute it.  Telemetry counters do not split groups:
+        the kernel computes them itself.
         Trials needing per-trial machinery peel off to :meth:`run`: an
         ambient telemetry or trace session (the lockstep kernel carries no
         per-event observers), invariant audits, arrival schedules,
         non-lockstep backends, or a missing numpy.  An eligible key only
-        makes the spec a candidate: :meth:`_run_lockstep` still runs a
-        group per trial when fewer than :data:`LOCKSTEP_MIN_TRIALS` of its
-        trials miss the disk cache.
+        makes the spec a candidate: :meth:`_run_lockstep` still runs trials
+        per trial when fewer than :data:`LOCKSTEP_MIN_TRIALS` of them miss
+        the disk cache, or form a run of equal packet counts.
         """
         if not self.lockstep:
             return None
@@ -258,8 +265,14 @@ class TrialExecutor:
 
         if current_session() is not None:
             return None
+        from ..scenarios.cache import _network_key
+
         return (
-            spec.scenario_hash(),
+            _network_key(spec),
+            spec.workload,
+            _unseeded(spec.workload_params),
+            spec.selector,
+            _unseeded(spec.selector_params),
             family,
             json.dumps(dict(spec.backend_params), sort_keys=True),
         )
@@ -267,13 +280,13 @@ class TrialExecutor:
     def run_chunk(self, specs: Sequence) -> List:
         """Execute a chunk of specs in order, lockstepping where possible.
 
-        Consecutive specs sharing a :meth:`_group_key` (a fixed-problem
-        Monte Carlo run differing only in seed) form a group of up to
-        :data:`LOCKSTEP_MAX_TRIALS` trials, handed to :meth:`_run_lockstep`;
-        every ineligible spec falls through to the ordinary per-trial
-        :meth:`run`.  Records come back in spec order and are
-        byte-identical to a per-trial loop — the kernel's per-trial RNG
-        streams replay the serial draws exactly (pinned by
+        Consecutive specs sharing a :meth:`_group_key` (a Monte Carlo run
+        over one network, on one problem or one per trial) form a group of
+        up to :data:`LOCKSTEP_MAX_TRIALS` trials, handed to
+        :meth:`_run_lockstep`; every ineligible spec falls through to the
+        ordinary per-trial :meth:`run`.  Records come back in spec order
+        and are byte-identical to a per-trial loop — the kernel's per-trial
+        RNG streams replay the serial draws exactly (pinned by
         ``tests/test_engine_lockstep.py``).
         """
         specs = list(specs)
@@ -290,27 +303,29 @@ class TrialExecutor:
             ):
                 j += 1
             if key is not None:
-                records.extend(self._run_lockstep(specs[i:j], key[1]))
+                records.extend(self._run_lockstep(specs[i:j]))
             else:
                 records.append(self.run(specs[i]))
             i = j
         return records
 
-    def _run_lockstep(self, group: Sequence, family: str) -> List:
-        """Run one homogeneous group, in spec order, choosing the kernel.
+    def _run_lockstep(self, group: Sequence) -> List:
+        """Run one group, in spec order, choosing the kernel.
 
         Disk-cache hits peel out first (returned exactly as :func:`~repro.
-        scenarios.run_cached` would return them).  When at least
-        :data:`LOCKSTEP_MIN_TRIALS` misses remain they run as one lockstep
-        batch over the group's shared warm problem and are stored back, so
-        cached results match the per-trial path byte for byte; fewer misses
-        run through the per-trial :meth:`run`, where the reference engine
-        is the faster kernel.  With telemetry on, the batch attaches each
-        trial's counters to its result; a batch has no per-trial
-        wall-clock spans, so its records (and cache entries) carry no
-        ``timings``.
+        scenarios.run_cached` would return them).  Fewer than
+        :data:`LOCKSTEP_MIN_TRIALS` misses run through the per-trial
+        :meth:`run`, where the reference engine is the faster kernel, and
+        nothing is built for them here.  Otherwise each miss's problem is
+        built (once per distinct scenario) and the misses split into runs
+        of consecutive trials with equal packet counts: a run of at least
+        :data:`LOCKSTEP_MIN_TRIALS` is one lockstep batch, stored back so
+        cached results match the per-trial path byte for byte; a shorter
+        run goes per trial.  With telemetry on, a batch attaches each
+        trial's counters to its result; it has no per-trial wall-clock
+        spans, so its records (and cache entries) carry no ``timings``.
         """
-        from ..scenarios.dispatch import ScenarioRun, build_problem
+        from ..scenarios.dispatch import ScenarioRun
 
         cache = None
         if self.cache_root is not None:
@@ -335,13 +350,54 @@ class TrialExecutor:
             for k in misses:
                 slots[k] = self.run(group[k])
             return slots
-        first = group[misses[0]]
-        problem = (
-            self.scenarios.problem_for(first)
-            if self.scenarios is not None
-            else build_problem(first)
-        )
-        seeds = [group[k].seed for k in misses]
+        family = _LOCKSTEP_FAMILIES[group[0].backend]
+        problems = self._problems([group[k] for k in misses])
+        for _, run in groupby(
+            zip(misses, problems), key=lambda kp: kp[1].num_packets
+        ):
+            ks, run_problems = zip(*run)
+            if len(ks) < LOCKSTEP_MIN_TRIALS:
+                for k in ks:
+                    slots[k] = self.run(group[k])
+                continue
+            batch = self._run_batch([group[k] for k in ks], run_problems, family)
+            for k, record in zip(ks, batch):
+                if cache is not None:
+                    cache.store(record.spec, record.result)
+                slots[k] = record
+        return slots
+
+    def _problems(self, specs: Sequence) -> List:
+        """Each spec's routing problem, built once per distinct scenario."""
+        from ..scenarios.dispatch import build_network, build_problem
+
+        built: dict = {}
+        net = None
+        out = []
+        for spec in specs:
+            # The group key fixes every other scenario field, so the
+            # component seeds name the scenario within the group.
+            key = (
+                spec.topology_seed(), spec.workload_seed(), spec.selector_seed()
+            )
+            problem = built.get(key)
+            if problem is None:
+                if self.scenarios is not None:
+                    problem = self.scenarios.problem_for(spec)
+                else:
+                    # Every spec of a group shares its network key.
+                    net = net if net is not None else build_network(spec)
+                    problem = build_problem(spec, net=net)
+                built[key] = problem
+            out.append(problem)
+        return out
+
+    def _run_batch(self, specs, problems, family: str) -> List:
+        """One lockstep batch, spec ``i`` routing ``problems[i]``."""
+        from ..scenarios.dispatch import ScenarioRun
+
+        first = specs[0]
+        seeds = [spec.seed for spec in specs]
         tag = f"lockstep[w={len(seeds)}]"
         if family == "frontier":
             from .runner import run_frontier_trials_lockstep
@@ -352,7 +408,7 @@ class TrialExecutor:
             results = [
                 rec.result
                 for rec in run_frontier_trials_lockstep(
-                    problem,
+                    problems,
                     seeds,
                     condition_sets=bool(params.pop("condition_sets", False)),
                     fast_forward=bool(params.pop("fast_forward", True)),
@@ -362,24 +418,26 @@ class TrialExecutor:
                 )
             ]
         else:
-            from .configs import baseline_budget
             from .runner import run_naive_trials_lockstep
 
             explicit = first.backend_params.get("max_steps")
-            budget = (
-                int(explicit)
-                if explicit is not None
-                else baseline_budget(problem)
-            )
             results = run_naive_trials_lockstep(
-                problem, seeds, budget, telemetry=self.telemetry
+                problems,
+                seeds,
+                int(explicit) if explicit is not None else None,
+                telemetry=self.telemetry,
             )
-        for k, result in zip(misses, results):
-            spec = group[k]
-            if cache is not None:
-                cache.store(spec, result)
-            slots[k] = ScenarioRun(spec=spec, result=result, executor=tag)
-        return slots
+        return [
+            ScenarioRun(spec=spec, result=result, executor=tag)
+            for spec, result in zip(specs, results)
+        ]
+
+
+def _unseeded(params) -> str:
+    """Canonical JSON of component params without their ``seed``."""
+    return json.dumps(
+        {k: v for k, v in params.items() if k != "seed"}, sort_keys=True
+    )
 
 
 # ------------------------------------------------------- pool worker plumbing
@@ -485,14 +543,15 @@ def run_spec_trials(
     one chunk of records, independent of ``len(specs)``.  The sweep store
     (:mod:`repro.sweeps`) runs every shard this way.
 
-    Within every strategy, consecutive specs that differ only in seed
-    (fixed-problem Monte Carlo batches) execute on the lockstep stacked
-    kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
-    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses, telemetry or not —
-    process-level parallelism multiplies lockstep width instead of
-    replacing it.
-    Narrower groups, including every trial of an unpinned sweep (each
-    trial its own instance), run per trial on the reference engine.
+    Within every strategy, consecutive specs over one network that differ
+    only in seeds — fixed-problem Monte Carlo batches, and unpinned
+    (instance) sweeps whose topology ignores its seed — execute on the
+    lockstep stacked kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
+    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses with equal packet
+    counts, telemetry or not — process-level parallelism multiplies
+    lockstep width instead of replacing it.  Narrower groups, including
+    every trial of an unpinned sweep over ``random_leveled`` (a new
+    network per seed), run per trial on the reference engine.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks use
     it to measure the kernel's speedup; results are byte-identical either
     way — see :meth:`TrialExecutor.run_chunk`).

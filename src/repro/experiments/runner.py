@@ -116,10 +116,21 @@ def run_frontier_trial(
     return TrialRecord(seed=seed, result=result, audit=report)
 
 
+def _per_problem(problems: Sequence[RoutingProblem], make: Callable) -> list:
+    """``make(problem)`` for each trial, computed once per distinct problem."""
+    made: dict = {}
+    out = []
+    for problem in problems:
+        key = id(problem)
+        if key not in made:
+            made[key] = make(problem)
+        out.append(made[key])
+    return out
+
+
 def run_frontier_trials_lockstep(
-    problem: RoutingProblem,
+    problems: Sequence[RoutingProblem],
     seeds: Sequence[int],
-    params: Optional[AlgorithmParams] = None,
     condition_sets: bool = False,
     fast_forward: bool = True,
     max_steps: Optional[int] = None,
@@ -129,33 +140,38 @@ def run_frontier_trials_lockstep(
 ) -> List[TrialRecord]:
     """Run one frontier trial per seed on the lockstep batch kernel.
 
-    Byte-identical, per trial, to the reference :func:`run_frontier_trial`
-    with the same seed: the same RNG
-    stream derivations feed one per-trial generator pair each, and the
+    Trial ``i`` routes ``problems[i]`` with ``seeds[i]``; the problems may
+    repeat (a fixed-problem batch) or differ (an instance batch), but must
+    share one network and one packet count.  Each problem resolves its own
+    parameters from ``params_kwargs`` and, without ``max_steps``, its own
+    step budget.  Byte-identical, per trial, to the reference
+    :func:`run_frontier_trial` with the same problem and seed: the same
+    RNG stream derivations feed one per-trial generator pair each, and the
     stacked kernel preserves every per-trial draw order — see
     :mod:`repro.sim.engine_lockstep`.  ``telemetry=True`` attaches each
     trial's event counters to ``result.telemetry``, equal to those of the
-    reference run under a telemetry session.  Requires numpy and a
-    problem without an arrival schedule; callers peel such trials off to
-    the per-trial paths.
+    reference run under a telemetry session.  Requires numpy and problems
+    without arrival schedules; callers peel such trials off to the
+    per-trial paths.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
-    if params is None:
-        params = resolve_trial_params(problem, **params_kwargs)
+    params = _per_problem(
+        problems, lambda p: resolve_trial_params(p, **params_kwargs)
+    )
     set_rows = None
     if condition_sets:
         set_rows = [
             resample_until_bounded(
                 problem,
-                params.num_sets,
-                params.set_congestion_bound,
+                prm.num_sets,
+                prm.set_congestion_bound,
                 seed=stable_hash_seed(seed, 1),
             )
-            for seed in seeds
+            for problem, prm, seed in zip(problems, params, seeds)
         ]
     engine = LockstepEngine.frontier(
-        problem,
+        problems,
         params,
         router_seeds=[stable_hash_seed(seed, 2) for seed in seeds],
         engine_seeds=[stable_hash_seed(seed, 3) for seed in seeds],
@@ -164,7 +180,10 @@ def run_frontier_trials_lockstep(
         geometry=geometry,
         telemetry=telemetry,
     )
-    budget = max_steps if max_steps is not None else params.total_steps
+    budget = (
+        max_steps if max_steps is not None
+        else [prm.total_steps for prm in params]
+    )
     results = engine.run(budget)
     return [
         TrialRecord(seed=seed, result=result)
@@ -173,23 +192,30 @@ def run_frontier_trials_lockstep(
 
 
 def run_naive_trials_lockstep(
-    problem: RoutingProblem,
+    problems: Sequence[RoutingProblem],
     seeds: Sequence[int],
-    max_steps: int,
+    max_steps: Optional[int] = None,
     geometry=None,
     telemetry: bool = False,
 ) -> List[RunResult]:
     """Run the naive baseline once per seed on the lockstep batch kernel.
 
-    Byte-identical, per trial, to :func:`run_router_trial` with a
-    ``NaivePathRouter`` factory and the same seed (the naive router draws
+    Trial ``i`` routes ``problems[i]`` (one network and packet count for
+    the batch) under ``max_steps``, or without it under its own problem's
+    :func:`~repro.experiments.configs.baseline_budget`.  Byte-identical,
+    per trial, to :func:`run_router_trial` with a ``NaivePathRouter``
+    factory and the same problem, seed and budget (the naive router draws
     no randomness of its own, so only the engine stream matters), counters
     included when ``telemetry`` is on.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
+    if max_steps is None:
+        from .configs import baseline_budget
+
+        max_steps = _per_problem(problems, baseline_budget)
     engine = LockstepEngine.naive(
-        problem,
+        problems,
         engine_seeds=[stable_hash_seed(seed, 5) for seed in seeds],
         geometry=geometry,
         telemetry=telemetry,

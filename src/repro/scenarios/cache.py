@@ -43,8 +43,12 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIRNAME = ".repro_cache"
 CACHE_FORMAT = 1
 
-#: Default bound on distinct warm scenarios held in memory per process.
-DEFAULT_SCENARIO_CAPACITY = 32
+#: Default bound on distinct warm scenarios held in memory per process.  A
+#: fixed-problem sweep uses one entry and an instance sweep reuses none, so
+#: a small bound costs no rebuilds there and keeps single-use problems and
+#: networks from piling up (docs/performance.md, "Instance sweeps on the
+#: lockstep kernel").
+DEFAULT_SCENARIO_CAPACITY = 8
 
 
 class _LRUTable:

@@ -292,7 +292,7 @@ class RunSpec:
         dependence): the canonical JSON bytes are folded through
         :func:`repro.rng.stable_hash_seed`.  Memoized per instance — the
         spec is frozen, so the hash can never go stale, and sweep hot
-        paths (shard writers, lockstep grouping) ask repeatedly.
+        paths (shard writers, result caches) ask repeatedly.
         """
         cached = self.__dict__.get("_content_hash_cache")
         if cached is None:

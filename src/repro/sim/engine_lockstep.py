@@ -1,14 +1,17 @@
 """Lockstep multi-trial batch kernel (stacked struct-of-arrays).
 
 :class:`LockstepEngine` advances a whole Monte Carlo batch of trials over
-one shared :class:`~repro.paths.RoutingProblem` in lockstep: every
-per-packet field of the reference engine becomes an array with a leading
-``trial`` axis (:class:`~repro.sim.soa.StackedPacketArrays`),
-so one "tick" of the batch advances every live trial by one executed step
-with a handful of numpy operations amortized across the batch.  Trials
-share geometry, paths, and initial packet layout exactly — they differ
-only in their RNG streams — which is precisely the shape of
-``sweep --fixed-problem`` shards and tuning rungs.
+one shared network in lockstep: every per-packet field of the reference
+engine becomes an array with a leading ``trial`` axis
+(:class:`~repro.sim.soa.StackedPacketArrays`), so one "tick" of the batch
+advances every live trial by one executed step with a handful of numpy
+operations amortized across the batch.  Each trial routes its own
+:class:`~repro.paths.RoutingProblem` with the same number of packets:
+fixed-problem sweeps and tuning rungs give every trial the same one (the
+trials differ only in their RNG streams), instance sweeps a different one
+per trial.  The frame schedule (``num_sets``, ``m``, ``w``, ``q``) and the
+step budget depend on the problem's congestion, so they are per-trial
+vectors too.
 
 Equivalence contract
 --------------------
@@ -93,35 +96,28 @@ _NO_PHASE = 2**62
 class LockstepEngine(ArbitrationMixin):
     """Stacked-array twin of the reference engine for whole trial batches.
 
-    Construct through :meth:`frontier` or :meth:`naive`.  ``run`` returns
-    one :class:`RunResult` per trial, in input order, each byte-identical
-    to the corresponding per-trial engine run.
+    Construct through :meth:`frontier` or :meth:`naive`, with one problem
+    per trial (one network and packet count for the batch, else a
+    :class:`~repro.errors.ReproError`).  ``run`` returns one
+    :class:`RunResult` per trial, in input order, each byte-identical to
+    the corresponding per-trial engine run.
     """
 
     def __init__(
         self,
-        problem,
+        problems: Sequence,
         *,
         mode: str,
         rngs: Sequence,
         router_rngs: Optional[Sequence] = None,
-        num_sets: int = 0,
-        m: int = 1,
-        w: int = 1,
-        q: float = 0.0,
+        params: Optional[Sequence] = None,
         set_rows=None,
         enable_fast_forward: bool = True,
         geometry=None,
         telemetry: bool = False,
     ) -> None:
         require_numpy()
-        if getattr(problem, "arrival_schedule", None) is not None:
-            raise ReproError(
-                "the lockstep kernel does not support arrival schedules; "
-                "run those trials on the per-trial engines instead"
-            )
-        self.problem = problem
-        self.net = problem.net
+        self.problems = list(problems)
         self.mode = mode
         self.router_name = (
             "FrontierFrameRouter" if mode == "frontier" else "NaivePathRouter"
@@ -129,18 +125,25 @@ class LockstepEngine(ArbitrationMixin):
         self.rngs = [make_rng(r) for r in rngs]
         trials = len(self.rngs)
         self.trials = trials
+        if len(self.problems) != trials:
+            raise ReproError(
+                f"lockstep needs one problem per trial: got "
+                f"{len(self.problems)} problems for {trials} trials"
+            )
         self._enable_fast_forward = enable_fast_forward
 
+        self.net = self.problems[0].net
         geo = geometry if geometry is not None else self.net.geometry()
         self._geo = geo
         ga = geo.arrays()
+        self._check_problems(ga)
         self._edge_src = ga.edge_src
         self._edge_dst = ga.edge_dst
         self._node_levels = ga.node_levels
         self._num_nodes = ga.num_nodes
         self._num_edges = ga.num_edges
 
-        self.soa = StackedPacketArrays.from_problem(problem, trials)
+        self.soa = StackedPacketArrays.from_problems(self.problems)
         n = self.soa.num_packets
         self.num_packets = n
 
@@ -174,17 +177,27 @@ class LockstepEngine(ArbitrationMixin):
         #: per-node deflection candidates, built on the first contended step
         self._inc = None
 
+        # The frame schedule, one entry per trial: trials routing different
+        # problems may differ in congestion and so in every parameter.
         if mode == "frontier":
             if router_rngs is None or len(router_rngs) != trials:
                 raise ReproError(
                     "frontier lockstep needs one router rng per trial"
                 )
+            if params is None or len(params) != trials:
+                raise ReproError(
+                    "frontier lockstep needs one AlgorithmParams per trial"
+                )
             self._router_rngs = list(router_rngs)
-            self._num_sets = int(num_sets)
-            self._m = int(m)
-            self._w = int(w)
-            self._q = float(q)
+            self._num_sets = np.array(
+                [p.num_sets for p in params], dtype=np.int64
+            )
+            self._m = np.array([p.m for p in params], dtype=np.int64)
+            self._w = np.array([p.w for p in params], dtype=np.int64)
+            self._q = np.array([p.q for p in params], dtype=np.float64)
             self._spp = self._m * self._w
+            #: trials that draw excitation coins (q = 0 draws none at all)
+            self._coins = self._q > 0.0
             set_idx = np.asarray(set_rows, dtype=np.int64)
             if set_idx.shape != (trials, n):
                 raise ReproError(
@@ -192,21 +205,17 @@ class LockstepEngine(ArbitrationMixin):
                     f"({trials}, {n}); got {set_idx.shape}"
                 )
             src_levels = self._node_levels[self.soa.source]
-            inj_phase = set_idx * self._m + (self._m - 1) + src_levels[None, :]
+            m_col = self._m[:, None]
+            inj_phase = set_idx * m_col + (m_col - 1) + src_levels
             self.fr = StackedFrontierArrays(set_idx, inj_phase)
-            self._set_offsets = (
-                np.arange(self._num_sets, dtype=np.int64) * self._m
-            )
-            self._target_by_set = np.zeros(
-                (trials, self._num_sets), dtype=np.int64
-            )
+            # Columns past a trial's own num_sets are never read: its
+            # packets' set indices stay below it.
+            most = int(self._num_sets.max())
+            self._set_offsets = np.arange(most, dtype=np.int64) * m_col
+            self._target_by_set = np.zeros((trials, most), dtype=np.int64)
         else:
             self.fr = None
             self._router_rngs = None
-            self._num_sets = 0
-            self._m = self._w = 1
-            self._q = 0.0
-            self._spp = 0
             # NaivePathRouter.attach marks everything eligible immediately.
             self.elig_mask[:] = True
             self.elig_cnt[:] = n
@@ -217,13 +226,36 @@ class LockstepEngine(ArbitrationMixin):
 
             self.counters = TrialCounters(self)
 
+    def _check_problems(self, ga) -> None:
+        """Every trial's problem: no arrivals, and the batch's network."""
+        seen = {id(self.net)}
+        for problem in self.problems:
+            if getattr(problem, "arrival_schedule", None) is not None:
+                raise ReproError(
+                    "the lockstep kernel does not support arrival schedules; "
+                    "run those trials on the per-trial engines instead"
+                )
+            if id(problem.net) in seen:
+                continue
+            seen.add(id(problem.net))
+            other = problem.net.geometry().arrays()
+            if not (
+                np.array_equal(other.edge_src, ga.edge_src)
+                and np.array_equal(other.edge_dst, ga.edge_dst)
+                and np.array_equal(other.node_levels, ga.node_levels)
+            ):
+                raise ReproError(
+                    "lockstep trials must route over one shared network; "
+                    f"{problem.net.name!r} differs from {self.net.name!r}"
+                )
+
     # ------------------------------------------------------------- factories
 
     @classmethod
     def frontier(
         cls,
-        problem,
-        params,
+        problems: Sequence,
+        params: Sequence,
         *,
         router_seeds: Sequence[RngLike],
         engine_seeds: Sequence[RngLike],
@@ -234,8 +266,8 @@ class LockstepEngine(ArbitrationMixin):
     ) -> "LockstepEngine":
         """Batch kernel for the paper's frontier-frame algorithm.
 
-        Trial ``i`` mirrors the reference ``Engine(problem,
-        FrontierFrameRouter(params, seed=router_seeds[i]),
+        Trial ``i`` mirrors the reference ``Engine(problems[i],
+        FrontierFrameRouter(params[i], seed=router_seeds[i]),
         seed=engine_seeds[i])`` exactly: when ``set_rows`` is omitted each
         trial's frontier-set assignment is drawn from its own router
         generator (leaving the excitation-coin stream aligned with the
@@ -246,39 +278,35 @@ class LockstepEngine(ArbitrationMixin):
         """
         require_numpy()
         from ..core.frontier import assign_frontier_sets
+        from ..errors import ParameterError
 
-        if params.depth != problem.net.depth:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for depth {params.depth} but network has "
-                f"depth {problem.net.depth}"
-            )
-        if params.num_packets != problem.num_packets:
-            from ..errors import ParameterError
-
-            raise ParameterError(
-                f"params built for {params.num_packets} packets but "
-                f"problem has {problem.num_packets}"
-            )
+        problems, params = list(problems), list(params)
+        for problem, prm in zip(problems, params):
+            if prm.depth != problem.net.depth:
+                raise ParameterError(
+                    f"params built for depth {prm.depth} but network has "
+                    f"depth {problem.net.depth}"
+                )
+            if prm.num_packets != problem.num_packets:
+                raise ParameterError(
+                    f"params built for {prm.num_packets} packets but "
+                    f"problem has {problem.num_packets}"
+                )
         router_rngs = [make_rng(s) for s in router_seeds]
         if len(router_rngs) != len(list(engine_seeds)):
             raise ReproError("router_seeds and engine_seeds lengths differ")
         if set_rows is None:
             set_rows = [
-                assign_frontier_sets(problem, params.num_sets, rng)
-                for rng in router_rngs
+                assign_frontier_sets(problem, prm.num_sets, rng)
+                for problem, prm, rng in zip(problems, params, router_rngs)
             ]
         return cls(
-            problem,
+            problems,
             mode="frontier",
             rngs=engine_seeds,
             router_rngs=router_rngs,
-            num_sets=params.num_sets,
-            m=params.m,
-            w=params.w,
-            q=params.q,
-            set_rows=np.asarray(set_rows, dtype=np.int64),
+            params=params,
+            set_rows=set_rows,
             enable_fast_forward=enable_fast_forward,
             geometry=geometry,
             telemetry=telemetry,
@@ -287,15 +315,16 @@ class LockstepEngine(ArbitrationMixin):
     @classmethod
     def naive(
         cls,
-        problem,
+        problems: Sequence,
         *,
         engine_seeds: Sequence[RngLike],
         geometry=None,
         telemetry: bool = False,
     ) -> "LockstepEngine":
-        """Batch kernel for the naive path-following baseline."""
+        """Batch kernel for the naive path-following baseline;
+        trial ``i`` routes ``problems[i]``."""
         return cls(
-            problem,
+            problems,
             mode="naive",
             rngs=engine_seeds,
             geometry=geometry,
@@ -309,25 +338,29 @@ class LockstepEngine(ArbitrationMixin):
         """All packets of every trial absorbed."""
         return bool((self.num_absorbed == self.num_packets).all())
 
-    def run(self, max_steps: int) -> List[RunResult]:
-        """Run every trial to delivery or the step budget; per-trial results."""
+    def run(self, max_steps) -> List[RunResult]:
+        """Run every trial to delivery or its step budget; per-trial results.
+
+        ``max_steps`` is one budget for every trial or one per trial.
+        """
         frontier = self.fr is not None
         ff = frontier and self._enable_fast_forward
         bulk = frontier and not ff and self.counters is None
-        live = (self.num_absorbed < self.num_packets) & (self.t < max_steps)
+        budget = np.broadcast_to(
+            np.asarray(max_steps, dtype=np.int64), (self.trials,)
+        )
+        live = (self.num_absorbed < self.num_packets) & (self.t < budget)
         while live.any():
             lt = np.nonzero(live)[0]
             if ff:
                 self._fast_forward(lt)
             elif bulk:
-                self._bulk_advance(lt, max_steps)
-                lt = lt[self.t[lt] < max_steps]
+                self._bulk_advance(lt, budget)
+                lt = lt[self.t[lt] < budget[lt]]
                 if not lt.size:
                     break
             self._step(lt)
-            live = (self.num_absorbed < self.num_packets) & (
-                self.t < max_steps
-            )
+            live = (self.num_absorbed < self.num_packets) & (self.t < budget)
         results = [self.result(i) for i in range(self.trials)]
         if self.counters is not None:
             for result, counters in zip(
@@ -366,7 +399,7 @@ class LockstepEngine(ArbitrationMixin):
             # without them some eligible packet wins its slot and injects.
             ev = (self.act_cnt[lt] > 0) | (self.elig_cnt[lt] > 0)
             if fr is not None:
-                ev |= (t_lt % self._w) == 0
+                ev |= (t_lt % self._w[lt]) == 0
             tc.last_time[lt[ev]] = t_lt[ev]
 
         erow, ecol = np.nonzero(self.elig_mask[lt])
@@ -468,12 +501,12 @@ class LockstepEngine(ArbitrationMixin):
         fr = self.fr
         soa = self.soa
         trials = self.trials
-        spp, w_, q = self._spp, self._w, self._q
+        spp, w_ = self._spp[lt], self._w[lt]
         ps_sel = (t_lt % spp) == 0
         tc = self.counters
         if ps_sel.any():
             ps = lt[ps_sel]
-            phase = self.t[ps] // spp
+            phase = t_lt[ps_sel] // spp[ps_sel]
             self.current_phase[ps] = phase
             if tc is not None:
                 tc.phase_start(self, ps, phase)
@@ -491,12 +524,13 @@ class LockstepEngine(ArbitrationMixin):
             rs = lt[rs_sel]
             if tc is not None:
                 tc.rounds[rs] += 1
-            tr = self.t[rs]
-            phase = tr // spp
-            rnd = (tr % spp) // w_
+            tr = t_lt[rs_sel]
+            spp_rs = spp[rs_sel]
+            phase = tr // spp_rs
+            rnd = (tr % spp_rs) // w_[rs_sel]
             tinner = np.where(rnd <= 1, 0, rnd - 1)
             self._target_by_set[rs] = (phase - tinner)[:, None] - (
-                self._set_offsets[None, :]
+                self._set_offsets[rs]
             )
             if a_tid.size:
                 rflag = np.zeros(trials, dtype=bool)
@@ -525,8 +559,8 @@ class LockstepEngine(ArbitrationMixin):
         # Excitation coins: each trial draws one Generator.random(n) over
         # its active normal packets in active-id order, exactly the
         # reference stream; the flat buffer just batches the comparison.
-        if q > 0.0 and a_tid.size:
-            normal = fr.state[a_tid, a_pid] == _NORMAL
+        if a_tid.size:
+            normal = (fr.state[a_tid, a_pid] == _NORMAL) & self._coins[a_tid]
             if normal.any():
                 nt = a_tid[normal]
                 counts = np.bincount(nt, minlength=trials)
@@ -536,7 +570,7 @@ class LockstepEngine(ArbitrationMixin):
                     c = int(counts[i])
                     u[off:off + c] = self._router_rngs[i].random(c)
                     off += c
-                hits = u < q
+                hits = u < self._q[nt]
                 if hits.any():
                     et = nt[hits]
                     ep = a_pid[normal][hits]
@@ -551,8 +585,8 @@ class LockstepEngine(ArbitrationMixin):
         """Frontier post-step: round-end calms, phase-end releases."""
         fr = self.fr
         trials = self.trials
-        round_end = ((t_lt + 1) % self._w) == 0
-        phase_end = ((t_lt + 1) % self._spp) == 0
+        round_end = ((t_lt + 1) % self._w[lt]) == 0
+        phase_end = ((t_lt + 1) % self._spp[lt]) == 0
         need = (
             (round_end | phase_end)
             & (
@@ -663,7 +697,7 @@ class LockstepEngine(ArbitrationMixin):
         self.safe_mask[tid[fwd], pid[fwd]] = True
 
         delivered = (soa.cursor[tid, pid] == soa.width) & (
-            new_nodes == soa.destination[pid]
+            new_nodes == soa.destination[tid, pid]
         )
         deliv_any = bool(delivered.any())
         if deliv_any:
@@ -761,7 +795,6 @@ class LockstepEngine(ArbitrationMixin):
         """Trials of ``lt`` that are quiescent, with per-trial horizons."""
         fr = self.fr
         soa = self.soa
-        spp = self._spp
         cand = lt[self.elig_cnt[lt] == 0]
         if not cand.size:
             return None, None
@@ -769,6 +802,7 @@ class LockstepEngine(ArbitrationMixin):
         ip = np.where(unmarked, fr.injection_phase[cand], _NO_PHASE)
         minph = ip.min(axis=1)
         has_pending = minph < _NO_PHASE
+        spp = self._spp[cand]
         cur_phase = self.t[cand] // spp
         ok = ~has_pending | (minph > cur_phase)
         if not ok.all():
@@ -776,6 +810,7 @@ class LockstepEngine(ArbitrationMixin):
             minph = minph[ok]
             has_pending = has_pending[ok]
             cur_phase = cur_phase[ok]
+            spp = spp[ok]
         if not cand.size:
             return None, None
         empty = self.act_cnt[cand] == 0
@@ -862,19 +897,19 @@ class LockstepEngine(ArbitrationMixin):
         self.t[rows] = target
         self.steps_skipped[rows] += k
 
-    def _bulk_advance(self, lt, max_steps: int) -> None:
+    def _bulk_advance(self, lt, budget) -> None:
         """Quiescent spans as *executed* steps (fast-forward disabled)."""
         rows, horizon = self._quiescent_rows(lt)
         if rows is None:
             return
-        target = np.minimum(horizon - 1, max_steps)
+        target = np.minimum(horizon - 1, budget[rows])
         k = target - self.t[rows]
         adv = k > 0
         if not adv.any():
             return
         rows, target, k = rows[adv], target[adv], k[adv]
         self._advance_span(rows, k)
-        phase = (target - 1) // self._spp
+        phase = (target - 1) // self._spp[rows]
         self.current_phase[rows] = np.maximum(self.current_phase[rows], phase)
         self.t[rows] = target
         self.steps_executed[rows] += k
@@ -887,6 +922,7 @@ class LockstepEngine(ArbitrationMixin):
         Without its telemetry counters: :meth:`run` attaches those for the
         whole batch at once.
         """
+        problem = self.problems[i]
         soa = self.soa
         n = self.num_packets
         aa = soa.absorbed_at[i]
@@ -898,10 +934,10 @@ class LockstepEngine(ArbitrationMixin):
         extra: Dict[str, float] = {}
         if self.fr is not None:
             extra = {
-                "num_sets": float(self._num_sets),
-                "m": float(self._m),
-                "w": float(self._w),
-                "q": float(self._q),
+                "num_sets": float(self._num_sets[i]),
+                "m": float(self._m[i]),
+                "w": float(self._w[i]),
+                "q": float(self._q[i]),
                 "excitations": float(self.excitations[i]),
                 "wait_entries": float(self.wait_entries[i]),
                 "wait_evictions": float(self.wait_evictions[i]),
@@ -911,11 +947,11 @@ class LockstepEngine(ArbitrationMixin):
             }
         return RunResult(
             router_name=self.router_name,
-            network_name=self.net.name,
+            network_name=problem.net.name,
             num_packets=n,
-            congestion=self.problem.congestion,
-            dilation=self.problem.dilation,
-            depth=self.net.depth,
+            congestion=problem.congestion,
+            dilation=problem.dilation,
+            depth=problem.net.depth,
             delivered=int(self.num_absorbed[i]),
             makespan=makespan,
             steps_executed=int(self.steps_executed[i]),

@@ -12,9 +12,9 @@ Three containers live here:
 * :class:`GeometryArrays` — the network's endpoint/level tables as int64
   arrays, built once per :class:`~repro.net.NetworkGeometry` and cached on
   it (networks are immutable, so the cache can never go stale).
-* :class:`StackedPacketArrays` — the mutable per-packet state: position,
-  status, move statistics, and the *current path* of Section 2.3 stored
-  as a right-aligned edge buffer with a per-packet cursor.
+* :class:`StackedPacketArrays` — the per-packet state: endpoints,
+  position, status, move statistics, and the *current path* of Section 2.3
+  stored as a right-aligned edge buffer with a per-packet cursor.
 * :class:`StackedFrontierArrays` — the frontier-frame router state.
 
 Path representation
@@ -94,11 +94,15 @@ class StackedPacketArrays:
     """Per-packet state for a whole *batch* of trials: ``(T, N)`` arrays.
 
     The lockstep kernel (:mod:`repro.sim.engine_lockstep`) advances many
-    Monte Carlo trials of one shared :class:`~repro.paths.RoutingProblem`
-    at once; every field of :class:`~repro.sim.packet.Packet` becomes a
-    ``(T, N)`` array (``path_buf`` is ``T x N x width``) while the immutable
-    ``source``/``destination`` columns stay one-dimensional — they are
-    identical across trials by construction.
+    Monte Carlo trials at once, each routing its own
+    :class:`~repro.paths.RoutingProblem` over one shared network; trials may
+    share a problem (a fixed-problem sweep) or each route a different one
+    (an instance sweep), but all carry the same number of packets ``N``.
+    Every field of :class:`~repro.sim.packet.Packet` becomes a ``(T, N)``
+    array (``path_buf`` is ``T x N x width``), the immutable
+    ``source``/``destination`` columns included.  ``width`` is common to
+    the batch: a problem whose longest path is shorter is left-padded by
+    shifting its cursors.
     """
 
     __slots__ = (
@@ -121,7 +125,9 @@ class StackedPacketArrays:
         "backward_moves",
     )
 
-    _TILED = (
+    _STACKED = (
+        "source",
+        "destination",
         "node",
         "path_buf",
         "cursor",
@@ -136,32 +142,55 @@ class StackedPacketArrays:
         "backward_moves",
     )
 
-    def __init__(self, template: "StackedPacketArrays", trials: int) -> None:
-        """``trials`` independent copies of a one-trial ``template``."""
-        self.trials = trials
-        self.num_packets = template.num_packets
-        self.width = template.width
-        self.source = template.source.copy()
-        self.destination = template.destination.copy()
-        for name in self._TILED:
-            setattr(self, name, np.repeat(getattr(template, name), trials, axis=0))
+    def __init__(self, templates, index) -> None:
+        """Trial ``i`` starts as a copy of one-trial ``templates[index[i]]``."""
+        n = templates[0].num_packets
+        counts = sorted({t.num_packets for t in templates})
+        if len(counts) > 1:
+            raise ReproError(
+                "lockstep trials must carry equal packet counts; got "
+                f"{counts}: run unequal problems in separate batches"
+            )
+        width = max(t.width for t in templates)
+        self.trials = len(index)
+        self.num_packets = n
+        self.width = width
+        index = np.asarray(index, dtype=np.intp)
+        shifts = [width - t.width for t in templates]
+        for name in self._STACKED:
+            parts = [getattr(t, name) for t in templates]
+            if name == "path_buf":
+                parts = [
+                    np.pad(p, ((0, 0), (0, 0), (s, 0))) if s else p
+                    for p, s in zip(parts, shifts)
+                ]
+            elif name == "cursor":
+                parts = [p + s for p, s in zip(parts, shifts)]
+            setattr(self, name, np.concatenate(parts)[index])
 
     @classmethod
-    def from_problem(
-        cls, problem: "RoutingProblem", trials: int
-    ) -> "StackedPacketArrays":
-        """Fresh per-batch state for one routing problem.
+    def from_problems(cls, problems) -> "StackedPacketArrays":
+        """Fresh per-batch state, trial ``i`` routing ``problems[i]``.
 
-        The initial state (sources, destinations, initial paths) is built
-        once as a one-trial template and cached on the problem; each batch
-        tiles it, so warm-pool sweeps that reuse a problem across seeds
-        skip the Python-loop build entirely.
+        Each distinct problem's initial state (sources, destinations,
+        initial paths) is built once as a one-trial template.  A problem
+        that serves several trials of the batch keeps its template, so
+        warm-pool sweeps that reuse it across seeds and batches skip the
+        Python-loop build; a problem routed by one trial only does not.
         """
-        template = getattr(problem, "_soa_template", None)
-        if template is None:
-            template = cls._build(problem)
-            problem._soa_template = template
-        return cls(template, trials)
+        slots: dict = {}
+        index = [slots.setdefault(id(p), len(slots)) for p in problems]
+        distinct = {id(p): p for p in problems}
+        uses = np.bincount(index, minlength=len(slots)).tolist()
+        templates = []
+        for problem, used in zip(distinct.values(), uses):
+            template = getattr(problem, "_soa_template", None)
+            if template is None:
+                template = cls._build(problem)
+                if used > 1:
+                    problem._soa_template = template
+            templates.append(template)
+        return cls(templates, index)
 
     @classmethod
     def _build(cls, problem: "RoutingProblem") -> "StackedPacketArrays":
@@ -172,11 +201,11 @@ class StackedPacketArrays:
         out.trials = 1
         out.num_packets = n
         out.width = width
-        out.source = np.array([spec.source for spec in specs], dtype=np.int64)
+        out.source = np.array([[spec.source for spec in specs]], dtype=np.int64)
         out.destination = np.array(
-            [spec.destination for spec in specs], dtype=np.int64
+            [[spec.destination for spec in specs]], dtype=np.int64
         )
-        out.node = out.source[None, :].copy()
+        out.node = out.source.copy()
         out.path_buf = np.zeros((1, n, width), dtype=np.int64)
         out.cursor = np.full((1, n), width, dtype=np.int64)
         for pid, spec in enumerate(specs):

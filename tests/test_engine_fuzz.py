@@ -144,7 +144,7 @@ def test_vectorized_kernel_matches_reference_under_fuzz(problem, seed):
         pytest.skip("lockstep kernel requires numpy")
     for width in (1, 3):
         seeds = [seed + k for k in range(width)]
-        batch = run_frontier_trials_lockstep(problem, seeds)
+        batch = run_frontier_trials_lockstep([problem] * width, seeds)
         for trial_seed, rec in zip(seeds, batch):
             ref = run_frontier_trial(problem, trial_seed)
             assert asdict(ref.result) == asdict(rec.result)

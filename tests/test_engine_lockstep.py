@@ -13,13 +13,16 @@ runs never reach from a forced start state, and check the benchmark's
 five cells at full width.  With ``telemetry`` on, each trial's counters
 must equal, byte for byte, the ones the reference run's
 :class:`~repro.telemetry.Counters` observer builds from its event stream.
-They then pin the executor-level guarantees: grouping of homogeneous
-chunks (telemetered or not), the width policy, peel-off of trials
-needing per-trial machinery (ambient traces, audits, cache hits), and
-byte-identical sweep shards with lockstep on or off — including through a
-mid-shard kill and resume.
+Batches may stack a different problem per trial over one network (an
+instance sweep), each with its own frame schedule and budget.  They then
+pin the executor-level guarantees: grouping of chunks over one network
+(telemetered or not, pinned or unpinned), the width policy, the split at
+packet-count changes, peel-off of trials needing per-trial machinery
+(ambient traces, audits, cache hits), and byte-identical sweep shards
+with lockstep on or off — including through a mid-shard kill and resume.
 """
 
+import dataclasses
 from collections import Counter
 from dataclasses import asdict
 
@@ -52,9 +55,11 @@ from repro.experiments.batch import (
     TrialExecutor,
     run_spec_trials,
 )
+from repro.errors import ReproError
 from repro.net import LeveledNetworkBuilder, random_leveled
 from repro.paths import PacketSpec, Path, RoutingProblem, select_paths_random
-from repro.scenarios import RunSpec
+from repro.rng import stable_hash_seed
+from repro.scenarios import WORKLOADS, RunSpec, build_network, build_problem
 from repro.sim import (
     Engine,
     PacketStatus,
@@ -136,7 +141,7 @@ def lockstep_instance(draw):
 def test_frontier_lockstep_matches_serial_across_widths(width):
     problem = butterfly_random_instance(4, seed=7)
     seeds = list(range(width))
-    batch = run_frontier_trials_lockstep(problem, seeds)
+    batch = run_frontier_trials_lockstep([problem] * len(seeds), seeds)
     assert [rec.seed for rec in batch] == seeds
     for seed, rec in zip(seeds, batch):
         ref = run_frontier_trial(problem, seed)
@@ -149,7 +154,7 @@ def test_naive_lockstep_matches_serial_across_widths(width):
     problem = butterfly_random_instance(3, seed=5)
     budget = baseline_budget(problem)
     seeds = list(range(width))
-    batch = run_naive_trials_lockstep(problem, seeds, budget)
+    batch = run_naive_trials_lockstep([problem] * len(seeds), seeds, budget)
     for seed, result in zip(seeds, batch):
         ref = run_router_trial(
             problem, lambda _s: NaivePathRouter(), seed, budget
@@ -169,7 +174,8 @@ def test_naive_lockstep_matches_serial_across_widths(width):
 def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward, telemetry):
     seeds = [seed0 + k for k in range(width)]
     batch = run_frontier_trials_lockstep(
-        problem, seeds, fast_forward=fast_forward, telemetry=telemetry
+        [problem] * width, seeds, fast_forward=fast_forward,
+        telemetry=telemetry,
     )
     for seed, rec in zip(seeds, batch):
         ref = reference(
@@ -198,7 +204,7 @@ def test_frontier_lockstep_fuzz_under_tight_budget(
     packets and the final step count must match the reference too."""
     seeds = [seed0 + k for k in range(width)]
     batch = run_frontier_trials_lockstep(
-        problem,
+        [problem] * width,
         seeds,
         fast_forward=fast_forward,
         max_steps=max_steps,
@@ -225,7 +231,7 @@ def test_frontier_lockstep_fuzz_under_tight_budget(
 def test_naive_lockstep_fuzz(problem, width, seed0, telemetry):
     seeds = [seed0 + k for k in range(width)]
     batch = run_naive_trials_lockstep(
-        problem, seeds, 20000, telemetry=telemetry
+        [problem] * width, seeds, 20000, telemetry=telemetry
     )
     for seed, result in zip(seeds, batch):
         ref = reference(
@@ -241,7 +247,9 @@ def test_naive_lockstep_fuzz(problem, width, seed0, telemetry):
 def test_condition_sets_lockstep_identical():
     problem = butterfly_random_instance(4, seed=99)
     seeds = [0, 5, 42]
-    batch = run_frontier_trials_lockstep(problem, seeds, condition_sets=True)
+    batch = run_frontier_trials_lockstep(
+        [problem] * len(seeds), seeds, condition_sets=True
+    )
     for seed, rec in zip(seeds, batch):
         ref = run_frontier_trial(problem, seed, condition_sets=True)
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
@@ -255,7 +263,7 @@ def test_condition_sets_single_trial_identical(seed):
     problem = butterfly_random_instance(4, seed=99)
     for fast_forward in (True, False):
         (rec,) = run_frontier_trials_lockstep(
-            problem, [seed], condition_sets=True, fast_forward=fast_forward
+            [problem], [seed], condition_sets=True, fast_forward=fast_forward
         )
         ref = run_frontier_trial(
             problem, seed, condition_sets=True, fast_forward=fast_forward
@@ -272,7 +280,7 @@ def test_naive_lockstep_under_deflection():
     reference engine, not only the conflict-free fast path."""
     problem = butterfly_hotrow_instance(5, 24, seed=3)
     seeds = [9, 10, 11]
-    batch = run_naive_trials_lockstep(problem, seeds, 20000)
+    batch = run_naive_trials_lockstep([problem] * len(seeds), seeds, 20000)
     for seed, result in zip(seeds, batch):
         ref = run_router_trial(
             problem, lambda _s: NaivePathRouter(), seed, 20000
@@ -354,7 +362,7 @@ def test_contended_rare_branches_match_reference(monkeypatch):
     problem, (s, t1, e1) = _fork_problem()
     seeds = list(range(8))
     refs = [Engine(problem, NaivePathRouter(), seed=seed) for seed in seeds]
-    lock = LockstepEngine.naive(problem, engine_seeds=seeds)
+    lock = LockstepEngine.naive([problem] * len(seeds), engine_seeds=seeds)
     assert lock.soa.width == 4  # longest path (2) + front slack (2)
     for trial, ref in enumerate(refs):
         if trial < 4:
@@ -445,7 +453,7 @@ def test_lockstep_unavailable_raises_actionable_error(monkeypatch):
     )
     with pytest.raises(VectorBackendUnavailable) as excinfo:
         LockstepEngine.frontier(
-            problem, params, router_seeds=[1], engine_seeds=[2]
+            [problem], [params], router_seeds=[1], engine_seeds=[2]
         )
     message = str(excinfo.value)
     assert "requires numpy" in message
@@ -474,12 +482,152 @@ def test_straggler_trials_do_not_perturb_the_batch():
     remaining trial must still replay its serial draws exactly."""
     problem = butterfly_hotrow_instance(5, 24, seed=3)
     seeds = list(range(17))
-    batch = run_frontier_trials_lockstep(problem, seeds)
+    batch = run_frontier_trials_lockstep([problem] * len(seeds), seeds)
     makespans = {rec.result.makespan for rec in batch}
     assert len(makespans) > 1, "fixture no longer produces stragglers"
     for seed, rec in zip(seeds, batch):
         ref = run_frontier_trial(problem, seed)
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+
+
+def test_kernel_rejects_unequal_packet_counts_and_networks():
+    """One batch stacks problems of one packet count over one network;
+    anything else is refused before a step runs."""
+    pytest.importorskip("numpy")
+    six, five = (
+        dataclasses.replace(base_spec(), workload_params={"num_packets": n})
+        for n in (6, 5)
+    )
+    net = build_network(six)
+    problems = [build_problem(six, net=net), build_problem(five, net=net)]
+    with pytest.raises(ReproError, match="equal packet counts"):
+        LockstepEngine.naive(problems, engine_seeds=[1, 2])
+    with pytest.raises(ReproError, match="equal packet counts"):
+        run_frontier_trials_lockstep(problems, [1, 2])
+    mesh = RunSpec(
+        topology="mesh",
+        topology_params={"rows": 3, "cols": 3},
+        workload="random_many_to_one",
+        workload_params={"num_packets": 6},
+        backend="naive",
+    )
+    with pytest.raises(ReproError, match="one shared network"):
+        LockstepEngine.naive(
+            [problems[0], build_problem(mesh)], engine_seeds=[1, 2]
+        )
+
+
+@needs_numpy
+@pytest.mark.parametrize("fast_forward", [True, False])
+def test_kernel_runs_a_different_schedule_per_trial(fast_forward):
+    """One batch over one butterfly whose trials differ in problem and in
+    every frame parameter — ``num_sets``, ``m``, ``w``, ``q`` (0 draws no
+    excitation coins) — and step budget: each trial equals the reference
+    run of its own problem, parameters and seed."""
+    specs = [base_spec().with_seed(seed) for seed in range(8)]
+    net = build_network(specs[0])
+    problems = [build_problem(spec, net=net) for spec in specs]
+    params = [
+        AlgorithmParams.practical(
+            max(1, problem.congestion),
+            problem.net.depth,
+            problem.num_packets,
+            m=6 + k % 3,
+            w_factor=(1.0, 0.75)[k % 2],
+            q=(None, 0.0, 0.5, 1.0)[k % 4],
+        )
+        for k, problem in enumerate(problems)
+    ]
+    assert len({(p.num_sets, p.m, p.w, p.q) for p in params}) == 8
+    assert len({p.num_sets for p in params}) > 1
+    seeds = list(range(100, 108))
+    engine = LockstepEngine.frontier(
+        problems,
+        params,
+        router_seeds=[stable_hash_seed(seed, 2) for seed in seeds],
+        engine_seeds=[stable_hash_seed(seed, 3) for seed in seeds],
+        enable_fast_forward=fast_forward,
+    )
+    results = engine.run([p.total_steps for p in params])
+    for problem, prm, seed, got in zip(problems, params, seeds, results):
+        ref = run_frontier_trial(
+            problem, seed, params=prm, fast_forward=fast_forward
+        )
+        assert_results_identical(ref.result, got, f"(seed {seed})")
+
+
+#: Instance-sweep cases over one network: ``(backend, backend params)``.
+UNPINNED_CASES = {
+    "frontier": ("frontier", {}),
+    "frontier_no_fast_forward": ("frontier", {"fast_forward": False}),
+    "condition_sets": ("frontier", {"condition_sets": True}),
+    "naive": ("naive", {}),
+    "naive_tight_budget": ("naive", {"max_steps": 4}),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("telemetry", [False, True])
+@pytest.mark.parametrize("case", sorted(UNPINNED_CASES))
+def test_unpinned_groups_match_reference_across_widths(
+    case, telemetry, monkeypatch
+):
+    """Unpinned trials over one butterfly, each routing its own instance,
+    at widths 1, 6, 32 and 64 through the executor (its width threshold
+    lowered to 1 so a single trial locksteps): every trial's full
+    RunResult, counters included, equals its per-trial reference.  The
+    frontier groups mix instances of different congestion, so their
+    trials run different frame schedules (``num_sets``) and budgets."""
+    backend, params = UNPINNED_CASES[case]
+    base = base_spec(backend=backend).with_params(**params)
+    specs = [base.with_seed(seed) for seed in range(64)]
+    assert len({s.scenario_hash() for s in specs}) == 64
+    refs = TrialExecutor(lockstep=False, telemetry=telemetry).run_chunk(specs)
+    monkeypatch.setattr(batch_mod, "LOCKSTEP_MIN_TRIALS", 1)
+    for width in (1, 6, 32, 64):
+        records = TrialExecutor(telemetry=telemetry).run_chunk(specs[:width])
+        assert {r.executor for r in records} == {f"lockstep[w={width}]"}
+        for ref, got in zip(refs, records):
+            assert_results_identical(
+                ref.result, got.result, f"(w={width}, {got.spec.seed})"
+            )
+    if backend == "frontier":
+        num_sets = {r.result.extra["num_sets"] for r in refs[:6]}
+        assert len(num_sets) >= 2, "fixture no longer mixes schedules"
+    if "max_steps" in params:
+        assert not all(r.result.all_delivered for r in refs)
+
+
+@needs_numpy
+def test_executor_splits_groups_at_packet_count_changes(monkeypatch):
+    """A registered workload whose packet count depends on its seed: the
+    executor cuts the group into runs of equal counts, in spec order,
+    locksteps the runs of at least LOCKSTEP_MIN_TRIALS and runs the
+    shorter one per trial; every record equals the per-trial path's."""
+    width = LOCKSTEP_MIN_TRIALS
+    counts = [6] * (width + 1) + [5] * 2 + [6] * width
+    specs = [
+        dataclasses.replace(
+            base_spec(), workload="seeded_count", workload_params={}
+        ).with_seed(k)
+        for k in range(len(counts))
+    ]
+    by_seed = {s.workload_seed(): n for s, n in zip(specs, counts)}
+
+    def seeded_count(net, *, seed=None):
+        return random_many_to_one(net, by_seed[seed], seed=seed)
+
+    monkeypatch.setitem(WORKLOADS._entries, "seeded_count", seeded_count)
+    records = TrialExecutor().run_chunk(specs)
+    assert [r.spec for r in records] == specs
+    assert [r.result.num_packets for r in records] == counts
+    assert [r.executor for r in records] == (
+        [f"lockstep[w={width + 1}]"] * (width + 1)
+        + [""] * 2
+        + [f"lockstep[w={width}]"] * width
+    )
+    for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
 # ------------------------------------------------ executor: grouping/peel-off
@@ -531,10 +679,11 @@ def test_executor_width_threshold(width, tag):
 
 @needs_numpy
 def test_executor_mixed_chunk_preserves_order_and_identity():
-    """Ineligible specs interleaved with a homogeneous run split the chunk:
-    the frontier run locksteps, the naive spec and the different-scenario
-    spec fall through to the per-trial path (groups of one), and record
-    order is spec order throughout."""
+    """A naive spec interleaved with a frontier run splits the chunk: each
+    frontier run locksteps and the naive spec falls through to the
+    per-trial path (a group of one).  ``other`` routes a different
+    instance over the same butterfly, so it joins the second frontier
+    group; record order is spec order throughout."""
     width = LOCKSTEP_MIN_TRIALS
     frontier = sweep_specs(base_spec(), 2 * width)
     other = base_spec(seed=77).with_pinned_scenario()
@@ -543,8 +692,12 @@ def test_executor_mixed_chunk_preserves_order_and_identity():
     records = TrialExecutor().run_chunk(specs)
     assert [r.spec for r in records] == specs
     tags = [r.executor for r in records]
-    group = [f"lockstep[w={width}]"] * width
-    assert tags == group + [""] + group + [""]
+    assert other.scenario_hash() != frontier[0].scenario_hash()
+    assert tags == (
+        [f"lockstep[w={width}]"] * width
+        + [""]
+        + [f"lockstep[w={width + 1}]"] * (width + 1)
+    )
     for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
@@ -605,7 +758,9 @@ def test_counters_fold_deflections_in_reference_node_order():
     workload = random_many_to_one(net, 34, seed=127023495)
     problem = select_paths_random(net, workload.endpoints, seed=127023496)
     seeds = [0, 1, 2, 3]
-    batch = run_naive_trials_lockstep(problem, seeds, 20000, telemetry=True)
+    batch = run_naive_trials_lockstep(
+        [problem] * len(seeds), seeds, 20000, telemetry=True
+    )
     for seed, result in zip(seeds, batch):
         ref = reference(
             lambda: run_router_trial(
@@ -859,11 +1014,35 @@ class TestSweepShardIdentity:
         assert final["lockstep_trials"] == 0
         assert final["executor"] == "per-trial"
 
-    def test_unpinned_sweep_runs_per_trial(self, tmp_path):
-        """Every trial of an unpinned manifest routes its own instance, so
-        each group has width 1 and the executor never calls lockstep."""
+    def test_unpinned_sweep_runs_on_lockstep(self, tmp_path):
+        """Every trial of an unpinned manifest routes its own instance, all
+        over the one butterfly, so the shard is one lockstep group of
+        different problems; its bytes equal the per-trial path's."""
         manifest = SweepManifest.from_base(
             base_spec(), num_trials=SHARD_SIZE, shard_size=SHARD_SIZE, pin=False
+        )
+        specs = manifest.shard_specs(0)
+        assert len({s.scenario_hash() for s in specs}) == SHARD_SIZE
+        beats = []
+        store = open_store(tmp_path / "unpinned", manifest)
+        run_sweep(
+            manifest, store, heartbeat=counting_heartbeat(beats.append),
+            compact=False,
+        )
+        assert beats[-1]["lockstep_trials"] == SHARD_SIZE
+        assert beats[-1]["executor"] == f"lockstep[w={SHARD_SIZE}]"
+        serial = open_store(tmp_path / "serial", manifest)
+        run_sweep(manifest, serial, compact=False, lockstep=False)
+        assert store.shard_bytes(0) == serial.shard_bytes(0)
+
+    def test_unpinned_random_leveled_sweep_runs_per_trial(self, tmp_path):
+        """``random_leveled`` builds a new network for each seed, so every
+        unpinned trial is a group of one and runs per trial."""
+        manifest = SweepManifest.from_base(
+            deep_random_spec(8, 3, 4),
+            num_trials=SHARD_SIZE,
+            shard_size=SHARD_SIZE,
+            pin=False,
         )
         beats = []
         store = open_store(tmp_path / "unpinned", manifest)

@@ -4,18 +4,27 @@ Not a paper experiment — these separate the fixed per-trial construction
 costs that the warm scenario cache amortizes (network build, geometry
 precompute, path selection) from the cost that every trial must pay
 regardless (engine init), so the batching layer's savings stay explainable.
-The lockstep array kernel adds its own split: the cold struct-of-arrays
-build (geometry tables + per-packet path packing) vs the warm template
-tiling that repeat batches on a cached problem actually pay, vs full
-``LockstepEngine`` construction. The final case times a warm
+Two cases time the build an unpinned (instance) sweep pays for every seed,
+since no cache helps there: a fresh ``random_leveled`` network per seed,
+and bit-fixing path selection for ``butterfly_random(6)`` over its shared
+butterfly.  The lockstep array kernel adds its own split: the cold
+struct-of-arrays build (geometry tables + per-packet path packing) vs the
+warm template tiling that repeat batches on a cached problem actually pay,
+vs full ``LockstepEngine`` construction. The final case times a warm
 :class:`~repro.scenarios.ScenarioCache` hit — the per-trial setup cost
 under batched execution.
+
+With ``--benchmark-disable`` every case runs once and only its assertions
+count, which is how the CI tier-1 job runs this file.
 """
+
+import itertools
 
 import pytest
 
 from repro.core import AlgorithmParams, FrontierFrameRouter
-from repro.experiments import deep_random_spec
+from repro.experiments import butterfly_random_spec, deep_random_spec
+from repro.paths import select_paths_bit_fixing
 from repro.scenarios import ScenarioCache, build_network, build_problem
 
 
@@ -37,6 +46,31 @@ def prebuilt_problem(prebuilt_network):
 def test_setup_network_build(benchmark):
     net = benchmark(build_network, SPEC)
     assert net.depth == 20
+
+
+def test_setup_network_build_per_seed(benchmark):
+    """A fresh ``random_leveled`` network for every call, as an unpinned
+    sweep builds one per trial seed."""
+    seeds = itertools.count()
+
+    def build():
+        return build_network(SPEC.with_seed(next(seeds)))
+
+    net = benchmark(build)
+    assert net.depth == 20
+    assert min(net.out_degree(v) for v in net.nodes_at_level(0)) >= 2
+
+
+def test_setup_bit_fixing_selection(benchmark):
+    """Bit-fixing paths for one ``butterfly_random(6)`` workload over the
+    prebuilt butterfly every seed of that cell shares."""
+    spec = butterfly_random_spec(6)
+    net = build_network(spec)
+    endpoints = [(p.source, p.destination) for p in build_problem(spec, net=net)]
+
+    problem = benchmark(select_paths_bit_fixing, net, endpoints)
+    assert problem.num_packets == 64
+    assert problem.dilation == 6
 
 
 def test_setup_geometry_precompute(benchmark):

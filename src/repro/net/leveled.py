@@ -9,8 +9,9 @@ per direction per time step (paper footnote 1).
 
 :class:`LeveledNetwork` is an immutable, densely indexed structure: nodes and
 edges are integers, adjacency is stored in tuples, and per-level node lists
-are precomputed.  Construction goes through :class:`LeveledNetworkBuilder`,
-which validates the leveled property edge by edge.
+are precomputed.  Topology factories either add nodes and edges through
+:class:`LeveledNetworkBuilder` or pass whole level and edge lists to the
+constructor; both validate the leveled property edge by edge.
 """
 
 from __future__ import annotations

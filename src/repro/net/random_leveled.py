@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import TopologyError
 from ..rng import RngLike, make_rng
-from .leveled import LeveledNetwork, LeveledNetworkBuilder
+from .leveled import LeveledNetwork
 
 
 def random_leveled(
@@ -33,6 +33,10 @@ def random_leveled(
     outgoing edges and every node on a non-initial level has at least
     ``min_in_degree`` incoming edges (sampling without replacement, so the
     guarantee is capped by the neighboring level's width).
+
+    Node ids run level by level; edge ids run level by level, then by tail,
+    then by head.  The edge list goes straight to :class:`LeveledNetwork`,
+    whose constructor validates every edge.
     """
     sizes = tuple(int(s) for s in level_sizes)
     if len(sizes) < 2:
@@ -51,34 +55,39 @@ def random_leveled(
         shape = "x".join(str(s) for s in sizes)
     else:
         shape = f"{min(sizes)}..{max(sizes)}w x {len(sizes)}L"
-    builder = LeveledNetworkBuilder(name=f"random({shape},p={edge_probability})")
-    nodes = [builder.add_nodes(level, size) for level, size in enumerate(sizes)]
+    # Node ids are dense, level by level: level ``l`` holds ids
+    # ``offsets[l] .. offsets[l] + sizes[l] - 1``.
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    node_levels = [level for level, size in enumerate(sizes) for _ in range(size)]
 
+    tails, heads = [], []
     for level in range(len(sizes) - 1):
-        lower, upper = nodes[level], nodes[level + 1]
-        present = rng.random((len(lower), len(upper))) < edge_probability
+        lower, upper = sizes[level], sizes[level + 1]
+        present = rng.random((lower, upper)) < edge_probability
 
         # Degree repair: flip extra entries on so every row/column reaches
-        # its minimum, without ever duplicating an edge.
-        out_need = min(min_out_degree, len(upper))
-        for a in range(len(lower)):
-            missing = out_need - int(present[a].sum())
-            if missing > 0:
-                absent = np.flatnonzero(~present[a])
-                picks = rng.choice(absent, size=missing, replace=False)
-                present[a, picks] = True
-        in_need = min(min_in_degree, len(lower))
-        for b in range(len(upper)):
-            missing = in_need - int(present[:, b].sum())
-            if missing > 0:
-                absent = np.flatnonzero(~present[:, b])
-                picks = rng.choice(absent, size=missing, replace=False)
-                present[picks, b] = True
+        # its minimum, without ever duplicating an edge.  A row repair only
+        # touches its own row, so the deficits come from one sum per axis;
+        # the column sums are taken after every row is repaired.
+        out_missing = min(min_out_degree, upper) - present.sum(axis=1)
+        for a in np.flatnonzero(out_missing > 0):
+            absent = np.flatnonzero(~present[a])
+            picks = rng.choice(absent, size=int(out_missing[a]), replace=False)
+            present[a, picks] = True
+        in_missing = min(min_in_degree, lower) - present.sum(axis=0)
+        for b in np.flatnonzero(in_missing > 0):
+            absent = np.flatnonzero(~present[:, b])
+            picks = rng.choice(absent, size=int(in_missing[b]), replace=False)
+            present[picks, b] = True
 
-        for a in range(len(lower)):
-            for b in np.flatnonzero(present[a]):
-                builder.add_edge(lower[a], upper[int(b)])
-    return builder.build()
+        # Row-major, so edge ids follow (tail, head) order within a level.
+        rows, cols = np.nonzero(present)
+        tails.append(rows + offsets[level])
+        heads.append(cols + offsets[level + 1])
+    edges = list(zip(np.concatenate(tails).tolist(), np.concatenate(heads).tolist()))
+    return LeveledNetwork(
+        node_levels, edges, name=f"random({shape},p={edge_probability})"
+    )
 
 
 def random_level_sizes(

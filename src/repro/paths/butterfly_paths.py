@@ -51,16 +51,13 @@ def bit_fixing_path(
         )
     edges = []
     row = src_row
+    here = source
     for level in range(src_level, dst_level):
         bit = 1 << (dim - 1 - level)
-        next_row = (row & ~bit) | (dst_row & bit)
-        edges.append(
-            net.find_edge(
-                butterfly_node(net, level, row),
-                butterfly_node(net, level + 1, next_row),
-            )
-        )
-        row = next_row
+        row = (row & ~bit) | (dst_row & bit)
+        there = butterfly_node(net, level + 1, row)
+        edges.append(net.find_edge(here, there))
+        here = there
     return Path(net, edges, source=source)
 
 

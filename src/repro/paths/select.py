@@ -43,40 +43,42 @@ def min_bottleneck_path(
 ) -> Path:
     """A source->destination path minimizing ``max(load[e] + 1)`` over edges.
 
-    Dynamic program backward from the destination over the leveled DAG:
-    ``best[v]`` is the smallest achievable bottleneck from ``v`` to the
-    destination.  Ties broken randomly when ``rng`` is given, else by edge id.
+    Dynamic program backward from the destination over the leveled DAG,
+    one level at a time: ``best[v]`` is the smallest achievable bottleneck
+    from ``v`` to the destination, and a node that cannot reach the
+    destination never gets an entry.  Ties broken randomly when ``rng`` is
+    given, else by edge id.
     """
-    feasible = net.backward_reachable(destination)
-    if source not in feasible:
-        raise PathError(f"no forward path from {source} to {destination}")
+    geometry = net.geometry()
+    out_edges, edge_dst = geometry.out_edges, geometry.edge_dst
+    levels = geometry.node_levels
     best: dict[NodeId, int] = {destination: 0}
-    # Process feasible nodes from the destination's level downward.
-    by_level: dict[int, List[NodeId]] = {}
-    for v in feasible:
-        by_level.setdefault(net.level(v), []).append(v)
-    for level in range(net.level(destination) - 1, net.level(source) - 1, -1):
-        for v in by_level.get(level, ()):
+    # The scenario build's hot loop: ``max`` is inlined, adjacency comes
+    # from the geometry tables rather than through method calls.
+    for level in range(levels[destination] - 1, levels[source] - 1, -1):
+        for v in net.nodes_at_level(level):
             value = None
-            for e in net.out_edges(v):
-                head = net.edge_dst(e)
-                if head in best:
-                    candidate = max(load[e] + 1, best[head])
+            for e in out_edges[v]:
+                below = best.get(edge_dst[e])
+                if below is not None:
+                    candidate = load[e] + 1
+                    if candidate < below:
+                        candidate = below
                     if value is None or candidate < value:
                         value = candidate
             if value is not None:
                 best[v] = value
-    if source not in best:  # pragma: no cover - feasibility guarantees this
+    if source not in best:
         raise PathError(f"no forward path from {source} to {destination}")
 
     edges: List[EdgeId] = []
     here = source
     while here != destination:
+        target = best[here]
         options = [
             e
-            for e in net.out_edges(here)
-            if net.edge_dst(e) in best
-            and max(load[e] + 1, best[net.edge_dst(e)]) == best[here]
+            for e in out_edges[here]
+            if edge_dst[e] in best and max(load[e] + 1, best[edge_dst[e]]) == target
         ]
         pick = (
             options[int(rng.integers(0, len(options)))]
@@ -84,7 +86,7 @@ def min_bottleneck_path(
             else options[0]
         )
         edges.append(pick)
-        here = net.edge_dst(pick)
+        here = edge_dst[pick]
     return Path(net, edges, source=source)
 
 

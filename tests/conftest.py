@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import butterfly, line, layered_complete, mesh, random_leveled
+from repro.net import (
+    LeveledNetworkBuilder,
+    butterfly,
+    layered_complete,
+    line,
+    mesh,
+    random_leveled,
+)
 from repro.paths import select_paths_bit_fixing, select_paths_random
 from repro.workloads import butterfly_workloads, random_many_to_one
 
@@ -37,6 +44,20 @@ def line8():
 def gadget():
     """The 1-4-4-1 layered congestion gadget."""
     return layered_complete([1, 4, 4, 1])
+
+
+@pytest.fixture
+def split_net():
+    """``s -> u -> v`` beside ``t -> x``: ``t`` reaches level 1 only.
+
+    Returns the network and the labeled node ids ``{"s": ..., ...}``.
+    """
+    b = LeveledNetworkBuilder("split")
+    ids = {name: b.add_node(level, name) for name, level in
+           (("s", 0), ("t", 0), ("u", 1), ("x", 1), ("v", 2))}
+    for tail, head in (("s", "u"), ("u", "v"), ("t", "x")):
+        b.add_edge(ids[tail], ids[head])
+    return b.build(), ids
 
 
 @pytest.fixture

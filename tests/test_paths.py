@@ -238,6 +238,24 @@ class TestBottleneck:
         b = select_paths_bottleneck(bf4, endpoints, seed=5)
         assert [s.path for s in a] == [s.path for s in b]
 
+    def test_unreachable_pair_raises(self, split_net):
+        net, ids = split_net
+        s, t, u, v = (ids[name] for name in "stuv")
+        load = [0] * net.num_edges
+        with pytest.raises(PathError, match=f"no forward path from {t} to {v}"):
+            min_bottleneck_path(net, t, v, load)
+        # A destination below the source is unreachable too.
+        with pytest.raises(PathError, match=f"no forward path from {v} to {s}"):
+            min_bottleneck_path(net, v, s, load)
+        # The trivial path survives the reachability check.
+        assert min_bottleneck_path(net, u, u, load).edges == ()
+
+    def test_selector_unreachable_pair_raises(self, split_net):
+        net, ids = split_net
+        s, t, v = (ids[name] for name in "stv")
+        with pytest.raises(PathError, match=f"no forward path from {t} to {v}"):
+            select_paths_bottleneck(net, [(s, v), (t, v)], seed=0)
+
 
 class TestValiant:
     def test_path_through_middle(self, bf4):

@@ -1,5 +1,6 @@
 """Tests for the workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -14,6 +15,7 @@ from repro.workloads import (
     level_to_level,
     max_dilation_chain,
     mesh_workloads,
+    random_forward_destination,
     random_many_to_one,
     single_destination,
 )
@@ -98,6 +100,20 @@ class TestGenerators:
     def test_too_many_packets_rejected(self, bf4):
         with pytest.raises(WorkloadError):
             random_many_to_one(bf4, 10_000, seed=0)
+
+    def test_forward_destination_levels(self, split_net):
+        net, ids = split_net
+        s, t, u, v, x = (ids[name] for name in "stuvx")
+        rng = np.random.default_rng(0)
+        assert random_forward_destination(net, t, rng) == x
+        # A floor at or below the source's level still means "above it".
+        picks = {random_forward_destination(net, s, rng, min_level=0) for _ in range(20)}
+        assert picks == {u, v}
+        assert random_forward_destination(net, s, rng, min_level=2) == v
+        with pytest.raises(WorkloadError, match=f"from source {t} at level >= 2"):
+            random_forward_destination(net, t, rng, min_level=2)
+        with pytest.raises(WorkloadError, match=f"from source {v} at level >= 3"):
+            random_forward_destination(net, v, rng)
 
 
 class TestAdversarial:

@@ -15,6 +15,16 @@ run:
 Experiment T3 runs audited trials and reports the violation counts (expected
 all-zero for ``I_a``–``I_d`` whenever ``I_e`` holds at time 0, and for
 ``I_e``/``I_f`` with the paper-faithful probability story).
+
+This auditor is the reference semantics.  Audited trials that the trial
+executor batches run on the lockstep kernel instead, whose
+:class:`~repro.sim.lockstep_audit.TrialAuditor` evaluates the same checks
+as array predicates after each executed tick and returns, per trial, an
+:class:`AuditReport` equal to this auditor's: same violations (invariant,
+time, detail, order), ``checks_run`` and ``max_set_congestion_seen``.
+Only the default sampling (every check on every executed step) has a
+lockstep twin; ``check_paths_every``/``check_congestion_every`` and
+``strict`` are reference-only.
 """
 
 from __future__ import annotations

@@ -96,6 +96,17 @@ _LOCKSTEP_FAMILIES = {
     "naive_vec": "naive",
 }
 
+#: Backend params that set up a whole lockstep batch.  Every other
+#: frontier param only shapes one trial's ``AlgorithmParams``, which the
+#: kernel takes per trial, so it does not split a group.
+_KERNEL_PARAMS = (
+    "audit",
+    "audit_congestion_bound",
+    "condition_sets",
+    "fast_forward",
+    "max_steps",
+)
+
 
 def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware)."""
@@ -237,25 +248,25 @@ class TrialExecutor:
         :func:`~repro.scenarios.cache._network_key`) under the same
         workload and selector with the same params — only the component
         seeds may differ — and run under the same backend family and
-        parameters, so the stacked kernel can advance them in one set of
-        arrays: a fixed-problem sweep shares one problem, an instance sweep
-        gives each trial its own.  The key reads the spec alone; nothing
-        is built to compute it.  Telemetry counters do not split groups:
-        the kernel computes them itself.
-        Trials needing per-trial machinery peel off to :meth:`run`: an
-        ambient telemetry or trace session (the lockstep kernel carries no
-        per-event observers), invariant audits, arrival schedules,
-        non-lockstep backends, or a missing numpy.  An eligible key only
-        makes the spec a candidate: :meth:`_run_lockstep` still runs trials
-        per trial when fewer than :data:`LOCKSTEP_MIN_TRIALS` of them miss
-        the disk cache, or form a run of equal packet counts.
+        batch-wide :data:`_KERNEL_PARAMS`, so the stacked kernel can
+        advance them in one set of arrays: a fixed-problem sweep shares
+        one problem, an instance sweep gives each trial its own, and the
+        tuner's invariant gate gives each trial its own schedule
+        parameters.  The key reads the spec alone; nothing is built to
+        compute it.  Telemetry counters and invariant checks do not split
+        groups: the kernel computes them itself.  Trials needing
+        per-trial machinery peel off to :meth:`run`: an ambient telemetry
+        or trace session (the lockstep kernel carries no per-event
+        observers), arrival schedules, non-lockstep backends, or a
+        missing numpy.  An eligible key only makes the spec a candidate:
+        :meth:`_run_lockstep` still runs trials per trial when fewer than
+        :data:`LOCKSTEP_MIN_TRIALS` of them miss the disk cache, or form a
+        run of equal packet counts.
         """
         if not self.lockstep:
             return None
         family = _LOCKSTEP_FAMILIES.get(spec.backend)
         if family is None or spec.arrival:
-            return None
-        if family == "frontier" and spec.backend_params.get("audit"):
             return None
         from ..sim.soa import NUMPY_AVAILABLE
 
@@ -274,7 +285,14 @@ class TrialExecutor:
             spec.selector,
             _unseeded(spec.selector_params),
             family,
-            json.dumps(dict(spec.backend_params), sort_keys=True),
+            json.dumps(
+                {
+                    k: v
+                    for k, v in spec.backend_params.items()
+                    if k in _KERNEL_PARAMS
+                },
+                sort_keys=True,
+            ),
         )
 
     def run_chunk(self, specs: Sequence) -> List:
@@ -324,6 +342,8 @@ class TrialExecutor:
         run goes per trial.  With telemetry on, a batch attaches each
         trial's counters to its result; it has no per-trial wall-clock
         spans, so its records (and cache entries) carry no ``timings``.
+        Audited specs get each trial's invariant report on ``audit``,
+        as the per-trial path gives them (neither path caches reports).
         """
         from ..scenarios.dispatch import ScenarioRun
 
@@ -399,24 +419,24 @@ class TrialExecutor:
         first = specs[0]
         seeds = [spec.seed for spec in specs]
         tag = f"lockstep[w={len(seeds)}]"
+        audits = [None] * len(specs)
         if family == "frontier":
             from .runner import run_frontier_trials_lockstep
 
-            params = dict(first.backend_params)
-            params.pop("audit", None)
-            params.pop("audit_congestion_bound", None)
-            results = [
-                rec.result
-                for rec in run_frontier_trials_lockstep(
-                    problems,
-                    seeds,
-                    condition_sets=bool(params.pop("condition_sets", False)),
-                    fast_forward=bool(params.pop("fast_forward", True)),
-                    max_steps=params.pop("max_steps", None),
-                    telemetry=self.telemetry,
-                    **params,
-                )
-            ]
+            kernel = first.backend_params
+            records = run_frontier_trials_lockstep(
+                problems,
+                seeds,
+                condition_sets=bool(kernel.get("condition_sets", False)),
+                fast_forward=bool(kernel.get("fast_forward", True)),
+                max_steps=kernel.get("max_steps"),
+                telemetry=self.telemetry,
+                audit=bool(kernel.get("audit", False)),
+                audit_congestion_bound=kernel.get("audit_congestion_bound"),
+                params=_trial_params(specs, problems),
+            )
+            results = [rec.result for rec in records]
+            audits = [rec.audit for rec in records]
         else:
             from .runner import run_naive_trials_lockstep
 
@@ -428,9 +448,31 @@ class TrialExecutor:
                 telemetry=self.telemetry,
             )
         return [
-            ScenarioRun(spec=spec, result=result, executor=tag)
-            for spec, result in zip(specs, results)
+            ScenarioRun(spec=spec, result=result, audit=audit, executor=tag)
+            for spec, result, audit in zip(specs, results, audits)
         ]
+
+
+def _trial_params(specs, problems) -> List:
+    """Each frontier spec's :class:`~repro.core.AlgorithmParams`, resolved
+    from its non-kernel backend params once per distinct (problem,
+    params) pair."""
+    from .runner import resolve_trial_params
+
+    made: dict = {}
+    out = []
+    for spec, problem in zip(specs, problems):
+        kwargs = {
+            k: v
+            for k, v in spec.backend_params.items()
+            if k not in _KERNEL_PARAMS
+        }
+        key = (id(problem), json.dumps(kwargs, sort_keys=True))
+        params = made.get(key)
+        if params is None:
+            params = made[key] = resolve_trial_params(problem, **kwargs)
+        out.append(params)
+    return out
 
 
 def _unseeded(params) -> str:

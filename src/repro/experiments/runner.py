@@ -136,6 +136,9 @@ def run_frontier_trials_lockstep(
     max_steps: Optional[int] = None,
     geometry=None,
     telemetry: bool = False,
+    audit: bool = False,
+    audit_congestion_bound: Optional[float] = None,
+    params: Optional[Sequence[AlgorithmParams]] = None,
     **params_kwargs,
 ) -> List[TrialRecord]:
     """Run one frontier trial per seed on the lockstep batch kernel.
@@ -143,22 +146,27 @@ def run_frontier_trials_lockstep(
     Trial ``i`` routes ``problems[i]`` with ``seeds[i]``; the problems may
     repeat (a fixed-problem batch) or differ (an instance batch), but must
     share one network and one packet count.  Each problem resolves its own
-    parameters from ``params_kwargs`` and, without ``max_steps``, its own
-    step budget.  Byte-identical, per trial, to the reference
-    :func:`run_frontier_trial` with the same problem and seed: the same
-    RNG stream derivations feed one per-trial generator pair each, and the
-    stacked kernel preserves every per-trial draw order — see
-    :mod:`repro.sim.engine_lockstep`.  ``telemetry=True`` attaches each
-    trial's event counters to ``result.telemetry``, equal to those of the
-    reference run under a telemetry session.  Requires numpy and problems
-    without arrival schedules; callers peel such trials off to the
-    per-trial paths.
+    parameters from ``params_kwargs`` (or ``params`` gives one
+    :class:`~repro.core.AlgorithmParams` per trial) and, without
+    ``max_steps``, its own step budget.  Byte-identical, per trial, to the
+    reference :func:`run_frontier_trial` with the same problem, parameters
+    and seed: the same RNG stream derivations feed one per-trial generator
+    pair each, and the stacked kernel preserves every per-trial draw order
+    — see :mod:`repro.sim.engine_lockstep`.  ``telemetry=True`` attaches
+    each trial's event counters to ``result.telemetry``, equal to those of
+    the reference run under a telemetry session; ``audit=True`` gives each
+    record the reference auditor's :class:`~repro.core.AuditReport`.
+    Requires numpy and problems without arrival schedules; callers peel
+    such trials off to the per-trial paths.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
-    params = _per_problem(
-        problems, lambda p: resolve_trial_params(p, **params_kwargs)
-    )
+    if params is None:
+        params = _per_problem(
+            problems, lambda p: resolve_trial_params(p, **params_kwargs)
+        )
+    elif params_kwargs:
+        raise TypeError("pass either params or parameter kwargs, not both")
     set_rows = None
     if condition_sets:
         set_rows = [
@@ -179,15 +187,22 @@ def run_frontier_trials_lockstep(
         enable_fast_forward=fast_forward,
         geometry=geometry,
         telemetry=telemetry,
+        audit=audit,
+        audit_congestion_bound=audit_congestion_bound,
     )
     budget = (
         max_steps if max_steps is not None
         else [prm.total_steps for prm in params]
     )
     results = engine.run(budget)
+    auditor = engine.auditor
     return [
-        TrialRecord(seed=seed, result=result)
-        for seed, result in zip(seeds, results)
+        TrialRecord(
+            seed=seed,
+            result=result,
+            audit=auditor.result(i) if auditor is not None else None,
+        )
+        for i, (seed, result) in enumerate(zip(seeds, results))
     ]
 
 

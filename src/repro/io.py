@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Union
 
 from .errors import ReproError
@@ -88,8 +88,15 @@ def problem_from_dict(data: dict) -> RoutingProblem:
 
 
 def result_to_dict(result: RunResult) -> dict:
-    """Plain-dict form of a run result (for archiving experiment outputs)."""
-    record = asdict(result)
+    """Plain-dict form of a run result (for archiving experiment outputs).
+
+    The dict is shallow: it shares the result's containers (its lists and
+    its ``extra`` and ``telemetry`` dicts) instead of deep-copying them,
+    so serialize it before the result changes.  Every caller in the repo
+    (the sweep store's ``encode_record``, ``ResultCache.store``) encodes
+    it to JSON at once; the bytes equal those of a deep copy.
+    """
+    record = {f.name: getattr(result, f.name) for f in fields(result)}
     record["format"] = FORMAT_VERSION
     record["kind"] = "run_result"
     return record

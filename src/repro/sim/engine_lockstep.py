@@ -60,10 +60,23 @@ fast-forward span moves oscillating packets without emitting moves.  With
 fast-forward disabled, counters step every tick (the reference emits
 per-step events there) instead of bulk-advancing quiescent spans.
 
+Invariant audits
+----------------
+With ``audit=True`` (frontier batches only) each trial also gets the
+:class:`~repro.core.AuditReport` its reference run's
+:class:`~repro.core.InvariantAuditor` builds, equal field for field
+(:mod:`repro.sim.lockstep_audit`).  ``I_a`` and ``I_b``'s deflection
+checks read the isolation flags and unsafe deflections at the sites that
+count them; the post-step scans (path chains, frame membership, set
+meetings, per-set congestion, phase-end inner levels) run after each
+tick, only for the trials that executed it.  Fast-forwarded steps stay
+unaudited, as on the reference; with fast-forward disabled, audited
+batches step quiescent spans instead of bulk-advancing them.
+
 Not supported (callers peel off to the per-trial engines): per-event
-observers (traces, ambient telemetry sessions), post-step hooks (the
-invariant auditor), arrival schedules, and routers other than the
-frontier-frame algorithm and the naive path-following baseline.
+observers (traces, ambient telemetry sessions), arbitrary post-step
+hooks, arrival schedules, and routers other than the frontier-frame
+algorithm and the naive path-following baseline.
 ``repro.experiments.batch.TrialExecutor`` applies exactly that peel-off
 policy when grouping chunks.
 """
@@ -115,6 +128,8 @@ class LockstepEngine(ArbitrationMixin):
         enable_fast_forward: bool = True,
         geometry=None,
         telemetry: bool = False,
+        audit: bool = False,
+        audit_congestion_bound: Optional[float] = None,
     ) -> None:
         require_numpy()
         self.problems = list(problems)
@@ -225,6 +240,14 @@ class LockstepEngine(ArbitrationMixin):
             from .lockstep_counters import TrialCounters
 
             self.counters = TrialCounters(self)
+        #: per-trial invariant audits (None: unaudited run)
+        self.auditor = None
+        if audit:
+            if self.fr is None:
+                raise ReproError("only frontier lockstep batches audit")
+            from .lockstep_audit import TrialAuditor
+
+            self.auditor = TrialAuditor(self, audit_congestion_bound)
 
     def _check_problems(self, ga) -> None:
         """Every trial's problem: no arrivals, and the batch's network."""
@@ -263,6 +286,8 @@ class LockstepEngine(ArbitrationMixin):
         enable_fast_forward: bool = True,
         geometry=None,
         telemetry: bool = False,
+        audit: bool = False,
+        audit_congestion_bound: Optional[float] = None,
     ) -> "LockstepEngine":
         """Batch kernel for the paper's frontier-frame algorithm.
 
@@ -274,7 +299,10 @@ class LockstepEngine(ArbitrationMixin):
         reference); pass precomputed rows (e.g. conditioned assignments)
         to skip the draw, exactly as passing ``set_of`` does on the
         reference router.  ``telemetry`` attaches each trial's event
-        counters to its result (see the module docstring).
+        counters to its result; ``audit`` keeps each trial's invariant
+        audit, read with ``engine.auditor.result(i)`` after :meth:`run`,
+        under the optional ``audit_congestion_bound`` on ``I_e`` (see the
+        module docstring).
         """
         require_numpy()
         from ..core.frontier import assign_frontier_sets
@@ -310,6 +338,8 @@ class LockstepEngine(ArbitrationMixin):
             enable_fast_forward=enable_fast_forward,
             geometry=geometry,
             telemetry=telemetry,
+            audit=audit,
+            audit_congestion_bound=audit_congestion_bound,
         )
 
     @classmethod
@@ -345,7 +375,11 @@ class LockstepEngine(ArbitrationMixin):
         """
         frontier = self.fr is not None
         ff = frontier and self._enable_fast_forward
-        bulk = frontier and not ff and self.counters is None
+        # Counters and audits observe every executed step: no bulk spans.
+        bulk = (
+            frontier and not ff
+            and self.counters is None and self.auditor is None
+        )
         budget = np.broadcast_to(
             np.asarray(max_steps, dtype=np.int64), (self.trials,)
         )
@@ -409,6 +443,8 @@ class LockstepEngine(ArbitrationMixin):
         if na + ne == 0:
             if fr is not None:
                 self._post_step(lt, t_lt)
+            if self.auditor is not None:
+                self.auditor.after_tick(self, lt, t_lt)
             self.safe_mask[lt] = False
             self.t[lt] += 1
             self.steps_executed[lt] += 1
@@ -491,6 +527,8 @@ class LockstepEngine(ArbitrationMixin):
 
         if fr is not None:
             self._post_step(lt, t_lt)
+        if self.auditor is not None:
+            self.auditor.after_tick(self, lt, t_lt)
         self.t[lt] += 1
         self.steps_executed[lt] += 1
 
@@ -667,6 +705,10 @@ class LockstepEngine(ArbitrationMixin):
                     inj_keys, return_inverse=True, return_counts=True
                 )
                 crowded = occupied | (cnts[inv] != 1)
+                if self.auditor is not None:
+                    self.auditor.injected(
+                        self, inj_t, inj_p, nodes[is_elig], crowded
+                    )
                 if crowded.any():
                     self.isolation_violations += np.bincount(
                         inj_t[crowded], minlength=trials
@@ -767,6 +809,8 @@ class LockstepEngine(ArbitrationMixin):
             self.unsafe_deflections += np.bincount(
                 tid[unsafe], minlength=trials
             )
+        if self.auditor is not None:
+            self.auditor.deflected(self, tid, pid, edges, back, unsafe)
         if fr is not None:
             # on_deflected: a deflection evicts a waiting packet and calms
             # an excited one.

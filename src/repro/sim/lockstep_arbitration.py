@@ -125,9 +125,10 @@ class ArbitrationMixin:
             if revoked is not None:
                 first = first[~revoked]
                 winner = winner[~revoked]
-            if self.counters is not None:
-                # Occupancy peaks depend on event order: list the groups
-                # by first loser, the reference's node order, not node id.
+            if self.counters is not None or self.auditor is not None:
+                # Occupancy peaks and audit records depend on event order:
+                # list the groups by first loser, the reference's node
+                # order, not node id.
                 # (A slot's contenders share one node, so ``lfirst`` of a
                 # group head names its node's first loser.)
                 go = np.argsort(lfirst[lstarts])

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pathlib
 import sys
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ParameterError, ReproError
-from ..scenarios import build_problem
+from ..scenarios import ScenarioCache
 from ..sweeps import SweepHeartbeat, SweepManifest, open_store, run_sweep
 from ..telemetry import counters_digest
 from .report import CandidateVerdict, TuningReport
@@ -63,33 +64,51 @@ class TuningProgress:
             self._fh = None
 
 
-def _audit_candidate(
-    problems, candidate: TuningCandidate, trials: int
-) -> Tuple[bool, List[str]]:
-    """Run audited probe trials (reference engine) for one candidate.
+def _audit_candidates(
+    scenarios, audit_specs, candidates, trials: int
+) -> Dict[str, Tuple[bool, List[str]]]:
+    """Run the audited probe trials of ``candidates``; verdict per key.
 
-    ``problems`` is the study's audit portfolio: the base instance plus
-    any ``audit_catalog`` instances, as ``(label, problem)`` pairs.
+    ``audit_specs`` is the study's audit portfolio: the pinned base spec
+    plus any ``audit_catalog`` instances, as ``(label, spec)`` pairs.
     Audited runs are cheap relative to a sweep rung and catch unsound
     parameterizations (invariant violations) before any budget is spent
     on them — the "audit gate" of docs/tuning.md.  The portfolio matters:
     a parameterization can keep the invariants on one family and break
     them on another (too little I_f margin on deeper meshes, say), and a
     preset is only shippable if the whole portfolio stays clean.
-    """
-    from ..experiments.runner import run_frontier_trial
 
-    failures: List[str] = []
-    for label, problem in problems:
-        for seed in range(trials):
-            record = run_frontier_trial(
-                problem, seed, audit=True, **candidate.params_kwargs()
-            )
-            if record.audit is not None and not record.audit.ok:
-                failures.append(
-                    f"{label} seed {seed}: {record.audit.summary()}"
-                )
-    return not failures, failures
+    Each probe runs the paper's algorithm under the candidate's parameters
+    alone, whatever backend its portfolio spec names.  Every probe goes
+    through one :meth:`TrialExecutor.run_chunk` call, problem-major, so
+    each portfolio problem is one lockstep batch of
+    ``len(candidates) * trials`` audited trials (``scenarios`` already
+    holds the builds).  Failures list in ``(label, seed)`` order.
+    """
+    from ..experiments.batch import TrialExecutor
+
+    specs = [
+        dataclasses.replace(
+            spec,
+            backend="frontier",
+            backend_params={"audit": True, **cand.params_kwargs()},
+            seed=seed,
+        )
+        for _, spec in audit_specs
+        for cand in candidates
+        for seed in range(trials)
+    ]
+    records = iter(TrialExecutor(warm=scenarios).run_chunk(specs))
+    failures: Dict[str, List[str]] = {cand.key(): [] for cand in candidates}
+    for label, _ in audit_specs:
+        for cand in candidates:
+            for seed in range(trials):
+                audit = next(records).audit
+                if audit is not None and not audit.ok:
+                    failures[cand.key()].append(
+                        f"{label} seed {seed}: {audit.summary()}"
+                    )
+    return {key: (not found, found) for key, found in failures.items()}
 
 
 def _sketch(aggregate: dict, name: str) -> dict:
@@ -135,12 +154,14 @@ def run_study(
         save_study(study, study_path)
 
     pinned = study.base.with_pinned_scenario()
-    problem = build_problem(pinned)
+    # One build per portfolio problem, shared by the audit batches.
+    scenarios = ScenarioCache()
+    problem = scenarios.problem_for(pinned)
     congestion = problem.congestion
     dilation = problem.dilation
     c_plus_d = max(1, congestion + dilation)
 
-    audit_problems = [(pinned.name or "base", problem)]
+    audit_specs = [(pinned.name or "base", pinned)]
     if study.audit_catalog:
         from ..experiments import catalog_spec
 
@@ -148,7 +169,7 @@ def run_study(
             extra = catalog_spec(name).with_pinned_scenario()
             if extra.content_hash() == pinned.content_hash():
                 continue
-            audit_problems.append((name, build_problem(extra)))
+            audit_specs.append((name, extra))
 
     progress = (
         progress if isinstance(progress, TuningProgress)
@@ -179,29 +200,42 @@ def run_study(
                     "candidates": [cand.key() for cand in alive],
                 }
             )
-            verdicts: List[Tuple[CandidateVerdict, TuningCandidate]] = []
+            resolved = {}
             for cand in alive:
-                key = cand.key()
                 try:
-                    params = resolve_trial_params(
+                    resolved[cand.key()] = resolve_trial_params(
                         problem, **cand.params_kwargs()
                     )
                 except ParameterError as exc:
+                    resolved[cand.key()] = exc
+            unaudited = [
+                cand
+                for cand in alive
+                if cand.key() not in audit_results
+                and not isinstance(resolved[cand.key()], ParameterError)
+            ]
+            if unaudited and study.audit_trials:
+                audit_results.update(
+                    _audit_candidates(
+                        scenarios, audit_specs, unaudited, study.audit_trials
+                    )
+                )
+            verdicts: List[Tuple[CandidateVerdict, TuningCandidate]] = []
+            for cand in alive:
+                key = cand.key()
+                params = resolved[key]
+                if isinstance(params, ParameterError):
                     verdict = CandidateVerdict(
                         key=key,
                         rung=rung,
                         trials=0,
                         params=dict(cand.params_kwargs()),
                         pruned=True,
-                        reason=f"invalid parameters: {exc}",
+                        reason=f"invalid parameters: {params}",
                     )
                     verdicts.append((verdict, cand))
                     latest[key] = verdict
                     continue
-                if key not in audit_results and study.audit_trials:
-                    audit_results[key] = _audit_candidate(
-                        audit_problems, cand, study.audit_trials
-                    )
                 audit_ok, violations = audit_results.get(key, (True, []))
                 verdict = CandidateVerdict(
                     key=key,

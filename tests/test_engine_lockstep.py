@@ -18,8 +18,13 @@ instance sweep), each with its own frame schedule and budget.  They then
 pin the executor-level guarantees: grouping of chunks over one network
 (telemetered or not, pinned or unpinned), the width policy, the split at
 packet-count changes, peel-off of trials needing per-trial machinery
-(ambient traces, audits, cache hits), and byte-identical sweep shards
-with lockstep on or off — including through a mid-shard kill and resume.
+(ambient traces, cache hits), and byte-identical sweep shards with
+lockstep on or off — including through a mid-shard kill and resume.
+Audited batches must return, per trial, the reference
+:class:`~repro.core.InvariantAuditor`'s report field for field: on the
+fuzz corpus, on experiment T3's battery, under an impossible congestion
+bound, on the tuning benchmark's real failures and on a forced unsafe
+state.
 """
 
 import dataclasses
@@ -33,7 +38,7 @@ from hypothesis import strategies as st
 import repro.experiments.batch as batch_mod
 import repro.sim.soa as soa_mod
 from repro.baselines import NaivePathRouter
-from repro.core import AlgorithmParams
+from repro.core import AlgorithmParams, FrontierFrameRouter, InvariantAuditor
 from repro.experiments import (
     baseline_budget,
     butterfly_hotrow_instance,
@@ -47,6 +52,7 @@ from repro.experiments import (
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
     run_router_trial,
+    small_audit_suite,
     sweep_specs,
 )
 from repro.experiments.batch import (
@@ -335,8 +341,9 @@ def _activate(ref, lock, trial, pid, node, detour=(), consumed=0):
     soa.status[trial, pid] = int(PacketStatus.ACTIVE)
     soa.injected_at[trial, pid] = 0
     soa.node[trial, pid] = node
-    lock.elig_mask[trial, pid] = False
-    lock.elig_cnt[trial] -= 1
+    if lock.elig_mask[trial, pid]:
+        lock.elig_mask[trial, pid] = False
+        lock.elig_cnt[trial] -= 1
     lock.act_mat[trial, lock.act_cnt[trial]] = pid
     lock.act_cnt[trial] += 1
     lock.num_active[trial] += 1
@@ -630,6 +637,192 @@ def test_executor_splits_groups_at_packet_count_changes(monkeypatch):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
+# ------------------------------------------------- audits: vs the reference
+
+
+def assert_audits_identical(ref, got, label=""):
+    """Two :class:`~repro.core.AuditReport` s: equal violations (invariant,
+    time and detail, in order), ``checks_run`` and congestion maximum."""
+    assert got is not None and ref is not None, label
+    assert got.summary() == ref.summary(), label
+    assert [(v.invariant, v.time, v.detail) for v in got.violations] == [
+        (v.invariant, v.time, v.detail) for v in ref.violations
+    ], label
+    assert dict(got.checks_run) == dict(ref.checks_run), label
+    assert got == ref, label
+
+
+#: Schedules for the audit fuzz: the default one, and the tighter
+#: ``m = 5`` one of ``tune_audit``'s failing candidates.
+AUDIT_SCHEDULES = [
+    {},
+    {"set_congestion_target": 3.0, "m": 5, "w_factor": 0.75, "q": 0.5},
+]
+
+
+@needs_numpy
+@given(
+    lockstep_instance(),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.sampled_from(range(len(AUDIT_SCHEDULES))),
+    st.sampled_from([None, 0.0, 2.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_frontier_lockstep_audit_fuzz(
+    problem, width, seed0, fast_forward, schedule, bound
+):
+    """The fuzz corpus, fast-forward on and off, audited: each trial's
+    report equals its reference run's, with or without an I_e bound."""
+    params = AUDIT_SCHEDULES[schedule]
+    seeds = [seed0 + k for k in range(width)]
+    batch = run_frontier_trials_lockstep(
+        [problem] * width, seeds, fast_forward=fast_forward, audit=True,
+        audit_congestion_bound=bound, **params,
+    )
+    for seed, rec in zip(seeds, batch):
+        ref = run_frontier_trial(
+            problem, seed, fast_forward=fast_forward, audit=True,
+            audit_congestion_bound=bound, **params,
+        )
+        assert_results_identical(ref.result, rec.result, f"(seed {seed})")
+        assert_audits_identical(ref.audit, rec.audit, f"(seed {seed})")
+
+
+@needs_numpy
+@pytest.mark.parametrize("width", [1, 6, 64])
+def test_audit_matches_reference_on_small_audit_suite(width):
+    """Experiment T3's audit battery, one lockstep batch per problem."""
+    for name, problem in small_audit_suite(seed=77):
+        seeds = list(range(width))
+        batch = run_frontier_trials_lockstep(
+            [problem] * width, seeds, audit=True
+        )
+        for seed, rec in zip(seeds, batch):
+            ref = run_frontier_trial(problem, seed, audit=True)
+            assert_results_identical(ref.result, rec.result, f"({name})")
+            assert_audits_identical(ref.audit, rec.audit, f"({name}, {seed})")
+            assert rec.audit.ok
+
+
+@needs_numpy
+@pytest.mark.parametrize("bound", [0.0, -1.0])
+def test_audit_reports_impossible_congestion_bound(bound):
+    """A bound no set can meet: I_e fires on every audited step (at -1
+    even for sets with no packets left), exactly as on the reference."""
+    specs = [
+        s.with_params(audit=True, audit_congestion_bound=bound)
+        for s in sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
+    ]
+    records = TrialExecutor().run_chunk(specs)
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, records):
+        assert got.executor == f"lockstep[w={LOCKSTEP_MIN_TRIALS}]"
+        assert_audits_identical(ref.audit, got.audit, f"({got.spec.seed})")
+        assert got.audit.count("I_e") > 0
+        assert got.audit.count("I_e_conservation") == 0
+
+
+#: The portfolio failures of ``tune_audit`` (the repo benchmark's study):
+#: ``(portfolio problem, candidate, {seed: summary})``.
+TUNE_AUDIT_FAILURES = [
+    (
+        "mesh_corner_shift",
+        TuningCandidate(
+            set_congestion_target=3.0, m=5, w_factor=1.0, q=0.5,
+            oversplit=1.0,
+        ),
+        {
+            0: "1 violation(s): I_f:1",
+            1: "1 violation(s): I_f:1",
+            2: "5 violation(s): I_c:2, I_f:3",
+        },
+    ),
+    (
+        "butterfly_hotrow",
+        TuningCandidate(
+            set_congestion_target=3.0, m=5, w_factor=0.75, q=0.5,
+            oversplit=1.0,
+        ),
+        {1: "1 violation(s): I_f:1", 2: "1 violation(s): I_f:1"},
+    ),
+]
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", range(len(TUNE_AUDIT_FAILURES)))
+def test_audit_batch_of_tuning_candidates_matches_reference(case):
+    """The tuner's audit batch for one portfolio problem: every
+    ``tune_audit`` candidate at seeds 0-2, one lockstep group of 27 trials
+    with nine schedules, each trial resolving its own parameters.  Every
+    report equals the reference's, including the real I_c/I_f failures."""
+    name, failing, expected = TUNE_AUDIT_FAILURES[case]
+    pinned = catalog_spec(name, seed=0).with_pinned_scenario()
+    specs = [
+        pinned.with_params(audit=True, **cand.params_kwargs()).with_seed(s)
+        for cand in TUNE_AUDIT_CANDIDATES
+        for s in range(3)
+    ]
+    records = TrialExecutor().run_chunk(specs)
+    assert {r.executor for r in records} == {"lockstep[w=27]"}
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, records):
+        label = f"({got.spec.backend_params}, {got.spec.seed})"
+        assert_results_identical(ref.result, got.result, label)
+        assert_audits_identical(ref.audit, got.audit, label)
+    found = {
+        r.spec.seed: r.audit.summary()
+        for r in records
+        if not r.audit.ok and dict(r.spec.backend_params) == {
+            "audit": True, **failing.params_kwargs()
+        }
+    }
+    assert found == expected
+
+
+@needs_numpy
+def test_audit_flags_forced_unsafe_deflections_like_reference():
+    """The forced fork state of the contended-branch test, on the
+    frontier kernel with audits on: packets 0 and 1 start ACTIVE at ``s``
+    behind a broken two-edge detour, so the loser is deflected forward
+    (unsafe) and the paths fail their chain check.  Each trial's report
+    equals its reference run's, I_b deflection events included."""
+    problem, (s, t1, e1) = _fork_problem()
+    params = AlgorithmParams.practical(
+        max(1, problem.congestion), problem.net.depth, problem.num_packets,
+        m=5,
+    )
+    seeds = list(range(4))
+    refs, auditors = [], []
+    for seed in seeds:
+        router = FrontierFrameRouter(params, seed=stable_hash_seed(seed, 2))
+        ref = Engine(problem, router, seed=stable_hash_seed(seed, 3))
+        auditor = InvariantAuditor(router)
+        auditor.install(ref)
+        refs.append(ref)
+        auditors.append(auditor)
+    lock = LockstepEngine.frontier(
+        [problem] * len(seeds),
+        [params] * len(seeds),
+        router_seeds=[stable_hash_seed(seed, 2) for seed in seeds],
+        engine_seeds=[stable_hash_seed(seed, 3) for seed in seeds],
+        audit=True,
+    )
+    for trial, ref in enumerate(refs):
+        for pid in (0, 1):
+            _activate(ref, lock, trial, pid, s, detour=(e1, e1))
+    results = lock.run(params.total_steps)
+    for trial, (ref, auditor) in enumerate(zip(refs, auditors)):
+        assert_results_identical(
+            ref.run(params.total_steps), results[trial], f"({trial})"
+        )
+        report = lock.auditor.result(trial)
+        assert_audits_identical(auditor.report, report, f"({trial})")
+        assert any("unsafely" in v.detail for v in report.violations)
+        assert report.count("I_b") > 1
+
+
 # ------------------------------------------------ executor: grouping/peel-off
 
 
@@ -845,14 +1038,20 @@ def test_ambient_session_peels_off_and_traces_identically():
 
 
 @needs_numpy
-def test_audit_specs_peel_off():
+def test_audit_specs_run_on_lockstep():
+    """Audited specs lockstep like any other group, and each record
+    carries the reference auditor's report, equal field for field."""
     specs = [
         s.with_params(audit=True)
         for s in sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS)
     ]
     records = TrialExecutor().run_chunk(specs)
-    assert all(r.executor == "" for r in records)
+    assert {r.executor for r in records} == {
+        f"lockstep[w={LOCKSTEP_MIN_TRIALS}]"
+    }
     for ref, got in zip(TrialExecutor(lockstep=False).run_chunk(specs), records):
+        assert ref.audit is not None and ref.audit.ok
+        assert got.audit == ref.audit
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 

@@ -106,6 +106,44 @@ class TestResultRecord:
 
         json.dumps(record)  # must be JSON-clean
 
+    @pytest.mark.parametrize(
+        "path", ["per_trial", "lockstep", "telemetry", "cache_hit"]
+    )
+    def test_shallow_dict_encodes_like_a_deep_copy(self, path, tmp_path):
+        """``result_to_dict`` shares the result's containers instead of
+        copying them; its JSON must equal that of ``asdict``'s deep copy
+        for results from every path: the reference engine, a lockstep
+        batch, either with telemetry counters, and the result cache."""
+        import json
+        from dataclasses import asdict
+
+        from repro.experiments import catalog_spec, sweep_specs
+        from repro.experiments.batch import LOCKSTEP_MIN_TRIALS, TrialExecutor
+
+        specs = sweep_specs(catalog_spec("butterfly_hotrow"), LOCKSTEP_MIN_TRIALS)
+        executor = TrialExecutor(
+            cache_root=tmp_path if path == "cache_hit" else None,
+            telemetry=path in ("telemetry", "cache_hit"),
+            lockstep=path != "per_trial",
+        )
+        records = executor.run_chunk(specs)
+        if path == "cache_hit":
+            records = executor.run_chunk(specs)
+            assert all(r.cached for r in records)
+        else:
+            assert all(
+                r.executor.startswith("lockstep") == (path != "per_trial")
+                for r in records
+            )
+        for record in records:
+            result = record.result
+            deep = {**asdict(result), "format": 1, "kind": "run_result"}
+            assert json.dumps(result_to_dict(result), sort_keys=True) == (
+                json.dumps(deep, sort_keys=True)
+            )
+            telemetered = path in ("telemetry", "cache_hit")
+            assert (result.telemetry is not None) == telemetered
+
 
 class TestDescendingHypercube:
     def test_descending_levels(self):

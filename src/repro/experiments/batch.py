@@ -343,7 +343,8 @@ class TrialExecutor:
         trial's counters to its result; it has no per-trial wall-clock
         spans, so its records (and cache entries) carry no ``timings``.
         Audited specs get each trial's invariant report on ``audit``,
-        as the per-trial path gives them (neither path caches reports).
+        as the per-trial path gives them; both paths store it with the
+        cached result and restore it on a hit.
         """
         from ..scenarios.dispatch import ScenarioRun
 
@@ -357,10 +358,14 @@ class TrialExecutor:
         for spec in group:
             hit = cache.load_record(spec) if cache is not None else None
             if hit is not None:
-                result, timings = hit
+                result, timings, audit = hit
                 slots.append(
                     ScenarioRun(
-                        spec=spec, result=result, cached=True, timings=timings
+                        spec=spec,
+                        result=result,
+                        audit=audit,
+                        cached=True,
+                        timings=timings,
                     )
                 )
             else:
@@ -383,7 +388,7 @@ class TrialExecutor:
             batch = self._run_batch([group[k] for k in ks], run_problems, family)
             for k, record in zip(ks, batch):
                 if cache is not None:
-                    cache.store(record.spec, record.result)
+                    cache.store(record.spec, record.result, audit=record.audit)
                 slots[k] = record
         return slots
 

@@ -1,4 +1,4 @@
-"""JSON (de)serialization of networks, routing problems, and results.
+"""JSON (de)serialization of networks, routing problems, results and audits.
 
 Lets an experiment be captured as a file — exact topology, exact paths —
 and replayed later or on another machine, independent of generator seeds.
@@ -13,6 +13,7 @@ import pathlib
 from dataclasses import fields
 from typing import Union
 
+from .core.invariants import AuditReport, Violation
 from .errors import ReproError
 from .net import LeveledNetwork
 from .paths import PacketSpec, Path, RoutingProblem
@@ -116,6 +117,43 @@ def result_from_dict(data: dict) -> RunResult:
         return RunResult(**fields)
     except TypeError as exc:
         raise ReproError(f"malformed run-result record: {exc}") from exc
+
+
+def audit_to_dict(report: AuditReport) -> dict:
+    """Plain-dict form of an invariant :class:`~repro.core.AuditReport`.
+
+    The result cache stores it next to :func:`result_to_dict`'s record,
+    so a cache hit on an audited spec returns the verdict the run gave.
+    """
+    return {
+        "format": FORMAT_VERSION,
+        "kind": "audit_report",
+        "violations": [
+            {"invariant": v.invariant, "time": int(v.time), "detail": v.detail}
+            for v in report.violations
+        ],
+        "checks_run": {name: int(count) for name, count in report.checks_run.items()},
+        "max_set_congestion_seen": int(report.max_set_congestion_seen),
+    }
+
+
+def audit_from_dict(data: dict) -> AuditReport:
+    """Inverse of :func:`audit_to_dict`."""
+    kind = data.get("kind", "audit_report")
+    if kind != "audit_report":
+        raise ReproError(f"not an audit-report record: kind={kind!r}")
+    try:
+        report = AuditReport(
+            violations=[
+                Violation(item["invariant"], item["time"], item["detail"])
+                for item in data["violations"]
+            ],
+            max_set_congestion_seen=data["max_set_congestion_seen"],
+        )
+        report.checks_run.update(data["checks_run"])
+    except (KeyError, TypeError) as exc:
+        raise ReproError(f"malformed audit-report record: {exc}") from exc
+    return report
 
 
 def save_json(data: dict, path: PathLike) -> None:

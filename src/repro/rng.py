@@ -9,7 +9,7 @@ parallel trials without correlation.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,6 +91,12 @@ def iter_batches(seq: Sequence, size: int) -> Iterator[Sequence]:
         yield seq[start : start + size]
 
 
+_FNV_OFFSET = 0xCBF29CE484222325  # FNV-1a offset basis
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK63 = 0x7FFFFFFFFFFFFFFF
+
+
 def stable_hash_seed(*parts: Optional[int]) -> int:
     """Combine integer parts into a deterministic 63-bit seed.
 
@@ -103,10 +109,65 @@ def stable_hash_seed(*parts: Optional[int]) -> int:
     hashing callers that fold whole canonical-JSON payloads byte by byte
     (spec content/scenario hashes on every cache lookup and shard append).
     """
-    acc = 0xCBF29CE484222325  # FNV-1a offset basis
-    prime = 0x100000001B3
-    mask = 0xFFFFFFFFFFFFFFFF
+    acc = _FNV_OFFSET
+    prime = _FNV_PRIME
+    mask = _MASK64
     for part in parts:
         value = 0 if part is None else part & mask
         acc = ((acc ^ value) * prime) & mask
-    return acc & 0x7FFFFFFFFFFFFFFF
+    return acc & _MASK63
+
+
+#: Fewest rows of one length that :func:`stable_hash_rows` folds as numpy
+#: columns; smaller groups fold row by row in :func:`stable_hash_seed`,
+#: where one row costs less than the fixed overhead of the column loop.
+HASH_ROWS_NUMPY_MIN = 8
+
+#: ``uint64`` words :func:`stable_hash_rows` widens per slab of columns.
+_HASH_SLAB_WORDS = 4096
+
+
+def stable_hash_rows(rows: Sequence[bytes]) -> List[int]:
+    """``[stable_hash_seed(len(row), *row) for row in rows]``, batched.
+
+    Rows of equal length fold together as ``uint64`` columns: one pass
+    over the byte positions advances every row's FNV-1a state at once
+    (numpy's ``uint64`` multiply wraps exactly like the masked Python
+    ints), so hashing a sweep shard's canonical spec payloads costs one
+    short numpy loop instead of a Python loop per byte per row.  Groups
+    smaller than :data:`HASH_ROWS_NUMPY_MIN` fold row by row.
+    """
+    out = [0] * len(rows)
+    by_length: dict = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for length, members in by_length.items():
+        if len(members) < HASH_ROWS_NUMPY_MIN:
+            for i in members:
+                out[i] = stable_hash_seed(length, *rows[i])
+            continue
+        grid = np.frombuffer(
+            b"".join(rows[i] for i in members), np.uint8
+        ).reshape(len(members), length)
+        acc = np.full(
+            len(members),
+            ((_FNV_OFFSET ^ length) * _FNV_PRIME) & _MASK64,
+            dtype=np.uint64,
+        )
+        # An array operand (not a numpy scalar) keeps each multiply on the
+        # ufunc's fast array-array loop.
+        prime = np.full(len(members), _FNV_PRIME, dtype=np.uint64)
+        # Widen a slab of columns at a time, so the uint64 copy stays small
+        # (a whole 1024-row shard widened at once is megabytes).
+        step = max(1, _HASH_SLAB_WORDS // len(members))
+        for start in range(0, length, step):
+            slab = np.ascontiguousarray(
+                grid[:, start : start + step].T, dtype=np.uint64
+            )
+            for column in list(slab):
+                acc ^= column
+                acc *= prime
+        acc &= np.uint64(_MASK63)
+        for i, value in zip(members, acc.tolist()):
+            out[i] = value
+    return out

@@ -5,9 +5,10 @@ pipeline (single-seed determinism is the repo's core invariant):
 
 * :class:`ResultCache` — **on disk, across processes.**  Keyed by
   :meth:`RunSpec.content_hash`; the payload stores the full spec dict
-  alongside the serialized :class:`~repro.sim.RunResult`, letting a hit
-  verify it belongs to the requesting spec (a hash collision or
-  hand-edited file degrades to a miss, never to a wrong answer).
+  alongside the serialized :class:`~repro.sim.RunResult` (and an audited
+  trial's :class:`~repro.core.AuditReport`), letting a hit verify it
+  belongs to the requesting spec (a hash collision or hand-edited file
+  degrades to a miss, never to a wrong answer).
 * :class:`ScenarioCache` — **in process, within a sweep.**  Keyed by
   :meth:`RunSpec.scenario_hash`; holds materialized ``(network, geometry,
   paths)`` builds so trials that share a scenario (Monte Carlo sweeps over
@@ -26,9 +27,9 @@ import json
 import os
 import pathlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
-from ..io import result_from_dict, result_to_dict
+from ..io import audit_from_dict, audit_to_dict, result_from_dict, result_to_dict
 from ..sim import RunResult
 from .registry import TOPOLOGIES
 from .spec import RunSpec
@@ -223,31 +224,41 @@ class ResultCache:
 
     def load_record(
         self, spec: RunSpec
-    ) -> Optional[Tuple[RunResult, Optional[dict]]]:
-        """Cached ``(result, timings)`` for ``spec``, or None on miss.
+    ) -> Optional[Tuple[RunResult, Optional[dict], Any]]:
+        """Cached ``(result, timings, audit)`` for ``spec``, or None on miss.
 
         ``timings`` is the wall-clock sidecar recorded when the result was
         produced per trial under telemetry — advisory data, kept out of the
         result itself.  It is None otherwise, including for results a
         lockstep batch stored: those carry counters but no per-trial
-        spans.
+        spans.  ``audit`` is the trial's :class:`~repro.core.AuditReport`
+        when the spec is audited (``backend_params["audit"]``), else None.
+        A record of an audited spec that holds no report loads as a miss,
+        so rerunning the trial restores its verdict.
         """
         payload = self._validated_payload(spec)
         if payload is None:
             return None
+        audit = None
         try:
             result = result_from_dict(payload["result"])
+            if "audit" in payload:
+                audit = audit_from_dict(payload["audit"])
         except Exception:
             return None
-        return result, payload.get("timings")
+        if audit is None and spec.backend_params.get("audit"):
+            return None
+        return result, payload.get("timings"), audit
 
     def store(
         self,
         spec: RunSpec,
         result: RunResult,
         timings: Optional[dict] = None,
+        audit=None,
     ) -> pathlib.Path:
-        """Persist one result; returns the record path."""
+        """Persist one result (and its audit report, if any); returns the
+        record path."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(spec)
         payload = {
@@ -259,6 +270,8 @@ class ResultCache:
         }
         if timings is not None:
             payload["timings"] = timings
+        if audit is not None:
+            payload["audit"] = audit_to_dict(audit)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(
             json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"

@@ -218,12 +218,12 @@ def run_cached(
     """Like :func:`run_trial`, backed by an on-disk result cache.
 
     ``cache`` is a :class:`~repro.scenarios.cache.ResultCache`, a directory
-    path, or None (the default cache location).  Audit reports and
-    materialized problems are not cached; a hit returns the cached result —
-    including any telemetry counters stored with it — plus the recorded
-    pipeline timings, without re-running anything (``repro report`` relies
-    on this).  ``warm`` passes a scenario cache through to
-    :func:`run_trial` for disk misses.
+    path, or None (the default cache location).  Materialized problems are
+    not cached; a hit returns the cached result — including any telemetry
+    counters stored with it — plus the recorded pipeline timings and, for
+    an audited spec, the stored :class:`~repro.core.AuditReport`, without
+    re-running anything (``repro report`` relies on this).  ``warm``
+    passes a scenario cache through to :func:`run_trial` for disk misses.
     """
     from .cache import ResultCache
 
@@ -233,8 +233,10 @@ def run_cached(
         cache = ResultCache(cache)
     hit = cache.load_record(spec)
     if hit is not None:
-        result, timings = hit
-        return ScenarioRun(spec=spec, result=result, cached=True, timings=timings)
+        result, timings, audit = hit
+        return ScenarioRun(
+            spec=spec, result=result, audit=audit, cached=True, timings=timings
+        )
     record = run_trial(spec, telemetry=telemetry, trace_path=trace_path, warm=warm)
-    cache.store(spec, record.result, timings=record.timings)
+    cache.store(spec, record.result, timings=record.timings, audit=record.audit)
     return record

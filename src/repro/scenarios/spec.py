@@ -32,10 +32,10 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from ..errors import ReproError
-from ..rng import stable_hash_seed
+from ..rng import stable_hash_rows, stable_hash_seed
 
 PathLike = Union[str, pathlib.Path]
 
@@ -118,8 +118,44 @@ class RunSpec:
     # ------------------------------------------------------------- variants
 
     def with_seed(self, seed: int) -> "RunSpec":
-        """A copy of this spec under a different master seed."""
-        return dataclasses.replace(self, seed=int(seed))
+        """A copy of this spec under a different master seed.
+
+        The copy skips ``__post_init__``: this spec's params are already
+        canonical, so it shares their dicts rather than rebuilding them
+        (specs are frozen and nothing edits params in place).  Its hash
+        memos start empty.
+        """
+        clone = object.__new__(type(self))
+        state = clone.__dict__
+        for name in _FIELD_NAMES:
+            state[name] = self.__dict__[name]
+        state["seed"] = int(seed)
+        return clone
+
+    def with_seeds(self, seeds: Iterable[int]) -> List["RunSpec"]:
+        """``[self.with_seed(s) for s in seeds]``, content hashes computed.
+
+        Every variant's :meth:`hash_payload` is this spec's payload with
+        only the seed digits changed, so the payloads are assembled from
+        the canonical JSON of the keys sorted before ``"seed"`` and of
+        those sorted after it, and folded together by
+        :func:`~repro.rng.stable_hash_rows`.  The sweep store derives a
+        whole shard's trial specs this way; each one's
+        :meth:`content_hash` is then a memo hit, also after pickling.
+        """
+        specs = [self.with_seed(seed) for seed in seeds]
+        record = self.to_dict()
+        del record["name"], record["seed"]
+        before = _canonical_json({k: v for k, v in record.items() if k < "seed"})
+        after = _canonical_json({k: v for k, v in record.items() if k > "seed"})
+        head = before[:-1] + ("," if before != "{}" else "") + '"seed":'
+        tail = "," + after[1:] if after != "{}" else "}"
+        hashes = stable_hash_rows(
+            [f"{head}{spec.seed}{tail}".encode("utf-8") for spec in specs]
+        )
+        for spec, value in zip(specs, hashes):
+            object.__setattr__(spec, "_content_hash_cache", format(value, "016x"))
+        return specs
 
     def with_params(self, **backend_params) -> "RunSpec":
         """A copy with extra backend params merged in."""
@@ -281,9 +317,7 @@ class RunSpec:
         """Canonical JSON bytes of the semantic fields (``name`` excluded)."""
         record = self.to_dict()
         record.pop("name")
-        return json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return _canonical_json(record).encode("utf-8")
 
     def content_hash(self) -> str:
         """Deterministic 16-hex-digit content address of this spec.
@@ -335,9 +369,7 @@ class RunSpec:
             record["arrival_params"] = _plain(
                 {**self.arrival_params, "seed": self.arrival_seed()}
             )
-        return json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        return _canonical_json(record).encode("utf-8")
 
     def scenario_hash(self) -> str:
         """16-hex-digit address of the problem this spec materializes.
@@ -362,6 +394,16 @@ class RunSpec:
             f"{label}: {self.topology} / {wl} / {self.selector} "
             f"-> {self.backend} (seed {self.seed}, {self.content_hash()})"
         )
+
+
+#: Dataclass field names, in declaration order (what :meth:`RunSpec.
+#: with_seed` copies).
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(RunSpec))
+
+
+def _canonical_json(record: Mapping) -> str:
+    """Sorted-key, compact JSON: the text every spec hash folds."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def save_spec(spec: RunSpec, path: PathLike) -> None:

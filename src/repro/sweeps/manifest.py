@@ -7,6 +7,9 @@ plus the ordered list of per-trial master seeds — not the materialized
 specs — so a 10^6-trial manifest stays megabytes, while every trial spec
 (and therefore its :meth:`~repro.scenarios.RunSpec.content_hash`) is
 derivable on demand: ``spec_for(i) == base.with_seed(seeds[i])``.
+Specs are derived a shard at a time (:meth:`SweepManifest.shard_specs`,
+via :meth:`~repro.scenarios.RunSpec.with_seeds`), which computes the
+shard's content hashes in one batched fold.
 
 Two properties make the manifest the unit of distributed sweep execution:
 
@@ -115,16 +118,20 @@ class SweepManifest:
 
     def spec_for(self, index: int) -> RunSpec:
         """The fully specified trial at position ``index``."""
-        return self.base.with_seed(self.seeds[index])
+        return self.base.with_seeds([self.seeds[index]])[0]
 
     def specs(self) -> List[RunSpec]:
         """All trial specs, materialized (prefer per-shard iteration)."""
-        return [self.base.with_seed(seed) for seed in self.seeds]
+        return [
+            spec for shard in self.shard_ids() for spec in self.shard_specs(shard)
+        ]
 
     def trial_hashes(self) -> Iterator[str]:
-        """Ordered :meth:`RunSpec.content_hash` of every trial (lazy)."""
-        for seed in self.seeds:
-            yield self.base.with_seed(seed).content_hash()
+        """Ordered :meth:`RunSpec.content_hash` of every trial (lazy,
+        derived one shard at a time)."""
+        for shard in self.shard_ids():
+            for spec in self.shard_specs(shard):
+                yield spec.content_hash()
 
     # -------------------------------------------------------------- shards
 
@@ -143,9 +150,15 @@ class SweepManifest:
         return start, min(start + self.shard_size, len(self.seeds))
 
     def shard_specs(self, shard: int) -> List[RunSpec]:
-        """The trial specs of one shard, in trial order."""
+        """The trial specs of one shard, in trial order.
+
+        Derived in one batched pass (:meth:`RunSpec.with_seeds`), so every
+        spec arrives with its :meth:`~RunSpec.content_hash` computed: the
+        store's record lines, its resume check and the result cache read
+        the memo instead of re-serializing and re-folding each spec.
+        """
         start, stop = self.shard_range(shard)
-        return [self.base.with_seed(self.seeds[i]) for i in range(start, stop)]
+        return self.base.with_seeds(self.seeds[start:stop])
 
     def shard_ids(self) -> range:
         return range(self.num_shards)

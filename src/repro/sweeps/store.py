@@ -273,12 +273,16 @@ class SweepStore:
         start, ``seed`` and ``spec_hash`` matching the manifest).  The
         file is truncated at the first torn or mismatched line — a killed
         writer's last write — so the caller re-runs exactly the remaining
-        suffix and appends to a known-good prefix.
+        suffix and appends to a known-good prefix.  The shard's specs, and
+        with them the expected hashes, are derived once per call
+        (:meth:`SweepManifest.shard_specs`), and only when a part file
+        exists.
         """
         part = self.part_path(shard)
         start, stop = self.manifest.shard_range(shard)
         if not part.exists():
             return 0
+        specs = self.manifest.shard_specs(shard)
         valid_bytes = 0
         valid_records = 0
         expected = start
@@ -289,7 +293,7 @@ class SweepStore:
                 payload = _decode_line(line)
                 if payload is None or payload.get("index") != expected:
                     break
-                spec = self.manifest.spec_for(expected)
+                spec = specs[expected - start]
                 if (
                     payload.get("seed") != spec.seed
                     or payload.get("spec_hash") != spec.content_hash()

@@ -381,6 +381,26 @@ class TestResultCache:
         assert not again.cached
         assert run_cached(spec, cache=cache).cached
 
+    def test_hit_restores_the_audit_report(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = _spec("frontier", audit=True, m=5)
+        first = run_cached(spec, cache=cache)
+        assert not first.cached and first.audit is not None
+        second = run_cached(spec, cache=cache)
+        assert second.cached
+        assert second.audit == first.audit
+        assert second.audit.summary() == first.audit.summary()
+
+    def test_audited_record_without_report_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = _spec("frontier", audit=True)
+        first = run_cached(spec, cache=cache)
+        # A record stored without its report cannot answer an audited spec.
+        cache.store(spec, first.result)
+        again = run_cached(spec, cache=cache)
+        assert not again.cached and again.audit == first.audit
+        assert run_cached(spec, cache=cache).cached
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_cached(_spec("naive"), cache=cache)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.experiments import run_spec_trials, sweep_specs
+from repro.experiments import catalog_spec, run_spec_trials, sweep_specs
 from repro.experiments.batch import TrialExecutor
 from repro.scenarios import RunSpec
 from repro.sweeps import store as store_module
@@ -115,8 +115,10 @@ class TestManifest:
             SweepManifest.from_dict(data)
 
     def test_trial_hashes_match_specs(self, manifest):
+        # Rebuilt specs hash one at a time, without the batched fold.
         assert list(manifest.trial_hashes()) == [
-            spec.content_hash() for spec in manifest.specs()
+            RunSpec.from_dict(spec.to_dict()).content_hash()
+            for spec in manifest.specs()
         ]
 
 
@@ -177,6 +179,31 @@ class TestStore:
         )
         assert store.resume_shard(0) == 0
         assert store.part_path(0).stat().st_size == 0
+
+    @pytest.mark.parametrize("field", ["seed", "spec_hash"])
+    def test_resume_truncates_at_mismatched_mid_shard_line(
+        self, manifest, tmp_path, field
+    ):
+        store = open_store(tmp_path / "s", manifest)
+        executor = TrialExecutor()
+        specs = manifest.shard_specs(0)
+        lines = [
+            encode_record(
+                index, spec.seed, spec.content_hash(), executor.run(spec).result
+            )
+            for index, spec in enumerate(specs)
+        ]
+        # Trial 2's line names trial 3's seed or spec hash.
+        wrong = {"seed": specs[3].seed, "spec_hash": specs[3].content_hash()}
+        record = json.loads(lines[2])
+        record[field] = wrong[field]
+        lines[2] = (
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+        store.part_path(0).parent.mkdir(parents=True, exist_ok=True)
+        store.part_path(0).write_bytes(b"".join(lines))
+        assert store.resume_shard(0) == 2
+        assert store.part_path(0).read_bytes() == lines[0] + lines[1]
 
     def test_finalize_requires_complete_shard(self, manifest, tmp_path):
         store = open_store(tmp_path / "s", manifest)
@@ -715,6 +742,31 @@ class TestSweepCli:
         )
         assert code == 2
         assert "conflicts" in capsys.readouterr().err
+
+    def test_audit_verdicts_survive_result_cache_hits(self, tmp_path, capsys):
+        # A tuning candidate that breaks I_f on about half its seeds; eight
+        # trials run as one lockstep batch on a miss, and come back from
+        # the cache on a hit.
+        spec = catalog_spec("mesh_corner_shift", seed=0).with_params(
+            audit=True, set_congestion_target=3.0, m=5, w_factor=1.0,
+            q=0.5, oversplit=1.0,
+        )
+        path = tmp_path / "audited.json"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        args = ["sweep", "--spec", str(path), "--trials", "8", "--fixed-problem"]
+        streams = []
+        for store, extra in (
+            ("plain", []),
+            ("fill", ["--cache", str(tmp_path / "cache")]),
+            ("hit", ["--cache", str(tmp_path / "cache")]),
+        ):
+            root = tmp_path / store
+            assert main(args + ["--store", str(root)] + extra) == 1, store
+            out = capsys.readouterr().out
+            assert "invariants: 8 audited, 4 violated" in out, (store, out)
+            (store_dir,) = root.iterdir()
+            streams.append((store_dir / "sweep.jsonl.gz").read_bytes())
+        assert streams[0] == streams[1] == streams[2]
 
     def test_audit_verdicts_reach_the_store(self, tmp_path, capsys, monkeypatch):
         from repro.core.invariants import AuditReport

@@ -14,58 +14,42 @@ bound but endpoint driven — the contrast the paper's introduction draws.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Tuple
 
 from ..rng import RngLike, make_rng
 from ..sim import DesiredMove, Engine, Router
-from ..types import MoveKind, NodeId, PacketId
+from ..types import MoveKind, PacketId
 
 
 class GreedyHotPotatoRouter(Router):
-    """Distance-greedy deflection routing."""
+    """Distance-greedy deflection routing.
+
+    The tie set at each node comes from the network's per-destination
+    tie table (:meth:`repro.net.routes.RouteTables.greedy_ties`), so a
+    packet-step is one table lookup and at most one RNG draw, not a scan
+    of the node's incident edges.
+    """
 
     deflection_kind = MoveKind.FREE
 
     def __init__(self, seed: RngLike = None) -> None:
         self._rng = make_rng(seed)
-        self._distance_cache: Dict[NodeId, List[int]] = {}
+        #: one immutable move per edge, shared by every request for it
+        self._moves: Tuple[DesiredMove, ...] = ()
 
     def attach(self, engine: Engine) -> None:
         super().attach(engine)
+        net = engine.net
+        self._ties = net.routes().greedy_ties
+        self._moves = tuple(DesiredMove(e, MoveKind.FREE) for e in net.edges())
         engine.mark_all_eligible()
-
-    def _distances(self, destination: NodeId) -> List[int]:
-        table = self._distance_cache.get(destination)
-        if table is None:
-            table = self.engine.net.undirected_distances(destination)
-            self._distance_cache[destination] = table
-        return table
 
     def desired_move(self, packet_id: PacketId, t: int) -> DesiredMove:
         packet = self.engine.packets[packet_id]
-        net = self.engine.net
-        dist = self._distances(packet.destination)
-        best_edge = None
-        best_value = None
-        ties: List[int] = []
-        for edge in net.incident_edges(packet.node):
-            value = dist[net.other_endpoint(edge, packet.node)]
-            if value < 0:
-                continue  # dead region
-            if best_value is None or value < best_value:
-                best_value = value
-                best_edge = edge
-                ties = [edge]
-            elif value == best_value:
-                ties.append(edge)
-        if best_edge is None:  # pragma: no cover - destination unreachable
-            ties = list(net.incident_edges(packet.node))
-        pick = (
-            ties[int(self._rng.integers(0, len(ties)))]
-            if len(ties) > 1
-            else ties[0]
-        )
-        return DesiredMove(pick, MoveKind.FREE)
+        ties = self._ties(packet.destination)[packet.node]
+        if len(ties) > 1:
+            return self._moves[ties[int(self._rng.integers(0, len(ties)))]]
+        return self._moves[ties[0]]
 
     def is_delivered(self, packet_id: PacketId) -> bool:
         packet = self.engine.packets[packet_id]

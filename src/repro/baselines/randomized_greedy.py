@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from ..rng import RngLike, make_rng
 from ..sim import DesiredMove, Engine, Router
-from ..types import MoveKind, NodeId, PacketId
+from ..types import MoveKind, PacketId
 
 
 class RandomizedGreedyRouter(Router):
@@ -30,39 +30,18 @@ class RandomizedGreedyRouter(Router):
             )
         self.excite_probability = excite_probability
         self._rng = make_rng(seed)
-        self._distance_cache: Dict[NodeId, List[int]] = {}
         self._running: List[bool] = []
         self.excitations = 0
 
     def attach(self, engine: Engine) -> None:
         super().attach(engine)
+        self._ties = engine.net.routes().greedy_ties
         engine.mark_all_eligible()
         self._running = [False] * len(engine.packets)
 
-    def _distances(self, destination: NodeId) -> List[int]:
-        table = self._distance_cache.get(destination)
-        if table is None:
-            table = self.engine.net.undirected_distances(destination)
-            self._distance_cache[destination] = table
-        return table
-
     def desired_move(self, packet_id: PacketId, t: int) -> DesiredMove:
         packet = self.engine.packets[packet_id]
-        net = self.engine.net
-        dist = self._distances(packet.destination)
-        ties: List[int] = []
-        best_value = None
-        for edge in net.incident_edges(packet.node):
-            value = dist[net.other_endpoint(edge, packet.node)]
-            if value < 0:
-                continue
-            if best_value is None or value < best_value:
-                best_value = value
-                ties = [edge]
-            elif value == best_value:
-                ties.append(edge)
-        if not ties:  # pragma: no cover - destination unreachable
-            ties = list(net.incident_edges(packet.node))
+        ties = self._ties(packet.destination)[packet.node]
         pick = (
             ties[int(self._rng.integers(0, len(ties)))]
             if len(ties) > 1

@@ -54,6 +54,7 @@ class LeveledNetwork:
         "_label_index",
         "_edge_index",
         "_geometry",
+        "_routes",
         "name",
     )
 
@@ -132,6 +133,8 @@ class LeveledNetwork:
             self._edge_index.setdefault(key, e)
         #: lazily built dense lookup tables for the simulation hot path
         self._geometry = None
+        #: lazily built per-destination path and greedy-tie tables
+        self._routes = None
 
     # ------------------------------------------------------------------ size
 
@@ -346,6 +349,18 @@ class LeveledNetwork:
 
             self._geometry = NetworkGeometry(self)
         return self._geometry
+
+    def routes(self):
+        """Per-destination path and greedy-tie tables, filled lazily.
+
+        Created on first use and cached (the network is immutable); see
+        :class:`repro.net.routes.RouteTables`.
+        """
+        if self._routes is None:
+            from .routes import RouteTables
+
+            self._routes = RouteTables(self)
+        return self._routes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -151,6 +151,33 @@ def is_valid_edge_sequence(
     return True
 
 
+def _walk_table(
+    net: LeveledNetwork, source: NodeId, destination: NodeId, rng
+) -> Path:
+    """Walk ``destination``'s path table (:meth:`RouteTables.forward_options`).
+
+    At each node the walk takes a uniform draw among the out-edges that
+    still reach the destination (one ``rng.integers`` call, made only when
+    there is more than one), or the first of them when ``rng`` is ``None``.
+    """
+    options_of = net.routes().forward_options(destination)
+    if options_of[source] is None:
+        raise PathError(f"no forward path from {source} to {destination}")
+    edge_dst = net.geometry().edge_dst
+    edges: List[EdgeId] = []
+    here = source
+    while here != destination:
+        options = options_of[here]
+        pick = (
+            options[int(rng.integers(0, len(options)))]
+            if rng is not None and len(options) > 1
+            else options[0]
+        )
+        edges.append(pick)
+        here = edge_dst[pick]
+    return Path(net, edges, source=source)
+
+
 def random_monotone_path(
     net: LeveledNetwork,
     source: NodeId,
@@ -160,44 +187,20 @@ def random_monotone_path(
     """Sample a uniformly *locally* random valid path from source to dest.
 
     Walk forward, at each node choosing uniformly among outgoing edges whose
-    head can still reach the destination (computed from one backward BFS).
-    Raises :class:`~repro.errors.PathError` when no valid path exists.
+    head can still reach the destination (read from the network's cached
+    per-destination path table).  Raises :class:`~repro.errors.PathError`
+    when no valid path exists.
     """
     if net.level(destination) < net.level(source):
         raise PathError(
             f"destination level {net.level(destination)} below source level "
             f"{net.level(source)}; leveled paths only go forward"
         )
-    feasible = net.backward_reachable(destination)
-    if source not in feasible:
-        raise PathError(f"no forward path from {source} to {destination}")
-    edges: List[EdgeId] = []
-    here = source
-    while here != destination:
-        options = [e for e in net.out_edges(here) if net.edge_dst(e) in feasible]
-        if not options:  # pragma: no cover - feasibility guarantees options
-            raise PathError(f"dead end at node {here}")
-        pick = options[int(rng.integers(0, len(options)))] if len(options) > 1 else options[0]
-        edges.append(pick)
-        here = net.edge_dst(pick)
-    return Path(net, edges, source=source)
+    return _walk_table(net, source, destination, rng)
 
 
 def first_monotone_path(
     net: LeveledNetwork, source: NodeId, destination: NodeId
 ) -> Path:
     """Deterministic variant of :func:`random_monotone_path` (first option)."""
-    feasible = net.backward_reachable(destination)
-    if source not in feasible:
-        raise PathError(f"no forward path from {source} to {destination}")
-    edges: List[EdgeId] = []
-    here = source
-    while here != destination:
-        for e in net.out_edges(here):
-            if net.edge_dst(e) in feasible:
-                edges.append(e)
-                here = net.edge_dst(e)
-                break
-        else:  # pragma: no cover - feasibility guarantees an option
-            raise PathError(f"dead end at node {here}")
-    return Path(net, edges, source=source)
+    return _walk_table(net, source, destination, None)

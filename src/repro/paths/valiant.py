@@ -47,9 +47,11 @@ def valiant_path(
             f"intermediate level {mid} outside [{src_level}, {dst_level}]"
         )
     ahead = net.forward_reachable(source)
-    behind = net.backward_reachable(destination)
+    behind = net.routes().forward_options(destination)
     candidates = [
-        v for v in net.nodes_at_level(mid) if v in ahead and v in behind
+        v
+        for v in net.nodes_at_level(mid)
+        if v in ahead and behind[v] is not None
     ]
     if not candidates:
         raise PathError(

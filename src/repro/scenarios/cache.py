@@ -273,8 +273,12 @@ class ResultCache:
         if audit is not None:
             payload["audit"] = audit_to_dict(audit)
         tmp = path.with_suffix(".json.tmp")
+        # Compact separators keep json on its C encoder (any ``indent``
+        # selects the pure-Python one); records written indented by earlier
+        # versions load the same.
         tmp.write_text(
-            json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"
+            json.dumps(payload, sort_keys=True, separators=(",", ":")),
+            encoding="utf-8",
         )
         tmp.replace(path)
         return path

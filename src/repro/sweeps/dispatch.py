@@ -10,13 +10,15 @@
    killed sweep re-runs only the missing suffix;
 4. **executes** the remaining trials through the warm-pool batched layer
    (:func:`~repro.experiments.run_spec_trials`) in streaming mode
-   — each record is appended to the shard segment and folded into the
-   running aggregate the moment it arrives, never accumulated;
+   — each record is appended to the shard segment the moment it arrives,
+   never accumulated;
 5. **finalizes** the segment atomically and releases the lease.
 
-When the walk ends with every shard finalized, the driver compacts the
-segments and writes the streaming aggregate; otherwise it reports what
-remains (another invocation will finish and compact).
+When the walk ends with every shard finalized, the driver builds the
+aggregate in one streaming pass that re-reads and decodes every finalized
+segment (:func:`~repro.sweeps.aggregate.aggregate_store`), writes it, and
+compacts the segments; otherwise it reports what remains (another
+invocation will finish, aggregate and compact).
 
 Memory is bounded by ``shard_size`` (the spec list of the active shard)
 plus the fixed-size aggregate sketches — independent of the manifest's

@@ -65,11 +65,11 @@ class TestGreedy:
         result = Engine(prob, GreedyHotPotatoRouter(seed=0), seed=0).run(100)
         assert result.makespan == 6
 
-    def test_distance_cache_reused(self, hot_problem):
+    def test_tie_table_reused(self, hot_problem):
         router = GreedyHotPotatoRouter(seed=1)
         Engine(hot_problem, router, seed=0).run(50000)
-        # All packets share one destination: one cache entry.
-        assert len(router._distance_cache) == 1
+        # All packets share one destination: one tie table.
+        assert len(hot_problem.net.routes()._ties) == 1
 
 
 class TestRandomizedGreedy:

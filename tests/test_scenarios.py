@@ -401,6 +401,23 @@ class TestResultCache:
         assert not again.cached and again.audit == first.audit
         assert run_cached(spec, cache=cache).cached
 
+    def test_indented_record_still_loads(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = _spec("frontier", audit=True, m=5)
+        first = run_cached(spec, cache=cache)
+        path = cache.path_for(spec)
+        assert "\n" not in path.read_text(encoding="utf-8")
+        # The indented layout records had before they were written compact.
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(
+            json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8"
+        )
+        assert cache.load_payload(spec.content_hash()) == payload
+        result, timings, audit = cache.load_record(spec)
+        assert dataclasses.asdict(result) == dataclasses.asdict(first.result)
+        assert timings == payload.get("timings")
+        assert audit == first.audit
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_cached(_spec("naive"), cache=cache)

@@ -8,6 +8,7 @@ class pins dynamic runs (static routers over schedule-carrying problems)
 to their historical results, telemetry and event traces, hash for hash.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -17,7 +18,7 @@ import pytest
 
 from repro.baselines import GreedyHotPotatoRouter, NaivePathRouter
 from repro.errors import ParameterError, ReproError, SimulationError, WorkloadError
-from repro.net import butterfly
+from repro.net import butterfly, random_leveled
 from repro.paths import random_monotone_path
 from repro.rng import make_rng
 from repro.scenarios import RunSpec, run_trial
@@ -305,6 +306,51 @@ class TestDynamicGoldenDigests:
         *digests, router = _digest_dynamic_run(backend, seed)
         assert tuple(digests) == self.GOLDEN[(backend, seed)]
         assert router == self.ROUTER[backend]
+
+
+def _digest_stream(net, router):
+    """Hash of a ``run_stream`` summary plus every metrics window."""
+    windows = []
+    summary = run_stream(
+        net,
+        BernoulliSource(net, 0.35, seed=21, horizon=None),
+        make_stream_router(router, seed=22),
+        max_steps=600,
+        metrics=WindowedMetrics(window=25, sink=windows.append),
+        path_seed=23,
+        engine_seed=24,
+        max_in_flight=net.num_edges // 2,
+    )
+    body = json.dumps(
+        {"summary": dataclasses.asdict(summary), "windows": windows},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+class TestStreamGoldenDigests:
+    """Open-loop streams (what ``repro serve`` runs) stay byte-identical:
+    the summary and every window, with arrivals dropped at the admission
+    cap.  On the butterfly the greedy and naive streams coincide."""
+
+    NETWORKS = {
+        "butterfly4": lambda: butterfly(4),
+        "random_leveled": lambda: random_leveled(
+            [6, 8, 8, 8, 8, 6], edge_probability=0.3, seed=5
+        ),
+    }
+    GOLDEN = {
+        ("butterfly4", "greedy"): "817d524dcc548ded",
+        ("butterfly4", "naive"): "817d524dcc548ded",
+        ("random_leveled", "greedy"): "cb9fbb0684c9c982",
+        ("random_leveled", "naive"): "12655744daefb9ac",
+    }
+
+    @pytest.mark.parametrize("network,router", sorted(GOLDEN))
+    def test_digests_pinned(self, network, router):
+        net = self.NETWORKS[network]()
+        assert _digest_stream(net, router) == self.GOLDEN[(network, router)]
 
 
 # ----------------------------------------------------------------- streaming

@@ -12,6 +12,7 @@ with congestion ``C`` and dilation ``D`` derivable from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 from ..errors import WorkloadError
@@ -107,13 +108,15 @@ class RoutingProblem:
                 counts[e] += 1
         return counts
 
-    @property
+    # ``packets`` is a tuple over an immutable network, so ``C`` and ``D``
+    # cannot change: each is counted once per problem, on first read.
+    @cached_property
     def congestion(self) -> int:
         """The paper's ``C``: max packets crossing any single edge."""
         counts = self.edge_congestion()
         return max(counts) if counts else 0
 
-    @property
+    @cached_property
     def dilation(self) -> int:
         """The paper's ``D``: maximum preselected path length."""
         return max((len(spec.path) for spec in self.packets), default=0)

@@ -106,6 +106,10 @@ class Engine:
         self._observers: List[Observer] = list(observers)
         self._enable_fast_forward = enable_fast_forward
         self.unsafe_deflections = 0
+        #: ids absorbed in the last executed step, in absorption order;
+        #: cleared at the top of each step, so it holds at most what was in
+        #: flight (the open-loop driver reads it instead of ABSORB events)
+        self.last_absorbed: List[PacketId] = []
         #: called as ``hook(engine, t)`` after each executed step (auditors)
         self.post_step_hooks: List[Callable[["Engine", int], None]] = []
         #: TimingSpans fed by run() when a telemetry session is active
@@ -260,6 +264,7 @@ class Engine:
         tracing = bool(self._observers)
         edge_src = self._edge_src
         edge_dst = self._edge_dst
+        self.last_absorbed.clear()
 
         # -- arrival release ------------------------------------------------
         # Held router marks whose arrival time is due become eligible now,
@@ -624,12 +629,18 @@ class Engine:
         self.num_active -= 1
         self.num_absorbed += 1
         del self.active_ids[packet.packet_id]
+        self.last_absorbed.append(packet.packet_id)
         if self.tracing:
             self.emit(
                 TraceEvent(
                     t, EventKind.ABSORB, packet=packet.packet_id, node=packet.node
                 )
             )
+
+    @property
+    def last_deflections(self) -> int:
+        """Deflections applied in the last executed step, safe or not."""
+        return len(self._deflected)
 
     # ---------------------------------------------------------- fast-forward
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import WorkloadError
 from ..net import LeveledNetwork
 from ..rng import RngLike, make_rng
@@ -122,14 +124,17 @@ class BernoulliSource:
         if self.horizon is not None and t >= self.horizon:
             return []
         rng = self._rng
-        rate = self.rate
+        sources = self._sources
+        reach = self._reach
         out: List[Arrival] = []
-        coins = rng.random(len(self._sources))
-        for idx, v in enumerate(self._sources):
-            if coins[idx] < rate:
-                options = self._reach[v]
-                dest = options[int(rng.integers(0, len(options)))]
-                out.append(Arrival(time=t, source=v, destination=dest))
+        # All coins are compared at once; the destination draws stay one
+        # scalar ``integers`` per hit, in source order.
+        coins = rng.random(len(sources))
+        for idx in np.flatnonzero(coins < self.rate).tolist():
+            v = sources[idx]
+            options = reach[v]
+            dest = options[int(rng.integers(0, len(options)))]
+            out.append(Arrival(time=t, source=v, destination=dest))
         return out
 
 

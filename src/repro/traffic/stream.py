@@ -19,7 +19,7 @@ away from its capacity limit under overload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..baselines import GreedyHotPotatoRouter, NaivePathRouter
 from ..errors import ParameterError
@@ -27,7 +27,6 @@ from ..net import LeveledNetwork
 from ..paths import RoutingProblem, random_monotone_path
 from ..rng import RngLike, make_rng
 from ..sim import Engine
-from ..sim.events import EventKind
 from ..telemetry.live import WindowedMetrics
 from .sources import InjectionSource
 
@@ -73,9 +72,11 @@ def run_stream(
     """Drive ``source`` through an engine for up to ``max_steps`` steps.
 
     Stops early once the source is exhausted (finite ``horizon``) and the
-    network has drained.  ``metrics``, when given, observes the engine and
-    receives the driver callbacks (arrivals, drops, step clock); its sink
-    sees one window dict per completed window while the run is in flight.
+    network has drained.  ``metrics``, when given, receives the driver
+    callbacks (arrivals, drops) and each step's tallies, read off the engine
+    after the step; its sink sees one window dict per completed window while
+    the run is in flight.  The driver registers no engine observer, so an
+    untraced stream builds no trace events.
     """
     if max_steps < 1:
         raise ParameterError(f"max_steps must be >= 1, got {max_steps}")
@@ -83,15 +84,7 @@ def run_stream(
     engine = Engine(problem, router, seed=engine_seed)
     path_rng = make_rng(path_seed)
 
-    absorbed: List[int] = []
-
-    def _collect(event) -> None:
-        if event.kind is EventKind.ABSORB:
-            absorbed.append(event.packet)
-
-    engine.add_observer(_collect)
-    if metrics is not None:
-        engine.add_observer(metrics.on_event)
+    absorbed = engine.last_absorbed
 
     horizon = source.horizon
     arrivals = admitted = delivered = dropped = 0
@@ -120,14 +113,23 @@ def run_stream(
             peak = in_flight
         if exhausted and not in_flight:
             break  # source done, network drained
+        active_before = engine.num_active
+        unsafe_before = engine.unsafe_deflections
         engine.step()
         if absorbed:
             delivered += len(absorbed)
             for pid in absorbed:
                 engine.retire(pid)
-            absorbed.clear()
         if metrics is not None:
-            metrics.end_step(t, engine.num_active + len(engine.eligible))
+            num_active = engine.num_active
+            metrics.end_step(
+                t,
+                num_active + len(engine.eligible),
+                injected=num_active + len(absorbed) - active_before,
+                absorbed=absorbed,
+                deflections=engine.last_deflections,
+                unsafe=engine.unsafe_deflections - unsafe_before,
+            )
         t = engine.t
     if metrics is not None:
         metrics.close(t - 1)

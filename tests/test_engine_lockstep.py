@@ -1254,3 +1254,28 @@ class TestSweepShardIdentity:
         serial = open_store(tmp_path / "serial", manifest)
         run_sweep(manifest, serial, compact=False, lockstep=False)
         assert store.shard_bytes(0) == serial.shard_bytes(0)
+
+
+def test_pinned_batch_counts_congestion_once(bf4_random_problem, monkeypatch):
+    """``C`` and ``D`` are memoized per problem: a 64-trial pinned batch
+    reads them for every trial's result but walks the paths once."""
+    calls = []
+    edge_congestion = RoutingProblem.edge_congestion
+
+    def counting(self):
+        calls.append(self)
+        return edge_congestion(self)
+
+    monkeypatch.setattr(RoutingProblem, "edge_congestion", counting)
+    problem = RoutingProblem(bf4_random_problem.net, bf4_random_problem.packets)
+    results = LockstepEngine.naive(
+        [problem] * 64, engine_seeds=list(range(64))
+    ).run(200)
+    assert len(calls) == 1
+    fresh = RoutingProblem(problem.net, problem.packets)
+    assert problem.congestion == max(fresh.edge_congestion())
+    assert problem.dilation == max(len(spec.path) for spec in fresh)
+    assert {(r.congestion, r.dilation) for r in results} == {
+        (problem.congestion, problem.dilation)
+    }
+    assert all(r.all_delivered for r in results)

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -23,7 +24,6 @@ from repro.paths import random_monotone_path
 from repro.rng import make_rng
 from repro.scenarios import RunSpec, run_trial
 from repro.sim import Engine
-from repro.sim.events import EventKind, TraceEvent
 from repro.telemetry import TelemetrySession, WindowedMetrics
 from repro.telemetry.live import WINDOW_SCHEMA, _quantile
 from repro.traffic import (
@@ -308,12 +308,12 @@ class TestDynamicGoldenDigests:
         assert router == self.ROUTER[backend]
 
 
-def _digest_stream(net, router):
-    """Hash of a ``run_stream`` summary plus every metrics window."""
+def _stream_body(net, router, source=None):
+    """Canonical JSON of a ``run_stream`` summary plus every metrics window."""
     windows = []
     summary = run_stream(
         net,
-        BernoulliSource(net, 0.35, seed=21, horizon=None),
+        source or BernoulliSource(net, 0.35, seed=21, horizon=None),
         make_stream_router(router, seed=22),
         max_steps=600,
         metrics=WindowedMetrics(window=25, sink=windows.append),
@@ -321,11 +321,16 @@ def _digest_stream(net, router):
         engine_seed=24,
         max_in_flight=net.num_edges // 2,
     )
-    body = json.dumps(
+    return json.dumps(
         {"summary": dataclasses.asdict(summary), "windows": windows},
         sort_keys=True,
         separators=(",", ":"),
     )
+
+
+def _digest_stream(net, router, source=None):
+    """Hash of a ``run_stream`` summary plus every metrics window."""
+    body = _stream_body(net, router, source)
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -346,11 +351,29 @@ class TestStreamGoldenDigests:
         ("random_leveled", "greedy"): "cb9fbb0684c9c982",
         ("random_leveled", "naive"): "12655744daefb9ac",
     }
+    #: Poisson streams: an open-loop one past the admission cap on the
+    #: butterfly, and a finite one that drains on the random network.
+    POISSON = {
+        "butterfly4": (
+            lambda net: PoissonSource(net, 20.0, seed=31, horizon=None),
+            "893ff50017cec8bb",
+        ),
+        "random_leveled": (
+            lambda net: PoissonSource(net, 4.0, seed=31, horizon=400),
+            "c3f61cb6c2e7f62e",
+        ),
+    }
 
     @pytest.mark.parametrize("network,router", sorted(GOLDEN))
     def test_digests_pinned(self, network, router):
         net = self.NETWORKS[network]()
         assert _digest_stream(net, router) == self.GOLDEN[(network, router)]
+
+    @pytest.mark.parametrize("network", sorted(POISSON))
+    def test_poisson_digests_pinned(self, network):
+        net = self.NETWORKS[network]()
+        make_source, digest = self.POISSON[network]
+        assert _digest_stream(net, "greedy", make_source(net)) == digest
 
 
 # ----------------------------------------------------------------- streaming
@@ -423,6 +446,44 @@ class TestRunStream:
         for w in windows:
             assert tuple(w.keys()) == WINDOW_SCHEMA
 
+    def test_untraced_stream_emits_no_events(self, monkeypatch):
+        """With no session active the driver never goes through
+        ``Engine.emit``: no trace event is built per packet-step."""
+
+        def _no_emit(self, event):
+            raise AssertionError(f"unexpected trace event {event}")
+
+        monkeypatch.setattr(Engine, "emit", _no_emit)
+        net = random_leveled([6, 8, 8, 8, 8, 6], edge_probability=0.3, seed=5)
+        assert _digest_stream(net, "greedy") == (
+            TestStreamGoldenDigests.GOLDEN[("random_leveled", "greedy")]
+        )
+
+    def test_windows_independent_of_session(self, tmp_path):
+        """Windows and summary are byte-equal with and without an ambient
+        session, whose observers still see the events they saw when the
+        windows were folded from events (digests recorded then)."""
+        net = random_leveled([6, 8, 8, 8, 8, 6], edge_probability=0.3, seed=5)
+        plain = _stream_body(net, "greedy")
+        trace = tmp_path / "stream.jsonl"
+        with TelemetrySession(trace_path=str(trace)) as session:
+            traced = _stream_body(net, "greedy")
+        assert traced == plain
+        counters = session.counters.to_dict()
+        assert counters["by_kind"] == {
+            "absorb": 4212,
+            "deflect": 1436,
+            "inject": 4230,
+            "move": 12791,
+            "unsafe_deflect": 3,
+        }
+        canonical = json.dumps(counters, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == (
+            "09ba1c8474f1ffb8"
+        )
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()[:16]
+        assert digest == "331b8dacb34dec13"
+
     def test_bad_inputs(self, net):
         with pytest.raises(ParameterError):
             make_stream_router("bogus")
@@ -458,13 +519,12 @@ class TestWindowedMetrics:
     def test_latency_percentiles_hand_computed(self):
         windows = []
         m = WindowedMetrics(window=10, sink=windows.append)
-        # Packets arrive at t=0 and are absorbed so that latencies
-        # (time + 1 - arrival) are exactly [1, 2, 3, 4].
+        # Packets arrive at t=0 and packet ``pid`` is absorbed in step
+        # ``pid``, so latencies (t + 1 - arrival) are exactly [1, 2, 3, 4].
         for pid in range(4):
             m.note_arrival(pid, 0)
-            m.on_event(TraceEvent(time=pid, kind=EventKind.ABSORB, packet=pid))
         for t in range(10):
-            m.end_step(t, num_active=0)
+            m.end_step(t, num_active=0, absorbed=[t] if t < 4 else ())
         (w,) = windows
         assert w["delivered"] == 4
         assert w["latency_mean"] == pytest.approx(2.5)
@@ -485,15 +545,30 @@ class TestWindowedMetrics:
     def test_deflection_and_drop_counters(self):
         windows = []
         m = WindowedMetrics(window=1, sink=windows.append)
-        m.on_event(TraceEvent(time=0, kind=EventKind.DEFLECT, packet=0))
-        m.on_event(TraceEvent(time=0, kind=EventKind.UNSAFE_DEFLECT, packet=1))
         m.note_drop(0)
-        m.end_step(0, num_active=2)
+        m.end_step(0, num_active=2, injected=3, deflections=2, unsafe=1)
         (w,) = windows
+        assert w["injected"] == 3
         assert w["deflections"] == 2
         assert w["unsafe_deflections"] == 1
         assert w["dropped"] == 1
         assert w["occupancy_max"] == 2
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="CPython key-sharing"
+    )
+    def test_records_share_one_key_table(self):
+        """Records are plain dicts in schema order that share their key
+        table, so a reader that keeps every window holds about half the
+        memory of dict literals."""
+        windows = []
+        m = WindowedMetrics(window=1, sink=windows.append)
+        for t in range(3):
+            m.end_step(t, num_active=t)
+        for w in windows:
+            assert type(w) is dict
+            assert tuple(w) == WINDOW_SCHEMA
+            assert sys.getsizeof(w) < sys.getsizeof(dict(w)) * 0.6
 
     def test_quantile_matches_numpy(self):
         np = pytest.importorskip("numpy")

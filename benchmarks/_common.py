@@ -8,12 +8,10 @@ after any run.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def emit(experiment_id: str, text: str) -> None:
@@ -53,15 +51,3 @@ def bench_workers(default: int = 1) -> int:
         return max(1, int(raw))
     except ValueError:
         return default
-
-
-def write_bench_json(name: str, payload: dict) -> pathlib.Path:
-    """Persist a machine-readable benchmark report at the repo root.
-
-    ``name`` is e.g. ``"engine"`` or ``"trials"``; the file becomes
-    ``BENCH_<name>.json`` next to pyproject.toml so regression tooling
-    (tools/bench_report.py, CI artifacts) can diff runs across PRs.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

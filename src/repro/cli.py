@@ -209,6 +209,17 @@ def _benchmarks_dir():
     return candidate if candidate.is_dir() else None
 
 
+def _experiment_modules(bench_dir) -> dict:
+    """Experiment id -> bench module: ``bench_presets.py`` is ``presets``,
+    ``bench_t1_scaling.py`` is ``t1``.  The throughput floors in
+    ``bench_engine_throughput.py`` are not an experiment."""
+    return {
+        p.stem[len("bench_"):].split("_")[0]: p
+        for p in sorted(bench_dir.glob("bench_*.py"))
+        if p.name != "bench_engine_throughput.py"
+    }
+
+
 def _parse_shard_ids(text: str) -> list:
     """Parse ``--shard`` syntax: comma-separated ids and ranges (``0,2,5-7``)."""
     shards = []
@@ -443,18 +454,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    available = sorted(
-        p.name[len("bench_"):].split("_")[0]
-        for p in bench_dir.glob("bench_*.py")
-        if p.name != "bench_engine_throughput.py"
-    )
+    modules = _experiment_modules(bench_dir)
+    available = sorted(modules)
     if args.experiment_id is None:
         print("available experiments:", ", ".join(available))
         print("run one with: python -m repro experiment <id>")
         return 0
     exp = args.experiment_id.lower()
-    matches = list(bench_dir.glob(f"bench_{exp}_*.py"))
-    if not matches:
+    module = modules.get(exp)
+    if module is None:
         print(
             f"error: no benchmark for experiment {exp!r} "
             f"(available: {', '.join(available)})",
@@ -465,7 +473,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         sys.executable,
         "-m",
         "pytest",
-        str(matches[0]),
+        str(module),
         "--benchmark-only",
         "-q",
         "-s",

@@ -125,6 +125,27 @@ class TestCommands:
     def test_experiment_unknown(self, capsys):
         assert main(["experiment", "zz"]) == 2
 
+    def test_experiment_ids_resolve_to_one_module(self, capsys):
+        from repro.cli import _benchmarks_dir, _experiment_modules
+
+        bench_dir = _benchmarks_dir()
+        modules = _experiment_modules(bench_dir)
+        assert main(["experiment"]) == 0
+        listed = capsys.readouterr().out.splitlines()[0].split(": ")[1]
+        assert listed.split(", ") == sorted(modules)
+        assert "presets" in modules
+        assert not any(".py" in exp for exp in modules)
+        # No two bench modules collapse onto one id.
+        experiments = {
+            p for p in bench_dir.glob("bench_*.py")
+            if p.name != "bench_engine_throughput.py"
+        }
+        assert set(modules.values()) == experiments
+        for exp, module in modules.items():
+            assert module.stem == f"bench_{exp}" or module.stem.startswith(
+                f"bench_{exp}_"
+            )
+
     def test_experiment_runs_one(self, capsys):
         # E1 is the cheapest experiment (topology validation only).
         assert main(["experiment", "e1"]) == 0

@@ -22,6 +22,7 @@ from repro.baselines import NaivePathRouter
 from repro.experiments import (
     butterfly_hotrow_instance,
     butterfly_random_spec,
+    deep_random_spec,
     default_chunksize,
     derive_sweep_seeds,
     resolve_workers,
@@ -64,6 +65,22 @@ class TestSerialParallelEquivalence:
         )
         serial, pooled = _records(specs, workers=2)
         assert serial == pooled
+
+    def test_build_heavy_batched_trials_identical(self):
+        # The cold per-trial path (fresh build, reference engine) against
+        # the production batched path on the build-heavy deep_random
+        # instance. An in-process run of the same specs must take the
+        # lockstep kernel, whatever the auto dispatcher picked on this host.
+        specs = sweep_specs(deep_random_spec(20, 6, 12, seed=2026), 8)
+        cold = run_spec_trials(
+            specs, dispatch="serial", warm=False, lockstep=False
+        )
+        batched = run_spec_trials(specs, workers=2)
+        lockstep = run_spec_trials(specs, dispatch="serial")
+        assert all(r.executor.startswith("lockstep") for r in lockstep)
+        expected = [asdict(r.result) for r in cold]
+        assert [asdict(r.result) for r in batched] == expected
+        assert [asdict(r.result) for r in lockstep] == expected
 
     @pytest.mark.parametrize(
         "backend", ["naive", "greedy"], ids=["_naive_factory", "_greedy_factory"]

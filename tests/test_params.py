@@ -213,3 +213,24 @@ class TestPresetEndToEnd:
             assert record.audit is not None and record.audit.ok, (
                 f"{name}: {record.audit.summary()}"
             )
+
+    def test_practical_preset_step_margin(self):
+        # The tuned preset's reason to exist: on the pinned butterfly_random
+        # instance it takes at least 100x fewer steps, on the mean over 10
+        # seeds, than the paper-faithful Section 2.1 schedule.
+        from repro.experiments import catalog_spec, run_frontier_trial
+        from repro.scenarios import build_problem
+
+        problem = build_problem(
+            catalog_spec("butterfly_random").with_pinned_scenario()
+        )
+        means = {}
+        for preset in sorted(PRESETS):
+            records = [run_frontier_trial(problem, 0, audit=True, preset=preset)]
+            records += [
+                run_frontier_trial(problem, seed, preset=preset)
+                for seed in range(1, 10)
+            ]
+            assert all(r.ok for r in records), preset
+            means[preset] = sum(r.result.makespan for r in records) / 10
+        assert means["paper-faithful"] / means["practical"] >= 100.0

@@ -25,12 +25,12 @@ return **byte-identical** records for the same specs:
   re-randomize frontier-set assignment and tie-breaks, never the problem —
   see :meth:`RunSpec.with_pinned_scenario`) build the problem once per
   worker.
-* **Adaptive dispatch.**  :func:`run_spec_trials` first runs a
-  small probe chunk in the parent, estimates per-trial cost, and falls
-  back to (warm) serial execution when the remaining batch is too small to
-  amortize pool spin-up — so tiny sweeps are never slower than a plain
-  loop.  Requested workers are also clamped to the CPUs actually usable in
-  this process: on a single-core host a ``workers=4`` sweep runs the warm
+* **Adaptive dispatch.**  :func:`run_spec_trials` first runs the
+  leading groups in the parent as a probe, estimates per-trial cost, and
+  falls back to (warm) serial execution when the remaining batch is too
+  small to amortize pool spin-up — so tiny sweeps are never slower than a
+  plain loop.  Requested workers are also clamped to the CPUs actually
+  usable in this process: on a single-core host a ``workers=4`` sweep runs the warm
   serial path instead of paying fork-and-pickle for no parallelism.
 
 Determinism: a trial's outcome is a pure function of its spec, the warm
@@ -62,10 +62,6 @@ POOL_SPINUP_SEC = 0.35
 #: dispatcher commits to forking (guards against estimate noise).
 POOL_ADVANTAGE_MARGIN = 1.25
 
-#: Trials executed in the parent to estimate per-trial cost ("the first
-#: completed chunk" of the adaptive dispatcher).
-PROBE_TRIALS = 4
-
 #: Widest batch one lockstep kernel instance advances at once.  Wider
 #: batches amortize dispatch better but pay more memory and more masked
 #: work per straggler trial; 64 matches the fixed-problem bench and keeps
@@ -84,6 +80,14 @@ LOCKSTEP_MAX_TRIALS = 64
 #: ``naive_hotrow``, and above 8 on ``butterfly_hotrow`` and
 #: ``mesh_corner_shift``, which also lose narrow pinned groups.
 LOCKSTEP_MIN_TRIALS = 6
+
+#: Share of a lockstep batch over several networks left running when the
+#: batch stops and reruns those trials per trial.  Each trial routes its
+#: own network there, so a few trials often run for several times the
+#: steps of the rest, and a tick costs about the same at any width: on 32
+#: unpinned ``deep_random`` trials, the ticks of the last one or two live
+#: trials took about half of the batch's step loop.
+LOCKSTEP_TAIL_SHARE = 1 / 16
 
 #: Spec backends the lockstep kernel can execute, mapped to the kernel
 #: family that runs them.  ``frontier_vec``/``naive_vec`` are registry
@@ -244,16 +248,16 @@ class TrialExecutor:
     def _group_key(self, spec):
         """Lockstep grouping key for ``spec``, or None when ineligible.
 
-        Specs with equal keys route over the *same* network (equal
-        :func:`~repro.scenarios.cache._network_key`) under the same
-        workload and selector with the same params — only the component
-        seeds may differ — and run under the same backend family and
-        batch-wide :data:`_KERNEL_PARAMS`, so the stacked kernel can
-        advance them in one set of arrays: a fixed-problem sweep shares
-        one problem, an instance sweep gives each trial its own, and the
-        tuner's invariant gate gives each trial its own schedule
-        parameters.  The key reads the spec alone; nothing is built to
-        compute it.  Telemetry counters and invariant checks do not split
+        Specs with equal keys build the same topology, workload and
+        selector with the same params — only the component seeds may
+        differ — and run under the same backend family and batch-wide
+        :data:`_KERNEL_PARAMS`, so the stacked kernel can advance them in
+        one set of arrays: a fixed-problem sweep shares one problem, an
+        instance sweep gives each trial its own (over one network, or
+        over a union of one network per topology seed, as for
+        ``random_leveled``), and the tuner's invariant gate gives each
+        trial its own schedule parameters.  The key reads the spec alone;
+        nothing is built to compute it.  Telemetry counters and invariant checks do not split
         groups: the kernel computes them itself.  Trials needing
         per-trial machinery peel off to :meth:`run`: an ambient telemetry
         or trace session (the lockstep kernel carries no per-event
@@ -261,7 +265,7 @@ class TrialExecutor:
         missing numpy.  An eligible key only makes the spec a candidate:
         :meth:`_run_lockstep` still runs trials per trial when fewer than
         :data:`LOCKSTEP_MIN_TRIALS` of them miss the disk cache, or form a
-        run of equal packet counts.
+        run of equal packet counts and depths.
         """
         if not self.lockstep:
             return None
@@ -276,10 +280,9 @@ class TrialExecutor:
 
         if current_session() is not None:
             return None
-        from ..scenarios.cache import _network_key
-
         return (
-            _network_key(spec),
+            spec.topology,
+            _unseeded(spec.topology_params),
             spec.workload,
             _unseeded(spec.workload_params),
             spec.selector,
@@ -299,7 +302,7 @@ class TrialExecutor:
         """Execute a chunk of specs in order, lockstepping where possible.
 
         Consecutive specs sharing a :meth:`_group_key` (a Monte Carlo run
-        over one network, on one problem or one per trial) form a group of
+        over one topology, on one problem or one per trial) form a group of
         up to :data:`LOCKSTEP_MAX_TRIALS` trials, handed to
         :meth:`_run_lockstep`; every ineligible spec falls through to the
         ordinary per-trial :meth:`run`.  Records come back in spec order
@@ -307,8 +310,23 @@ class TrialExecutor:
         RNG streams replay the serial draws exactly (pinned by
         ``tests/test_engine_lockstep.py``).
         """
-        specs = list(specs)
         records: List = []
+        for key, group in self.groups(specs):
+            if key is not None:
+                records.extend(self._run_lockstep(group))
+            else:
+                records.append(self.run(group[0]))
+        return records
+
+    def groups(self, specs: Sequence) -> List:
+        """``specs`` cut into the groups :meth:`run_chunk` runs, in order.
+
+        Each item is ``(key, specs)``: a run of consecutive specs sharing
+        a :meth:`_group_key`, of at most :data:`LOCKSTEP_MAX_TRIALS`, or
+        ``(None, [spec])`` for a spec that cannot lockstep.
+        """
+        specs = list(specs)
+        out: List = []
         i, n = 0, len(specs)
         while i < n:
             key = self._group_key(specs[i])
@@ -320,12 +338,9 @@ class TrialExecutor:
                 and self._group_key(specs[j]) == key
             ):
                 j += 1
-            if key is not None:
-                records.extend(self._run_lockstep(specs[i:j]))
-            else:
-                records.append(self.run(specs[i]))
+            out.append((key, specs[i:j]))
             i = j
-        return records
+        return out
 
     def _run_lockstep(self, group: Sequence) -> List:
         """Run one group, in spec order, choosing the kernel.
@@ -336,8 +351,9 @@ class TrialExecutor:
         :meth:`run`, where the reference engine is the faster kernel, and
         nothing is built for them here.  Otherwise each miss's problem is
         built (once per distinct scenario) and the misses split into runs
-        of consecutive trials with equal packet counts: a run of at least
-        :data:`LOCKSTEP_MIN_TRIALS` is one lockstep batch, stored back so
+        of consecutive trials with equal packet counts and network depths:
+        a run of at least :data:`LOCKSTEP_MIN_TRIALS` is one lockstep
+        batch, stored back so
         cached results match the per-trial path byte for byte; a shorter
         run goes per trial.  With telemetry on, a batch attaches each
         trial's counters to its result; it has no per-trial wall-clock
@@ -378,7 +394,8 @@ class TrialExecutor:
         family = _LOCKSTEP_FAMILIES[group[0].backend]
         problems = self._problems([group[k] for k in misses])
         for _, run in groupby(
-            zip(misses, problems), key=lambda kp: kp[1].num_packets
+            zip(misses, problems),
+            key=lambda kp: (kp[1].num_packets, kp[1].net.depth),
         ):
             ks, run_problems = zip(*run)
             if len(ks) < LOCKSTEP_MIN_TRIALS:
@@ -393,11 +410,15 @@ class TrialExecutor:
         return slots
 
     def _problems(self, specs: Sequence) -> List:
-        """Each spec's routing problem, built once per distinct scenario."""
+        """Each spec's routing problem, built once per distinct scenario
+        (and, without the warm cache, each network once per distinct
+        :func:`~repro.scenarios.cache._network_key`: one for a topology
+        that ignores its seed, one per topology seed otherwise)."""
+        from ..scenarios.cache import _network_key
         from ..scenarios.dispatch import build_network, build_problem
 
         built: dict = {}
-        net = None
+        nets: dict = {}
         out = []
         for spec in specs:
             # The group key fixes every other scenario field, so the
@@ -410,20 +431,30 @@ class TrialExecutor:
                 if self.scenarios is not None:
                     problem = self.scenarios.problem_for(spec)
                 else:
-                    # Every spec of a group shares its network key.
-                    net = net if net is not None else build_network(spec)
+                    net_key = _network_key(spec)
+                    net = nets.get(net_key)
+                    if net is None:
+                        net = nets[net_key] = build_network(spec)
                     problem = build_problem(spec, net=net)
                 built[key] = problem
             out.append(problem)
         return out
 
     def _run_batch(self, specs, problems, family: str) -> List:
-        """One lockstep batch, spec ``i`` routing ``problems[i]``."""
+        """One lockstep batch, spec ``i`` routing ``problems[i]``.
+
+        A batch over several networks stops once its stragglers are no
+        more than :data:`LOCKSTEP_TAIL_SHARE` of it; they rerun here per
+        trial.
+        """
         from ..scenarios.dispatch import ScenarioRun
 
         first = specs[0]
         seeds = [spec.seed for spec in specs]
         tag = f"lockstep[w={len(seeds)}]"
+        tail = 0
+        if len({id(problem.net) for problem in problems}) > 1:
+            tail = int(len(specs) * LOCKSTEP_TAIL_SHARE)
         audits = [None] * len(specs)
         if family == "frontier":
             from .runner import run_frontier_trials_lockstep
@@ -439,9 +470,10 @@ class TrialExecutor:
                 audit=bool(kernel.get("audit", False)),
                 audit_congestion_bound=kernel.get("audit_congestion_bound"),
                 params=_trial_params(specs, problems),
+                tail=tail,
             )
-            results = [rec.result for rec in records]
-            audits = [rec.audit for rec in records]
+            results = [rec.result if rec else None for rec in records]
+            audits = [rec.audit if rec else None for rec in records]
         else:
             from .runner import run_naive_trials_lockstep
 
@@ -451,9 +483,12 @@ class TrialExecutor:
                 seeds,
                 int(explicit) if explicit is not None else None,
                 telemetry=self.telemetry,
+                tail=tail,
             )
         return [
             ScenarioRun(spec=spec, result=result, audit=audit, executor=tag)
+            if result is not None
+            else self.run(spec)
             for spec, result, audit in zip(specs, results, audits)
         ]
 
@@ -478,6 +513,43 @@ def _trial_params(specs, problems) -> List:
             params = made[key] = resolve_trial_params(problem, **kwargs)
         out.append(params)
     return out
+
+
+def _chunk_groups(groups: Sequence, size: int) -> List[List]:
+    """Pool chunks of about ``size`` specs that keep lockstep batches whole.
+
+    A group of at least :data:`LOCKSTEP_MIN_TRIALS` specs that can
+    lockstep is its own chunk, or is split into near-equal chunks of at
+    least that many specs when it is larger than ``size``; the other
+    groups (single specs and narrower groups, which run per trial either
+    way) are packed together up to ``size``.
+    """
+    chunks: List[List] = []
+    packed: List = []
+    for key, group in groups:
+        if key is None or len(group) < LOCKSTEP_MIN_TRIALS:
+            packed.extend(group)
+            if len(packed) >= size:
+                chunks.append(packed)
+                packed = []
+            continue
+        if packed:
+            chunks.append(packed)
+            packed = []
+        parts = max(
+            1,
+            min(
+                math.ceil(len(group) / size),
+                len(group) // LOCKSTEP_MIN_TRIALS,
+            ),
+        )
+        chunks.extend(
+            group[k * len(group) // parts:(k + 1) * len(group) // parts]
+            for k in range(parts)
+        )
+    if packed:
+        chunks.append(packed)
+    return chunks
 
 
 def _unseeded(params) -> str:
@@ -562,10 +634,13 @@ def run_spec_trials(
     byte-identical records.  Specs are plain data, so they pickle across
     the pool by construction.  ``dispatch`` picks the strategy:
 
-    * ``"auto"`` (default) — clamp ``workers`` to usable CPUs, run a probe
-      chunk in the parent to estimate per-trial cost, then either finish
-      serially (batch too small to amortize pool spin-up) or fan the rest
-      across a persistent worker pool in duration-sized chunks;
+    * ``"auto"`` (default) — clamp ``workers`` to usable CPUs, run whole
+      groups (:meth:`TrialExecutor.groups`) in the parent until at least
+      :data:`LOCKSTEP_MIN_TRIALS` trials ran, to estimate per-trial cost,
+      then either finish serially (batch too small to amortize pool
+      spin-up) or fan the remaining groups across a persistent worker pool
+      in duration-sized chunks that never cut a lockstep group below
+      :data:`LOCKSTEP_MIN_TRIALS` (:func:`_chunk_groups`);
     * ``"serial"`` — force the warm in-process loop;
     * ``"pool"`` — force pool dispatch for every spec (no probe, no CPU
       clamp); used by tests and benchmarks that must exercise the pool
@@ -590,15 +665,15 @@ def run_spec_trials(
     one chunk of records, independent of ``len(specs)``.  The sweep store
     (:mod:`repro.sweeps`) runs every shard this way.
 
-    Within every strategy, consecutive specs over one network that differ
-    only in seeds — fixed-problem Monte Carlo batches, and unpinned
-    (instance) sweeps whose topology ignores its seed — execute on the
-    lockstep stacked kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
-    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses with equal packet
-    counts, telemetry or not — process-level parallelism multiplies
-    lockstep width instead of replacing it.  Narrower groups, including
-    every trial of an unpinned sweep over ``random_leveled`` (a new
-    network per seed), run per trial on the reference engine.
+    Within every strategy, consecutive specs that differ only in seeds —
+    fixed-problem Monte Carlo batches and unpinned (instance) sweeps,
+    including those over ``random_leveled``, whose batch routes over the
+    disjoint union of one network per seed — execute on the lockstep
+    stacked kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
+    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses with equal packet counts
+    and network depths, telemetry or not — process-level parallelism
+    multiplies lockstep width instead of replacing it.  Narrower groups
+    run per trial on the reference engine.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks use
     it to measure the kernel's speedup; results are byte-identical either
     way — see :meth:`TrialExecutor.run_chunk`).
@@ -636,32 +711,36 @@ def run_spec_trials(
         _serial(specs)
         return records
 
-    remaining = specs
+    groups = executor.groups(specs)
     per_trial: Optional[float] = None
     if dispatch == "auto":
-        # Probe chunk: run a few trials in the parent (warm), time them,
-        # and only fork when the remainder amortizes pool spin-up.
-        probe = specs[: min(PROBE_TRIALS, total)]
+        # Probe: run whole groups in the parent (warm) until at least
+        # LOCKSTEP_MIN_TRIALS specs ran, time them, and only fork when the
+        # rest amortizes pool spin-up.  No group is cut, so the probe runs
+        # each group on the kernel the rest of the batch would.
+        ran = taken = 0
         start = perf_counter()
-        _serial(probe)
-        per_trial = (perf_counter() - start) / len(probe)
-        remaining = specs[len(probe):]
-        if not remaining or not should_use_pool(
-            len(remaining), per_trial, workers
-        ):
-            _serial(remaining)
-            return records
+        while taken < len(groups) and ran < LOCKSTEP_MIN_TRIALS:
+            _serial(groups[taken][1])
+            ran += len(groups[taken][1])
+            taken += 1
+        per_trial = (perf_counter() - start) / ran
+        groups = groups[taken:]
+    remaining = sum(len(group) for _, group in groups)
+    if dispatch == "auto" and (
+        not remaining or not should_use_pool(remaining, per_trial, workers)
+    ):
+        for _, group in groups:
+            _serial(group)
+        return records
 
     from concurrent.futures import ProcessPoolExecutor
 
     if chunksize is None:
         chunksize = default_chunksize(
-            len(remaining), workers, per_item_sec=per_trial
+            remaining, workers, per_item_sec=per_trial
         )
-    chunks = [
-        remaining[i : i + chunksize]
-        for i in range(0, len(remaining), chunksize)
-    ]
+    chunks = _chunk_groups(groups, chunksize)
     capacity = (
         executor.scenarios.capacity
         if executor.scenarios is not None

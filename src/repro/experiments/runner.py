@@ -139,13 +139,15 @@ def run_frontier_trials_lockstep(
     audit: bool = False,
     audit_congestion_bound: Optional[float] = None,
     params: Optional[Sequence[AlgorithmParams]] = None,
+    tail: int = 0,
     **params_kwargs,
-) -> List[TrialRecord]:
+) -> List[Optional[TrialRecord]]:
     """Run one frontier trial per seed on the lockstep batch kernel.
 
     Trial ``i`` routes ``problems[i]`` with ``seeds[i]``; the problems may
-    repeat (a fixed-problem batch) or differ (an instance batch), but must
-    share one network and one packet count.  Each problem resolves its own
+    repeat (a fixed-problem batch) or differ (an instance batch, over one
+    network or several), but must share one packet count and one network
+    depth.  Each problem resolves its own
     parameters from ``params_kwargs`` (or ``params`` gives one
     :class:`~repro.core.AlgorithmParams` per trial) and, without
     ``max_steps``, its own step budget.  Byte-identical, per trial, to the
@@ -156,6 +158,8 @@ def run_frontier_trials_lockstep(
     each trial's event counters to ``result.telemetry``, equal to those of
     the reference run under a telemetry session; ``audit=True`` gives each
     record the reference auditor's :class:`~repro.core.AuditReport`.
+    ``tail`` stops the batch early (see :meth:`LockstepEngine.run`); the
+    trials it cut are None, for the caller to rerun per trial.
     Requires numpy and problems without arrival schedules; callers peel
     such trials off to the per-trial paths.
     """
@@ -194,15 +198,19 @@ def run_frontier_trials_lockstep(
         max_steps if max_steps is not None
         else [prm.total_steps for prm in params]
     )
-    results = engine.run(budget)
+    results = engine.run(budget, tail=tail)
     auditor = engine.auditor
     return [
-        TrialRecord(
+        None
+        if cut
+        else TrialRecord(
             seed=seed,
             result=result,
             audit=auditor.result(i) if auditor is not None else None,
         )
-        for i, (seed, result) in enumerate(zip(seeds, results))
+        for i, (seed, result, cut) in enumerate(
+            zip(seeds, results, engine.cut.tolist())
+        )
     ]
 
 
@@ -212,16 +220,18 @@ def run_naive_trials_lockstep(
     max_steps: Optional[int] = None,
     geometry=None,
     telemetry: bool = False,
-) -> List[RunResult]:
+    tail: int = 0,
+) -> List[Optional[RunResult]]:
     """Run the naive baseline once per seed on the lockstep batch kernel.
 
-    Trial ``i`` routes ``problems[i]`` (one network and packet count for
-    the batch) under ``max_steps``, or without it under its own problem's
+    Trial ``i`` routes ``problems[i]`` (one packet count and network depth
+    for the batch) under ``max_steps``, or without it under its own problem's
     :func:`~repro.experiments.configs.baseline_budget`.  Byte-identical,
     per trial, to :func:`run_router_trial` with a ``NaivePathRouter``
     factory and the same problem, seed and budget (the naive router draws
     no randomness of its own, so only the engine stream matters), counters
-    included when ``telemetry`` is on.
+    included when ``telemetry`` is on.  ``tail`` stops the batch early
+    (see :meth:`LockstepEngine.run`); the trials it cut are None.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
@@ -235,7 +245,11 @@ def run_naive_trials_lockstep(
         geometry=geometry,
         telemetry=telemetry,
     )
-    return engine.run(max_steps)
+    results = engine.run(max_steps, tail=tail)
+    return [
+        None if cut else result
+        for result, cut in zip(results, engine.cut.tolist())
+    ]
 
 
 def run_router_trial(

@@ -58,9 +58,8 @@ class NetworkGeometry:
         "edge_dst",
         "in_edges",
         "out_edges",
-        "in_slot_ids",
-        "out_slot_ids",
         "node_levels",
+        "_slot_ids",
         "_vec_arrays",
     )
 
@@ -73,14 +72,33 @@ class NetworkGeometry:
         self.in_edges: Tuple[Tuple[EdgeId, ...], ...] = net._in
         self.out_edges: Tuple[Tuple[EdgeId, ...], ...] = net._out
         self.node_levels: Tuple[int, ...] = net._levels_of
-        backward = int(Direction.BACKWARD)
-        self.in_slot_ids: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple((e << 1) | backward for e in edges) for edges in self.in_edges
-        )
-        self.out_slot_ids: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(e << 1 for e in edges) for edges in self.out_edges
-        )
+        self._slot_ids = None
         self._vec_arrays = None
+
+    def _slots(self):
+        """Both slot-id tables, built on first use: the lockstep kernel
+        never reads them, so a batch over many networks does not hold
+        them."""
+        if self._slot_ids is None:
+            backward = int(Direction.BACKWARD)
+            self._slot_ids = (
+                tuple(
+                    tuple((e << 1) | backward for e in edges)
+                    for edges in self.in_edges
+                ),
+                tuple(tuple(e << 1 for e in edges) for edges in self.out_edges),
+            )
+        return self._slot_ids
+
+    @property
+    def in_slot_ids(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-node backward slot ids, aligned with :attr:`in_edges`."""
+        return self._slots()[0]
+
+    @property
+    def out_slot_ids(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-node forward slot ids, aligned with :attr:`out_edges`."""
+        return self._slots()[1]
 
     def arrays(self):
         """Numpy views of the endpoint/level tables, built and cached lazily.

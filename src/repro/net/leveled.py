@@ -118,19 +118,11 @@ class LeveledNetwork:
         )
         self._in: Tuple[Tuple[EdgeId, ...], ...] = tuple(tuple(lst) for lst in in_lists)
 
-        self._label_index: Dict[NodeLabel, NodeId] = {}
-        for v, label in enumerate(self._labels):
-            # Labels may repeat (default int labels never do); the index only
-            # keeps unambiguous labels.
-            if label in self._label_index:
-                self._label_index[label] = -1
-            else:
-                self._label_index[label] = v
-        self._edge_index: Dict[Tuple[NodeId, NodeId], EdgeId] = {}
-        for e in range(len(self._edge_src)):
-            key = (self._edge_src[e], self._edge_dst[e])
-            # Parallel edges (fat-trees) keep the first id; find_edges returns all.
-            self._edge_index.setdefault(key, e)
+        # The label and endpoint indexes are built on first lookup: most
+        # networks (every random_leveled instance of a sweep) never look
+        # one up, and the two dicts are about a third of their memory.
+        self._label_index: Optional[Dict[NodeLabel, NodeId]] = None
+        self._edge_index: Optional[Dict[Tuple[NodeId, NodeId], EdgeId]] = None
         #: lazily built dense lookup tables for the simulation hot path
         self._geometry = None
         #: lazily built per-destination path and greedy-tie tables
@@ -170,6 +162,13 @@ class LeveledNetwork:
 
     def node_by_label(self, label: NodeLabel) -> NodeId:
         """Inverse of :meth:`label`; raises if the label is absent/ambiguous."""
+        if self._label_index is None:
+            index: Dict[NodeLabel, NodeId] = {}
+            for v, known in enumerate(self._labels):
+                # Labels may repeat (default int labels never do); the
+                # index only keeps unambiguous labels.
+                index[known] = -1 if known in index else v
+            self._label_index = index
         node = self._label_index.get(label, None)
         if node is None or node < 0:
             raise TopologyError(f"label {label!r} is absent or ambiguous")
@@ -246,7 +245,10 @@ class LeveledNetwork:
 
     def find_edge(self, src: NodeId, dst: NodeId) -> EdgeId:
         """The (first) edge from ``src`` to ``dst``; raises if absent."""
-        edge = self._edge_index.get((src, dst))
+        index = self._edge_index
+        if index is None:
+            index = self._endpoint_index()
+        edge = index.get((src, dst))
         if edge is None:
             raise TopologyError(f"no edge ({src}, {dst})")
         return edge
@@ -259,7 +261,18 @@ class LeveledNetwork:
 
     def has_edge(self, src: NodeId, dst: NodeId) -> bool:
         """Whether an edge ``src -> dst`` exists."""
-        return (src, dst) in self._edge_index
+        return (src, dst) in self._endpoint_index()
+
+    def _endpoint_index(self) -> Dict[Tuple[NodeId, NodeId], EdgeId]:
+        """``(src, dst) -> edge``, built on first use."""
+        if self._edge_index is None:
+            index: Dict[Tuple[NodeId, NodeId], EdgeId] = {}
+            for e, key in enumerate(zip(self._edge_src, self._edge_dst)):
+                # Parallel edges (fat-trees) keep the first id; find_edges
+                # returns all.
+                index.setdefault(key, e)
+            self._edge_index = index
+        return self._edge_index
 
     def traversal_direction(self, edge: EdgeId, from_node: NodeId) -> Direction:
         """Direction of traversing ``edge`` starting at ``from_node``."""

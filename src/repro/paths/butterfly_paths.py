@@ -50,6 +50,7 @@ def bit_fixing_path(
             f"{src_level} and {dst_level}"
         )
     edges = []
+    nodes = [source]
     row = src_row
     here = source
     for level in range(src_level, dst_level):
@@ -57,8 +58,9 @@ def bit_fixing_path(
         row = (row & ~bit) | (dst_row & bit)
         there = butterfly_node(net, level + 1, row)
         edges.append(net.find_edge(here, there))
+        nodes.append(there)
         here = there
-    return Path(net, edges, source=source)
+    return Path._walked(edges, nodes)
 
 
 def select_paths_bit_fixing(

@@ -60,6 +60,19 @@ class Path:
         self._edges = edge_tuple
         self._nodes = tuple(nodes)
 
+    @classmethod
+    def _walked(cls, edges: List[EdgeId], nodes: List[NodeId]) -> "Path":
+        """A path its builder walked edge by edge: ``nodes[k + 1]`` is the
+        head of ``edges[k]``, which leaves ``nodes[k]``.  No re-check.
+
+        For the path selectors, which step along out-edges and so build a
+        valid chain by construction.
+        """
+        path = cls.__new__(cls)
+        path._edges = tuple(edges)
+        path._nodes = tuple(nodes)
+        return path
+
     # ------------------------------------------------------------- accessors
 
     @property
@@ -165,6 +178,7 @@ def _walk_table(
         raise PathError(f"no forward path from {source} to {destination}")
     edge_dst = net.geometry().edge_dst
     edges: List[EdgeId] = []
+    nodes = [source]
     here = source
     while here != destination:
         options = options_of[here]
@@ -175,7 +189,8 @@ def _walk_table(
         )
         edges.append(pick)
         here = edge_dst[pick]
-    return Path(net, edges, source=source)
+        nodes.append(here)
+    return Path._walked(edges, nodes)
 
 
 def random_monotone_path(

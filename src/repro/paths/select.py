@@ -72,6 +72,7 @@ def min_bottleneck_path(
         raise PathError(f"no forward path from {source} to {destination}")
 
     edges: List[EdgeId] = []
+    nodes = [source]
     here = source
     while here != destination:
         target = best[here]
@@ -87,7 +88,8 @@ def min_bottleneck_path(
         )
         edges.append(pick)
         here = edge_dst[pick]
-    return Path(net, edges, source=source)
+        nodes.append(here)
+    return Path._walked(edges, nodes)
 
 
 def select_paths_bottleneck(

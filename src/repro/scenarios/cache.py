@@ -151,7 +151,10 @@ def _network_key(spec: RunSpec) -> str:
     The topology seed is part of the key unless the builder is registered
     ``deterministic=True`` (it ignores its seed), so unpinned sweeps over a
     fixed topology share one network while seeded builders — and any
-    unmarked third-party builder — still get one network per seed.
+    unmarked third-party builder — still get one network per seed.  The
+    lockstep executor groups trials on the topology's name and unseeded
+    params instead, so one batch may span several such networks (an
+    unpinned ``random_leveled`` sweep routes over their disjoint union).
     """
     params = dict(spec.topology_params)
     if getattr(TOPOLOGIES.get(spec.topology), "deterministic", False):

@@ -1,7 +1,7 @@
 """Lockstep multi-trial batch kernel (stacked struct-of-arrays).
 
-:class:`LockstepEngine` advances a whole Monte Carlo batch of trials over
-one shared network in lockstep: every per-packet field of the reference
+:class:`LockstepEngine` advances a whole Monte Carlo batch of trials in
+lockstep: every per-packet field of the reference
 engine becomes an array with a leading ``trial`` axis
 (:class:`~repro.sim.soa.StackedPacketArrays`), so one "tick" of the batch
 advances every live trial by one executed step with a handful of numpy
@@ -12,6 +12,15 @@ trials differ only in their RNG streams), instance sweeps a different one
 per trial.  The frame schedule (``num_sets``, ``m``, ``w``, ``q``) and the
 step budget depend on the problem's congestion, so they are per-trial
 vectors too.
+
+Trials may route different networks of one depth (an instance sweep over
+``random_leveled`` builds one per seed).  The disjoint union of leveled
+networks of depth ``L`` is a leveled network of depth ``L``, so the batch
+concatenates the networks' tables, shifts each trial's nodes and path
+edges by its network's offsets into them, and runs the same step loop;
+ids that leave the kernel (audit details, errors) are shifted back to the
+trial's own.  A batch whose trials share one network uses its tables
+unchanged.
 
 Equivalence contract
 --------------------
@@ -89,7 +98,12 @@ from ..errors import ReproError, SimulationError
 from ..rng import RngLike, make_rng
 from .lockstep_arbitration import ArbitrationMixin, _member
 from .metrics import RunResult
-from .soa import StackedFrontierArrays, StackedPacketArrays, require_numpy
+from .soa import (
+    GeometryArrays,
+    StackedFrontierArrays,
+    StackedPacketArrays,
+    require_numpy,
+)
 
 try:
     import numpy as np
@@ -104,14 +118,35 @@ _NORMAL = 2
 _EXCITED = 3
 #: sentinel larger than any injection phase (masked minima)
 _NO_PHASE = 2**62
+#: per-packet tables the step loop reads through flat views
+_SOA_FLAT = (
+    "node", "cursor", "status", "injected_at", "absorbed_at", "last_edge",
+    "last_direction", "moves", "deflections", "unsafe_deflections",
+    "backward_moves", "destination",
+)
+_FRONTIER_FLAT = ("state", "wait_node", "wait_edge", "set_index")
+
+
+#: truthy iff an array has a nonzero (True) entry: ``np.count_nonzero``
+#: answers in a third of the time ``ndarray.any`` takes on the step loop's
+#: small arrays
+_some = np.count_nonzero if np is not None else None
+
+
+def _flat_view(table):
+    """A 1-D view of ``table`` (never a copy: writes must reach it)."""
+    view = table.view()
+    view.shape = (-1,)
+    return view
 
 
 class LockstepEngine(ArbitrationMixin):
     """Stacked-array twin of the reference engine for whole trial batches.
 
     Construct through :meth:`frontier` or :meth:`naive`, with one problem
-    per trial (one network and packet count for the batch, else a
-    :class:`~repro.errors.ReproError`).  ``run`` returns one
+    per trial (one packet count and network depth for the batch, else a
+    :class:`~repro.errors.ReproError`; ``geometry`` may pass the tables of
+    a batch's one network).  ``run`` returns one
     :class:`RunResult` per trial, in input order, each byte-identical to
     the corresponding per-trial engine run.
     """
@@ -148,17 +183,41 @@ class LockstepEngine(ArbitrationMixin):
         self._enable_fast_forward = enable_fast_forward
 
         self.net = self.problems[0].net
-        geo = geometry if geometry is not None else self.net.geometry()
-        self._geo = geo
-        ga = geo.arrays()
-        self._check_problems(ga)
+        nets = self._check_problems()
+        if len(nets) == 1:
+            geo = geometry if geometry is not None else self.net.geometry()
+            self._geos = [geo]
+            ga = geo.arrays()
+            self._net_edge_off = [0]
+            #: each trial's node and edge offset into the batch's tables
+            self._node_off = self._edge_off = np.zeros(trials, dtype=np.int64)
+            self.soa = StackedPacketArrays.from_problems(self.problems)
+        else:
+            if geometry is not None:
+                raise ReproError(
+                    "geometry= gives one network's tables; a batch over "
+                    f"{len(nets)} networks builds its own"
+                )
+            # Trials route over the disjoint union of their networks.
+            self._geos = [net.geometry() for net in nets.values()]
+            ga, node_off, edge_off = GeometryArrays.union(
+                [geo.arrays() for geo in self._geos]
+            )
+            self._net_edge_off = edge_off.tolist()
+            slot = {key: k for k, key in enumerate(nets)}
+            which = np.array(
+                [slot[id(p.net)] for p in self.problems], dtype=np.intp
+            )
+            self._node_off = node_off[which]
+            self._edge_off = edge_off[which]
+            self.soa = StackedPacketArrays.from_problems(
+                self.problems, self._node_off, self._edge_off
+            )
         self._edge_src = ga.edge_src
         self._edge_dst = ga.edge_dst
         self._node_levels = ga.node_levels
         self._num_nodes = ga.num_nodes
         self._num_edges = ga.num_edges
-
-        self.soa = StackedPacketArrays.from_problems(self.problems)
         n = self.soa.num_packets
         self.num_packets = n
 
@@ -191,6 +250,8 @@ class LockstepEngine(ArbitrationMixin):
         self.safe_mask = np.zeros((trials, n), dtype=bool)
         #: per-node deflection candidates, built on the first contended step
         self._inc = None
+        #: packet ids as a row, for the active-slot masks
+        self._cols = np.arange(n, dtype=np.int64)[None, :]
 
         # The frame schedule, one entry per trial: trials routing different
         # problems may differ in congestion and so in every parameter.
@@ -228,12 +289,33 @@ class LockstepEngine(ArbitrationMixin):
             most = int(self._num_sets.max())
             self._set_offsets = np.arange(most, dtype=np.int64) * m_col
             self._target_by_set = np.zeros((trials, most), dtype=np.int64)
+            self._most = most
+            self._targets = _flat_view(self._target_by_set)
         else:
             self.fr = None
             self._router_rngs = None
             # NaivePathRouter.attach marks everything eligible immediately.
             self.elig_mask[:] = True
             self.elig_cnt[:] = n
+        # Flat views of the (trial, packet) tables: the step loop indexes
+        # them with one ``trial * packets + packet`` array, which numpy
+        # gathers and scatters several times faster than an index pair.
+        self._flat = {
+            name: _flat_view(table)
+            for name, table in (
+                *((name, getattr(self.soa, name)) for name in _SOA_FLAT),
+                ("elig", self.elig_mask),
+                ("safe", self.safe_mask),
+                ("act", self.act_mat),
+                *(
+                    (name, getattr(self.fr, name))
+                    for name in _FRONTIER_FLAT
+                    if self.fr is not None
+                ),
+            )
+        }
+        #: trials :meth:`run` stopped before they finished (see ``tail``)
+        self.cut = np.zeros(trials, dtype=bool)
         #: per-trial event counters (None: untelemetered run)
         self.counters = None
         if telemetry:
@@ -249,28 +331,28 @@ class LockstepEngine(ArbitrationMixin):
 
             self.auditor = TrialAuditor(self, audit_congestion_bound)
 
-    def _check_problems(self, ga) -> None:
-        """Every trial's problem: no arrivals, and the batch's network."""
-        seen = {id(self.net)}
+    def _check_problems(self) -> dict:
+        """Every trial's problem: no arrivals, and the batch's depth.
+
+        Returns the batch's distinct networks by ``id``, in order of first
+        use.
+        """
+        nets: dict = {}
+        depth = self.net.depth
         for problem in self.problems:
             if getattr(problem, "arrival_schedule", None) is not None:
                 raise ReproError(
                     "the lockstep kernel does not support arrival schedules; "
                     "run those trials on the per-trial engines instead"
                 )
-            if id(problem.net) in seen:
-                continue
-            seen.add(id(problem.net))
-            other = problem.net.geometry().arrays()
-            if not (
-                np.array_equal(other.edge_src, ga.edge_src)
-                and np.array_equal(other.edge_dst, ga.edge_dst)
-                and np.array_equal(other.node_levels, ga.node_levels)
-            ):
+            if problem.net.depth != depth:
                 raise ReproError(
-                    "lockstep trials must route over one shared network; "
-                    f"{problem.net.name!r} differs from {self.net.name!r}"
+                    "lockstep trials must route over networks of equal "
+                    f"depth; {problem.net.name!r} has depth "
+                    f"{problem.net.depth}, {self.net.name!r} has {depth}"
                 )
+            nets.setdefault(id(problem.net), problem.net)
+        return nets
 
     # ------------------------------------------------------------- factories
 
@@ -368,10 +450,15 @@ class LockstepEngine(ArbitrationMixin):
         """All packets of every trial absorbed."""
         return bool((self.num_absorbed == self.num_packets).all())
 
-    def run(self, max_steps) -> List[RunResult]:
+    def run(self, max_steps, tail: int = 0) -> List[RunResult]:
         """Run every trial to delivery or its step budget; per-trial results.
 
-        ``max_steps`` is one budget for every trial or one per trial.
+        ``max_steps`` is one budget for every trial or one per trial.  With
+        ``tail``, the run stops as soon as no more than ``tail`` trials are
+        still running: a tick costs about the same at any width, so a few
+        stragglers of a heterogeneous batch cost more here than rerun on
+        the per-trial engine.  :attr:`cut` then marks those trials; their
+        results describe where the batch stopped, not how they end.
         """
         frontier = self.fr is not None
         ff = frontier and self._enable_fast_forward
@@ -384,8 +471,11 @@ class LockstepEngine(ArbitrationMixin):
             np.asarray(max_steps, dtype=np.int64), (self.trials,)
         )
         live = (self.num_absorbed < self.num_packets) & (self.t < budget)
-        while live.any():
+        while _some(live):
             lt = np.nonzero(live)[0]
+            if lt.size <= tail:
+                self.cut[lt] = True
+                break
             if ff:
                 self._fast_forward(lt)
             elif bulk:
@@ -412,8 +502,7 @@ class LockstepEngine(ArbitrationMixin):
         ``act_mat`` row order — the reference's injection order.
         """
         acnt = self.act_cnt[rows]
-        cols = np.arange(self.num_packets, dtype=np.int64)
-        amask = cols[None, :] < acnt[:, None]
+        amask = self._cols < acnt[:, None]
         rr = np.nonzero(amask)[0]
         return rows[rr], self.act_mat[rows][amask]
 
@@ -436,9 +525,12 @@ class LockstepEngine(ArbitrationMixin):
                 ev |= (t_lt % self._w[lt]) == 0
             tc.last_time[lt[ev]] = t_lt[ev]
 
-        erow, ecol = np.nonzero(self.elig_mask[lt])
-        e_tid = lt[erow]
-        e_pid = ecol.astype(np.int64)
+        if _some(self.elig_cnt[lt]):
+            erow, ecol = np.nonzero(self.elig_mask[lt])
+            e_tid = lt[erow]
+            e_pid = ecol.astype(np.int64)
+        else:
+            e_tid = e_pid = lt[:0]
         na, ne = a_tid.size, e_tid.size
         if na + ne == 0:
             if fr is not None:
@@ -465,14 +557,16 @@ class LockstepEngine(ArbitrationMixin):
             tid, pid = a_tid, a_pid
             is_elig = np.zeros(na, dtype=bool)
 
-        nodes = soa.node[tid, pid]
-        cur = soa.cursor[tid, pid]
+        flat = self._flat
+        fi = tid * self.num_packets + pid
+        nodes = flat["node"][fi]
+        cur = flat["cursor"][fi]
         width = soa.width
-        if fr is not None and self.num_waiting[lt].any():
-            wait_at = (fr.state[tid, pid] == _WAIT) & (
-                nodes == fr.wait_node[tid, pid]
+        if fr is not None and _some(self.num_waiting[lt]):
+            wait_at = (flat["state"][fi] == _WAIT) & (
+                nodes == flat["wait_node"][fi]
             )
-            any_wait = bool(wait_at.any())
+            any_wait = bool(_some(wait_at))
         else:
             wait_at = None
             any_wait = False
@@ -480,16 +574,16 @@ class LockstepEngine(ArbitrationMixin):
             bad = cur >= width
             if any_wait:
                 bad &= ~wait_at
-            if bad.any():
+            if _some(bad):
                 b = int(np.argmax(bad))
                 raise SimulationError(
                     f"packet {int(pid[b])} has an empty current path at "
                     f"node {int(nodes[b])}"
                 )
             cur = np.minimum(cur, width - 1)
-        heads = soa.path_buf[tid, pid, cur]
+        heads = soa.path_buf.reshape(-1)[fi * width + cur]
         if any_wait:
-            edges = np.where(wait_at, fr.wait_edge[tid, pid], heads)
+            edges = np.where(wait_at, flat["wait_edge"][fi], heads)
         else:
             edges = heads
         backward = self._edge_src[edges] != nodes
@@ -502,21 +596,22 @@ class LockstepEngine(ArbitrationMixin):
         dup = sk[1:] == sk[:-1]
         occupants = (tid, nodes, is_elig)
         deflected = None
-        if dup.any():
+        if _some(dup):
             # Arbitration reads last step's safe set: run it before the clear.
             # (Distinct rows by bincount: plain np.unique imports numpy.ma.)
             win, deflected = self._arbitrate(
                 np.flatnonzero(np.bincount(sk[:-1][dup] // span)),
                 tid, pid, nodes, is_elig, key, span,
             )
-            tid, pid, nodes, edges, backward, is_elig = (
-                a[win] for a in (tid, pid, nodes, edges, backward, is_elig)
+            tid, pid, fi, nodes, edges, backward, is_elig = (
+                a[win]
+                for a in (tid, pid, fi, nodes, edges, backward, is_elig)
             )
             if wait_at is not None:
                 wait_at = wait_at[win]
         self.safe_mask[lt] = False
         delivered = self._apply_winners(
-            tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
+            tid, fi, nodes, edges, backward, wait_at, is_elig, occupants
         )
         if deflected is not None:
             self._apply_deflections(*deflected)
@@ -529,7 +624,7 @@ class LockstepEngine(ArbitrationMixin):
             self._post_step(lt, t_lt)
         if self.auditor is not None:
             self.auditor.after_tick(self, lt, t_lt)
-        self.t[lt] += 1
+        self.t[lt] = t_lt + 1
         self.steps_executed[lt] += 1
 
     # -------------------------------------------------------------- pre-step
@@ -538,34 +633,34 @@ class LockstepEngine(ArbitrationMixin):
         """Frontier pre-step across trials: marks, wait entries, coins."""
         fr = self.fr
         soa = self.soa
+        flat = self._flat
         trials = self.trials
-        spp, w_ = self._spp[lt], self._w[lt]
-        ps_sel = (t_lt % spp) == 0
         tc = self.counters
-        if ps_sel.any():
-            ps = lt[ps_sel]
-            phase = t_lt[ps_sel] // spp[ps_sel]
-            self.current_phase[ps] = phase
-            if tc is not None:
-                tc.phase_start(self, ps, phase)
-            sub_elig = self.elig_mask[ps]
-            newly = (
-                (soa.status[ps] == _PENDING)
-                & ~sub_elig
-                & (fr.injection_phase[ps] <= phase[:, None])
-            )
-            if newly.any():
-                self.elig_mask[ps] = sub_elig | newly
-                self.elig_cnt[ps] += newly.sum(axis=1)
-        rs_sel = (t_lt % w_) == 0
-        if rs_sel.any():
+        # A phase (m rounds of w steps) starts on a round start.
+        rs_sel = (t_lt % self._w[lt]) == 0
+        if _some(rs_sel):
             rs = lt[rs_sel]
+            tr = t_lt[rs_sel]
+            spp_rs = self._spp[rs]
+            phase = tr // spp_rs
+            ps_sel = (tr % spp_rs) == 0
+            if _some(ps_sel):
+                ps = rs[ps_sel]
+                self.current_phase[ps] = phase[ps_sel]
+                if tc is not None:
+                    tc.phase_start(self, ps, phase[ps_sel])
+                sub_elig = self.elig_mask[ps]
+                newly = (
+                    (soa.status[ps] == _PENDING)
+                    & ~sub_elig
+                    & (fr.injection_phase[ps] <= phase[ps_sel][:, None])
+                )
+                if _some(newly):
+                    self.elig_mask[ps] = sub_elig | newly
+                    self.elig_cnt[ps] += newly.sum(axis=1)
             if tc is not None:
                 tc.rounds[rs] += 1
-            tr = t_lt[rs_sel]
-            spp_rs = spp[rs_sel]
-            phase = tr // spp_rs
-            rnd = (tr % spp_rs) // w_[rs_sel]
+            rnd = (tr % spp_rs) // self._w[rs]
             tinner = np.where(rnd <= 1, 0, rnd - 1)
             self._target_by_set[rs] = (phase - tinner)[:, None] - (
                 self._set_offsets[rs]
@@ -574,23 +669,28 @@ class LockstepEngine(ArbitrationMixin):
                 rflag = np.zeros(trials, dtype=bool)
                 rflag[rs] = True
                 sel = rflag[a_tid]
-                if sel.any():
-                    wt, wp = a_tid[sel], a_pid[sel]
+                if _some(sel):
+                    wt = a_tid[sel]
+                    wf = wt * self.num_packets + a_pid[sel]
+                    state = flat["state"]
+                    node = flat["node"][wf]
                     mask = (
-                        (fr.state[wt, wp] != _WAIT)
-                        & (soa.last_direction[wt, wp] == 0)
+                        (state[wf] != _WAIT)
+                        & (flat["last_direction"][wf] == 0)
                         & (
-                            self._node_levels[soa.node[wt, wp]]
-                            == self._target_by_set[wt, fr.set_index[wt, wp]]
+                            self._node_levels[node]
+                            == self._targets[
+                                wt * self._most + flat["set_index"][wf]
+                            ]
                         )
                     )
-                    if mask.any():
-                        mt, mp = wt[mask], wp[mask]
+                    if _some(mask):
+                        mt, mf = wt[mask], wf[mask]
                         if tc is not None:
-                            tc.wait_entries(mt, fr.state[mt, mp])
-                        fr.state[mt, mp] = _WAIT
-                        fr.wait_node[mt, mp] = soa.node[mt, mp]
-                        fr.wait_edge[mt, mp] = soa.last_edge[mt, mp]
+                            tc.wait_entries(mt, state[mf])
+                        state[mf] = _WAIT
+                        flat["wait_node"][mf] = node[mask]
+                        flat["wait_edge"][mf] = flat["last_edge"][mf]
                         wc = np.bincount(mt, minlength=trials)
                         self.wait_entries += wc
                         self.num_waiting += wc
@@ -598,8 +698,9 @@ class LockstepEngine(ArbitrationMixin):
         # its active normal packets in active-id order, exactly the
         # reference stream; the flat buffer just batches the comparison.
         if a_tid.size:
-            normal = (fr.state[a_tid, a_pid] == _NORMAL) & self._coins[a_tid]
-            if normal.any():
+            af = a_tid * self.num_packets + a_pid
+            normal = (flat["state"][af] == _NORMAL) & self._coins[a_tid]
+            if _some(normal):
                 nt = a_tid[normal]
                 counts = np.bincount(nt, minlength=trials)
                 u = np.empty(nt.size, dtype=np.float64)
@@ -609,10 +710,9 @@ class LockstepEngine(ArbitrationMixin):
                     u[off:off + c] = self._router_rngs[i].random(c)
                     off += c
                 hits = u < self._q[nt]
-                if hits.any():
+                if _some(hits):
                     et = nt[hits]
-                    ep = a_pid[normal][hits]
-                    fr.state[et, ep] = _EXCITED
+                    flat["state"][af[normal][hits]] = _EXCITED
                     ec = np.bincount(et, minlength=trials)
                     self.excitations += ec
                     self.num_excited += ec
@@ -621,49 +721,51 @@ class LockstepEngine(ArbitrationMixin):
 
     def _post_step(self, lt, t_lt) -> None:
         """Frontier post-step: round-end calms, phase-end releases."""
-        fr = self.fr
         trials = self.trials
+        # A phase ends on a round end.
         round_end = ((t_lt + 1) % self._w[lt]) == 0
-        phase_end = ((t_lt + 1) % self._spp[lt]) == 0
-        need = (
-            (round_end | phase_end)
-            & (
-                (self.num_excited[lt] > 0)
-                | (phase_end & (self.num_waiting[lt] > 0))
-            )
-            & (self.act_cnt[lt] > 0)
-        )
-        if not need.any():
+        if not _some(round_end):
             return
-        rows = lt[need]
+        ends = lt[round_end]
+        phase_end = ((t_lt[round_end] + 1) % self._spp[ends]) == 0
+        need = (
+            (self.num_excited[ends] > 0)
+            | (phase_end & (self.num_waiting[ends] > 0))
+        ) & (self.act_cnt[ends] > 0)
+        if not _some(need):
+            return
+        rows = ends[need]
         f_tid, f_pid = self._flat_active(rows)
-        st = fr.state[f_tid, f_pid]
+        ff = f_tid * self.num_packets + f_pid
+        flat = self._flat
+        state = flat["state"]
+        st = state[ff]
         exc = st == _EXCITED
-        if exc.any():
-            et, ep = f_tid[exc], f_pid[exc]
-            fr.state[et, ep] = _NORMAL
-            c = np.bincount(et, minlength=trials)
+        if _some(exc):
+            state[ff[exc]] = _NORMAL
+            c = np.bincount(f_tid[exc], minlength=trials)
             self.round_calms += c
             self.num_excited -= c
         pe_flag = np.zeros(trials, dtype=bool)
-        pe_flag[lt[need & phase_end]] = True
+        pe_flag[ends[need & phase_end]] = True
         wsel = (st == _WAIT) & pe_flag[f_tid]
-        if wsel.any():
-            wt, wp = f_tid[wsel], f_pid[wsel]
-            fr.state[wt, wp] = _NORMAL
-            fr.wait_node[wt, wp] = -1
-            fr.wait_edge[wt, wp] = -1
-            c = np.bincount(wt, minlength=trials)
+        if _some(wsel):
+            wf = ff[wsel]
+            state[wf] = _NORMAL
+            flat["wait_node"][wf] = -1
+            flat["wait_edge"][wf] = -1
+            c = np.bincount(f_tid[wsel], minlength=trials)
             self.phase_releases += c
             self.num_waiting -= c
 
     # ----------------------------------------------------------------- apply
 
     def _apply_winners(
-        self, tid, pid, nodes, edges, backward, wait_at, is_elig, occupants
+        self, tid, fi, nodes, edges, backward, wait_at, is_elig, occupants
     ):
         """Vectorized winner application for every trial of the tick.
 
+        ``fi`` is each winner's flat ``trial * packets + packet`` index.
         Flat order is trial-major and, within a trial, the reference's
         granted order, so plain scatters reproduce its injection order.
         ``occupants`` is every participant's ``(tid, node, is_elig)``: the
@@ -675,22 +777,25 @@ class LockstepEngine(ArbitrationMixin):
             return None
         soa = self.soa
         fr = self.fr
+        flat = self._flat
+        n = self.num_packets
         trials = self.trials
         t_of = self.t
 
-        if is_elig.any():
+        if _some(is_elig):
             inj_t = tid[is_elig]
-            inj_p = pid[is_elig]
-            soa.status[inj_t, inj_p] = _ACTIVE
-            soa.injected_at[inj_t, inj_p] = t_of[inj_t]
-            self.elig_mask[inj_t, inj_p] = False
+            inj_f = fi[is_elig]
+            inj_p = inj_f - inj_t * n
+            flat["status"][inj_f] = _ACTIVE
+            flat["injected_at"][inj_f] = t_of[inj_t]
+            flat["elig"][inj_f] = False
             counts = np.bincount(inj_t, minlength=trials)
             self.elig_cnt -= counts
             seg_start = np.concatenate(
                 [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
             )[inj_t]
             rank = np.arange(inj_t.size, dtype=np.int64) - seg_start
-            self.act_mat[inj_t, self.act_cnt[inj_t] + rank] = inj_p
+            flat["act"][inj_t * n + self.act_cnt[inj_t] + rank] = inj_p
             self.act_cnt += counts
             self.num_active += counts
             if fr is not None or self.counters is not None:
@@ -701,85 +806,96 @@ class LockstepEngine(ArbitrationMixin):
                 # (_member, not np.isin, which imports numpy.ma: about
                 # 1.2 MB of resident memory.)
                 occupied = _member(np.sort(occ_keys), inj_keys)
-                uk, inv, cnts = np.unique(
-                    inj_keys, return_inverse=True, return_counts=True
-                )
-                crowded = occupied | (cnts[inv] != 1)
+                # Injections sharing a node crowd each other.
+                order = np.argsort(inj_keys, kind="stable")
+                same = inj_keys[order[1:]] == inj_keys[order[:-1]]
+                shared = np.zeros(inj_keys.size, dtype=bool)
+                shared[order[1:][same]] = True
+                shared[order[:-1][same]] = True
+                crowded = occupied | shared
                 if self.auditor is not None:
                     self.auditor.injected(
                         self, inj_t, inj_p, nodes[is_elig], crowded
                     )
-                if crowded.any():
+                if _some(crowded):
                     self.isolation_violations += np.bincount(
                         inj_t[crowded], minlength=trials
                     )
 
-        if wait_at is not None and wait_at.any():
-            rt, rp = tid[wait_at], pid[wait_at]
-            if int(soa.cursor[rt, rp].min()) == 0:
+        cursor = flat["cursor"]
+        if wait_at is not None and _some(wait_at):
+            rf = fi[wait_at]
+            if int(cursor[rf].min()) == 0:
                 soa.grow_front()
-            soa.cursor[rt, rp] -= 1
-            soa.path_buf[rt, rp, soa.cursor[rt, rp]] = edges[wait_at]
-            nv = ~wait_at
-            soa.cursor[tid[nv], pid[nv]] += 1
+            cursor[rf] -= 1
+            soa.path_buf.reshape(-1)[rf * soa.width + cursor[rf]] = edges[
+                wait_at
+            ]
+            cursor[fi[~wait_at]] += 1
         else:
-            soa.cursor[tid, pid] += 1
+            cursor[fi] += 1
         new_nodes = np.where(
             backward, self._edge_src[edges], self._edge_dst[edges]
         )
-        if backward.any():
-            soa.backward_moves[tid[backward], pid[backward]] += 1
-        soa.last_direction[tid, pid] = backward
-        soa.node[tid, pid] = new_nodes
-        soa.last_edge[tid, pid] = edges
-        soa.moves[tid, pid] += 1
+        if _some(backward):
+            flat["backward_moves"][fi[backward]] += 1
+        flat["last_direction"][fi] = backward
+        flat["node"][fi] = new_nodes
+        flat["last_edge"][fi] = edges
+        flat["moves"][fi] += 1
         fwd = ~backward
         # REVERSE only happens backward, so forward winners are the safe
         # backward set E' of the next step.
-        self.safe_mask[tid[fwd], pid[fwd]] = True
+        flat["safe"][fi[fwd]] = True
 
-        delivered = (soa.cursor[tid, pid] == soa.width) & (
-            new_nodes == soa.destination[tid, pid]
+        delivered = (cursor[fi] == soa.width) & (
+            new_nodes == flat["destination"][fi]
         )
-        deliv_any = bool(delivered.any())
+        deliv_any = bool(_some(delivered))
         if deliv_any:
-            dt_, dp_ = tid[delivered], pid[delivered]
-            soa.status[dt_, dp_] = _ABSORBED
-            soa.absorbed_at[dt_, dp_] = t_of[dt_] + 1
+            dt_, df = tid[delivered], fi[delivered]
+            flat["status"][df] = _ABSORBED
+            flat["absorbed_at"][df] = t_of[dt_] + 1
             dc = np.bincount(dt_, minlength=trials)
             self.num_active -= dc
             self.num_absorbed += dc
             if fr is not None:
-                exc = fr.state[dt_, dp_] == _EXCITED
-                if exc.any():
+                exc = flat["state"][df] == _EXCITED
+                if _some(exc):
                     self.num_excited -= np.bincount(
                         dt_[exc], minlength=trials
                     )
-            for i in np.flatnonzero(dc).tolist():
-                row = self.act_mat[i, : self.act_cnt[i]]
-                kept = row[soa.status[i, row] == _ACTIVE]
-                self.act_mat[i, : kept.size] = kept
-                self.act_cnt[i] = kept.size
+            # Drop the absorbed from each such trial's active row, keeping
+            # injection order (a stable sort moves the kept ids first).
+            rows = np.flatnonzero(dc)
+            act = self.act_mat[rows]
+            kept = (self._cols < self.act_cnt[rows][:, None]) & (
+                flat["status"][act + (rows * n)[:, None]] == _ACTIVE
+            )
+            self.act_mat[rows] = np.take_along_axis(
+                act, np.argsort(~kept, axis=1, kind="stable"), axis=1
+            )
+            self.act_cnt[rows] = kept.sum(axis=1)
 
         if fr is not None:
             # on_moved: forward path arrivals on the target level wait.
-            cand = (fr.state[tid, pid] != _WAIT) & fwd
+            state = flat["state"]
+            cand = (state[fi] != _WAIT) & fwd
             if deliv_any:
                 cand &= ~delivered
-            if cand.any():
-                ct, cp = tid[cand], pid[cand]
+            if _some(cand):
+                ct, cf = tid[cand], fi[cand]
                 nn = new_nodes[cand]
-                lvl_ok = (
-                    self._node_levels[nn]
-                    == self._target_by_set[ct, fr.set_index[ct, cp]]
-                )
-                if lvl_ok.any():
-                    et, ep = ct[lvl_ok], cp[lvl_ok]
+                lvl_ok = self._node_levels[nn] == self._targets[
+                    ct * self._most + flat["set_index"][cf]
+                ]
+                if _some(lvl_ok):
+                    et, ef = ct[lvl_ok], cf[lvl_ok]
                     if self.counters is not None:
-                        self.counters.wait_entries(et, fr.state[et, ep])
-                    fr.state[et, ep] = _WAIT
-                    fr.wait_node[et, ep] = nn[lvl_ok]
-                    fr.wait_edge[et, ep] = edges[cand][lvl_ok]
+                        self.counters.wait_entries(et, state[ef])
+                    state[ef] = _WAIT
+                    flat["wait_node"][ef] = nn[lvl_ok]
+                    flat["wait_edge"][ef] = edges[cand][lvl_ok]
                     wc = np.bincount(et, minlength=trials)
                     self.wait_entries += wc
                     self.num_waiting += wc
@@ -789,23 +905,28 @@ class LockstepEngine(ArbitrationMixin):
         """Apply every trial's deflections: REVERSE moves onto ``edges``."""
         soa = self.soa
         fr = self.fr
+        flat = self._flat
         trials = self.trials
-        c = soa.cursor[tid, pid]
+        fi = tid * self.num_packets + pid
+        cursor = flat["cursor"]
+        c = cursor[fi]
         if int(c.min()) == 0:
             soa.grow_front()
-            c = soa.cursor[tid, pid]
-        soa.cursor[tid, pid] = c - 1
-        soa.path_buf[tid, pid, c - 1] = edges
+            c = cursor[fi]
+        c -= 1
+        cursor[fi] = c
+        soa.path_buf.reshape(-1)[fi * soa.width + c] = edges
         src = self._edge_src[edges]
-        back = soa.node[tid, pid] != src
-        soa.node[tid, pid] = np.where(back, src, self._edge_dst[edges])
-        soa.last_direction[tid, pid] = back
-        soa.backward_moves[tid, pid] += back
-        soa.last_edge[tid, pid] = edges
-        soa.moves[tid, pid] += 1
-        soa.deflections[tid, pid] += 1
-        if unsafe.any():
-            soa.unsafe_deflections[tid, pid] += unsafe
+        node = flat["node"]
+        back = node[fi] != src
+        node[fi] = np.where(back, src, self._edge_dst[edges])
+        flat["last_direction"][fi] = back
+        flat["backward_moves"][fi] += back
+        flat["last_edge"][fi] = edges
+        flat["moves"][fi] += 1
+        flat["deflections"][fi] += 1
+        if _some(unsafe):
+            flat["unsafe_deflections"][fi] += unsafe
             self.unsafe_deflections += np.bincount(
                 tid[unsafe], minlength=trials
             )
@@ -814,21 +935,21 @@ class LockstepEngine(ArbitrationMixin):
         if fr is not None:
             # on_deflected: a deflection evicts a waiting packet and calms
             # an excited one.
-            st = fr.state[tid, pid]
+            state = flat["state"]
+            st = state[fi]
             waiting = st == _WAIT
-            if waiting.any():
-                wt, wp = tid[waiting], pid[waiting]
-                fr.state[wt, wp] = _NORMAL
-                fr.wait_node[wt, wp] = -1
-                fr.wait_edge[wt, wp] = -1
-                wc = np.bincount(wt, minlength=trials)
+            if _some(waiting):
+                wf = fi[waiting]
+                state[wf] = _NORMAL
+                flat["wait_node"][wf] = -1
+                flat["wait_edge"][wf] = -1
+                wc = np.bincount(tid[waiting], minlength=trials)
                 self.wait_evictions += wc
                 self.num_waiting -= wc
             excited = st == _EXCITED
-            if excited.any():
-                et, ep = tid[excited], pid[excited]
-                fr.state[et, ep] = _NORMAL
-                calmed = np.bincount(et, minlength=trials)
+            if _some(excited):
+                state[fi[excited]] = _NORMAL
+                calmed = np.bincount(tid[excited], minlength=trials)
                 self.num_excited -= calmed
                 if self.counters is not None:
                     self.counters.deflection_calms += calmed
@@ -839,7 +960,13 @@ class LockstepEngine(ArbitrationMixin):
         """Trials of ``lt`` that are quiescent, with per-trial horizons."""
         fr = self.fr
         soa = self.soa
-        cand = lt[self.elig_cnt[lt] == 0]
+        # Quiescent trials have nothing eligible, and no active packet or
+        # only waiting ones: two count checks rule most trials out.
+        act = self.act_cnt[lt]
+        cand = lt[
+            (self.elig_cnt[lt] == 0)
+            & ((act == 0) | (self.num_waiting[lt] == act))
+        ]
         if not cand.size:
             return None, None
         unmarked = (soa.status[cand] == _PENDING) & ~self.elig_mask[cand]
@@ -862,7 +989,7 @@ class LockstepEngine(ArbitrationMixin):
         keep = np.ones(cand.size, dtype=bool)
         keep[empty & ~has_pending] = False
         nonempty = ~empty
-        if nonempty.any():
+        if _some(nonempty):
             all_wait = (
                 self.num_waiting[cand] == self.act_cnt[cand]
             ) & nonempty
@@ -870,13 +997,15 @@ class LockstepEngine(ArbitrationMixin):
             chk = cand[all_wait]
             if chk.size:
                 f_tid, f_pid = self._flat_active(chk)
-                osc = fr.wait_edge[f_tid, f_pid] * 2 + (
-                    soa.node[f_tid, f_pid] == fr.wait_node[f_tid, f_pid]
+                ff = f_tid * self.num_packets + f_pid
+                flat = self._flat
+                osc = flat["wait_edge"][ff] * 2 + (
+                    flat["node"][ff] == flat["wait_node"][ff]
                 )
                 span = 2 * self._num_edges + 2
                 sk = np.sort(f_tid * span + osc)
                 d = sk[1:] == sk[:-1]
-                if d.any():  # pragma: no cover - theory says impossible
+                if _some(d):  # pragma: no cover - theory says impossible
                     badrows = np.unique(sk[:-1][d] // span)
                     keep &= ~np.isin(cand, badrows)
         rows = cand[keep]
@@ -886,43 +1015,47 @@ class LockstepEngine(ArbitrationMixin):
 
     def _advance_span(self, rows, k_rows) -> None:
         """Analytically apply ``k_rows`` quiescent oscillation steps."""
-        fr = self.fr
         soa = self.soa
+        flat = self._flat
         self.safe_mask[rows] = False
-        if not self.act_cnt[rows].any():
+        if not _some(self.act_cnt[rows]):
             return
         k_arr = np.zeros(self.trials, dtype=np.int64)
         k_arr[rows] = k_rows
         f_tid, f_pid = self._flat_active(rows)
-        at_wait = soa.node[f_tid, f_pid] == fr.wait_node[f_tid, f_pid]
+        ff = f_tid * self.num_packets + f_pid
+        node, wait_node, wait_edge = (
+            flat["node"], flat["wait_node"], flat["wait_edge"]
+        )
+        at_wait = node[ff] == wait_node[ff]
         kf = k_arr[f_tid]
-        soa.moves[f_tid, f_pid] += kf
-        soa.backward_moves[f_tid, f_pid] += np.where(
+        flat["moves"][ff] += kf
+        flat["backward_moves"][ff] += np.where(
             at_wait, (kf + 1) // 2, kf // 2
         )
         odd = (kf & 1) == 1
-        if odd.any():
+        if _some(odd):
+            cursor = flat["cursor"]
             leaving = odd & at_wait
-            if leaving.any():
-                ltid, lpid = f_tid[leaving], f_pid[leaving]
-                if int(soa.cursor[ltid, lpid].min()) == 0:
+            if _some(leaving):
+                lf = ff[leaving]
+                if int(cursor[lf].min()) == 0:
                     soa.grow_front()
-                soa.cursor[ltid, lpid] -= 1
-                we = fr.wait_edge[ltid, lpid]
-                soa.path_buf[ltid, lpid, soa.cursor[ltid, lpid]] = we
-                soa.node[ltid, lpid] = self._edge_src[we]
-                soa.last_direction[ltid, lpid] = 1
+                cursor[lf] -= 1
+                we = wait_edge[lf]
+                soa.path_buf.reshape(-1)[lf * soa.width + cursor[lf]] = we
+                node[lf] = self._edge_src[we]
+                flat["last_direction"][lf] = 1
             returning = odd & ~at_wait
-            if returning.any():
-                rtid, rpid = f_tid[returning], f_pid[returning]
-                soa.cursor[rtid, rpid] += 1
-                we = fr.wait_edge[rtid, rpid]
-                soa.node[rtid, rpid] = self._edge_dst[we]
-                soa.last_direction[rtid, rpid] = 0
-            ot, op = f_tid[odd], f_pid[odd]
-            soa.last_edge[ot, op] = fr.wait_edge[ot, op]
-        ended = soa.node[f_tid, f_pid] == fr.wait_node[f_tid, f_pid]
-        self.safe_mask[f_tid[ended], f_pid[ended]] = True
+            if _some(returning):
+                rf = ff[returning]
+                cursor[rf] += 1
+                node[rf] = self._edge_dst[wait_edge[rf]]
+                flat["last_direction"][rf] = 0
+            of = ff[odd]
+            flat["last_edge"][of] = wait_edge[of]
+        ended = ff[node[ff] == wait_node[ff]]
+        flat["safe"][ended] = True
 
     def _fast_forward(self, lt) -> None:
         """Reference-equivalent quiescence skip across trials."""
@@ -932,7 +1065,7 @@ class LockstepEngine(ArbitrationMixin):
         target = horizon - 1  # simulate the boundary step normally
         k = target - self.t[rows]
         adv = k > 0
-        if not adv.any():
+        if not _some(adv):
             return
         rows, target, k = rows[adv], target[adv], k[adv]
         self._advance_span(rows, k)
@@ -949,7 +1082,7 @@ class LockstepEngine(ArbitrationMixin):
         target = np.minimum(horizon - 1, budget[rows])
         k = target - self.t[rows]
         adv = k > 0
-        if not adv.any():
+        if not _some(adv):
             return
         rows, target, k = rows[adv], target[adv], k[adv]
         self._advance_span(rows, k)

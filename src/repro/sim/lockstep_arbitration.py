@@ -79,7 +79,7 @@ class ArbitrationMixin:
         # (the frontier state value) ranks within each class.
         rank = np.where(is_elig[order], 0, 4)
         if fr is not None:
-            rank += fr.state[tid[order], pid[order]]
+            rank += self._flat["state"][(tid * self.num_packets + pid)[order]]
         best = rank == np.maximum.reduceat(rank, starts)[gid]
         nbest = np.bincount(gid[best], minlength=starts.size)
         pick = np.cumsum(nbest) - nbest
@@ -144,16 +144,39 @@ class ArbitrationMixin:
         return win_at[win_at >= 0], deflected
 
     def _incidence(self):
-        """Deflection candidates per node (CSR): in-edge slots, then out."""
+        """Deflection candidates per node (CSR): in-edge slots, then out.
+
+        Over a union of networks, each network's nodes in turn, its slots
+        shifted by its edge offset (a slot is ``edge << 1 | direction``).
+        Built from the edge lists, not the geometry's slot-id tuples, so
+        the networks of a batch never build those.
+        """
         if self._inc is None:
-            geo = self._geo
-            lists = [i + o for i, o in zip(geo.in_slot_ids, geo.out_slot_ids)]
-            ptr = np.zeros(len(lists) + 1, dtype=np.int64)
-            np.cumsum([len(x) for x in lists], out=ptr[1:])
-            slots = np.fromiter(
-                chain.from_iterable(lists), dtype=np.int64, count=int(ptr[-1])
-            )
-            self._inc = (ptr, slots)
+            ptrs = [np.zeros(1, dtype=np.int64)]
+            parts = []
+            base = 0
+            for geo, off in zip(self._geos, self._net_edge_off):
+                n_in = np.fromiter(map(len, geo.in_edges), dtype=np.int64)
+                sizes = n_in + np.fromiter(
+                    map(len, geo.out_edges), dtype=np.int64
+                )
+                edges = np.fromiter(
+                    chain.from_iterable(
+                        i + o for i, o in zip(geo.in_edges, geo.out_edges)
+                    ),
+                    dtype=np.int64,
+                    count=int(sizes.sum()),
+                )
+                ends = np.cumsum(sizes)
+                # Each node's first n_in entries are in-edges: backward.
+                rank = np.arange(edges.size) - np.repeat(ends - sizes, sizes)
+                slots = ((edges + off) << 1) | (
+                    rank < np.repeat(n_in, sizes)
+                )
+                ptrs.append(base + ends)
+                parts.append(slots)
+                base += slots.size
+            self._inc = (np.concatenate(ptrs), np.concatenate(parts))
         return self._inc
 
     def _match_deflections(
@@ -173,11 +196,13 @@ class ArbitrationMixin:
         grouped by group in candidate order, and the revoked contender
         groups as a mask (or None).
         """
-        soa = self.soa
         num_edges = self._num_edges
         sr, sp = np.nonzero(self.safe_mask[conf_rows])
         srow = conf_rows[sr]
-        safe_edges = np.sort(srow * num_edges + soa.last_edge[srow, sp])
+        safe_edges = np.sort(
+            srow * num_edges
+            + self._flat["last_edge"][srow * self.num_packets + sp]
+        )
         ptr, inc = self._incidence()
         lo = ptr[g_node]
         cnt = ptr[g_node + 1] - lo
@@ -216,7 +241,8 @@ class ArbitrationMixin:
                 missing -= 1
             if missing:
                 raise CapacityError(
-                    f"step {int(self.t[i])}: node {node} has {int(need[g])} "
+                    f"step {int(self.t[i])}: node "
+                    f"{node - int(self._node_off[i])} has {int(need[g])} "
                     f"deflected packets but only {int(need[g]) - missing} "
                     f"free slots"
                 )

@@ -126,7 +126,7 @@ class TrialAuditor:
             for i, p, v in zip(
                 tid[crowded].tolist(),
                 pid[crowded].tolist(),
-                nodes[crowded].tolist(),
+                (nodes - engine._node_off[tid])[crowded].tolist(),
             )
         )
 
@@ -149,7 +149,7 @@ class TrialAuditor:
             for i, p, e, u in zip(
                 tid[bad].tolist(),
                 pid[bad].tolist(),
-                edges[bad].tolist(),
+                (edges - engine._edge_off[tid])[bad].tolist(),
                 unsafe[bad].tolist(),
             )
         )
@@ -197,6 +197,8 @@ class TrialAuditor:
         at = lt[rr]
         nodes = soa.node[at, pp]
         t_of = t_lt[rr]
+        # Node ids in detail strings are the trial's own, not the union's.
+        own = engine._node_off[at]
 
         # I_b: each current path chains forward from the packet's node.
         cursor = soa.cursor[at, pp]
@@ -211,7 +213,7 @@ class TrialAuditor:
                 "I_b",
                 int(t_of[k]),
                 f"packet {int(pp[k])} has an invalid current path at node "
-                f"{int(nodes[k])}",
+                f"{int(nodes[k] - own[k])}",
             )
             for k in np.flatnonzero(broken).tolist()
         ]
@@ -263,7 +265,7 @@ class TrialAuditor:
                             "I_d",
                             int(t_of[k]),
                             f"sets {previous} and {int(sets[k])} meet at "
-                            f"node {int(nodes[k])}",
+                            f"node {int(nodes[k] - own[k])}",
                         )
                     )
 

@@ -89,15 +89,40 @@ class GeometryArrays:
         self.edge_dst = np.asarray(geometry.edge_dst, dtype=np.int64)
         self.node_levels = np.asarray(geometry.node_levels, dtype=np.int64)
 
+    @classmethod
+    def union(cls, parts):
+        """The tables of the disjoint union of ``parts``' networks.
+
+        Part ``k``'s nodes and edges keep their order and are shifted by
+        the totals of the parts before it.  Returns the union's tables and
+        each part's node and edge offsets, as int64 arrays.
+        """
+        nodes = np.array([p.num_nodes for p in parts], dtype=np.int64)
+        edges = np.array([p.num_edges for p in parts], dtype=np.int64)
+        node_off = np.cumsum(nodes) - nodes
+        edge_off = np.cumsum(edges) - edges
+        out = cls.__new__(cls)
+        out.num_nodes = int(nodes.sum())
+        out.num_edges = int(edges.sum())
+        out.edge_src = np.concatenate(
+            [p.edge_src + off for p, off in zip(parts, node_off.tolist())]
+        )
+        out.edge_dst = np.concatenate(
+            [p.edge_dst + off for p, off in zip(parts, node_off.tolist())]
+        )
+        out.node_levels = np.concatenate([p.node_levels for p in parts])
+        return out, node_off, edge_off
+
 
 class StackedPacketArrays:
     """Per-packet state for a whole *batch* of trials: ``(T, N)`` arrays.
 
     The lockstep kernel (:mod:`repro.sim.engine_lockstep`) advances many
     Monte Carlo trials at once, each routing its own
-    :class:`~repro.paths.RoutingProblem` over one shared network; trials may
-    share a problem (a fixed-problem sweep) or each route a different one
-    (an instance sweep), but all carry the same number of packets ``N``.
+    :class:`~repro.paths.RoutingProblem`; trials may share a problem (a
+    fixed-problem sweep) or each route a different one (an instance
+    sweep), over one network or over several of equal depth, but all carry
+    the same number of packets ``N``.
     Every field of :class:`~repro.sim.packet.Packet` becomes a ``(T, N)``
     array (``path_buf`` is ``T x N x width``), the immutable
     ``source``/``destination`` columns included.  ``width`` is common to
@@ -169,7 +194,9 @@ class StackedPacketArrays:
             setattr(self, name, np.concatenate(parts)[index])
 
     @classmethod
-    def from_problems(cls, problems) -> "StackedPacketArrays":
+    def from_problems(
+        cls, problems, node_offsets=None, edge_offsets=None
+    ) -> "StackedPacketArrays":
         """Fresh per-batch state, trial ``i`` routing ``problems[i]``.
 
         Each distinct problem's initial state (sources, destinations,
@@ -177,6 +204,10 @@ class StackedPacketArrays:
         that serves several trials of the batch keeps its template, so
         warm-pool sweeps that reuse it across seeds and batches skip the
         Python-loop build; a problem routed by one trial only does not.
+        A batch over a union of networks passes each trial's node and
+        edge offsets into the union (:meth:`GeometryArrays.union`): the
+        trial's nodes and path edges are shifted by them, the templates
+        are not.
         """
         slots: dict = {}
         index = [slots.setdefault(id(p), len(slots)) for p in problems]
@@ -190,7 +221,19 @@ class StackedPacketArrays:
                 if used > 1:
                     problem._soa_template = template
             templates.append(template)
-        return cls(templates, index)
+        out = cls(templates, index)
+        if node_offsets is not None:
+            # The stacked fields are fresh copies (fancy indexing), so the
+            # shifts never reach a cached template.  Unused path columns
+            # shift too: they stay valid edge ids and are never read live.
+            shift = np.asarray(node_offsets, dtype=np.int64)[:, None]
+            out.source += shift
+            out.destination += shift
+            out.node += shift
+            out.path_buf += np.asarray(edge_offsets, dtype=np.int64)[
+                :, None, None
+            ]
+        return out
 
     @classmethod
     def _build(cls, problem: "RoutingProblem") -> "StackedPacketArrays":

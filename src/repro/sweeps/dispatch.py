@@ -255,8 +255,8 @@ def run_sweep(
             )
             continue
         with lease:
-            resumed = store.resume_shard(shard)
             specs = manifest.shard_specs(shard)
+            resumed = store.resume_shard(shard, specs)
             remaining = specs[resumed:]
             if heartbeat is not None and resumed:
                 heartbeat.note_prior_trials(resumed)
@@ -300,7 +300,7 @@ def run_sweep(
                         lockstep=lockstep,
                         warm=warm,
                     )
-            store.finalize_shard(shard)
+            store.finalize_shard(shard, specs)
             outcome.shards.append(
                 ShardOutcome(
                     shard=shard,

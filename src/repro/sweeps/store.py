@@ -265,7 +265,7 @@ class SweepStore:
 
     # ---------------------------------------------------------- resume logic
 
-    def resume_shard(self, shard: int) -> int:
+    def resume_shard(self, shard: int, specs=None) -> int:
         """Validate the shard's part file; return how many trials survive.
 
         Reads the in-progress segment line by line, checking each record
@@ -276,13 +276,14 @@ class SweepStore:
         suffix and appends to a known-good prefix.  The shard's specs, and
         with them the expected hashes, are derived once per call
         (:meth:`SweepManifest.shard_specs`), and only when a part file
-        exists.
+        exists; a caller that holds them already passes ``specs``.
         """
         part = self.part_path(shard)
         start, stop = self.manifest.shard_range(shard)
         if not part.exists():
             return 0
-        specs = self.manifest.shard_specs(shard)
+        if specs is None:
+            specs = self.manifest.shard_specs(shard)
         valid_bytes = 0
         valid_records = 0
         expected = start
@@ -313,13 +314,14 @@ class SweepStore:
         start, _ = self.manifest.shard_range(shard)
         return ShardWriter(self, shard, start + start_offset)
 
-    def finalize_shard(self, shard: int) -> pathlib.Path:
+    def finalize_shard(self, shard: int, specs=None) -> pathlib.Path:
         """Atomically promote a complete part file to a ``.jsonl.gz``
-        segment (deterministic bytes), then remove the part file."""
+        segment (deterministic bytes), then remove the part file.
+        ``specs`` are the shard's specs, if the caller holds them."""
         part = self.part_path(shard)
         start, stop = self.manifest.shard_range(shard)
         expected = stop - start
-        done = self.resume_shard(shard)
+        done = self.resume_shard(shard, specs)
         if done != expected:
             raise ReproError(
                 f"shard {shard} is incomplete: {done}/{expected} records"

@@ -63,8 +63,14 @@ from repro.experiments.batch import (
 )
 from repro.errors import ReproError
 from repro.net import LeveledNetworkBuilder, random_leveled
-from repro.paths import PacketSpec, Path, RoutingProblem, select_paths_random
-from repro.rng import stable_hash_seed
+from repro.paths import (
+    PacketSpec,
+    Path,
+    RoutingProblem,
+    random_monotone_path,
+    select_paths_random,
+)
+from repro.rng import make_rng, stable_hash_seed
 from repro.scenarios import WORKLOADS, RunSpec, build_network, build_problem
 from repro.sim import (
     Engine,
@@ -321,7 +327,9 @@ def _fork_problem():
 def _activate(ref, lock, trial, pid, node, detour=(), consumed=0):
     """Force ``pid`` ACTIVE at ``node`` in the reference engine ``ref`` and
     in row ``trial`` of ``lock``, identically: ``consumed`` path edges
-    dropped from the front, then ``detour`` edges put in front."""
+    dropped from the front, then ``detour`` edges put in front.  In a
+    batch over several networks, the row's ids are shifted into the
+    union's."""
     packet = ref.packets[pid]
     for _ in range(consumed):
         packet.path.popleft()
@@ -335,12 +343,15 @@ def _activate(ref, lock, trial, pid, node, detour=(), consumed=0):
     ref.eligible.discard(pid)
 
     soa = lock.soa
+    node_off, edge_off = lock._node_off[trial], lock._edge_off[trial]
     cursor = soa.cursor[trial, pid] + consumed - len(detour)
-    soa.path_buf[trial, pid, cursor:cursor + len(detour)] = detour
+    soa.path_buf[trial, pid, cursor:cursor + len(detour)] = [
+        e + edge_off for e in detour
+    ]
     soa.cursor[trial, pid] = cursor
     soa.status[trial, pid] = int(PacketStatus.ACTIVE)
     soa.injected_at[trial, pid] = 0
-    soa.node[trial, pid] = node
+    soa.node[trial, pid] = node + node_off
     if lock.elig_mask[trial, pid]:
         lock.elig_mask[trial, pid] = False
         lock.elig_cnt[trial] -= 1
@@ -497,9 +508,9 @@ def test_straggler_trials_do_not_perturb_the_batch():
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-def test_kernel_rejects_unequal_packet_counts_and_networks():
-    """One batch stacks problems of one packet count over one network;
-    anything else is refused before a step runs."""
+def test_kernel_rejects_unequal_packet_counts_and_depths():
+    """One batch stacks problems of one packet count over networks of one
+    depth; anything else is refused before a step runs."""
     pytest.importorskip("numpy")
     six, five = (
         dataclasses.replace(base_spec(), workload_params={"num_packets": n})
@@ -518,9 +529,16 @@ def test_kernel_rejects_unequal_packet_counts_and_networks():
         workload_params={"num_packets": 6},
         backend="naive",
     )
-    with pytest.raises(ReproError, match="one shared network"):
+    assert build_network(mesh).depth != net.depth
+    with pytest.raises(ReproError, match="equal depth"):
         LockstepEngine.naive(
             [problems[0], build_problem(mesh)], engine_seeds=[1, 2]
+        )
+    with pytest.raises(ReproError, match="one network's tables"):
+        LockstepEngine.naive(
+            [problems[0], build_problem(base_spec(seed=12))],
+            engine_seeds=[1, 2],
+            geometry=net.geometry(),
         )
 
 
@@ -821,6 +839,211 @@ def test_audit_flags_forced_unsafe_deflections_like_reference():
         assert_audits_identical(auditor.report, report, f"({trial})")
         assert any("unsafely" in v.detail for v in report.violations)
         assert report.count("I_b") > 1
+
+
+# ------------------------------------------- union: one batch, many networks
+
+
+@st.composite
+def union_batch(draw):
+    """Problems over distinct random leveled networks of one depth and one
+    packet count: each trial draws its own topology seed and width, so the
+    networks differ in size and the union's offsets are uneven.  With
+    ``shared_source``, packets 0 and 1 share their endpoints, so crowded
+    injections make ``I_a`` name nodes in the audit reports."""
+    depth = draw(st.integers(min_value=2, max_value=5))
+    trials = draw(st.integers(min_value=2, max_value=7))
+    num = draw(st.integers(min_value=2, max_value=min(8, 2 * depth)))
+    seed0 = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    shared_source = draw(st.booleans())
+    problems = []
+    for k in range(trials):
+        width = draw(st.integers(min_value=2, max_value=4))
+        seed = seed0 + 3 * k
+        net = random_leveled(
+            [width] * (depth + 1),
+            edge_probability=0.6,
+            seed=seed,
+            min_out_degree=1,
+            min_in_degree=1,
+        )
+        endpoints = list(random_many_to_one(net, num, seed=seed + 1).endpoints)
+        if shared_source:
+            endpoints[1] = endpoints[0]
+        rng = make_rng(seed + 2)
+        specs = [
+            PacketSpec(pid, src, dst, random_monotone_path(net, src, dst, rng))
+            for pid, (src, dst) in enumerate(endpoints)
+        ]
+        problems.append(RoutingProblem(net, specs, allow_multi_source=True))
+    return problems
+
+
+def reference_record(run, telemetry):
+    """``run()``'s trial record, with telemetry counters as in
+    :func:`reference`."""
+    if not telemetry:
+        return run()
+    with TelemetrySession(timings=False) as session:
+        record = run()
+    session.finalize_result(record.result)
+    return record
+
+
+@needs_numpy
+@given(
+    union_batch(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.sampled_from(range(len(AUDIT_SCHEDULES))),
+    st.sampled_from([None, 2.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_frontier_union_fuzz(problems, seed0, telemetry, schedule, bound):
+    """An audited frontier batch over one network per trial: every trial's
+    result, counters and audit report (detail strings included, which
+    name the trial's own nodes and edges) equal its reference run's.
+    (Fast-forward stays on: the single-network fuzz covers it off, where
+    an audited trial steps its whole budget.)"""
+    assert len({id(p.net) for p in problems}) == len(problems)
+    params = AUDIT_SCHEDULES[schedule]
+    seeds = [seed0 + k for k in range(len(problems))]
+    batch = run_frontier_trials_lockstep(
+        problems, seeds, telemetry=telemetry, audit=True,
+        audit_congestion_bound=bound, **params,
+    )
+    for problem, seed, rec in zip(problems, seeds, batch):
+        ref = reference_record(
+            lambda: run_frontier_trial(
+                problem, seed, audit=True, audit_congestion_bound=bound,
+                **params,
+            ),
+            telemetry,
+        )
+        assert asdict(rec.result) == asdict(ref.result), f"(seed {seed})"
+        assert_audits_identical(ref.audit, rec.audit, f"(seed {seed})")
+
+
+@needs_numpy
+@given(
+    union_batch(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_naive_union_fuzz(problems, seed0, telemetry):
+    seeds = [seed0 + k for k in range(len(problems))]
+    batch = run_naive_trials_lockstep(
+        problems, seeds, 20000, telemetry=telemetry
+    )
+    for problem, seed, result in zip(problems, seeds, batch):
+        ref = reference(
+            lambda: run_router_trial(
+                problem, lambda _s: NaivePathRouter(), seed, 20000
+            ),
+            telemetry,
+        )
+        assert asdict(result) == asdict(ref), f"(seed {seed})"
+
+
+@needs_numpy
+def test_union_audit_names_each_trials_own_ids():
+    """The forced unsafe fork of the audit test, routed by trials 1 and 3
+    of a batch whose other trials route two other networks of depth 2: the
+    fork trials sit at nonzero offsets in the union, and their reports
+    must name the fork's own edges, as the reference's do."""
+    fork, (s, _, e1) = _fork_problem()
+    others = []
+    for seed in (5, 6):
+        net = random_leveled(
+            [3, 3, 3], edge_probability=0.6, seed=seed, min_out_degree=1,
+            min_in_degree=1,
+        )
+        workload = random_many_to_one(net, fork.num_packets, seed=seed)
+        others.append(select_paths_random(net, workload.endpoints, seed=seed))
+    problems = [others[0], fork, others[1], fork]
+    params = [
+        AlgorithmParams.practical(
+            max(1, p.congestion), p.net.depth, p.num_packets, m=5
+        )
+        for p in problems
+    ]
+    seeds = list(range(len(problems)))
+    refs, auditors = [], []
+    for problem, prm, seed in zip(problems, params, seeds):
+        router = FrontierFrameRouter(prm, seed=stable_hash_seed(seed, 2))
+        ref = Engine(problem, router, seed=stable_hash_seed(seed, 3))
+        auditor = InvariantAuditor(router)
+        auditor.install(ref)
+        refs.append(ref)
+        auditors.append(auditor)
+    lock = LockstepEngine.frontier(
+        problems,
+        params,
+        router_seeds=[stable_hash_seed(seed, 2) for seed in seeds],
+        engine_seeds=[stable_hash_seed(seed, 3) for seed in seeds],
+        audit=True,
+    )
+    assert lock._node_off.tolist()[1] > 0 and lock._edge_off.tolist()[1] > 0
+    for trial in (1, 3):
+        for pid in (0, 1):
+            _activate(refs[trial], lock, trial, pid, s, detour=(e1, e1))
+    budgets = [prm.total_steps for prm in params]
+    results = lock.run(budgets)
+    for trial, (ref, auditor) in enumerate(zip(refs, auditors)):
+        assert_results_identical(
+            ref.run(budgets[trial]), results[trial], f"({trial})"
+        )
+        report = lock.auditor.result(trial)
+        assert_audits_identical(auditor.report, report, f"({trial})")
+    for trial in (1, 3):
+        details = [v.detail for v in lock.auditor.result(trial).violations]
+        assert any("unsafely" in d for d in details)
+
+
+@needs_numpy
+def test_executor_mixes_shared_and_distinct_networks_in_one_sweep():
+    """One audited sweep whose specs alternate between a pinned topology
+    seed (one network, a new workload per trial) and unpinned ones (a
+    network per trial): the chunk is one lockstep batch over the union of
+    five networks, and every record and report equals the per-trial
+    path's."""
+    base = deep_random_spec(8, 3, 4, audit=True)
+    shared = dataclasses.replace(
+        base, topology_params={**base.topology_params, "seed": 5}
+    )
+    specs = [
+        (shared if k % 2 else base).with_seed(k) for k in range(8)
+    ]
+    assert len({s.topology_seed() for s in specs}) == 5
+    records = run_spec_trials(specs)
+    assert {r.executor for r in records} == {"lockstep[w=8]"}
+    refs = run_spec_trials(specs, lockstep=False)
+    for ref, got in zip(refs, records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+        assert_audits_identical(ref.audit, got.audit, f"({got.spec.seed})")
+
+
+@needs_numpy
+def test_union_batch_reruns_its_stragglers_per_trial():
+    """32 unpinned trials of the benchmark's ``deep_random`` cell: the
+    batch stops once its last ``32 // 16`` trials are the only ones
+    running, and those rerun per trial; every record equals the per-trial
+    path's, and the rest carry the batch's tag."""
+    manifest = SweepManifest.from_base(
+        deep_random_spec(20, 6, 12), num_trials=32, shard_size=32, pin=False
+    )
+    specs = manifest.shard_specs(0)
+    records = TrialExecutor().run_chunk(specs)
+    tags = Counter(r.executor for r in records)
+    assert 1 <= tags[""] <= 32 * batch_mod.LOCKSTEP_TAIL_SHARE
+    assert tags["lockstep[w=32]"] == 32 - tags[""]
+    refs = TrialExecutor(lockstep=False).run_chunk(specs)
+    for ref, got in zip(refs, records):
+        assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+    cut = [r.result.steps_executed for r in records if not r.executor]
+    kept = [r.result.steps_executed for r in records if r.executor]
+    assert min(cut) > max(kept)
 
 
 # ------------------------------------------------ executor: grouping/peel-off
@@ -1234,26 +1457,83 @@ class TestSweepShardIdentity:
         run_sweep(manifest, serial, compact=False, lockstep=False)
         assert store.shard_bytes(0) == serial.shard_bytes(0)
 
-    def test_unpinned_random_leveled_sweep_runs_per_trial(self, tmp_path):
-        """``random_leveled`` builds a new network for each seed, so every
-        unpinned trial is a group of one and runs per trial."""
+    def test_unpinned_random_leveled_sweep_runs_on_lockstep(self, tmp_path):
+        """``random_leveled`` builds a new network for each seed, so an
+        unpinned shard is one lockstep batch over the union of its trials'
+        networks; its bytes equal the per-trial path's."""
         manifest = SweepManifest.from_base(
             deep_random_spec(8, 3, 4),
             num_trials=SHARD_SIZE,
             shard_size=SHARD_SIZE,
             pin=False,
         )
+        specs = manifest.shard_specs(0)
+        assert len({s.topology_seed() for s in specs}) == SHARD_SIZE
         beats = []
         store = open_store(tmp_path / "unpinned", manifest)
         run_sweep(
             manifest, store, heartbeat=counting_heartbeat(beats.append),
             compact=False,
         )
-        assert beats[-1]["lockstep_trials"] == 0
-        assert beats[-1]["executor"] == "per-trial"
+        assert beats[-1]["lockstep_trials"] == SHARD_SIZE
+        assert beats[-1]["executor"] == f"lockstep[w={SHARD_SIZE}]"
         serial = open_store(tmp_path / "serial", manifest)
         run_sweep(manifest, serial, compact=False, lockstep=False)
         assert store.shard_bytes(0) == serial.shard_bytes(0)
+
+
+@needs_numpy
+def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
+    tmp_path, monkeypatch
+):
+    """At ``workers=2`` the auto dispatcher probes and chunks by whole
+    groups: each shard's first group runs in the parent, the rest in pool
+    chunks (forced here, whatever the host), and no trial of a
+    fixed-problem sweep whose groups qualify leaves lockstep.  The shards
+    equal a ``workers=1`` run's byte for byte."""
+    monkeypatch.setattr(batch_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(batch_mod, "should_use_pool", lambda *a, **k: True)
+    size = LOCKSTEP_MAX_TRIALS + 2 * LOCKSTEP_MIN_TRIALS
+    manifest = SweepManifest.from_base(
+        base_spec(), num_trials=2 * size, shard_size=size
+    )
+    tags = []
+
+    class Tagged(SweepHeartbeat):
+        def note_trial(self, cached, trial_sec, executor=""):
+            tags.append(executor)
+            super().note_trial(cached, trial_sec, executor=executor)
+
+    beats = []
+    heartbeat = Tagged(beats.append, total=2 * size, interval_sec=0.0)
+    pooled = open_store(tmp_path / "pooled", manifest)
+    run_sweep(manifest, pooled, workers=2, heartbeat=heartbeat, compact=False)
+    assert len(tags) == 2 * size
+    assert all(tag.startswith("lockstep[") for tag in tags), Counter(tags)
+    assert beats[-1]["lockstep_trials"] == 2 * size
+    serial = open_store(tmp_path / "serial", manifest)
+    run_sweep(manifest, serial, workers=1, compact=False)
+    for shard in manifest.shard_ids():
+        assert pooled.shard_bytes(shard) == serial.shard_bytes(shard)
+
+
+def test_pool_chunks_never_cut_a_lockstep_group_below_the_minimum():
+    """Pool chunks keep each qualifying group whole or split it into
+    pieces of at least LOCKSTEP_MIN_TRIALS; other specs pack together."""
+    low = LOCKSTEP_MIN_TRIALS
+    sizes = {"a": 64, None: 1, "b": low - 1, "c": low + 1}
+    groups = [
+        (key, [(key, k) for k in range(sizes[key])])
+        for key in ("a", None, "b", "c", None)
+    ]
+    for size in (1, 2, 5, 16, 100):
+        chunks = batch_mod._chunk_groups(groups, size)
+        flat = [spec for chunk in chunks for spec in chunk]
+        assert flat == [spec for _, group in groups for spec in group]
+        for chunk in chunks:
+            per_group = Counter(key for key, _ in chunk)
+            for key in ("a", "c"):
+                assert per_group[key] == 0 or per_group[key] >= low, size
 
 
 def test_pinned_batch_counts_congestion_once(bf4_random_problem, monkeypatch):

@@ -3,13 +3,17 @@
 Every ``bench_*.py`` module regenerates one experiment from DESIGN.md's
 index.  Tables are printed (visible with ``pytest -s``) *and* written to
 ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can quote them
-after any run.
+after any run.  Experiments run their trials as specs through
+:func:`run_pinned`, the executor path every sweep takes.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+
+from repro.experiments import run_spec_trials
+from repro.scenarios import build_problem
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -51,3 +55,25 @@ def bench_workers(default: int = 1) -> int:
         return max(1, int(raw))
     except ValueError:
         return default
+
+
+def run_pinned(specs, seeds):
+    """Run each spec's instance once per routing seed, through the executor.
+
+    ``specs`` is one :class:`~repro.scenarios.RunSpec` or a list of them
+    (say, one per backend on a shared instance).  Each is pinned to its
+    resolved component seeds, so its trials route one fixed problem and
+    only the backend's coins follow ``seeds``.  The trials run through
+    :func:`~repro.experiments.run_spec_trials` on :func:`bench_workers`
+    processes, without a result cache.  Returns ``(problem, records)``:
+    the first spec's problem, built once for the table's columns, and the
+    records spec by spec, seed by seed.
+    """
+    if not isinstance(specs, (list, tuple)):
+        specs = [specs]
+    pinned = [spec.with_pinned_scenario() for spec in specs]
+    records = run_spec_trials(
+        [trial for spec in pinned for trial in spec.with_seeds(seeds)],
+        workers=bench_workers(),
+    )
+    return build_problem(pinned[0]), records

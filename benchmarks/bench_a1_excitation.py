@@ -12,27 +12,22 @@ the practical default ``1/m`` shows the trade-off:
 """
 
 from repro.analysis import format_table, summarize
-from repro.core import AlgorithmParams
-from repro.experiments import deep_random_instance, run_frontier_trial
+from repro.experiments import deep_random_spec, resolve_trial_params
 from repro.rng import trial_seeds
+from repro.scenarios import build_problem
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 SEEDS = trial_seeds(31415, 5)
 
+#: the deep, path-congested instance both sweeps route
+INSTANCE = deep_random_spec(28, 6, 16, seed=71, low_congestion=False)
 
-def sweep_q(problem, q):
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion),
-        problem.net.depth,
-        problem.num_packets,
-        m=8,
-        w_factor=8.0,
-        q=q,
-    )
+
+def sweep_q(q):
+    _, records = run_pinned(INSTANCE.with_params(m=8, w_factor=8.0, q=q), SEEDS)
     makespans, deflections, excitations, evictions, delivered = [], [], [], [], 0
-    for seed in SEEDS:
-        record = run_frontier_trial(problem, seed=seed, params=params)
+    for record in records:
         result = record.result
         if result.all_delivered:
             delivered += 1
@@ -51,7 +46,7 @@ def sweep_q(problem, q):
 
 def test_a1_excitation_probability(benchmark):
     reset("a1_excitation")
-    problem = deep_random_instance(28, 6, 16, seed=71, low_congestion=False)
+    problem = build_problem(INSTANCE)
     m = 8
     rows = []
     for label, q in [
@@ -61,7 +56,7 @@ def test_a1_excitation_probability(benchmark):
         ("4/m", 4 / m),
         ("0.9 (flood)", 0.9),
     ]:
-        stats = sweep_q(problem, q)
+        stats = sweep_q(q)
         rows.append(
             (
                 label,
@@ -86,26 +81,23 @@ def test_a1_excitation_probability(benchmark):
     # signal is the churn columns.
     assert all(row[1] == f"{len(SEEDS)}/{len(SEEDS)}" for row in rows)
 
-    once(benchmark, sweep_q, problem, 1 / m)
+    once(benchmark, sweep_q, 1 / m)
 
 
 def sweep_q_hot(problem, q, m=8):
     """Single-frame variant: all packets share one frame (max contention)."""
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion),
-        problem.net.depth,
-        problem.num_packets,
+    frame = dict(
         m=m,
         w_factor=8.0,
         q=q,
         set_congestion_target=float(problem.congestion),
         oversplit=1.0,
     )
-    assert params.num_sets == 1
+    assert resolve_trial_params(problem, **frame).num_sets == 1
+    _, records = run_pinned(INSTANCE.with_params(**frame), SEEDS)
     delivered = 0
     deflections, evictions, mean_times = [], [], []
-    for seed in SEEDS:
-        record = run_frontier_trial(problem, seed=seed, params=params)
+    for record in records:
         result = record.result
         if result.all_delivered:
             delivered += 1
@@ -117,7 +109,7 @@ def sweep_q_hot(problem, q, m=8):
 
 def test_a1_excitation_under_contention(benchmark):
     """One frame on a deep network: heavy wait-eviction churn."""
-    problem = deep_random_instance(28, 6, 16, seed=71, low_congestion=False)
+    problem = build_problem(INSTANCE)
     m = 8
     rows = []
     for label, q in [

@@ -9,41 +9,36 @@ their frames — exactly the failure mode the invariants guard against.
 """
 
 from repro.analysis import format_table
-from repro.core import AlgorithmParams
-from repro.experiments import deep_random_instance, run_frontier_trial
+from repro.experiments import deep_random_spec
 from repro.rng import trial_seeds
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 SEEDS = trial_seeds(2718, 4)
 
 
-def sweep_geometry(problem, m, w_factor):
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion),
-        problem.net.depth,
-        problem.num_packets,
-        m=m,
-        w_factor=w_factor,
+def sweep_geometry(spec, m, w_factor):
+    problem, records = run_pinned(
+        spec.with_params(
+            m=m, w_factor=w_factor, audit=True, condition_sets=True
+        ),
+        SEEDS,
     )
     delivered = 0
     violations = {"I_c": 0, "I_f": 0}
     makespans = []
-    for seed in SEEDS:
-        record = run_frontier_trial(
-            problem, seed=seed, params=params, audit=True, condition_sets=True
-        )
+    for record in records:
         if record.result.all_delivered:
             delivered += 1
         makespans.append(record.result.makespan)
         for key in violations:
             violations[key] += record.audit.count(key)
-    return delivered, violations, sum(makespans) / len(makespans)
+    return problem, delivered, violations, sum(makespans) / len(makespans)
 
 
 def test_a2_round_length(benchmark):
     reset("a2_frame_geometry")
-    problem = deep_random_instance(24, 6, 16, seed=81, low_congestion=False)
+    spec = deep_random_spec(24, 6, 16, seed=81, low_congestion=False)
     rows = []
     for m, w_factor in [
         (8, 0.5),   # w < m: a round cannot even cross the frame
@@ -52,7 +47,9 @@ def test_a2_round_length(benchmark):
         (8, 4.0),
         (8, 8.0),
     ]:
-        delivered, violations, mean_t = sweep_geometry(problem, m, w_factor)
+        problem, delivered, violations, mean_t = sweep_geometry(
+            spec, m, w_factor
+        )
         rows.append(
             (
                 f"m={m}, w={int(w_factor * m)}",
@@ -79,14 +76,14 @@ def test_a2_round_length(benchmark):
     for row in rows[2:]:
         assert row[2] == 0 and row[3] == 0, row
 
-    once(benchmark, sweep_geometry, problem, 8, 8.0)
+    once(benchmark, sweep_geometry, spec, 8, 8.0)
 
 
 def test_a2_frame_size(benchmark):
-    problem = deep_random_instance(24, 6, 16, seed=82, low_congestion=False)
+    spec = deep_random_spec(24, 6, 16, seed=82, low_congestion=False)
     rows = []
     for m in (4, 6, 8, 12, 16):
-        delivered, violations, mean_t = sweep_geometry(problem, m, 8.0)
+        problem, delivered, violations, mean_t = sweep_geometry(spec, m, 8.0)
         rows.append(
             (
                 f"m={m}",
@@ -108,4 +105,4 @@ def test_a2_frame_size(benchmark):
         ),
     )
 
-    once(benchmark, sweep_geometry, problem, 8, 8.0)
+    once(benchmark, sweep_geometry, spec, 8, 8.0)

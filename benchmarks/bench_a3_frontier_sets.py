@@ -13,29 +13,27 @@ C·oversplit/c*) exposes the trade:
 """
 
 from repro.analysis import format_table
-from repro.core import AlgorithmParams
-from repro.experiments import butterfly_hotrow_instance, run_frontier_trial
+from repro.experiments import butterfly_hotrow_spec, resolve_trial_params
 from repro.rng import trial_seeds
+from repro.scenarios import build_problem
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 SEEDS = trial_seeds(1618, 5)
 
+#: the hot-row instance every configuration routes
+INSTANCE = butterfly_hotrow_spec(5, 24, seed=91)
+
 
 def sweep_sets(problem, c_star, oversplit):
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion),
-        problem.net.depth,
-        problem.num_packets,
-        m=8,
-        w_factor=8.0,
-        set_congestion_target=c_star,
-        oversplit=oversplit,
+    frame = dict(
+        m=8, w_factor=8.0, set_congestion_target=c_star, oversplit=oversplit
     )
+    params = resolve_trial_params(problem, **frame)
+    _, records = run_pinned(INSTANCE.with_params(audit=True, **frame), SEEDS)
     delivered = 0
     makespans, worst_ci, deflections = [], 0, []
-    for seed in SEEDS:
-        record = run_frontier_trial(problem, seed=seed, params=params, audit=True)
+    for record in records:
         if record.result.all_delivered:
             delivered += 1
         makespans.append(record.result.makespan)
@@ -46,7 +44,7 @@ def sweep_sets(problem, c_star, oversplit):
 
 def test_a3_frontier_set_count(benchmark):
     reset("a3_frontier_sets")
-    problem = butterfly_hotrow_instance(5, 24, seed=91)
+    problem = build_problem(INSTANCE)
     C = problem.congestion
     rows = []
     for label, c_star, oversplit in [

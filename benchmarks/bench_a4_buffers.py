@@ -17,28 +17,28 @@ the bufferless column pays either deflection churn (naive, no guarantee)
 or the polylog schedule (the paper's algorithm, guaranteed).
 """
 
+from functools import partial
+
 from repro.analysis import format_table
-from repro.baselines import (
-    BoundedBufferScheduler,
-    NaivePathRouter,
-    StoreForwardScheduler,
-)
-from repro.experiments import (
-    baseline_budget,
-    funnel_instance,
-    mesh_corner_shift_instance,
-    run_frontier_trial,
-    run_router_trial,
-)
+from repro.experiments import funnel_spec, mesh_corner_shift_spec
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
+
+BUFFER_SIZES = (1, 2, 4, 8)
 
 
-def buffer_sweep(problem, seed=0):
-    rows = []
-    naive = run_router_trial(
-        problem, lambda s: NaivePathRouter(), seed, baseline_budget(problem)
+def buffer_sweep(instance, seed=0):
+    specs = (
+        [instance(backend="naive")]
+        + [instance(backend="bounded_buffer", buffer_size=k) for k in BUFFER_SIZES]
+        + [
+            instance(backend="storeforward"),
+            instance(backend="frontier", m=8, w_factor=8.0),
+        ]
     )
+    problem, records = run_pinned(specs, [seed])
+    naive, *bounded, unbounded, frontier = [record.result for record in records]
+    rows = []
     rows.append(
         (
             "k=0 (naive deflection)",
@@ -48,8 +48,7 @@ def buffer_sweep(problem, seed=0):
             "-",
         )
     )
-    for k in (1, 2, 4, 8):
-        result = BoundedBufferScheduler(problem, buffer_size=k, seed=seed).run()
+    for k, result in zip(BUFFER_SIZES, bounded):
         assert result.all_delivered, result.summary()
         rows.append(
             (
@@ -60,7 +59,6 @@ def buffer_sweep(problem, seed=0):
                 int(result.extra["max_buffer_occupancy"]),
             )
         )
-    unbounded = StoreForwardScheduler(problem, seed=seed).run()
     rows.append(
         (
             "k=inf (unbounded)",
@@ -70,7 +68,6 @@ def buffer_sweep(problem, seed=0):
             int(unbounded.extra["max_queue_depth"]),
         )
     )
-    frontier = run_frontier_trial(problem, seed=seed, m=8, w_factor=8.0).result
     rows.append(
         (
             "k=0 (frontier-frame, guaranteed)",
@@ -80,16 +77,16 @@ def buffer_sweep(problem, seed=0):
             "-",
         )
     )
-    return rows, naive, unbounded
+    return problem, rows
 
 
 def test_a4_buffer_spectrum(benchmark):
     reset("a4_buffers")
-    for name, problem in [
-        ("funnel C=N on bf(5)", funnel_instance(5, 12, seed=95)),
-        ("mesh 12x12 corner shift", mesh_corner_shift_instance(12)),
+    for name, instance in [
+        ("funnel C=N on bf(5)", partial(funnel_spec, 5, 12, seed=95)),
+        ("mesh 12x12 corner shift", partial(mesh_corner_shift_spec, 12)),
     ]:
-        rows, naive, unbounded = buffer_sweep(problem)
+        problem, rows = buffer_sweep(instance)
         emit(
             "a4_buffers",
             format_table(
@@ -107,5 +104,4 @@ def test_a4_buffer_spectrum(benchmark):
         times = [row[1] for row in rows[1:6]]
         assert times[-1] <= times[0] + 2
 
-    problem = mesh_corner_shift_instance(12)
-    once(benchmark, buffer_sweep, problem)
+    once(benchmark, buffer_sweep, partial(mesh_corner_shift_spec, 12))

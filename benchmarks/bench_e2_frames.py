@@ -10,10 +10,10 @@ show the packets actually riding their frames.
 
 from repro.analysis import format_table
 from repro.core import AlgorithmParams, FrameGeometry
-from repro.experiments import deep_random_instance, run_frontier_trial
+from repro.experiments import deep_random_spec
 from repro.viz import frame_film_strip, target_schedule_strip
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 
 def test_e2_frame_geometry(benchmark):
@@ -72,14 +72,10 @@ def test_e2_frame_geometry(benchmark):
 
 def test_e2_packets_ride_frames(benchmark):
     """Live confirmation: every active packet is inside its frame (I_c)."""
-    problem = deep_random_instance(20, 6, 14, seed=4)
-
-    def run():
-        return run_frontier_trial(
-            problem, seed=5, audit=True, condition_sets=True, m=6, w=36
-        )
-
-    record = once(benchmark, run)
+    spec = deep_random_spec(
+        20, 6, 14, seed=4, audit=True, condition_sets=True, m=6, w=36
+    )
+    problem, (record,) = once(benchmark, run_pinned, spec, [5])
     assert record.result.all_delivered
     assert record.audit.count("I_c") == 0
     emit(

@@ -13,31 +13,24 @@ invariant kept).
 """
 
 from repro.core import PRESETS
-from repro.experiments import (
-    PRESET_FAMILIES,
-    catalog_spec,
-    run_frontier_trial,
-)
+from repro.experiments import PRESET_FAMILIES, catalog_spec
 from repro.analysis import format_table
-from repro.scenarios import build_problem
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 SEEDS = range(3)
 
 
 def run_family(base_name: str):
-    """Both presets on one pinned catalog family, seed-averaged."""
-    problem = build_problem(catalog_spec(base_name).with_pinned_scenario())
-    c_plus_d = max(1, problem.congestion + problem.dilation)
+    """Both presets on one pinned catalog family, seed-averaged; seed 0
+    runs audited."""
     results = {}
     for preset in sorted(PRESETS):
-        audited = run_frontier_trial(problem, 0, audit=True, preset=preset)
-        records = [audited] + [
-            run_frontier_trial(problem, seed, preset=preset)
-            for seed in SEEDS
-            if seed != 0
-        ]
+        spec = catalog_spec(base_name).with_params(preset=preset)
+        problem, (audited,) = run_pinned(spec.with_params(audit=True), [0])
+        _, rest = run_pinned(spec, [seed for seed in SEEDS if seed != 0])
+        records = [audited] + rest
+        c_plus_d = max(1, problem.congestion + problem.dilation)
         mean = sum(r.result.makespan for r in records) / len(records)
         results[preset] = {
             "mean": mean,

@@ -130,7 +130,6 @@ def test_setup_lockstep_arrays_cold_build(benchmark, prebuilt_problem):
     evicts them first — this is the one-time cost a fresh problem pays
     before any ``LockstepEngine`` can step.
     """
-    pytest.importorskip("numpy")
     from repro.sim import GeometryArrays
     from repro.sim.soa import StackedPacketArrays
 
@@ -155,7 +154,6 @@ def test_setup_lockstep_arrays_warm_copy(benchmark, prebuilt_problem):
     Warm-pool sweeps reuse one problem across seeds, so this — not the
     cold build above — is the array cost every repeat batch pays.
     """
-    pytest.importorskip("numpy")
     from repro.sim.soa import StackedPacketArrays
 
     # A problem serving two trials keeps its template: prime the cache.
@@ -168,7 +166,6 @@ def test_setup_lockstep_arrays_warm_copy(benchmark, prebuilt_problem):
 def test_setup_lockstep_engine_init(benchmark, prebuilt_problem):
     """Full one-trial ``LockstepEngine`` construction with warm array
     caches — the array-kernel analog of ``test_setup_engine_init``."""
-    pytest.importorskip("numpy")
     from repro.sim.engine_lockstep import LockstepEngine
 
     params = AlgorithmParams.practical(

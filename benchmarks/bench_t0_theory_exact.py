@@ -11,6 +11,11 @@ algorithm exactly as stated in the paper, no scaled constants anywhere.
 Checks: every packet is absorbed within Theorem 4.26's schedule
 `(amC + L)·m·w`, across multiple independent seeds (the theorem's
 `1 − 1/LN` probability regime), with zero unsafe deflections.
+
+Unlike most experiments, this one keeps its own trial loop on
+:class:`~repro.sim.Engine` instead of running specs through the trial
+executor: it builds its instances by hand and seeds the router and the
+engine as ``seed`` and ``seed + 1``, a scheme no backend reproduces.
 """
 
 from repro.analysis import format_table
@@ -23,7 +28,7 @@ from repro.workloads import butterfly_workloads
 from _common import emit, once, reset
 
 
-def build_instance(dim, num_packets, seed):
+def exact_problem(dim, num_packets, seed):
     net = butterfly(dim)
     wl = butterfly_workloads.random_end_to_end(net, num_packets, seed=seed)
     return select_paths_bit_fixing(net, wl.endpoints)
@@ -42,7 +47,7 @@ def test_t0_exact_constants_run_to_completion(benchmark):
     reset("t0_theory_exact")
     rows = []
     for dim, n in [(2, 3), (2, 4), (3, 6)]:
-        problem = build_instance(dim, n, seed=dim * 17 + n)
+        problem = exact_problem(dim, n, seed=dim * 17 + n)
         successes = 0
         sample = None
         for seed in (5, 6, 7):
@@ -91,5 +96,5 @@ def test_t0_exact_constants_run_to_completion(benchmark):
         ),
     )
 
-    problem = build_instance(2, 3, seed=37)
+    problem = exact_problem(2, 3, seed=37)
     once(benchmark, run_exact, problem, 5)

@@ -20,42 +20,24 @@ from repro.analysis import (
     fit_affine,
     format_table,
 )
-from repro.experiments import (
-    butterfly_hotrow_spec,
-    deep_random_spec,
-    run_frontier_trial,
-    run_spec_trials,
-)
+from repro.experiments import butterfly_hotrow_spec, deep_random_spec
 from repro.rng import stable_hash_seed
-from repro.scenarios import build_problem
 
-from _common import bench_workers, emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 #: fixed frame parameterization for the whole sweep
 FRAME_KW = dict(m=8, w_factor=8.0, set_congestion_target=3.0)
 SEEDS = [0, 1, 2]
 
 
-def run_point(problem, seed):
-    return run_frontier_trial(problem, seed=seed, **FRAME_KW)
-
-
 def sweep(instances, label):
     rows = []
     xs, ys = [], []
-    workers = bench_workers()
     for index, (name, spec) in enumerate(instances):
-        # The instance is held fixed while the algorithm's coins vary: pin
-        # the component seeds, then re-seed only the routing.  Per-seed
-        # trials are independent; fan them across $REPRO_BENCH_WORKERS
-        # processes (records are identical at any worker count, so the
-        # table never changes — only the wall clock).
-        pinned = spec.with_pinned_scenario()
-        records = run_spec_trials(
-            [pinned.with_seed(stable_hash_seed(seed, index)) for seed in SEEDS],
-            workers=workers,
+        # The instance is held fixed while the algorithm's coins vary.
+        problem, records = run_pinned(
+            spec, [stable_hash_seed(seed, index) for seed in SEEDS]
         )
-        problem = build_problem(pinned)
         makespans = []
         for record in records:
             assert record.result.all_delivered, (name, record.result.summary())
@@ -103,7 +85,7 @@ def test_t1_congestion_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, build_problem(instances[-1][1]), 0)
+    once(benchmark, run_pinned, instances[-1][1], [0])
 
 
 def test_t1_depth_sweep(benchmark):
@@ -128,4 +110,4 @@ def test_t1_depth_sweep(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_point, build_problem(instances[-1][1]), 0)
+    once(benchmark, run_pinned, instances[-1][1], [0])

@@ -16,61 +16,50 @@ makespan as a multiple of ``max(C, D)``:
   "benefit from buffers".
 """
 
-import math
+from functools import partial
 
 from repro.analysis import format_table, polylog_factor
-from repro.baselines import (
-    GreedyHotPotatoRouter,
-    NaivePathRouter,
-    RandomizedGreedyRouter,
-    StoreForwardScheduler,
-    run_random_delay,
-)
 from repro.experiments import (
-    baseline_budget,
-    butterfly_hotrow_instance,
-    butterfly_random_instance,
-    deep_random_instance,
-    mesh_corner_shift_instance,
-    run_frontier_trial,
-    run_router_trial,
+    butterfly_hotrow_spec,
+    butterfly_random_spec,
+    deep_random_spec,
+    mesh_corner_shift_spec,
 )
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 INSTANCES = [
-    ("bf(5) random", lambda: butterfly_random_instance(5, seed=21)),
-    ("bf(5) hot-row N=16", lambda: butterfly_hotrow_instance(5, 16, seed=22)),
-    ("random w=6 L=24", lambda: deep_random_instance(24, 6, 12, seed=23)),
-    ("mesh 8x8 corner-shift", lambda: mesh_corner_shift_instance(8)),
+    ("bf(5) random", partial(butterfly_random_spec, 5, seed=21)),
+    ("bf(5) hot-row N=16", partial(butterfly_hotrow_spec, 5, 16, seed=22)),
+    ("random w=6 L=24", partial(deep_random_spec, 24, 6, 12, seed=23)),
+    ("mesh 8x8 corner-shift", partial(mesh_corner_shift_spec, 8)),
+]
+
+#: (table label, backend, backend params) for every router in the roster
+ROUTERS = [
+    ("store&forward", "storeforward", {}),
+    ("random-delay [16]", "random_delay", {}),
+    ("naive hot-potato", "naive", {}),
+    ("greedy hot-potato", "greedy", {}),
+    ("rand-greedy [11]", "randgreedy", {}),
+    ("frontier-frame (paper)", "frontier", {"m": 8, "w_factor": 8.0}),
 ]
 
 
-def run_all_routers(problem, seed=0):
-    budget = baseline_budget(problem)
-    results = {}
-    results["store&forward"] = StoreForwardScheduler(problem, seed=seed).run()
-    results["random-delay [16]"] = run_random_delay(problem, seed=seed)
-    results["naive hot-potato"] = run_router_trial(
-        problem, lambda s: NaivePathRouter(), seed, budget
+def run_all_routers(instance, seed=0):
+    problem, records = run_pinned(
+        [instance(backend=backend, **params) for _, backend, params in ROUTERS],
+        [seed],
     )
-    results["greedy hot-potato"] = run_router_trial(
-        problem, lambda s: GreedyHotPotatoRouter(seed=s), seed, budget
-    )
-    results["rand-greedy [11]"] = run_router_trial(
-        problem, lambda s: RandomizedGreedyRouter(seed=s), seed, budget
-    )
-    results["frontier-frame (paper)"] = run_frontier_trial(
-        problem, seed=seed, m=8, w_factor=8.0
-    ).result
-    return results
+    return problem, {
+        label: record.result for (label, _, _), record in zip(ROUTERS, records)
+    }
 
 
 def test_t2_router_roster(benchmark):
     reset("t2_baselines")
-    for name, factory in INSTANCES:
-        problem = factory()
-        results = run_all_routers(problem)
+    for name, instance in INSTANCES:
+        problem, results = run_all_routers(instance)
         bound = max(problem.congestion, problem.dilation)
         rows = []
         for router_name, result in results.items():
@@ -107,5 +96,4 @@ def test_t2_router_roster(benchmark):
         assert results["frontier-frame (paper)"].all_delivered
         assert ratio <= ln9  # the paper's headline inequality
 
-    problem = INSTANCES[0][1]()
-    once(benchmark, run_all_routers, problem)
+    once(benchmark, run_all_routers, INSTANCES[0][1])

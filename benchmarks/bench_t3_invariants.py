@@ -12,34 +12,49 @@ This bench runs fully audited trials across the topology battery:
 """
 
 from repro.analysis import format_table
-from repro.experiments import run_frontier_trial, small_audit_suite
+from repro.experiments import (
+    butterfly_hotrow_spec,
+    butterfly_random_spec,
+    deep_random_spec,
+    mesh_monotone_spec,
+)
 from repro.rng import stable_hash_seed
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 INVARIANTS = ("I_a", "I_b", "I_c", "I_d", "I_e", "I_e_conservation", "I_f")
 SEEDS = [0, 1, 2]
+
+#: The audited battery (varied topologies); the instance seeds are the
+#: first four draws of ``make_rng(77).integers(1 << 30)``.
+SUITE = [
+    ("butterfly(4) random", butterfly_random_spec(4, seed=64198558)),
+    ("butterfly(4) hot-row", butterfly_hotrow_spec(4, 8, seed=843888390)),
+    ("random L=20 w=6", deep_random_spec(20, 6, 12, seed=681516250)),
+    ("mesh 8x8 monotone", mesh_monotone_spec(8, 16, seed=591816381)),
+]
 
 
 def audit_battery(condition_sets):
     rows = []
     clean = 0
     total = 0
-    for index, (name, problem) in enumerate(small_audit_suite(seed=77)):
+    for index, (name, spec) in enumerate(SUITE):
         counts = {inv: 0 for inv in INVARIANTS}
         delivered = 0
         max_ci = 0
-        for seed in SEEDS:
-            record = run_frontier_trial(
-                problem,
-                seed=stable_hash_seed(seed, index),
+        _, records = run_pinned(
+            spec.with_params(
                 audit=True,
                 condition_sets=condition_sets,
                 audit_congestion_bound=3.0,
                 m=8,
                 w_factor=8.0,
                 set_congestion_target=3.0,
-            )
+            ),
+            [stable_hash_seed(seed, index) for seed in SEEDS],
+        )
+        for record in records:
             total += 1
             if record.ok:
                 clean += 1
@@ -76,15 +91,8 @@ def test_t3_invariants_conditioned(benchmark):
     for row in rows:
         assert all(v == 0 for v in row[3:]), row
 
-    problem = small_audit_suite(seed=77)[0][1]
-    once(
-        benchmark,
-        run_frontier_trial,
-        problem,
-        seed=1,
-        audit=True,
-        condition_sets=True,
-    )
+    spec = SUITE[0][1].with_params(audit=True, condition_sets=True)
+    once(benchmark, run_pinned, spec, [1])
 
 
 def test_t3_invariants_unconditioned(benchmark):
@@ -105,12 +113,5 @@ def test_t3_invariants_unconditioned(benchmark):
         name, delivered, max_ci, ia, ib, ic, id_, ie, ie_cons, if_ = row
         assert ia == 0 and ib == 0 and ie_cons == 0, row
 
-    problem = small_audit_suite(seed=77)[1][1]
-    once(
-        benchmark,
-        run_frontier_trial,
-        problem,
-        seed=1,
-        audit=True,
-        condition_sets=False,
-    )
+    spec = SUITE[1][1].with_params(audit=True, condition_sets=False)
+    once(benchmark, run_pinned, spec, [1])

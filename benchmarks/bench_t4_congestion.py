@@ -22,8 +22,9 @@ from repro.analysis import (
     summarize,
 )
 from repro.core import assign_frontier_sets, max_frontier_set_congestion
-from repro.experiments import butterfly_hotrow_instance, butterfly_random_instance
+from repro.experiments import butterfly_hotrow_spec, butterfly_random_spec
 from repro.rng import trial_seeds
+from repro.scenarios import build_problem
 
 from _common import emit, once, reset
 
@@ -45,11 +46,12 @@ def concentration(problem, num_sets, bound):
 def test_t4_set_congestion_concentration(benchmark):
     reset("t4_congestion")
     rows = []
-    for name, problem in [
-        ("bf(6) hot-row N=40", butterfly_hotrow_instance(6, 40, seed=31)),
-        ("bf(6) random", butterfly_random_instance(6, seed=32)),
-        ("bf(5) hot-row N=24", butterfly_hotrow_instance(5, 24, seed=33)),
+    for name, spec in [
+        ("bf(6) hot-row N=40", butterfly_hotrow_spec(6, 40, seed=31)),
+        ("bf(6) random", butterfly_random_spec(6, seed=32)),
+        ("bf(5) hot-row N=24", butterfly_hotrow_spec(5, 24, seed=33)),
     ]:
+        problem = build_problem(spec)
         L, N, C = problem.net.depth, problem.num_packets, problem.congestion
         lnln = max(1.0, math.log(L * N))
         # Paper-style set count with the 2e^3 slack, and the ln(LN) bound.
@@ -103,5 +105,5 @@ def test_t4_set_congestion_concentration(benchmark):
         ),
     )
 
-    problem = butterfly_hotrow_instance(5, 24, seed=33)
+    problem = build_problem(butterfly_hotrow_spec(5, 24, seed=33))
     once(benchmark, concentration, problem, 8, 3.0)

@@ -6,15 +6,21 @@ backward and safe, and current paths stay valid.  Lemma 4.10: because safe
 deflections *recycle* edges between path lists, the per-frontier-set edge
 congestion ``C_i^t`` never increases.  This bench runs traced trials and
 audits every deflection event.
+
+Unlike most experiments, this one keeps its own trial loop on
+:class:`~repro.sim.Engine` instead of running specs through the trial
+executor: it needs a per-event :class:`~repro.sim.TraceRecorder` observer
+(deflection and injection events), which executor records do not carry.
 """
 
 from repro.analysis import format_table
 from repro.core import AlgorithmParams, FrontierFrameRouter, InvariantAuditor
 from repro.experiments import (
-    butterfly_hotrow_instance,
-    deep_random_instance,
-    mesh_corner_shift_instance,
+    butterfly_hotrow_spec,
+    deep_random_spec,
+    mesh_corner_shift_spec,
 )
+from repro.scenarios import build_problem
 from repro.sim import Engine, EventKind, TraceRecorder
 from repro.types import Direction
 
@@ -43,11 +49,12 @@ def traced_run(problem, seed):
 def test_t5_deflection_audit(benchmark):
     reset("t5_deflections")
     rows = []
-    for name, problem in [
-        ("bf(5) hot-row N=20", butterfly_hotrow_instance(5, 20, seed=41)),
-        ("random w=6 L=28", deep_random_instance(28, 6, 15, seed=42, low_congestion=False)),
-        ("mesh 10x10 shift", mesh_corner_shift_instance(10, block=4)),
+    for name, spec in [
+        ("bf(5) hot-row N=20", butterfly_hotrow_spec(5, 20, seed=41)),
+        ("random w=6 L=28", deep_random_spec(28, 6, 15, seed=42, low_congestion=False)),
+        ("mesh 10x10 shift", mesh_corner_shift_spec(10, block=4)),
     ]:
+        problem = build_problem(spec)
         result, trace, report, router = traced_run(problem, seed=5)
         assert result.all_delivered, result.summary()
         deflections = trace.of_kind(EventKind.DEFLECT)
@@ -96,5 +103,5 @@ def test_t5_deflection_audit(benchmark):
         ),
     )
 
-    problem = butterfly_hotrow_instance(5, 20, seed=41)
+    problem = build_problem(butterfly_hotrow_spec(5, 20, seed=41))
     once(benchmark, traced_run, problem, 5)

@@ -12,37 +12,34 @@ compared against the theorem's ``1 − 1/LN`` reference level.
 
 from repro.analysis import format_table, wilson_interval
 from repro.experiments import (
-    butterfly_hotrow_instance,
-    butterfly_random_instance,
-    deep_random_instance,
-    run_frontier_trial,
+    butterfly_hotrow_spec,
+    butterfly_random_spec,
+    deep_random_spec,
 )
 from repro.rng import trial_seeds
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
 
 TRIALS = 60
 
 
-def success_sweep(problem, trials=TRIALS):
-    successes = 0
-    for seed in trial_seeds(2026, trials):
-        record = run_frontier_trial(problem, seed=seed, m=8, w_factor=8.0)
-        if record.result.all_delivered:
-            successes += 1
-    return successes
+def success_sweep(spec, trials=TRIALS):
+    problem, records = run_pinned(
+        spec.with_params(m=8, w_factor=8.0), trial_seeds(2026, trials)
+    )
+    return problem, sum(record.result.all_delivered for record in records)
 
 
 def test_t6_success_probability(benchmark):
     reset("t6_success")
     rows = []
-    for name, problem in [
-        ("bf(4) random", butterfly_random_instance(4, seed=51)),
-        ("bf(4) hot-row N=12", butterfly_hotrow_instance(4, 12, seed=52)),
-        ("random w=6 L=20", deep_random_instance(20, 6, 12, seed=53)),
+    for name, spec in [
+        ("bf(4) random", butterfly_random_spec(4, seed=51)),
+        ("bf(4) hot-row N=12", butterfly_hotrow_spec(4, 12, seed=52)),
+        ("random w=6 L=20", deep_random_spec(20, 6, 12, seed=53)),
     ]:
+        problem, successes = success_sweep(spec)
         L, N = problem.net.depth, problem.num_packets
-        successes = success_sweep(problem)
         lo, hi = wilson_interval(successes, TRIALS)
         reference = 1.0 - 1.0 / (L * N)
         rows.append(
@@ -77,5 +74,4 @@ def test_t6_success_probability(benchmark):
         ),
     )
 
-    problem = butterfly_random_instance(4, seed=51)
-    once(benchmark, success_sweep, problem, 10)
+    once(benchmark, success_sweep, butterfly_random_spec(4, seed=51), 10)

@@ -12,19 +12,18 @@ check the routing time grows Õ(n).
 """
 
 from repro.analysis import fit_affine, format_table
-from repro.experiments import (
-    mesh_corner_shift_instance,
-    mesh_monotone_instance,
-    run_frontier_trial,
-)
+from repro.experiments import mesh_corner_shift_spec, mesh_monotone_spec
 
-from _common import emit, once, reset
+from _common import emit, once, reset, run_pinned
+
+#: fixed frame parameterization for every mesh run
+FRAME_KW = dict(m=8, w_factor=8.0, set_congestion_target=3.0)
 
 
-def run_mesh(problem, seed):
-    return run_frontier_trial(
-        problem, seed=seed, m=8, w_factor=8.0, set_congestion_target=3.0
-    )
+def run_mesh(spec, seed):
+    """One frontier trial on ``spec``'s instance: ``(problem, record)``."""
+    problem, (record,) = run_pinned(spec.with_params(**FRAME_KW), [seed])
+    return problem, record
 
 
 def test_t7_mesh_size_sweep(benchmark):
@@ -39,10 +38,10 @@ def test_t7_mesh_size_sweep(benchmark):
         makespans, cs = [], []
         last = None
         for wl_seed in (61, 65, 69):
-            problem = mesh_monotone_instance(
-                n, num_packets=n * n // 3, seed=wl_seed
+            problem, record = run_mesh(
+                mesh_monotone_spec(n, num_packets=n * n // 3, seed=wl_seed),
+                seed=wl_seed + 1,
             )
-            record = run_mesh(problem, seed=wl_seed + 1)
             assert record.result.all_delivered, record.result.summary()
             makespans.append(record.result.makespan)
             cs.append(problem.congestion)
@@ -77,16 +76,14 @@ def test_t7_mesh_size_sweep(benchmark):
     )
     assert fit.r_squared > 0.85
 
-    problem = mesh_monotone_instance(10, num_packets=20, seed=61)
-    once(benchmark, run_mesh, problem, 62)
+    once(benchmark, run_mesh, mesh_monotone_spec(10, num_packets=20, seed=61), 62)
 
 
 def test_t7_corner_shift_stress(benchmark):
     rows = []
     ns, ts = [], []
     for n in (6, 8, 10, 12):
-        problem = mesh_corner_shift_instance(n)
-        record = run_mesh(problem, seed=63)
+        problem, record = run_mesh(mesh_corner_shift_spec(n), seed=63)
         assert record.result.all_delivered
         rows.append(
             (
@@ -114,4 +111,4 @@ def test_t7_corner_shift_stress(benchmark):
     )
     assert fit.r_squared > 0.9
 
-    once(benchmark, run_mesh, mesh_corner_shift_instance(10), 63)
+    once(benchmark, run_mesh, mesh_corner_shift_spec(10), 63)

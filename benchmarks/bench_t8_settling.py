@@ -7,13 +7,20 @@ because every contested target edge parks at least one packet (Lemma
 wait) at the start of every round and measure the per-round decay within
 phases, comparing the realized ratio against the lemma's
 ``1 − 1/c*`` prediction for the configured per-set congestion bound.
+
+Unlike most experiments, this one keeps its own trial loop on
+:class:`~repro.sim.Engine` instead of running specs through the trial
+executor: it reads the router's ``round_stats``
+(``collect_round_stats=True``) with fast-forward off, and no backend
+param carries either.
 """
 
 from collections import defaultdict
 
 from repro.analysis import format_table, summarize
 from repro.core import AlgorithmParams, FrontierFrameRouter
-from repro.experiments import deep_random_instance
+from repro.experiments import deep_random_spec
+from repro.scenarios import build_problem
 from repro.sim import Engine
 
 from _common import emit, once, reset
@@ -59,7 +66,9 @@ def decay_ratios(by_phase):
 
 def test_t8_settling_decay(benchmark):
     reset("t8_settling")
-    problem = deep_random_instance(30, 6, 18, seed=101, low_congestion=False)
+    problem = build_problem(
+        deep_random_spec(30, 6, 18, seed=101, low_congestion=False)
+    )
     rows = []
     for c_star in (float(problem.congestion), 3.0, 2.0):
         params, by_phase = settling_curves(problem, c_star, seed=102)
@@ -106,7 +115,9 @@ def test_t8_settling_decay(benchmark):
 
 def test_t8_rounds_to_settle(benchmark):
     """How many rounds until B_j = 0, vs the m budget."""
-    problem = deep_random_instance(30, 6, 18, seed=103, low_congestion=False)
+    problem = build_problem(
+        deep_random_spec(30, 6, 18, seed=103, low_congestion=False)
+    )
     params, by_phase = settling_curves(problem, 3.0, seed=104)
     rows = []
     worst = 0

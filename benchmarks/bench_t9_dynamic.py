@@ -8,6 +8,12 @@ and reports the classic stability picture: latency is flat and near the
 path length at low load and diverges as utilization approaches 1, while
 deflections stay backward-and-safe throughout (the Lemma 2.1 mechanics are
 load-independent).
+
+Unlike most experiments, this one keeps its own trial loop on
+:class:`~repro.sim.Engine` instead of running specs through the trial
+executor: it draws its arrivals, paths and router and engine coins from
+``seed`` to ``seed + 3`` and needs the arrival times for
+``dynamic_stats``, while an arrival spec derives its seeds its own way.
 """
 
 from repro.analysis import format_table

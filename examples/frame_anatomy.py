@@ -16,7 +16,8 @@ from repro.core import (
     FrameGeometry,
     FrontierFrameRouter,
 )
-from repro.experiments import deep_random_instance
+from repro.experiments import deep_random_spec
+from repro.scenarios import build_problem
 from repro.sim import Engine
 from repro.viz import (
     OccupancySampler,
@@ -27,7 +28,7 @@ from repro.viz import (
 
 
 def main(depth: int = 24, seed: int = 3) -> None:
-    problem = deep_random_instance(depth, 6, 14, seed=seed)
+    problem = build_problem(deep_random_spec(depth, 6, 14, seed=seed))
     params = AlgorithmParams.practical(
         problem.congestion, depth, problem.num_packets, m=6, w_factor=6.0
     )

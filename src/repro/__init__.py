@@ -50,10 +50,10 @@ def quick_route(seed: int = 0, dim: int = 4):
     One-call demo used by the README; returns the
     :class:`~repro.sim.RunResult`.
     """
-    from .experiments import butterfly_random_instance, run_frontier_trial
+    from .experiments import butterfly_random_spec
+    from .scenarios import run
 
-    problem = butterfly_random_instance(dim, seed)
-    return run_frontier_trial(problem, seed=seed).result
+    return run(butterfly_random_spec(dim, seed=seed))
 
 
 __all__ = [

@@ -27,21 +27,14 @@ from .configs import (
     PRESET_FAMILIES,
     derive_sweep_seeds,
     sweep_specs,
-    butterfly_random_instance,
     butterfly_random_spec,
-    butterfly_hotrow_instance,
     butterfly_hotrow_spec,
     catalog_spec,
-    deep_random_instance,
     deep_random_spec,
     dynamic_spec,
-    funnel_instance,
     funnel_spec,
-    mesh_monotone_instance,
     mesh_monotone_spec,
-    mesh_corner_shift_instance,
     mesh_corner_shift_spec,
-    small_audit_suite,
     baseline_budget,
     BASELINE_BUDGET_FACTOR,
 )
@@ -64,20 +57,13 @@ __all__ = [
     "CATALOG",
     "PRESET_FAMILIES",
     "catalog_spec",
-    "butterfly_random_instance",
     "butterfly_random_spec",
-    "butterfly_hotrow_instance",
     "butterfly_hotrow_spec",
-    "deep_random_instance",
     "deep_random_spec",
     "dynamic_spec",
-    "mesh_monotone_instance",
     "mesh_monotone_spec",
-    "mesh_corner_shift_instance",
     "mesh_corner_shift_spec",
-    "funnel_instance",
     "funnel_spec",
-    "small_audit_suite",
     "baseline_budget",
     "BASELINE_BUDGET_FACTOR",
 ]

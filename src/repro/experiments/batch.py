@@ -89,16 +89,9 @@ LOCKSTEP_MIN_TRIALS = 6
 #: trials took about half of the batch's step loop.
 LOCKSTEP_TAIL_SHARE = 1 / 16
 
-#: Spec backends the lockstep kernel can execute, mapped to the kernel
-#: family that runs them.  ``frontier_vec``/``naive_vec`` are registry
-#: aliases of ``frontier``/``naive``; specs keep the backend string as
-#: written (it is part of their hash), so both spellings appear here.
-_LOCKSTEP_FAMILIES = {
-    "frontier": "frontier",
-    "frontier_vec": "frontier",
-    "naive": "naive",
-    "naive_vec": "naive",
-}
+#: Spec backends the lockstep kernel can execute (each is also the name of
+#: its kernel mode).
+_LOCKSTEP_BACKENDS = ("frontier", "naive")
 
 #: Backend params that set up a whole lockstep batch.  Every other
 #: frontier param only shapes one trial's ``AlgorithmParams``, which the
@@ -250,7 +243,7 @@ class TrialExecutor:
 
         Specs with equal keys build the same topology, workload and
         selector with the same params — only the component seeds may
-        differ — and run under the same backend family and batch-wide
+        differ — and run under the same backend and batch-wide
         :data:`_KERNEL_PARAMS`, so the stacked kernel can advance them in
         one set of arrays: a fixed-problem sweep shares one problem, an
         instance sweep gives each trial its own (over one network, or
@@ -261,20 +254,17 @@ class TrialExecutor:
         groups: the kernel computes them itself.  Trials needing
         per-trial machinery peel off to :meth:`run`: an ambient telemetry
         or trace session (the lockstep kernel carries no per-event
-        observers), arrival schedules, non-lockstep backends, or a
-        missing numpy.  An eligible key only makes the spec a candidate:
+        observers), arrival schedules, or non-lockstep backends.  An
+        eligible key only makes the spec a candidate:
         :meth:`_run_lockstep` still runs trials per trial when fewer than
         :data:`LOCKSTEP_MIN_TRIALS` of them miss the disk cache, or form a
         run of equal packet counts and depths.
         """
-        if not self.lockstep:
-            return None
-        family = _LOCKSTEP_FAMILIES.get(spec.backend)
-        if family is None or spec.arrival:
-            return None
-        from ..sim.soa import NUMPY_AVAILABLE
-
-        if not NUMPY_AVAILABLE:
+        if (
+            not self.lockstep
+            or spec.backend not in _LOCKSTEP_BACKENDS
+            or spec.arrival
+        ):
             return None
         from ..telemetry.context import current_session
 
@@ -287,7 +277,7 @@ class TrialExecutor:
             _unseeded(spec.workload_params),
             spec.selector,
             _unseeded(spec.selector_params),
-            family,
+            spec.backend,
             json.dumps(
                 {
                     k: v
@@ -391,7 +381,6 @@ class TrialExecutor:
             for k in misses:
                 slots[k] = self.run(group[k])
             return slots
-        family = _LOCKSTEP_FAMILIES[group[0].backend]
         problems = self._problems([group[k] for k in misses])
         for _, run in groupby(
             zip(misses, problems),
@@ -402,7 +391,7 @@ class TrialExecutor:
                 for k in ks:
                     slots[k] = self.run(group[k])
                 continue
-            batch = self._run_batch([group[k] for k in ks], run_problems, family)
+            batch = self._run_batch([group[k] for k in ks], run_problems)
             for k, record in zip(ks, batch):
                 if cache is not None:
                     cache.store(record.spec, record.result, audit=record.audit)
@@ -440,7 +429,7 @@ class TrialExecutor:
             out.append(problem)
         return out
 
-    def _run_batch(self, specs, problems, family: str) -> List:
+    def _run_batch(self, specs, problems) -> List:
         """One lockstep batch, spec ``i`` routing ``problems[i]``.
 
         A batch over several networks stops once its stragglers are no
@@ -456,7 +445,7 @@ class TrialExecutor:
         if len({id(problem.net) for problem in problems}) > 1:
             tail = int(len(specs) * LOCKSTEP_TAIL_SHARE)
         audits = [None] * len(specs)
-        if family == "frontier":
+        if first.backend == "frontier":
             from .runner import run_frontier_trials_lockstep
 
             kernel = first.backend_params

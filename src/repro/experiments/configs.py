@@ -1,11 +1,11 @@
 """The experiment catalog: canonical instances as named, serializable specs.
 
 Every canonical instance used by the benches and docs is defined here as a
-:class:`~repro.scenarios.RunSpec` factory, and the legacy instance builders
-(:func:`butterfly_random_instance`, ...) are thin wrappers that materialize
-the corresponding spec through the scenario dispatcher — so EXPERIMENTS.md's
-"workload and parameters" column, the benches, ``repro list``, and
-``repro run --spec`` all share one source of truth.
+:class:`~repro.scenarios.RunSpec` factory — materialize one with
+:func:`~repro.scenarios.build_problem` or run it with
+:func:`~repro.scenarios.run` — so EXPERIMENTS.md's "workload and
+parameters" column, the benches, ``repro list``, and ``repro run --spec``
+all share one source of truth.
 
 Spec factories pin explicit component seeds where the historical builders
 used them, which keeps every materialized instance byte-identical to the
@@ -14,11 +14,11 @@ pre-catalog code (asserted by the golden regression tests).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..paths import RoutingProblem
-from ..rng import make_rng, stable_hash_seed
-from ..scenarios import RunSpec, build_problem
+from ..rng import stable_hash_seed
+from ..scenarios import RunSpec
 from ..scenarios.registry import UnknownNameError
 
 # ------------------------------------------------------------ spec factories
@@ -286,83 +286,6 @@ def sweep_specs(
         base.seed if base_seed is None else base_seed, num_trials
     )
     return [pinned.with_seed(seed) for seed in seeds]
-
-
-# ----------------------------------------------------- legacy instance views
-#
-# The historical builder API, now materialized through the dispatcher.  The
-# golden regression tests pin that these produce byte-identical instances
-# to the pre-catalog hand-wired builders.
-
-
-def butterfly_random_instance(dim: int, seed: int) -> RoutingProblem:
-    """Random end-to-end traffic on a butterfly (unique bit-fixing paths)."""
-    return build_problem(butterfly_random_spec(dim, seed=seed))
-
-
-def butterfly_hotrow_instance(dim: int, num_packets: int, seed: int) -> RoutingProblem:
-    """Hot-row butterfly traffic: congestion ``C = Θ(num_packets)``.
-
-    The C-sweep axis of experiment T1 (depth fixed at ``dim``).
-    """
-    return build_problem(butterfly_hotrow_spec(dim, num_packets, seed=seed))
-
-
-def deep_random_instance(
-    depth: int,
-    width: int,
-    num_packets: int,
-    seed: int,
-    low_congestion: bool = True,
-) -> RoutingProblem:
-    """Random many-to-one on a width-``width`` random leveled network.
-
-    The L-sweep axis of experiment T1 (congestion held low by bottleneck
-    path selection when ``low_congestion``).
-    """
-    return build_problem(
-        deep_random_spec(
-            depth, width, num_packets, seed=seed, low_congestion=low_congestion
-        )
-    )
-
-
-def mesh_monotone_instance(n: int, num_packets: int, seed: int) -> RoutingProblem:
-    """Section 5's application: monotone traffic + dimension-order paths."""
-    return build_problem(mesh_monotone_spec(n, num_packets, seed=seed))
-
-
-def mesh_corner_shift_instance(n: int, block: int | None = None) -> RoutingProblem:
-    """Deterministic high-congestion monotone mesh instance."""
-    return build_problem(mesh_corner_shift_spec(n, block=block))
-
-
-def funnel_instance(dim: int, num_packets: int, seed: int) -> RoutingProblem:
-    """Adversarial butterfly instance: every path crosses one edge (C = N)."""
-    return build_problem(funnel_spec(dim, num_packets, seed=seed))
-
-
-def small_audit_suite(seed: int) -> List[Tuple[str, RoutingProblem]]:
-    """The audited-invariant battery of experiment T3 (varied topologies)."""
-    rng = make_rng(seed)
-    suite: List[Tuple[str, RoutingProblem]] = []
-    suite.append(("butterfly(4) random", butterfly_random_instance(4, int(rng.integers(1 << 30)))))
-    suite.append(
-        (
-            "butterfly(4) hot-row",
-            butterfly_hotrow_instance(4, 8, int(rng.integers(1 << 30))),
-        )
-    )
-    suite.append(
-        (
-            "random L=20 w=6",
-            deep_random_instance(20, 6, 12, int(rng.integers(1 << 30))),
-        )
-    )
-    suite.append(
-        ("mesh 8x8 monotone", mesh_monotone_instance(8, 16, int(rng.integers(1 << 30))))
-    )
-    return suite
 
 
 #: Baseline step budget multiplier: bufferless baselines may thrash, so give

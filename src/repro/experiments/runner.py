@@ -134,7 +134,6 @@ def run_frontier_trials_lockstep(
     condition_sets: bool = False,
     fast_forward: bool = True,
     max_steps: Optional[int] = None,
-    geometry=None,
     telemetry: bool = False,
     audit: bool = False,
     audit_congestion_bound: Optional[float] = None,
@@ -160,8 +159,8 @@ def run_frontier_trials_lockstep(
     record the reference auditor's :class:`~repro.core.AuditReport`.
     ``tail`` stops the batch early (see :meth:`LockstepEngine.run`); the
     trials it cut are None, for the caller to rerun per trial.
-    Requires numpy and problems without arrival schedules; callers peel
-    such trials off to the per-trial paths.
+    Requires problems without arrival schedules; callers peel such trials
+    off to the per-trial paths.
     """
     from ..sim.engine_lockstep import LockstepEngine
 
@@ -189,7 +188,6 @@ def run_frontier_trials_lockstep(
         engine_seeds=[stable_hash_seed(seed, 3) for seed in seeds],
         set_rows=set_rows,
         enable_fast_forward=fast_forward,
-        geometry=geometry,
         telemetry=telemetry,
         audit=audit,
         audit_congestion_bound=audit_congestion_bound,
@@ -218,7 +216,6 @@ def run_naive_trials_lockstep(
     problems: Sequence[RoutingProblem],
     seeds: Sequence[int],
     max_steps: Optional[int] = None,
-    geometry=None,
     telemetry: bool = False,
     tail: int = 0,
 ) -> List[Optional[RunResult]]:
@@ -242,7 +239,6 @@ def run_naive_trials_lockstep(
     engine = LockstepEngine.naive(
         problems,
         engine_seeds=[stable_hash_seed(seed, 5) for seed in seeds],
-        geometry=geometry,
         telemetry=telemetry,
     )
     results = engine.run(max_steps, tail=tail)

@@ -103,9 +103,9 @@ class NetworkGeometry:
     def arrays(self):
         """Numpy views of the endpoint/level tables, built and cached lazily.
 
-        Imported on first use so the geometry stays loadable without numpy;
-        only the lockstep kernel (:mod:`repro.sim.engine_lockstep`) calls
-        this.
+        Imported on first use, since :mod:`repro.sim` imports this
+        package; only the lockstep kernel (:mod:`repro.sim.engine_lockstep`)
+        calls this.
         """
         if self._vec_arrays is None:
             from ..sim.soa import GeometryArrays

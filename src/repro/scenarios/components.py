@@ -416,13 +416,9 @@ def _budget(problem, params) -> int:
     return int(explicit) if explicit is not None else baseline_budget(problem)
 
 
-@BACKENDS.register("frontier", "frontier_vec", family="frontier")
+@BACKENDS.register("frontier", family="frontier")
 def _backend_frontier(problem, seed: int, params: dict):
-    """The paper's frontier-frame algorithm (Theorem 4.26).
-
-    ``frontier_vec`` is a legacy alias: specs naming it keep their content
-    hash and return the same records as ``frontier``.
-    """
+    """The paper's frontier-frame algorithm (Theorem 4.26)."""
     from ..experiments.runner import run_frontier_trial
 
     record = run_frontier_trial(problem, seed=seed, **params)
@@ -447,12 +443,9 @@ def _randgreedy_factory(router_seed: int):
     return RandomizedGreedyRouter(seed=router_seed)
 
 
-@BACKENDS.register("naive", "naive_vec", family="deflection")
+@BACKENDS.register("naive", family="deflection")
 def _backend_naive(problem, seed: int, params: dict):
-    """Uncoordinated path-following hot-potato strawman.
-
-    ``naive_vec`` is a legacy alias of ``naive`` (same hash, same records).
-    """
+    """Uncoordinated path-following hot-potato strawman."""
     from ..experiments.runner import run_router_trial
 
     return (

@@ -5,12 +5,7 @@ from .events import EventKind, TraceEvent, TraceRecorder
 from .router import DesiredMove, Router
 from .metrics import RunResult
 from .engine import Engine, Slot
-from .soa import (
-    NUMPY_AVAILABLE,
-    GeometryArrays,
-    VectorBackendUnavailable,
-    numpy_available,
-)
+from .soa import GeometryArrays
 
 __all__ = [
     "Packet",
@@ -23,8 +18,5 @@ __all__ = [
     "RunResult",
     "Engine",
     "Slot",
-    "NUMPY_AVAILABLE",
     "GeometryArrays",
-    "VectorBackendUnavailable",
-    "numpy_available",
 ]

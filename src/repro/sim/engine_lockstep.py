@@ -19,8 +19,8 @@ networks of depth ``L`` is a leveled network of depth ``L``, so the batch
 concatenates the networks' tables, shifts each trial's nodes and path
 edges by its network's offsets into them, and runs the same step loop;
 ids that leave the kernel (audit details, errors) are shifted back to the
-trial's own.  A batch whose trials share one network uses its tables
-unchanged.
+trial's own.  A batch whose trials share one network is the union of one
+part: its tables, unchanged, at offset zero.
 
 Equivalence contract
 --------------------
@@ -94,21 +94,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import ReproError, SimulationError
 from ..rng import RngLike, make_rng
 from .lockstep_arbitration import ArbitrationMixin, _member
 from .metrics import RunResult
-from .soa import (
-    GeometryArrays,
-    StackedFrontierArrays,
-    StackedPacketArrays,
-    require_numpy,
-)
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatched flag
-    np = None
+from .soa import GeometryArrays, StackedFrontierArrays, StackedPacketArrays
 
 _PENDING = 0
 _ACTIVE = 1
@@ -130,7 +122,7 @@ _FRONTIER_FLAT = ("state", "wait_node", "wait_edge", "set_index")
 #: truthy iff an array has a nonzero (True) entry: ``np.count_nonzero``
 #: answers in a third of the time ``ndarray.any`` takes on the step loop's
 #: small arrays
-_some = np.count_nonzero if np is not None else None
+_some = np.count_nonzero
 
 
 def _flat_view(table):
@@ -145,8 +137,7 @@ class LockstepEngine(ArbitrationMixin):
 
     Construct through :meth:`frontier` or :meth:`naive`, with one problem
     per trial (one packet count and network depth for the batch, else a
-    :class:`~repro.errors.ReproError`; ``geometry`` may pass the tables of
-    a batch's one network).  ``run`` returns one
+    :class:`~repro.errors.ReproError`).  ``run`` returns one
     :class:`RunResult` per trial, in input order, each byte-identical to
     the corresponding per-trial engine run.
     """
@@ -161,12 +152,10 @@ class LockstepEngine(ArbitrationMixin):
         params: Optional[Sequence] = None,
         set_rows=None,
         enable_fast_forward: bool = True,
-        geometry=None,
         telemetry: bool = False,
         audit: bool = False,
         audit_congestion_bound: Optional[float] = None,
     ) -> None:
-        require_numpy()
         self.problems = list(problems)
         self.mode = mode
         self.router_name = (
@@ -184,35 +173,22 @@ class LockstepEngine(ArbitrationMixin):
 
         self.net = self.problems[0].net
         nets = self._check_problems()
-        if len(nets) == 1:
-            geo = geometry if geometry is not None else self.net.geometry()
-            self._geos = [geo]
-            ga = geo.arrays()
-            self._net_edge_off = [0]
-            #: each trial's node and edge offset into the batch's tables
-            self._node_off = self._edge_off = np.zeros(trials, dtype=np.int64)
-            self.soa = StackedPacketArrays.from_problems(self.problems)
-        else:
-            if geometry is not None:
-                raise ReproError(
-                    "geometry= gives one network's tables; a batch over "
-                    f"{len(nets)} networks builds its own"
-                )
-            # Trials route over the disjoint union of their networks.
-            self._geos = [net.geometry() for net in nets.values()]
-            ga, node_off, edge_off = GeometryArrays.union(
-                [geo.arrays() for geo in self._geos]
-            )
-            self._net_edge_off = edge_off.tolist()
-            slot = {key: k for k, key in enumerate(nets)}
-            which = np.array(
-                [slot[id(p.net)] for p in self.problems], dtype=np.intp
-            )
-            self._node_off = node_off[which]
-            self._edge_off = edge_off[which]
-            self.soa = StackedPacketArrays.from_problems(
-                self.problems, self._node_off, self._edge_off
-            )
+        # Trials route over the disjoint union of their networks.
+        self._geos = [net.geometry() for net in nets.values()]
+        ga, node_off, edge_off = GeometryArrays.union(
+            [geo.arrays() for geo in self._geos]
+        )
+        self._net_edge_off = edge_off.tolist()
+        slot = {key: k for k, key in enumerate(nets)}
+        which = np.array(
+            [slot[id(p.net)] for p in self.problems], dtype=np.intp
+        )
+        #: each trial's node and edge offset into the batch's tables
+        self._node_off = node_off[which]
+        self._edge_off = edge_off[which]
+        self.soa = StackedPacketArrays.from_problems(
+            self.problems, self._node_off, self._edge_off
+        )
         self._edge_src = ga.edge_src
         self._edge_dst = ga.edge_dst
         self._node_levels = ga.node_levels
@@ -366,7 +342,6 @@ class LockstepEngine(ArbitrationMixin):
         engine_seeds: Sequence[RngLike],
         set_rows=None,
         enable_fast_forward: bool = True,
-        geometry=None,
         telemetry: bool = False,
         audit: bool = False,
         audit_congestion_bound: Optional[float] = None,
@@ -386,7 +361,6 @@ class LockstepEngine(ArbitrationMixin):
         under the optional ``audit_congestion_bound`` on ``I_e`` (see the
         module docstring).
         """
-        require_numpy()
         from ..core.frontier import assign_frontier_sets
         from ..errors import ParameterError
 
@@ -418,7 +392,6 @@ class LockstepEngine(ArbitrationMixin):
             params=params,
             set_rows=set_rows,
             enable_fast_forward=enable_fast_forward,
-            geometry=geometry,
             telemetry=telemetry,
             audit=audit,
             audit_congestion_bound=audit_congestion_bound,
@@ -430,7 +403,6 @@ class LockstepEngine(ArbitrationMixin):
         problems: Sequence,
         *,
         engine_seeds: Sequence[RngLike],
-        geometry=None,
         telemetry: bool = False,
     ) -> "LockstepEngine":
         """Batch kernel for the naive path-following baseline;
@@ -439,7 +411,6 @@ class LockstepEngine(ArbitrationMixin):
             problems,
             mode="naive",
             rngs=engine_seeds,
-            geometry=geometry,
             telemetry=telemetry,
         )
 

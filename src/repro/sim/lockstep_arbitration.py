@@ -16,12 +16,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import List
 
-from ..errors import CapacityError
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatched flag
-    np = None
+from ..errors import CapacityError
 
 
 def _member(sorted_keys, q):

@@ -39,15 +39,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import ReproError
-
-try:  # pragma: no cover - numpy is a hard dependency today, but only the
-    import numpy as np  # lockstep kernel needs it.
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None
-    NUMPY_AVAILABLE = False
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.geometry import NetworkGeometry
@@ -56,25 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Extra front columns allocated ahead of the longest initial path, so the
 #: common backward prepend/pop oscillation never triggers a reallocation.
 _FRONT_SLACK = 2
-
-
-class VectorBackendUnavailable(ReproError):
-    """The lockstep array kernel was requested but cannot run here."""
-
-
-def numpy_available() -> bool:
-    """Whether the lockstep array kernel can run in this interpreter."""
-    return NUMPY_AVAILABLE and np is not None
-
-
-def require_numpy() -> None:
-    """Raise a clear, actionable error when numpy is missing."""
-    if not numpy_available():
-        raise VectorBackendUnavailable(
-            "the lockstep engine kernel requires numpy; install numpy or "
-            "run the trials one by one on the reference engine "
-            "(TrialExecutor(lockstep=False), or repro.scenarios.run_trial)"
-        )
 
 
 class GeometryArrays:
@@ -95,8 +70,12 @@ class GeometryArrays:
 
         Part ``k``'s nodes and edges keep their order and are shifted by
         the totals of the parts before it.  Returns the union's tables and
-        each part's node and edge offsets, as int64 arrays.
+        each part's node and edge offsets, as int64 arrays.  The union of
+        one part is that part's tables, uncopied, at offset zero.
         """
+        if len(parts) == 1:
+            zero = np.zeros(1, dtype=np.int64)
+            return parts[0], zero, zero
         nodes = np.array([p.num_nodes for p in parts], dtype=np.int64)
         edges = np.array([p.num_edges for p in parts], dtype=np.int64)
         node_off = np.cumsum(nodes) - nodes
@@ -204,10 +183,10 @@ class StackedPacketArrays:
         that serves several trials of the batch keeps its template, so
         warm-pool sweeps that reuse it across seeds and batches skip the
         Python-loop build; a problem routed by one trial only does not.
-        A batch over a union of networks passes each trial's node and
-        edge offsets into the union (:meth:`GeometryArrays.union`): the
-        trial's nodes and path edges are shifted by them, the templates
-        are not.
+        The batch passes each trial's node and edge offsets into the union
+        of its networks (:meth:`GeometryArrays.union`): the trial's nodes
+        and path edges are shifted by them, the templates are not.  A batch
+        over one network has zero offsets and shifts nothing.
         """
         slots: dict = {}
         index = [slots.setdefault(id(p), len(slots)) for p in problems]
@@ -222,7 +201,7 @@ class StackedPacketArrays:
                     problem._soa_template = template
             templates.append(template)
         out = cls(templates, index)
-        if node_offsets is not None:
+        if node_offsets is not None and np.count_nonzero(node_offsets):
             # The stacked fields are fresh copies (fancy indexing), so the
             # shifts never reach a cached template.  Unused path columns
             # shift too: they stay valid edge ids and are never read live.
@@ -305,10 +284,6 @@ class StackedFrontierArrays:
 
 
 __all__ = [
-    "NUMPY_AVAILABLE",
-    "VectorBackendUnavailable",
-    "numpy_available",
-    "require_numpy",
     "GeometryArrays",
     "StackedPacketArrays",
     "StackedFrontierArrays",

@@ -178,7 +178,7 @@ class TuningStudy:
             )
         if not self.candidates:
             raise ReproError("a tuning study needs at least one candidate")
-        if self.base.backend not in ("frontier", "frontier_vec"):
+        if self.base.backend != "frontier":
             raise ReproError(
                 "tuning studies search frontier-algorithm parameters; got "
                 f"backend {self.base.backend!r}"

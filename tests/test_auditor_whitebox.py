@@ -19,15 +19,16 @@ from repro.core import (
     FrontierFrameRouter,
     InvariantAuditor,
 )
-from repro.experiments import deep_random_instance
+from repro.experiments import deep_random_spec
 from repro.net import LeveledNetworkBuilder
 from repro.paths import PacketSpec, Path, RoutingProblem
+from repro.scenarios import build_problem
 from repro.sim import Engine, PacketStatus
 
 
 @pytest.fixture
 def rig():
-    problem = deep_random_instance(20, 6, 10, seed=55)
+    problem = build_problem(deep_random_spec(20, 6, 10, seed=55))
     params = AlgorithmParams.practical(
         problem.congestion, problem.net.depth, problem.num_packets,
         m=6, w=36,
@@ -145,7 +146,7 @@ def twins():
     same seeds.  Both audit every step (no fast-forward)."""
     from repro.sim.engine_lockstep import LockstepEngine
 
-    problem = deep_random_instance(20, 6, 10, seed=55)
+    problem = build_problem(deep_random_spec(20, 6, 10, seed=55))
     params = AlgorithmParams.practical(
         problem.congestion, problem.net.depth, problem.num_packets,
         m=6, w=36,

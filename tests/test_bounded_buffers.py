@@ -4,9 +4,10 @@ import pytest
 
 from repro.baselines import BoundedBufferScheduler, StoreForwardScheduler
 from repro.errors import SimulationError
-from repro.experiments import funnel_instance, mesh_corner_shift_instance
+from repro.experiments import funnel_spec, mesh_corner_shift_spec
 from repro.net import layered_complete, layered_node, line
 from repro.paths import PacketSpec, Path, RoutingProblem
+from repro.scenarios import build_problem
 
 
 @pytest.fixture
@@ -61,13 +62,13 @@ class TestNoDeadlock:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_funnel_drains(self, k):
-        problem = funnel_instance(5, 10, seed=3)
+        problem = build_problem(funnel_spec(5, 10, seed=3))
         result = BoundedBufferScheduler(problem, buffer_size=k, seed=0).run()
         assert result.all_delivered, result.summary()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_corner_shift_drains(self, k):
-        problem = mesh_corner_shift_instance(8)
+        problem = build_problem(mesh_corner_shift_spec(8))
         result = BoundedBufferScheduler(problem, buffer_size=k, seed=0).run()
         assert result.all_delivered, result.summary()
 
@@ -95,7 +96,7 @@ class TestNoDeadlock:
 
 class TestConvergenceToUnbounded:
     def test_large_k_matches_unbounded(self):
-        problem = funnel_instance(5, 10, seed=4)
+        problem = build_problem(funnel_spec(5, 10, seed=4))
         bounded = BoundedBufferScheduler(
             problem, buffer_size=problem.num_packets + 1, seed=0
         ).run()
@@ -107,7 +108,7 @@ class TestConvergenceToUnbounded:
         assert bounded.extra["blocked_steps"] == 0
 
     def test_makespan_at_least_lower_bound(self):
-        problem = funnel_instance(5, 10, seed=5)
+        problem = build_problem(funnel_spec(5, 10, seed=5))
         for k in (1, 4):
             result = BoundedBufferScheduler(problem, buffer_size=k).run()
             assert result.makespan >= problem.lower_bound

@@ -9,7 +9,6 @@ router and check exactly that.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +75,7 @@ class SlotLedger:
 
 
 @st.composite
-def fuzz_instance(draw):
+def fuzz_problem(draw):
     depth = draw(st.integers(min_value=2, max_value=6))
     width = draw(st.integers(min_value=2, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -92,7 +91,7 @@ def fuzz_instance(draw):
     return select_paths_random(net, workload.endpoints, seed=seed + 2)
 
 
-@given(fuzz_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(fuzz_problem(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_engine_survives_chaos_router(problem, seed):
     engine = Engine(problem, ChaosRouter(seed), seed=seed + 1)
@@ -108,7 +107,7 @@ def test_engine_survives_chaos_router(problem, seed):
         assert packet.moves == end - packet.injected_at
 
 
-@given(fuzz_instance())
+@given(fuzz_problem())
 @settings(max_examples=15, deadline=None)
 def test_chaos_runs_are_deterministic(problem):
     def run():
@@ -121,7 +120,7 @@ def test_chaos_runs_are_deterministic(problem):
     assert run() == run()
 
 
-@given(fuzz_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(fuzz_problem(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_vectorized_kernel_matches_reference_under_fuzz(problem, seed):
     """The same adversarial instance pool also feeds the ref-vs-lockstep gate.
@@ -138,10 +137,7 @@ def test_vectorized_kernel_matches_reference_under_fuzz(problem, seed):
         run_frontier_trial,
         run_frontier_trials_lockstep,
     )
-    from repro.sim import numpy_available
 
-    if not numpy_available():
-        pytest.skip("lockstep kernel requires numpy")
     for width in (1, 3):
         seeds = [seed + k for k in range(width)]
         batch = run_frontier_trials_lockstep([problem] * width, seeds)

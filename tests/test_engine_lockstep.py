@@ -36,23 +36,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.batch as batch_mod
-import repro.sim.soa as soa_mod
 from repro.baselines import NaivePathRouter
 from repro.core import AlgorithmParams, FrontierFrameRouter, InvariantAuditor
 from repro.experiments import (
     baseline_budget,
-    butterfly_hotrow_instance,
     butterfly_hotrow_spec,
-    butterfly_random_instance,
     butterfly_random_spec,
     catalog_spec,
     deep_random_spec,
     mesh_corner_shift_spec,
+    mesh_monotone_spec,
     run_frontier_trial,
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
     run_router_trial,
-    small_audit_suite,
     sweep_specs,
 )
 from repro.experiments.batch import (
@@ -72,12 +69,7 @@ from repro.paths import (
 )
 from repro.rng import make_rng, stable_hash_seed
 from repro.scenarios import WORKLOADS, RunSpec, build_network, build_problem
-from repro.sim import (
-    Engine,
-    PacketStatus,
-    VectorBackendUnavailable,
-    numpy_available,
-)
+from repro.sim import Engine, PacketStatus
 from repro.sim.engine_lockstep import LockstepEngine
 from repro.sweeps import (
     SweepHeartbeat,
@@ -88,10 +80,6 @@ from repro.sweeps import (
 from repro.telemetry import TelemetrySession
 from repro.tuning import TuningCandidate
 from repro.workloads import random_many_to_one
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="lockstep backend requires numpy"
-)
 
 #: The widths the issue pins: singleton, pair, odd straggler-prone width,
 #: and the executor's full batch width.
@@ -128,8 +116,8 @@ def reference(run, telemetry):
 
 
 @st.composite
-def lockstep_instance(draw):
-    """Random leveled instance, mirroring test_engine_fuzz.fuzz_instance."""
+def lockstep_problem(draw):
+    """Random leveled instance, mirroring test_engine_fuzz.fuzz_problem."""
     depth = draw(st.integers(min_value=2, max_value=5))
     width = draw(st.integers(min_value=2, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -148,10 +136,9 @@ def lockstep_instance(draw):
 # ------------------------------------------------- fuzz: kernel byte-identity
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", WIDTHS)
 def test_frontier_lockstep_matches_serial_across_widths(width):
-    problem = butterfly_random_instance(4, seed=7)
+    problem = build_problem(butterfly_random_spec(4, seed=7))
     seeds = list(range(width))
     batch = run_frontier_trials_lockstep([problem] * len(seeds), seeds)
     assert [rec.seed for rec in batch] == seeds
@@ -160,10 +147,9 @@ def test_frontier_lockstep_matches_serial_across_widths(width):
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", WIDTHS)
 def test_naive_lockstep_matches_serial_across_widths(width):
-    problem = butterfly_random_instance(3, seed=5)
+    problem = build_problem(butterfly_random_spec(3, seed=5))
     budget = baseline_budget(problem)
     seeds = list(range(width))
     batch = run_naive_trials_lockstep([problem] * len(seeds), seeds, budget)
@@ -174,9 +160,8 @@ def test_naive_lockstep_matches_serial_across_widths(width):
         assert_results_identical(ref, result, f"(seed {seed})")
 
 
-@needs_numpy
 @given(
-    lockstep_instance(),
+    lockstep_problem(),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
@@ -199,9 +184,8 @@ def test_frontier_lockstep_fuzz(problem, width, seed0, fast_forward, telemetry):
         assert_results_identical(ref, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 @given(
-    lockstep_instance(),
+    lockstep_problem(),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
@@ -232,9 +216,8 @@ def test_frontier_lockstep_fuzz_under_tight_budget(
         assert_results_identical(ref, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 @given(
-    lockstep_instance(),
+    lockstep_problem(),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
@@ -255,9 +238,8 @@ def test_naive_lockstep_fuzz(problem, width, seed0, telemetry):
         assert_results_identical(ref, result, f"(seed {seed})")
 
 
-@needs_numpy
 def test_condition_sets_lockstep_identical():
-    problem = butterfly_random_instance(4, seed=99)
+    problem = build_problem(butterfly_random_spec(4, seed=99))
     seeds = [0, 5, 42]
     batch = run_frontier_trials_lockstep(
         [problem] * len(seeds), seeds, condition_sets=True
@@ -267,12 +249,11 @@ def test_condition_sets_lockstep_identical():
         assert_results_identical(ref.result, rec.result, f"(seed {seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_condition_sets_single_trial_identical(seed):
     """A one-trial batch with resampled condition sets, with and without
     fast-forward, against the reference engine."""
-    problem = butterfly_random_instance(4, seed=99)
+    problem = build_problem(butterfly_random_spec(4, seed=99))
     for fast_forward in (True, False):
         (rec,) = run_frontier_trials_lockstep(
             [problem], [seed], condition_sets=True, fast_forward=fast_forward
@@ -285,12 +266,11 @@ def test_condition_sets_single_trial_identical(seed):
         )
 
 
-@needs_numpy
 def test_naive_lockstep_under_deflection():
     """Hot-row contention forces the naive baseline to deflect, so the
     contended arbitration and deflection moves are checked against the
     reference engine, not only the conflict-free fast path."""
-    problem = butterfly_hotrow_instance(5, 24, seed=3)
+    problem = build_problem(butterfly_hotrow_spec(5, 24, seed=3))
     seeds = [9, 10, 11]
     batch = run_naive_trials_lockstep([problem] * len(seeds), seeds, 20000)
     for seed, result in zip(seeds, batch):
@@ -360,7 +340,6 @@ def _activate(ref, lock, trial, pid, node, detour=(), consumed=0):
     lock.num_active[trial] += 1
 
 
-@needs_numpy
 def test_contended_rare_branches_match_reference(monkeypatch):
     """The contended branches honest runs never reach, at width 8.
 
@@ -445,60 +424,60 @@ BENCH_CELLS = {
     "naive_hotrow": lambda: butterfly_hotrow_spec(5, 32, backend="naive"),
 }
 
+#: Instances and frame kwargs of the paper's experiments (benchmarks/),
+#: which run their seeds through the executor: each cell is a combination
+#: of frame parameters the benchmark cells above leave at their defaults.
+EXPERIMENT_CELLS = {
+    # T6: 60 pinned seeds per instance, m and w_factor set.
+    "t6_butterfly_random": lambda: butterfly_random_spec(
+        4, seed=51, m=8, w_factor=8.0
+    ),
+    # T1a: a per-set congestion target on a hot-row butterfly.
+    "t1_hotrow_set_target": lambda: butterfly_hotrow_spec(
+        5, 12, seed=11, m=8, w_factor=8.0, set_congestion_target=3.0
+    ),
+    # A1: a flooding excitation probability on random paths (A1 routes
+    # the same family at L=28, N=16).
+    "a1_excitation_flood": lambda: deep_random_spec(
+        12, 6, 12, seed=71, low_congestion=False, m=8, w_factor=8.0, q=0.9
+    ),
+    # A3: over-split frontier sets, audited.
+    "a3_oversplit_audited": lambda: butterfly_hotrow_spec(
+        5, 24, seed=91, m=8, w_factor=8.0, set_congestion_target=1.0,
+        oversplit=2.0, audit=True,
+    ),
+    # T3a: conditioned frontier sets under a congestion bound, audited.
+    "t3_condition_sets_audited": lambda: deep_random_spec(
+        20, 6, 12, seed=681516250, m=8, w_factor=8.0,
+        set_congestion_target=3.0, condition_sets=True, audit=True,
+        audit_congestion_bound=3.0,
+    ),
+}
 
-@needs_numpy
-@pytest.mark.parametrize("cell", sorted(BENCH_CELLS))
+
+@pytest.mark.parametrize("cell", sorted({**BENCH_CELLS, **EXPERIMENT_CELLS}))
 def test_benchmark_cells_width_64_identical(cell):
-    """64 seeds of each benchmark cell, one lockstep batch, against the
-    reference engine trial by trial; the hot-row cells arbitrate and
-    deflect on most steps."""
-    specs = sweep_specs(BENCH_CELLS[cell](), 64)
+    """64 seeds of each benchmark and experiment cell, one lockstep batch,
+    against the reference engine trial by trial (audit reports included);
+    the hot-row cells arbitrate and deflect on most steps."""
+    spec = {**BENCH_CELLS, **EXPERIMENT_CELLS}[cell]()
+    specs = sweep_specs(spec, 64)
     batch = TrialExecutor().run_chunk(specs)
     assert {r.executor for r in batch} == {"lockstep[w=64]"}
     refs = TrialExecutor(lockstep=False).run_chunk(specs)
     for ref, got in zip(refs, batch):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+        if spec.backend_params.get("audit"):
+            assert_audits_identical(ref.audit, got.audit, f"({got.spec.seed})")
     if cell.endswith("hotrow"):
         assert sum(sum(r.result.deflections_per_packet) for r in batch)
 
 
-def test_lockstep_unavailable_raises_actionable_error(monkeypatch):
-    """Without numpy the kernel refuses with an actionable message."""
-    monkeypatch.setattr(soa_mod, "NUMPY_AVAILABLE", False)
-    problem = butterfly_random_instance(3, seed=1)
-    params = AlgorithmParams.practical(
-        max(1, problem.congestion), problem.net.depth, problem.num_packets
-    )
-    with pytest.raises(VectorBackendUnavailable) as excinfo:
-        LockstepEngine.frontier(
-            [problem], [params], router_seeds=[1], engine_seeds=[2]
-        )
-    message = str(excinfo.value)
-    assert "requires numpy" in message
-    assert "lockstep=False" in message
-
-
-def test_executor_runs_per_trial_without_numpy(monkeypatch):
-    """Without numpy the executor runs would-be lockstep groups on the
-    reference engine instead of raising."""
-    monkeypatch.setattr(soa_mod, "NUMPY_AVAILABLE", False)
-    for backend in ("frontier", "naive"):
-        specs = sweep_specs(base_spec(backend=backend), LOCKSTEP_MIN_TRIALS)
-        records = TrialExecutor().run_chunk(specs)
-        assert [r.executor for r in records] == [""] * LOCKSTEP_MIN_TRIALS
-        refs = TrialExecutor(lockstep=False).run_chunk(specs)
-        for ref, got in zip(refs, records):
-            assert_results_identical(
-                ref.result, got.result, f"({backend}, {got.spec.seed})"
-            )
-
-
-@needs_numpy
 def test_straggler_trials_do_not_perturb_the_batch():
     """Hot-row contention makes finish times diverge across seeds, so
     trials quiesce and drop out of the stacked arrays mid-batch; every
     remaining trial must still replay its serial draws exactly."""
-    problem = butterfly_hotrow_instance(5, 24, seed=3)
+    problem = build_problem(butterfly_hotrow_spec(5, 24, seed=3))
     seeds = list(range(17))
     batch = run_frontier_trials_lockstep([problem] * len(seeds), seeds)
     makespans = {rec.result.makespan for rec in batch}
@@ -511,7 +490,6 @@ def test_straggler_trials_do_not_perturb_the_batch():
 def test_kernel_rejects_unequal_packet_counts_and_depths():
     """One batch stacks problems of one packet count over networks of one
     depth; anything else is refused before a step runs."""
-    pytest.importorskip("numpy")
     six, five = (
         dataclasses.replace(base_spec(), workload_params={"num_packets": n})
         for n in (6, 5)
@@ -534,15 +512,8 @@ def test_kernel_rejects_unequal_packet_counts_and_depths():
         LockstepEngine.naive(
             [problems[0], build_problem(mesh)], engine_seeds=[1, 2]
         )
-    with pytest.raises(ReproError, match="one network's tables"):
-        LockstepEngine.naive(
-            [problems[0], build_problem(base_spec(seed=12))],
-            engine_seeds=[1, 2],
-            geometry=net.geometry(),
-        )
 
 
-@needs_numpy
 @pytest.mark.parametrize("fast_forward", [True, False])
 def test_kernel_runs_a_different_schedule_per_trial(fast_forward):
     """One batch over one butterfly whose trials differ in problem and in
@@ -591,7 +562,6 @@ UNPINNED_CASES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("telemetry", [False, True])
 @pytest.mark.parametrize("case", sorted(UNPINNED_CASES))
 def test_unpinned_groups_match_reference_across_widths(
@@ -623,7 +593,6 @@ def test_unpinned_groups_match_reference_across_widths(
         assert not all(r.result.all_delivered for r in refs)
 
 
-@needs_numpy
 def test_executor_splits_groups_at_packet_count_changes(monkeypatch):
     """A registered workload whose packet count depends on its seed: the
     executor cuts the group into runs of equal counts, in spec order,
@@ -678,9 +647,8 @@ AUDIT_SCHEDULES = [
 ]
 
 
-@needs_numpy
 @given(
-    lockstep_instance(),
+    lockstep_problem(),
     st.integers(min_value=1, max_value=7),
     st.integers(min_value=0, max_value=2**31 - 1),
     st.booleans(),
@@ -708,11 +676,16 @@ def test_frontier_lockstep_audit_fuzz(
         assert_audits_identical(ref.audit, rec.audit, f"(seed {seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize("width", [1, 6, 64])
 def test_audit_matches_reference_on_small_audit_suite(width):
     """Experiment T3's audit battery, one lockstep batch per problem."""
-    for name, problem in small_audit_suite(seed=77):
+    for spec in (
+        butterfly_random_spec(4, seed=64198558),
+        butterfly_hotrow_spec(4, 8, seed=843888390),
+        deep_random_spec(20, 6, 12, seed=681516250),
+        mesh_monotone_spec(8, 16, seed=591816381),
+    ):
+        name, problem = spec.name, build_problem(spec)
         seeds = list(range(width))
         batch = run_frontier_trials_lockstep(
             [problem] * width, seeds, audit=True
@@ -724,7 +697,6 @@ def test_audit_matches_reference_on_small_audit_suite(width):
             assert rec.audit.ok
 
 
-@needs_numpy
 @pytest.mark.parametrize("bound", [0.0, -1.0])
 def test_audit_reports_impossible_congestion_bound(bound):
     """A bound no set can meet: I_e fires on every audited step (at -1
@@ -768,7 +740,6 @@ TUNE_AUDIT_FAILURES = [
 ]
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", range(len(TUNE_AUDIT_FAILURES)))
 def test_audit_batch_of_tuning_candidates_matches_reference(case):
     """The tuner's audit batch for one portfolio problem: every
@@ -799,7 +770,6 @@ def test_audit_batch_of_tuning_candidates_matches_reference(case):
     assert found == expected
 
 
-@needs_numpy
 def test_audit_flags_forced_unsafe_deflections_like_reference():
     """The forced fork state of the contended-branch test, on the
     frontier kernel with audits on: packets 0 and 1 start ACTIVE at ``s``
@@ -890,7 +860,6 @@ def reference_record(run, telemetry):
     return record
 
 
-@needs_numpy
 @given(
     union_batch(),
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -924,7 +893,6 @@ def test_frontier_union_fuzz(problems, seed0, telemetry, schedule, bound):
         assert_audits_identical(ref.audit, rec.audit, f"(seed {seed})")
 
 
-@needs_numpy
 @given(
     union_batch(),
     st.integers(min_value=0, max_value=2**31 - 1),
@@ -946,7 +914,6 @@ def test_naive_union_fuzz(problems, seed0, telemetry):
         assert asdict(result) == asdict(ref), f"(seed {seed})"
 
 
-@needs_numpy
 def test_union_audit_names_each_trials_own_ids():
     """The forced unsafe fork of the audit test, routed by trials 1 and 3
     of a batch whose other trials route two other networks of depth 2: the
@@ -1001,7 +968,6 @@ def test_union_audit_names_each_trials_own_ids():
         assert any("unsafely" in d for d in details)
 
 
-@needs_numpy
 def test_executor_mixes_shared_and_distinct_networks_in_one_sweep():
     """One audited sweep whose specs alternate between a pinned topology
     seed (one network, a new workload per trial) and unpinned ones (a
@@ -1024,7 +990,6 @@ def test_executor_mixes_shared_and_distinct_networks_in_one_sweep():
         assert_audits_identical(ref.audit, got.audit, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_union_batch_reruns_its_stragglers_per_trial():
     """32 unpinned trials of the benchmark's ``deep_random`` cell: the
     batch stops once its last ``32 // 16`` trials are the only ones
@@ -1049,7 +1014,6 @@ def test_union_batch_reruns_its_stragglers_per_trial():
 # ------------------------------------------------ executor: grouping/peel-off
 
 
-@needs_numpy
 def test_executor_groups_homogeneous_chunks():
     specs = sweep_specs(base_spec(), 10)
     lockstep = TrialExecutor()
@@ -1062,7 +1026,6 @@ def test_executor_groups_homogeneous_chunks():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_executor_caps_group_width():
     specs = sweep_specs(base_spec(), LOCKSTEP_MAX_TRIALS + LOCKSTEP_MIN_TRIALS)
     records = TrialExecutor().run_chunk(specs)
@@ -1073,7 +1036,6 @@ def test_executor_caps_group_width():
     }
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "width, tag",
     [
@@ -1093,7 +1055,6 @@ def test_executor_width_threshold(width, tag):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_executor_mixed_chunk_preserves_order_and_identity():
     """A naive spec interleaved with a frontier run splits the chunk: each
     frontier run locksteps and the naive spec falls through to the
@@ -1118,13 +1079,12 @@ def test_executor_mixed_chunk_preserves_order_and_identity():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "backend, params",
-    [("naive", {}), ("naive_vec", {}), ("naive", {"max_steps": 3})],
+    [("naive", {}), ("naive", {"max_steps": 3})],
 )
 def test_executor_locksteps_naive_family(backend, params):
-    """Pinned naive and naive_vec groups run the naive lockstep kernel under
+    """Pinned naive groups run the naive lockstep kernel under
     the spec's step budget: an explicit ``max_steps`` (tight enough here to
     leave packets undelivered), else ``baseline_budget``."""
     width = LOCKSTEP_MIN_TRIALS
@@ -1142,7 +1102,6 @@ def test_executor_locksteps_naive_family(backend, params):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_telemetry_groups_run_on_lockstep():
     """Telemetry no longer splits a group: the kernel computes each
     trial's counters, equal to the lockstep=False path's observer-built
@@ -1158,7 +1117,6 @@ def test_telemetry_groups_run_on_lockstep():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_counters_fold_deflections_in_reference_node_order():
     """A tick deflecting losers at several nodes folds their level changes
     node by node in order of first loser, as the reference emits them, not
@@ -1218,7 +1176,6 @@ COUNTER_CASES = {
 }
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(COUNTER_CASES))
 def test_counters_match_observer_across_widths(case, monkeypatch):
     """Lockstep counters at widths 1, 6 and 64 equal the per-trial
@@ -1241,7 +1198,6 @@ def test_counters_match_observer_across_widths(case, monkeypatch):
         assert sum(r.result.telemetry["deflections"]["safe"] for r in refs)
 
 
-@needs_numpy
 def test_ambient_session_peels_off_and_traces_identically():
     """An ambient telemetry/trace session disables lockstep grouping (the
     stacked kernel carries no observers); the session must end up with the
@@ -1260,7 +1216,6 @@ def test_ambient_session_peels_off_and_traces_identically():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_audit_specs_run_on_lockstep():
     """Audited specs lockstep like any other group, and each record
     carries the reference auditor's report, equal field for field."""
@@ -1278,7 +1233,6 @@ def test_audit_specs_run_on_lockstep():
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_cache_hits_peel_out_of_the_group(tmp_path):
     """Disk hits come back as cached records; only the misses lockstep,
     and the stored bytes match what the per-trial path would store."""
@@ -1300,7 +1254,6 @@ def test_cache_hits_peel_out_of_the_group(tmp_path):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_width_threshold_counts_cache_misses(tmp_path):
     """A wide group whose disk misses fall below LOCKSTEP_MIN_TRIALS (a
     resumed cached sweep) runs those misses per trial, not at a narrow
@@ -1320,7 +1273,6 @@ def test_width_threshold_counts_cache_misses(tmp_path):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
 
 
-@needs_numpy
 def test_run_spec_trials_batched_lockstep_toggle_identical():
     specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS + 1)
     fast = run_spec_trials(specs, workers=1)
@@ -1345,7 +1297,6 @@ def counting_heartbeat(sink=None):
     return SweepHeartbeat(sink, total=SWEEP_TRIALS, interval_sec=0.0)
 
 
-@needs_numpy
 class TestSweepShardIdentity:
     @pytest.fixture
     def manifest(self):
@@ -1482,7 +1433,6 @@ class TestSweepShardIdentity:
         assert store.shard_bytes(0) == serial.shard_bytes(0)
 
 
-@needs_numpy
 def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
     tmp_path, monkeypatch
 ):

@@ -15,11 +15,8 @@ import hashlib
 import pytest
 
 from repro.experiments import (
-    butterfly_hotrow_instance,
     butterfly_hotrow_spec,
-    butterfly_random_instance,
     butterfly_random_spec,
-    deep_random_instance,
     deep_random_spec,
     mesh_corner_shift_spec,
     run_frontier_trial,
@@ -29,25 +26,25 @@ from repro.scenarios import RunSpec, build_problem
 
 class TestGoldenInstances:
     def test_butterfly_random_instance_shape(self):
-        problem = butterfly_random_instance(4, seed=1234)
+        problem = build_problem(butterfly_random_spec(4, seed=1234))
         assert problem.num_packets == 16
         assert (problem.congestion, problem.dilation) == (3, 4)
 
     def test_hotrow_instance_shape(self):
-        problem = butterfly_hotrow_instance(5, 12, seed=1234)
+        problem = build_problem(butterfly_hotrow_spec(5, 12, seed=1234))
         assert problem.num_packets == 12
         assert problem.dilation == 5
         assert 6 <= problem.congestion <= 12
 
     def test_deep_instance_shape(self):
-        problem = deep_random_instance(20, 5, 10, seed=1234)
+        problem = build_problem(deep_random_spec(20, 5, 10, seed=1234))
         assert problem.net.depth == 20
         assert problem.num_packets == 10
 
 
 class TestGoldenRuns:
     def test_frontier_run_is_pinned(self):
-        problem = butterfly_random_instance(4, seed=1234)
+        problem = build_problem(butterfly_random_spec(4, seed=1234))
         record = run_frontier_trial(problem, seed=77, m=8, w_factor=8.0)
         result = record.result
         assert result.all_delivered
@@ -57,7 +54,7 @@ class TestGoldenRuns:
         assert result.steps_executed + result.steps_skipped == result.makespan
 
     def test_two_seeds_differ(self):
-        problem = butterfly_random_instance(4, seed=1234)
+        problem = build_problem(butterfly_random_spec(4, seed=1234))
         a = run_frontier_trial(problem, seed=77, m=8, w_factor=8.0).result
         b = run_frontier_trial(problem, seed=78, m=8, w_factor=8.0).result
         # Different coins, (almost surely) different micro-schedules.

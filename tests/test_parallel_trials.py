@@ -20,7 +20,7 @@ import pytest
 
 from repro.baselines import NaivePathRouter
 from repro.experiments import (
-    butterfly_hotrow_instance,
+    butterfly_hotrow_spec,
     butterfly_random_spec,
     deep_random_spec,
     default_chunksize,
@@ -32,6 +32,7 @@ from repro.experiments import (
     sweep_specs,
 )
 from repro.net import NetworkGeometry, butterfly, mesh, slot_direction, slot_edge, slot_id
+from repro.scenarios import build_problem
 from repro.sim import Engine, TraceRecorder
 from repro.types import Direction
 
@@ -230,7 +231,7 @@ def _trace_fingerprint(events):
 
 class TestEngineFastPathRegression:
     def test_trace_event_sequence_is_pinned(self):
-        problem = butterfly_hotrow_instance(3, 8, seed=5)
+        problem = build_problem(butterfly_hotrow_spec(3, 8, seed=5))
         trace = TraceRecorder()
         engine = Engine(
             problem, NaivePathRouter(), seed=42, observers=[trace.on_event]
@@ -244,7 +245,7 @@ class TestEngineFastPathRegression:
         assert _trace_fingerprint(trace.events) == _TRACE_SHA256
 
     def test_frontier_golden_run_is_pinned(self):
-        problem = butterfly_hotrow_instance(3, 8, seed=5)
+        problem = build_problem(butterfly_hotrow_spec(3, 8, seed=5))
         record = run_frontier_trial(problem, seed=9, m=8, w_factor=8.0)
         result = record.result
         assert result.all_delivered

@@ -184,9 +184,10 @@ class TestPresetEndToEnd:
     """The shipped presets against real instances (regression gates)."""
 
     def test_q_extremes_route_end_to_end(self):
-        from repro.experiments import butterfly_random_instance, run_frontier_trial
+        from repro.experiments import butterfly_random_spec, run_frontier_trial
+        from repro.scenarios import build_problem
 
-        problem = butterfly_random_instance(3, seed=5)
+        problem = build_problem(butterfly_random_spec(3, seed=5))
         for q in (0.0, 1.0):
             record = run_frontier_trial(problem, 0, audit=True, q=q)
             assert record.result.all_delivered, f"q={q} left packets"

@@ -85,7 +85,7 @@ def test_injection_phase_consistency(geometry, source_level):
 
 
 @st.composite
-def frontier_instance(draw):
+def frontier_problem(draw):
     depth = draw(st.integers(min_value=6, max_value=14))
     width = draw(st.integers(min_value=2, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -103,7 +103,7 @@ def frontier_instance(draw):
     return select_paths_random(net, workload.endpoints, seed=seed + 2)
 
 
-@given(frontier_instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(frontier_problem(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_frontier_router_delivers_and_keeps_invariants(problem, seed):
     """Conditioned runs deliver everything with a clean audit."""

@@ -7,9 +7,10 @@ to the active-id registry and the quiescence fast-forward.
 
 import time
 
-from repro.experiments import deep_random_instance, run_frontier_trial
+from repro.experiments import deep_random_spec, run_frontier_trial
 from repro.net import butterfly
 from repro.paths import select_paths_bit_fixing
+from repro.scenarios import build_problem
 from repro.workloads import butterfly_workloads
 
 
@@ -29,7 +30,7 @@ def test_butterfly7_full_permutation():
 
 
 def test_deep_wide_random_network():
-    problem = deep_random_instance(60, 12, 60, seed=3, low_congestion=False)
+    problem = build_problem(deep_random_spec(60, 12, 60, seed=3, low_congestion=False))
     assert problem.net.depth == 60
     start = time.perf_counter()
     record = run_frontier_trial(problem, seed=2, m=8, w_factor=8.0)

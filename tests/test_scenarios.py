@@ -93,6 +93,15 @@ class TestRegistries:
         assert "unknown topology 'buterfly'" in message
         assert "available:" in message
         assert "(did you mean 'butterfly'?)" in message
+        # Specs naming a retired backend alias fail the same way.
+        for retired, canonical in (
+            ("frontier_vec", "frontier"),
+            ("naive_vec", "naive"),
+        ):
+            with pytest.raises(UnknownNameError) as excinfo:
+                run(_spec(retired))
+            assert f"unknown backend {retired!r}" in str(excinfo.value)
+            assert f"(did you mean {canonical!r}?)" in str(excinfo.value)
 
     def test_unknown_name_without_close_match(self):
         with pytest.raises(UnknownNameError) as excinfo:

@@ -23,12 +23,12 @@ import pytest
 from repro.baselines import NaivePathRouter
 from repro.errors import ReproError
 from repro.experiments import (
-    butterfly_hotrow_instance,
+    butterfly_hotrow_spec,
     run_spec_trials,
     sweep_specs,
 )
 from repro.experiments.batch import LOCKSTEP_MIN_TRIALS, TrialExecutor
-from repro.scenarios import RunSpec, run_cached, run_trial, save_spec
+from repro.scenarios import RunSpec, build_problem, run_cached, run_trial, save_spec
 from repro.sim import Engine, EventKind, TraceEvent, TraceRecorder
 from repro.telemetry import (
     Counters,
@@ -49,7 +49,7 @@ from repro.telemetry.context import activate, deactivate
 from repro.types import Direction
 
 # Same pin as tests/test_parallel_trials.py: NaivePathRouter on
-# butterfly_hotrow_instance(3, 8, seed=5), Engine seed=42.
+# build_problem(butterfly_hotrow_spec(3, 8, seed=5)), Engine seed=42.
 _TRACE_SHA256 = "ae4a033f9757562e3e1a34a36f38c0b6bd101c5d66d0a97c2393ddb8826402c0"
 
 
@@ -92,7 +92,7 @@ class TestObserversDoNotPerturb:
         # The pinned fast-path regression run, now with the Counters
         # observer alongside the recorder: the event stream (and hence the
         # digest) must be bit-identical to the observer-free pin.
-        problem = butterfly_hotrow_instance(3, 8, seed=5)
+        problem = build_problem(butterfly_hotrow_spec(3, 8, seed=5))
         trace = TraceRecorder()
         counters = Counters()
         engine = Engine(
@@ -120,7 +120,7 @@ class TestObserversDoNotPerturb:
 
     def test_no_session_means_no_instrumentation(self):
         assert current_session() is None
-        problem = butterfly_hotrow_instance(3, 8, seed=5)
+        problem = build_problem(butterfly_hotrow_spec(3, 8, seed=5))
         engine = Engine(problem, NaivePathRouter(), seed=42)
         assert engine._step_timer is None
         assert not engine.tracing
@@ -210,7 +210,7 @@ class TestCounters:
 class TestTrace:
     @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
     def test_round_trips_event_for_event(self, tmp_path, suffix):
-        problem = butterfly_hotrow_instance(3, 8, seed=5)
+        problem = build_problem(butterfly_hotrow_spec(3, 8, seed=5))
         recorder = TraceRecorder()
         path = tmp_path / f"trace{suffix}"
         with JsonlTraceSink(path) as sink:

@@ -571,7 +571,8 @@ class TestWindowedMetrics:
             assert sys.getsizeof(w) < sys.getsizeof(dict(w)) * 0.6
 
     def test_quantile_matches_numpy(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         data = sorted([0.0, 1.0, 1.0, 4.0, 10.0, 2.5])
         for q in (0.0, 0.25, 0.5, 0.95, 1.0):
             assert _quantile(data, q) == pytest.approx(

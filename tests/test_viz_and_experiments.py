@@ -5,15 +5,15 @@ import pytest
 from repro.core import AlgorithmParams, FrameGeometry
 from repro.experiments import (
     baseline_budget,
-    butterfly_hotrow_instance,
-    butterfly_random_instance,
-    deep_random_instance,
-    mesh_corner_shift_instance,
-    mesh_monotone_instance,
+    butterfly_hotrow_spec,
+    butterfly_random_spec,
+    deep_random_spec,
+    mesh_corner_shift_spec,
+    mesh_monotone_spec,
     run_frontier_trial,
     run_router_trial,
-    small_audit_suite,
 )
+from repro.scenarios import build_problem
 from repro.sim import Engine
 from repro.viz import (
     OccupancySampler,
@@ -77,14 +77,14 @@ class TestViz:
 
 class TestRunner:
     def test_run_frontier_trial_defaults(self):
-        problem = butterfly_random_instance(3, seed=1)
+        problem = build_problem(butterfly_random_spec(3, seed=1))
         record = run_frontier_trial(problem, seed=2)
         assert record.result.all_delivered
         assert record.ok
         assert record.audit is None
 
     def test_run_frontier_trial_audited(self):
-        problem = butterfly_random_instance(3, seed=1)
+        problem = build_problem(butterfly_random_spec(3, seed=1))
         record = run_frontier_trial(
             problem, seed=2, audit=True, condition_sets=True
         )
@@ -92,7 +92,7 @@ class TestRunner:
         assert record.audit is not None and record.audit.ok
 
     def test_trials_reproducible(self):
-        problem = butterfly_random_instance(3, seed=1)
+        problem = build_problem(butterfly_random_spec(3, seed=1))
         a = run_frontier_trial(problem, seed=7).result
         b = run_frontier_trial(problem, seed=7).result
         assert a.delivery_times == b.delivery_times
@@ -100,7 +100,7 @@ class TestRunner:
     def test_run_router_trial(self):
         from repro.baselines import GreedyHotPotatoRouter
 
-        problem = butterfly_random_instance(3, seed=1)
+        problem = build_problem(butterfly_random_spec(3, seed=1))
         result = run_router_trial(
             problem,
             lambda seed: GreedyHotPotatoRouter(seed=seed),
@@ -112,29 +112,22 @@ class TestRunner:
 
 class TestConfigs:
     def test_hotrow_instance_congestion_scales(self):
-        small = butterfly_hotrow_instance(5, 4, seed=1)
-        big = butterfly_hotrow_instance(5, 24, seed=1)
+        small = build_problem(butterfly_hotrow_spec(5, 4, seed=1))
+        big = build_problem(butterfly_hotrow_spec(5, 24, seed=1))
         assert big.congestion > small.congestion
 
     def test_deep_instance_depth(self):
-        prob = deep_random_instance(18, 5, 8, seed=0)
+        prob = build_problem(deep_random_spec(18, 5, 8, seed=0))
         assert prob.net.depth == 18
         assert prob.num_packets == 8
 
     def test_mesh_instances(self):
-        prob = mesh_monotone_instance(6, 10, seed=0)
+        prob = build_problem(mesh_monotone_spec(6, 10, seed=0))
         assert prob.num_packets == 10
-        shift = mesh_corner_shift_instance(6)
+        shift = build_problem(mesh_corner_shift_spec(6))
         assert shift.num_packets == 9
 
-    def test_small_audit_suite_shape(self):
-        suite = small_audit_suite(seed=0)
-        assert len(suite) == 4
-        names = [name for name, _ in suite]
-        assert any("butterfly" in n for n in names)
-        assert any("mesh" in n for n in names)
-
     def test_baseline_budget_scales(self):
-        small = butterfly_hotrow_instance(4, 4, seed=1)
-        big = butterfly_hotrow_instance(4, 16, seed=1)
+        small = build_problem(butterfly_hotrow_spec(4, 4, seed=1))
+        big = build_problem(butterfly_hotrow_spec(4, 16, seed=1))
         assert baseline_budget(big) > baseline_budget(small)

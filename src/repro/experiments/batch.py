@@ -46,9 +46,8 @@ import json
 import math
 import os
 import pathlib
-from itertools import groupby
 from time import perf_counter
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..scenarios import ScenarioCache
 from ..scenarios.cache import DEFAULT_SCENARIO_CAPACITY
@@ -62,11 +61,17 @@ POOL_SPINUP_SEC = 0.35
 #: dispatcher commits to forking (guards against estimate noise).
 POOL_ADVANTAGE_MARGIN = 1.25
 
-#: Widest batch one lockstep kernel instance advances at once.  Wider
-#: batches amortize dispatch better but pay more memory and more masked
-#: work per straggler trial; 64 matches the fixed-problem bench and keeps
-#: the stacked arrays comfortably in cache for typical problem sizes.
-LOCKSTEP_MAX_TRIALS = 64
+#: Most consecutive specs :meth:`TrialExecutor.groups` puts in one group.
+#: A lockstep tick costs about the same at width 64 as at width 256, so a
+#: wide group pays fewer ticks per trial; how many trials one kernel batch
+#: advances at once is bounded by :data:`LOCKSTEP_MAX_SLOTS` instead.
+LOCKSTEP_MAX_TRIALS = 256
+
+#: Most ``(trial, packet)`` slots one lockstep kernel batch holds: a
+#: batch's arrays, and its records, scale with trials times packets.
+#: 4,096 is 64 trials of 64 packets.  A batch still takes at least
+#: :data:`LOCKSTEP_MIN_TRIALS` trials, however many packets they route.
+LOCKSTEP_MAX_SLOTS = 4096
 
 #: Fewest trials (disk-cache misses) of a group the executor sends to the
 #: lockstep kernel; fewer run trial by trial on the reference engine.  This
@@ -288,7 +293,9 @@ class TrialExecutor:
             ),
         )
 
-    def run_chunk(self, specs: Sequence) -> List:
+    def run_chunk(
+        self, specs: Sequence, emit: Optional[Callable] = None
+    ) -> List:
         """Execute a chunk of specs in order, lockstepping where possible.
 
         Consecutive specs sharing a :meth:`_group_key` (a Monte Carlo run
@@ -298,14 +305,24 @@ class TrialExecutor:
         ordinary per-trial :meth:`run`.  Records come back in spec order
         and are byte-identical to a per-trial loop — the kernel's per-trial
         RNG streams replay the serial draws exactly (pinned by
-        ``tests/test_engine_lockstep.py``).
+        ``tests/test_engine_lockstep.py``).  With ``emit``, each record is
+        passed to ``emit`` as soon as its kernel batch ends and none is
+        kept: the returned list is empty.
         """
+        return self.run_groups(self.groups(specs), emit)
+
+    def run_groups(
+        self, groups: Sequence, emit: Optional[Callable] = None
+    ) -> List:
+        """:meth:`run_chunk` over groups that :meth:`groups` already cut."""
         records: List = []
-        for key, group in self.groups(specs):
+        if emit is None:
+            emit = records.append
+        for key, group in groups:
             if key is not None:
-                records.extend(self._run_lockstep(group))
+                self._run_lockstep(group, emit)
             else:
-                records.append(self.run(group[0]))
+                emit(self.run(group[0]))
         return records
 
     def groups(self, specs: Sequence) -> List:
@@ -316,41 +333,45 @@ class TrialExecutor:
         ``(None, [spec])`` for a spec that cannot lockstep.
         """
         specs = list(specs)
+        keys = [self._group_key(spec) for spec in specs]
         out: List = []
         i, n = 0, len(specs)
         while i < n:
-            key = self._group_key(specs[i])
+            key = keys[i]
             j = i + 1
             while (
                 key is not None
                 and j < n
                 and j - i < LOCKSTEP_MAX_TRIALS
-                and self._group_key(specs[j]) == key
+                and keys[j] == key
             ):
                 j += 1
             out.append((key, specs[i:j]))
             i = j
         return out
 
-    def _run_lockstep(self, group: Sequence) -> List:
-        """Run one group, in spec order, choosing the kernel.
+    def _run_lockstep(self, group: Sequence, emit: Callable) -> None:
+        """Run one group, passing its records to ``emit`` in spec order.
 
         Disk-cache hits peel out first (returned exactly as :func:`~repro.
         scenarios.run_cached` would return them).  Fewer than
         :data:`LOCKSTEP_MIN_TRIALS` misses run through the per-trial
         :meth:`run`, where the reference engine is the faster kernel, and
-        nothing is built for them here.  Otherwise each miss's problem is
-        built (once per distinct scenario) and the misses split into runs
-        of consecutive trials with equal packet counts and network depths:
-        a run of at least :data:`LOCKSTEP_MIN_TRIALS` is one lockstep
-        batch, stored back so
-        cached results match the per-trial path byte for byte; a shorter
-        run goes per trial.  With telemetry on, a batch attaches each
-        trial's counters to its result; it has no per-trial wall-clock
-        spans, so its records (and cache entries) carry no ``timings``.
-        Audited specs get each trial's invariant report on ``audit``,
-        as the per-trial path gives them; both paths store it with the
-        cached result and restore it on a hit.
+        nothing is built for them here.  Otherwise the misses' problems
+        are built in order and the misses cut into kernel batches:
+        consecutive trials with equal packet counts and network depths, at
+        most :data:`LOCKSTEP_MAX_SLOTS` slots (trials times packets) and at
+        least :data:`LOCKSTEP_MIN_TRIALS` trials each.  A full batch is
+        one lockstep run, stored back so cached results match the
+        per-trial path byte for byte; a shorter piece goes per trial.
+        Each batch's records reach ``emit`` (after the hits before them)
+        before the next batch's problems are built, so a group holds one
+        batch of results at a time.  With telemetry on, a batch attaches
+        each trial's counters to its result; it has no per-trial
+        wall-clock spans, so its records (and cache entries) carry no
+        ``timings``.  Audited specs get each trial's invariant report on
+        ``audit``, as the per-trial path gives them; both paths store it
+        with the cached result and restore it on a hit.
         """
         from ..scenarios.dispatch import ScenarioRun
 
@@ -377,57 +398,87 @@ class TrialExecutor:
             else:
                 slots.append(None)
                 misses.append(len(slots) - 1)
+        emitted = 0
+
+        def fill(ks, records) -> None:
+            # Emit every slot up to the first one still running; an emitted
+            # slot is dropped so the group keeps no finished record.
+            nonlocal emitted
+            for k, record in zip(ks, records):
+                slots[k] = record
+            while emitted < len(slots) and slots[emitted] is not None:
+                record, slots[emitted] = slots[emitted], None
+                emitted += 1
+                emit(record)
+
+        fill((), ())
         if len(misses) < LOCKSTEP_MIN_TRIALS:
             for k in misses:
-                slots[k] = self.run(group[k])
-            return slots
-        problems = self._problems([group[k] for k in misses])
-        for _, run in groupby(
-            zip(misses, problems),
-            key=lambda kp: (kp[1].num_packets, kp[1].net.depth),
-        ):
-            ks, run_problems = zip(*run)
+                fill((k,), (self.run(group[k]),))
+            return
+
+        def flush(ks, problems) -> None:
             if len(ks) < LOCKSTEP_MIN_TRIALS:
                 for k in ks:
-                    slots[k] = self.run(group[k])
-                continue
-            batch = self._run_batch([group[k] for k in ks], run_problems)
-            for k, record in zip(ks, batch):
-                if cache is not None:
+                    fill((k,), (self.run(group[k]),))
+                return
+            batch = self._run_batch([group[k] for k in ks], problems)
+            if cache is not None:
+                for record in batch:
                     cache.store(record.spec, record.result, audit=record.audit)
-                slots[k] = record
-        return slots
+            fill(ks, batch)
 
-    def _problems(self, specs: Sequence) -> List:
-        """Each spec's routing problem, built once per distinct scenario
-        (and, without the warm cache, each network once per distinct
-        :func:`~repro.scenarios.cache._network_key`: one for a topology
-        that ignores its seed, one per topology seed otherwise)."""
+        built = self._problems(group[k] for k in misses)
+        ks: List[int] = []
+        problems: List = []
+        shape, cap = None, 0
+        for k in misses:
+            if ks and len(ks) == cap:
+                # A full batch runs before the next problem is built.
+                flush(ks, problems)
+                ks, problems = [], []
+            problem = next(built)
+            if ks and (problem.num_packets, problem.net.depth) != shape:
+                flush(ks, problems)
+                ks, problems = [], []
+            if not ks:
+                shape = (problem.num_packets, problem.net.depth)
+                cap = max(
+                    LOCKSTEP_MIN_TRIALS,
+                    LOCKSTEP_MAX_SLOTS // max(1, problem.num_packets),
+                )
+            ks.append(k)
+            problems.append(problem)
+        flush(ks, problems)
+
+    def _problems(self, specs: Iterable) -> Iterator:
+        """Each spec's routing problem, in order, built as it is drawn:
+        once per run of consecutive specs of one scenario (and, without
+        the warm cache, each network once per run of consecutive specs of
+        one :func:`~repro.scenarios.cache._network_key`: one for a
+        topology that ignores its seed, one per topology seed otherwise).
+        Only the last build is held, so a group of instances never holds
+        more problems than the batch being built."""
         from ..scenarios.cache import _network_key
         from ..scenarios.dispatch import build_network, build_problem
 
-        built: dict = {}
-        nets: dict = {}
-        out = []
+        key = problem = net_key = net = None
         for spec in specs:
             # The group key fixes every other scenario field, so the
             # component seeds name the scenario within the group.
-            key = (
+            seeds = (
                 spec.topology_seed(), spec.workload_seed(), spec.selector_seed()
             )
-            problem = built.get(key)
-            if problem is None:
+            if seeds != key:
                 if self.scenarios is not None:
                     problem = self.scenarios.problem_for(spec)
                 else:
-                    net_key = _network_key(spec)
-                    net = nets.get(net_key)
-                    if net is None:
-                        net = nets[net_key] = build_network(spec)
+                    if _network_key(spec) != net_key:
+                        net_key = _network_key(spec)
+                        net = build_network(spec)
                     problem = build_problem(spec, net=net)
-                built[key] = problem
-            out.append(problem)
-        return out
+                key = seeds
+            yield problem
 
     def _run_batch(self, specs, problems) -> List:
         """One lockstep batch, spec ``i`` routing ``problems[i]``.
@@ -507,24 +558,28 @@ def _trial_params(specs, problems) -> List:
 def _chunk_groups(groups: Sequence, size: int) -> List[List]:
     """Pool chunks of about ``size`` specs that keep lockstep batches whole.
 
-    A group of at least :data:`LOCKSTEP_MIN_TRIALS` specs that can
-    lockstep is its own chunk, or is split into near-equal chunks of at
-    least that many specs when it is larger than ``size``; the other
-    groups (single specs and narrower groups, which run per trial either
-    way) are packed together up to ``size``.
+    Each chunk is a list of ``(key, specs)`` groups, cut once here and run
+    as they are by :meth:`TrialExecutor.run_groups`.  A group of at least
+    :data:`LOCKSTEP_MIN_TRIALS` specs that can lockstep is its own chunk,
+    or is split into near-equal chunks of at least that many specs when it
+    is larger than ``size``; the other groups (single specs and narrower
+    groups, which run per trial either way) are packed together up to
+    ``size`` specs.
     """
     chunks: List[List] = []
     packed: List = []
+    packed_specs = 0
     for key, group in groups:
         if key is None or len(group) < LOCKSTEP_MIN_TRIALS:
-            packed.extend(group)
-            if len(packed) >= size:
+            packed.append((key, group))
+            packed_specs += len(group)
+            if packed_specs >= size:
                 chunks.append(packed)
-                packed = []
+                packed, packed_specs = [], 0
             continue
         if packed:
             chunks.append(packed)
-            packed = []
+            packed, packed_specs = [], 0
         parts = max(
             1,
             min(
@@ -533,7 +588,7 @@ def _chunk_groups(groups: Sequence, size: int) -> List[List]:
             ),
         )
         chunks.extend(
-            group[k * len(group) // parts:(k + 1) * len(group) // parts]
+            [(key, group[k * len(group) // parts:(k + 1) * len(group) // parts])]
             for k in range(parts)
         )
     if packed:
@@ -582,11 +637,11 @@ def _init_worker(
 
 
 def _run_chunk(chunk: Sequence) -> List:
-    """Execute one chunk of specs in a pool worker, in order."""
+    """Execute one chunk of ``(key, specs)`` groups in a pool worker."""
     executor = _WORKER
     if executor is None:  # pool built without the initializer; be safe
         executor = TrialExecutor(warm=False)
-    return executor.run_chunk(chunk)
+    return executor.run_groups(chunk)
 
 
 # ------------------------------------------------------------ sweep dispatch
@@ -651,17 +706,19 @@ def run_spec_trials(
     ``collect=False`` switches to streaming mode for very large batches:
     each record is handed to ``progress`` exactly as usual but *not*
     retained, and the return value is an empty list — so peak memory is
-    one chunk of records, independent of ``len(specs)``.  The sweep store
-    (:mod:`repro.sweeps`) runs every shard this way.
+    one kernel batch of records in the parent (one chunk under the pool),
+    independent of ``len(specs)``.  The sweep store (:mod:`repro.sweeps`)
+    runs every shard this way.
 
     Within every strategy, consecutive specs that differ only in seeds —
     fixed-problem Monte Carlo batches and unpinned (instance) sweeps,
     including those over ``random_leveled``, whose batch routes over the
     disjoint union of one network per seed — execute on the lockstep
-    stacked kernel in groups of :data:`LOCKSTEP_MIN_TRIALS` to
-    :data:`LOCKSTEP_MAX_TRIALS` disk-cache misses with equal packet counts
-    and network depths, telemetry or not — process-level parallelism
-    multiplies lockstep width instead of replacing it.  Narrower groups
+    stacked kernel, in batches of at least :data:`LOCKSTEP_MIN_TRIALS`
+    disk-cache misses with equal packet counts and network depths and at
+    most :data:`LOCKSTEP_MAX_SLOTS` trial-packet slots (groups of up to
+    :data:`LOCKSTEP_MAX_TRIALS` specs), telemetry or not — process-level
+    parallelism multiplies lockstep width instead of replacing it.  Narrower groups
     run per trial on the reference engine.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks use
     it to measure the kernel's speedup; results are byte-identical either
@@ -692,12 +749,8 @@ def run_spec_trials(
         if progress is not None:
             progress(done, total, record)
 
-    def _serial(batch) -> None:
-        for record in executor.run_chunk(batch):
-            _emit(record)
-
     if dispatch == "serial" or (dispatch == "auto" and (workers <= 1 or total <= 1)):
-        _serial(specs)
+        executor.run_chunk(specs, _emit)
         return records
 
     groups = executor.groups(specs)
@@ -710,17 +763,16 @@ def run_spec_trials(
         ran = taken = 0
         start = perf_counter()
         while taken < len(groups) and ran < LOCKSTEP_MIN_TRIALS:
-            _serial(groups[taken][1])
             ran += len(groups[taken][1])
             taken += 1
+        executor.run_groups(groups[:taken], _emit)
         per_trial = (perf_counter() - start) / ran
         groups = groups[taken:]
     remaining = sum(len(group) for _, group in groups)
     if dispatch == "auto" and (
         not remaining or not should_use_pool(remaining, per_trial, workers)
     ):
-        for _, group in groups:
-            _serial(group)
+        executor.run_groups(groups, _emit)
         return records
 
     from concurrent.futures import ProcessPoolExecutor
@@ -739,10 +791,13 @@ def run_spec_trials(
         max_workers=min(workers, len(chunks)),
         initializer=_init_worker,
         # A ScenarioCache instance cannot cross the process boundary;
-        # workers get a fresh warm cache of the same capacity instead.
-        initargs=(root, telemetry, bool(warm), capacity, lockstep),
+        # workers get a fresh warm cache of the same capacity instead.  An
+        # empty ScenarioCache is falsy, so the flag reads the executor's.
+        initargs=(
+            root, telemetry, executor.scenarios is not None, capacity, lockstep
+        ),
     ) as pool:
-        # chunksize=1: each mapped item is already a chunk of specs.
+        # chunksize=1: each mapped item is already a chunk of groups.
         for chunk_records in pool.map(_run_chunk, chunks):
             for record in chunk_records:
                 _emit(record)

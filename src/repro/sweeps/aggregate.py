@@ -25,12 +25,15 @@ fixed-size state:
   only when records carry an ``audit``.
 
 ``to_dict`` emits a JSON-stable summary; ``aggregate_store`` streams a
-finished (or compacted) store through one pass.
+finished (or compacted) store through one pass, or completes an aggregate
+:func:`~repro.sweeps.run_sweep` folded as it wrote with the records it did not write.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from collections import Counter
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence
 
 #: Maximum distinct histogram buckets before an IntSketch coarsens.
 SKETCH_MAX_BUCKETS = 4096
@@ -66,6 +69,36 @@ class IntSketch:
         self._buckets[bucket] = self._buckets.get(bucket, 0) + weight
         if len(self._buckets) > self.max_buckets:
             self._coarsen()
+
+    def add_many(self, values: Sequence[int]) -> None:
+        """Fold every value of ``values`` (ints), in order.
+
+        The state equals that of calling :meth:`add` on each value in
+        turn.  When the values' buckets fit under the bound (the usual
+        case: one record's per-packet delivery times or deflections) they
+        are counted in one pass; a list that would make the sketch coarsen
+        falls back to :meth:`add`, value by value, since where each
+        coarsening lands depends on the order of the values.
+        """
+        if not values:
+            return
+        width = self.width
+        counts = Counter(values if width == 1 else [v // width for v in values])
+        buckets = self._buckets
+        fresh = sum(1 for bucket in counts if bucket not in buckets)
+        if len(buckets) + fresh > self.max_buckets:
+            for value in values:
+                self.add(value)
+            return
+        for bucket, count in counts.items():
+            buckets[bucket] = buckets.get(bucket, 0) + count
+        self.count += len(values)
+        self.total += sum(values)
+        low, high = min(values), max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
 
     def _coarsen(self) -> None:
         self.width *= 2
@@ -142,14 +175,19 @@ class StreamingAggregate:
         self.makespan.add(result.makespan)
         lower = max(1, max(result.congestion, result.dilation))
         self.slowdown_milli.add(round(result.makespan * 1000 / lower))
-        for time in result.delivery_times:
-            if time is not None:
-                self.delivery_time.add(time)
-        for count in result.deflections_per_packet:
-            self.deflections.add(count)
+        self.delivery_time.add_many(
+            [time for time in result.delivery_times if time is not None]
+        )
+        self.deflections.add_many(result.deflections_per_packet)
         telemetry = result.telemetry
         if telemetry:
             self._fold_telemetry(telemetry)
+
+    def add_audit(self, ok: bool) -> None:
+        """Tally one trial's invariant-audit verdict."""
+        self.audited += 1
+        if not ok:
+            self.audit_violations += 1
 
     def add_record(self, record: dict) -> None:
         """Fold one decoded store record (segment replay path)."""
@@ -158,9 +196,20 @@ class StreamingAggregate:
         self.add_result(result_from_dict(record["result"]))
         audit = record.get("audit")
         if audit is not None:
-            self.audited += 1
-            if not audit["ok"]:
-                self.audit_violations += 1
+            self.add_audit(audit["ok"])
+
+    def coarsened(self) -> bool:
+        """Whether any sketch has coarsened, the one case in which the
+        state depends on the order the records were folded in."""
+        return any(
+            sketch.width > 1
+            for sketch in (
+                self.makespan,
+                self.delivery_time,
+                self.deflections,
+                self.slowdown_milli,
+            )
+        )
 
     def _fold_telemetry(self, snapshot: dict) -> None:
         from ..telemetry import aggregate_counters
@@ -299,6 +348,39 @@ def aggregate_records(records: Iterable[dict]) -> StreamingAggregate:
     return aggregate
 
 
-def aggregate_store(store) -> StreamingAggregate:
-    """One streaming pass over a finished (or compacted) store."""
-    return aggregate_records(store.iter_records())
+def aggregate_store(
+    store,
+    live: Optional[StreamingAggregate] = None,
+    folded: Optional[Dict[int, int]] = None,
+) -> StreamingAggregate:
+    """One streaming pass over a finished (or compacted) store.
+
+    ``live`` is an aggregate that already folded some records as they
+    were written; ``folded`` maps each shard it covers to the number of
+    leading records it does not hold (a resumed prefix), in the order the
+    shards were folded.  Only the records ``live`` lacks are read back and
+    folded into it.  Every fold commutes except a sketch's coarsening, so
+    when records were folded out of manifest order (a resumed prefix or a
+    shard before the last one folded live is read back, or the shards
+    were walked out of order) and a sketch coarsened, the whole store is
+    read again in order instead: the result always equals the plain
+    one-pass fold.
+    """
+    if live is None or not folded or store.is_compacted():
+        return aggregate_records(store.iter_records())
+    in_order = list(folded) == sorted(folded)
+    last = max(folded)
+    for shard in store.manifest.shard_ids():
+        lacking = folded.get(shard)
+        if lacking == 0:
+            continue
+        if lacking is not None or shard < last:
+            in_order = False
+        records = store.iter_shard_records(shard)
+        if lacking is not None:
+            records = islice(records, lacking)
+        for record in records:
+            live.add_record(record)
+    if not in_order and live.coarsened():
+        return aggregate_records(store.iter_records())
+    return live

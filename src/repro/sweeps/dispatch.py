@@ -8,20 +8,28 @@
    worker owns it: move on, that is the work-stealing schedule);
 3. **resumes** its in-progress part file from the last valid record, so a
    killed sweep re-runs only the missing suffix;
-4. **executes** the remaining trials through the warm-pool batched layer
+4. **gathers** it with the next pending shards until their remaining
+   trials fill one executor group (:data:`~repro.experiments.batch.
+   LOCKSTEP_MAX_TRIALS`), so small shards still run as wide lockstep
+   batches;
+5. **executes** the gathered trials through the warm-pool batched layer
    (:func:`~repro.experiments.run_spec_trials`) in streaming mode
-   — each record is appended to the shard segment the moment it arrives,
-   never accumulated;
-5. **finalizes** the segment atomically and releases the lease.
+   — each record is appended to its own shard's segment the moment it
+   arrives, never accumulated, and folded into the live aggregate;
+6. **finalizes** each shard atomically as soon as its last record is
+   appended (from the writer's own count and bytes), and releases its
+   lease.
 
-When the walk ends with every shard finalized, the driver builds the
-aggregate in one streaming pass that re-reads and decodes every finalized
-segment (:func:`~repro.sweeps.aggregate.aggregate_store`), writes it, and
-compacts the segments; otherwise it reports what remains (another
-invocation will finish, aggregate and compact).
+When the walk ends with every shard finalized, :func:`run_sweep`
+completes the live aggregate by reading back only the records this
+invocation did not write (shards already complete, resumed prefixes,
+other workers' shards; :func:`~repro.sweeps.aggregate.aggregate_store`),
+writes it, and compacts the segments; otherwise it reports what remains (another invocation will
+finish, aggregate and compact).
 
-Memory is bounded by ``shard_size`` (the spec list of the active shard)
-plus the fixed-size aggregate sketches — independent of the manifest's
+Memory is bounded by the spec lists of the gathered shards (one shard,
+or about one executor group of small ones), one kernel batch of records,
+and the fixed-size aggregate sketches — independent of the manifest's
 trial count.  Determinism: every record is a pure function of its spec,
 so worker count, shard claim order, resume points, and host all cancel
 out of the stored bytes (the per-shard byte-identity guarantee).
@@ -34,13 +42,13 @@ import pathlib
 import sys
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..telemetry.timing import TimingSpans
-from .aggregate import aggregate_store, render_aggregate
-from .lease import DEFAULT_STALE_AFTER_SEC, LeaseManager
+from .aggregate import StreamingAggregate, aggregate_store, render_aggregate
+from .lease import DEFAULT_STALE_AFTER_SEC, LeaseManager, ShardLease
 from .manifest import SweepManifest
-from .store import SweepStore
+from .store import ShardWriter, SweepStore
 
 PathLike = Union[str, pathlib.Path]
 
@@ -195,6 +203,19 @@ class SweepOutcome:
         return f"sweep {state}: " + ", ".join(parts)
 
 
+@dataclass
+class _Claim:
+    """A pending shard claimed for the next gathered run."""
+
+    lease: ShardLease
+    specs: list
+    outcome: ShardOutcome
+
+    @property
+    def remaining(self) -> int:
+        return len(self.specs) - self.outcome.resumed
+
+
 def run_sweep(
     manifest: SweepManifest,
     store: SweepStore,
@@ -220,11 +241,17 @@ def run_sweep(
     trial executor, so re-running a manifest whose results are cached
     re-emits records from disk hits instead of re-routing.
 
+    Consecutive pending shards are claimed (and resumed) until their
+    remaining trials reach :data:`~repro.experiments.batch.
+    LOCKSTEP_MAX_TRIALS`, then run as one batch, so small shards still
+    fill a wide lockstep kernel; each shard's lease is held until that
+    shard is finalized.
+
     Returns a :class:`SweepOutcome`; when the walk ends with every shard
     finalized, the store is compacted (unless ``compact=False``) and the
     streaming aggregate is computed and persisted to ``aggregate.json``.
     """
-    from ..experiments.batch import run_spec_trials
+    from ..experiments.batch import LOCKSTEP_MAX_TRIALS, run_spec_trials
     from ..scenarios import ScenarioCache
 
     # One warm scenario cache for the whole walk: fixed-problem manifests
@@ -235,6 +262,10 @@ def run_sweep(
     outcome = SweepOutcome(manifest_hash=manifest.manifest_hash())
     started = perf_counter()
     shard_ids = list(manifest.shard_ids()) if shards is None else list(shards)
+    # Every record this invocation writes is folded here as it is
+    # appended; ``folded`` maps each such shard to its resumed prefix.
+    live = StreamingAggregate()
+    folded: Dict[int, int] = {}
 
     if heartbeat is not None:
         for shard in manifest.shard_ids():
@@ -242,79 +273,129 @@ def run_sweep(
                 start, stop = manifest.shard_range(shard)
                 heartbeat.note_prior_trials(stop - start)
 
-    for shard in shard_ids:
-        if store.shard_complete(shard):
-            outcome.shards.append(
-                ShardOutcome(shard=shard, status="already-complete")
+    def run_gathered(claims: List[_Claim]) -> None:
+        """Run the claimed shards' remaining trials as one batch.
+
+        Records arrive in spec order; each goes to its own shard's writer
+        (one open at a time), and a shard is finalized, and its lease
+        released, as soon as its last record is appended.
+        """
+        at = 0
+        writer: Optional[ShardWriter] = None
+        last_mark = perf_counter()
+
+        def settle() -> None:
+            # Finalize every leading claim with all its records written,
+            # and open the next claim's writer.
+            nonlocal at, writer
+            while at < len(claims):
+                claim = claims[at]
+                if writer is None:
+                    writer = store.writer(
+                        claim.outcome.shard, start_offset=claim.outcome.resumed
+                    )
+                if claim.outcome.executed < claim.remaining:
+                    return
+                writer.close()
+                store.finalize_shard(writer)
+                claim.lease.release()
+                folded[claim.outcome.shard] = claim.outcome.resumed
+                outcome.trials_executed += claim.outcome.executed
+                outcome.trials_resumed += claim.outcome.resumed
+                writer = None
+                at += 1
+
+        def on_record(done, total, record):
+            nonlocal last_mark
+            claim = claims[at]
+            writer.append(
+                record.spec.seed,
+                record.spec.content_hash(),
+                record.result,
+                record.audit,
             )
-            continue
-        lease = leases.claim(shard, steal_stale=resume)
-        if lease is None:
-            outcome.shards.append(
-                ShardOutcome(shard=shard, status="leased-elsewhere")
+            live.add_result(record.result)
+            if record.audit is not None:
+                live.add_audit(record.audit.ok)
+            claim.outcome.executed += 1
+            now = perf_counter()
+            if record.cached:
+                outcome.cache_hits += 1
+            if heartbeat is not None:
+                heartbeat.note_trial(
+                    record.cached,
+                    now - last_mark,
+                    executor=getattr(record, "executor", ""),
+                )
+                heartbeat.maybe_emit(shard=claim.outcome.shard)
+            last_mark = now
+            if done % LEASE_HEARTBEAT_EVERY == 0:
+                for held in claims[at:]:
+                    held.lease.heartbeat()
+            settle()
+
+        try:
+            settle()
+            specs = [
+                spec
+                for claim in claims
+                for spec in claim.specs[claim.outcome.resumed:]
+            ]
+            if specs:
+                run_spec_trials(
+                    specs,
+                    workers=workers,
+                    chunksize=chunksize,
+                    cache=cache,
+                    telemetry=telemetry,
+                    progress=on_record,
+                    dispatch=dispatch,
+                    collect=False,
+                    lockstep=lockstep,
+                    warm=warm,
+                )
+        finally:
+            if writer is not None:
+                writer.close()
+
+    claims: List[_Claim] = []
+    try:
+        for shard in shard_ids:
+            if store.shard_complete(shard):
+                outcome.shards.append(
+                    ShardOutcome(shard=shard, status="already-complete")
+                )
+                continue
+            lease = leases.claim(shard, steal_stale=resume)
+            if lease is None:
+                outcome.shards.append(
+                    ShardOutcome(shard=shard, status="leased-elsewhere")
+                )
+                continue
+            # Listed before its resume, so the lease is released if that
+            # resume fails.
+            claim = _Claim(
+                lease, manifest.shard_specs(shard), ShardOutcome(shard, "done")
             )
-            continue
-        with lease:
-            specs = manifest.shard_specs(shard)
-            resumed = store.resume_shard(shard, specs)
-            remaining = specs[resumed:]
+            claims.append(claim)
+            resumed = store.resume_shard(shard, claim.specs)
+            claim.outcome.resumed = resumed
             if heartbeat is not None and resumed:
                 heartbeat.note_prior_trials(resumed)
-            executed = 0
-            with store.writer(shard, start_offset=resumed) as writer:
-                last_mark = perf_counter()
-
-                def on_record(done, total, record):
-                    nonlocal executed, last_mark
-                    writer.append(
-                        record.spec.seed,
-                        record.spec.content_hash(),
-                        record.result,
-                        record.audit,
-                    )
-                    executed += 1
-                    now = perf_counter()
-                    if record.cached:
-                        outcome.cache_hits += 1
-                    if heartbeat is not None:
-                        heartbeat.note_trial(
-                            record.cached,
-                            now - last_mark,
-                            executor=getattr(record, "executor", ""),
-                        )
-                        heartbeat.maybe_emit(shard=shard)
-                    last_mark = now
-                    if executed % LEASE_HEARTBEAT_EVERY == 0:
-                        lease.heartbeat()
-
-                if remaining:
-                    run_spec_trials(
-                        remaining,
-                        workers=workers,
-                        chunksize=chunksize,
-                        cache=cache,
-                        telemetry=telemetry,
-                        progress=on_record,
-                        dispatch=dispatch,
-                        collect=False,
-                        lockstep=lockstep,
-                        warm=warm,
-                    )
-            store.finalize_shard(shard, specs)
-            outcome.shards.append(
-                ShardOutcome(
-                    shard=shard,
-                    status="done",
-                    executed=executed,
-                    resumed=resumed,
-                )
-            )
-            outcome.trials_executed += executed
-            outcome.trials_resumed += resumed
+            outcome.shards.append(claim.outcome)
+            if sum(c.remaining for c in claims) >= LOCKSTEP_MAX_TRIALS:
+                run_gathered(claims)
+                claims = []
+        if claims:
+            run_gathered(claims)
+    finally:
+        # A failed claim, resume or run leaves no lease of ours behind.
+        for claim in claims:
+            claim.lease.release()
 
     outcome.complete = store.all_complete()
     if outcome.complete:
-        aggregate = aggregate_store(store)
+        aggregate = aggregate_store(store, live, folded)
         aggregate.cache_hits = outcome.cache_hits
         outcome.aggregate = aggregate.to_dict()
         store.write_aggregate(outcome.aggregate)

@@ -142,6 +142,11 @@ class ShardWriter:
         self.store = store
         self.shard = shard
         self.next_index = start_index
+        #: bytes the part file holds: the validated prefix plus every
+        #: record appended since (what :meth:`SweepStore.finalize_shard`
+        #: checks the file against instead of decoding it again)
+        part = store.part_path(shard)
+        self.size = part.stat().st_size if part.exists() else 0
         self._fh: Optional[IO[bytes]] = None
 
     def append(self, seed: int, spec_hash: str, result, audit=None) -> None:
@@ -150,10 +155,9 @@ class ShardWriter:
         if self._fh is None:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(path, "ab")
+        line = encode_record(self.next_index, seed, spec_hash, result, audit)
         try:
-            self._fh.write(
-                encode_record(self.next_index, seed, spec_hash, result, audit)
-            )
+            self._fh.write(line)
             self._fh.flush()
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
@@ -170,6 +174,7 @@ class ShardWriter:
                 "free space and rerun the sweep with --resume"
             ) from exc
         self.next_index += 1
+        self.size += len(line)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -310,23 +315,37 @@ class SweepStore:
 
     def writer(self, shard: int, start_offset: int = 0) -> ShardWriter:
         """A :class:`ShardWriter` positioned ``start_offset`` trials into
-        the shard (callers pass :meth:`resume_shard`'s return value)."""
+        the shard (callers pass :meth:`resume_shard`'s return value, after
+        which the part file holds exactly that valid prefix)."""
         start, _ = self.manifest.shard_range(shard)
         return ShardWriter(self, shard, start + start_offset)
 
-    def finalize_shard(self, shard: int, specs=None) -> pathlib.Path:
+    def finalize_shard(self, writer: ShardWriter) -> pathlib.Path:
         """Atomically promote a complete part file to a ``.jsonl.gz``
         segment (deterministic bytes), then remove the part file.
-        ``specs`` are the shard's specs, if the caller holds them."""
+
+        ``writer`` wrote the shard's records after :meth:`resume_shard`:
+        its record count and byte tally stand for the part file, so
+        nothing is decoded again.  A shard short of records, or a part
+        file whose size differs (another process appended to it), is
+        refused.
+        """
+        shard = writer.shard
         part = self.part_path(shard)
         start, stop = self.manifest.shard_range(shard)
         expected = stop - start
-        done = self.resume_shard(shard, specs)
+        done = writer.next_index - start
         if done != expected:
             raise ReproError(
                 f"shard {shard} is incomplete: {done}/{expected} records"
             )
         raw = part.read_bytes()
+        if len(raw) != writer.size:
+            raise ReproError(
+                f"{part} holds {len(raw)} bytes, but this sweep wrote "
+                f"{writer.size}: another process appended to it; rerun the "
+                "sweep with --resume"
+            )
         target = self.segment_path(shard)
         tmp = target.with_suffix(".gz.tmp")
         tmp.write_bytes(_deterministic_gzip(raw))

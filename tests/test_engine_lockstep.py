@@ -1361,6 +1361,8 @@ class TestSweepShardIdentity:
         ] == ref_bytes
 
     def test_heartbeat_reports_lockstep_width(self, manifest, tmp_path):
+        """The sweep gathers both shards (one full, one ragged) into one
+        group, so every trial runs in one batch as wide as the sweep."""
         for telemetry in (False, True):
             beats = []
             store = open_store(tmp_path / f"telemetry-{telemetry}", manifest)
@@ -1371,8 +1373,7 @@ class TestSweepShardIdentity:
             final = beats[-1]
             assert final["final"] is True
             assert final["lockstep_trials"] == SWEEP_TRIALS
-            tail = SWEEP_TRIALS - SHARD_SIZE
-            assert final["executor"] == f"lockstep[w={tail}]"
+            assert final["executor"] == f"lockstep[w={SWEEP_TRIALS}]"
 
     def test_heartbeat_reports_per_trial_when_lockstep_off(
         self, manifest, tmp_path
@@ -1469,7 +1470,9 @@ def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
 
 def test_pool_chunks_never_cut_a_lockstep_group_below_the_minimum():
     """Pool chunks keep each qualifying group whole or split it into
-    pieces of at least LOCKSTEP_MIN_TRIALS; other specs pack together."""
+    pieces of at least LOCKSTEP_MIN_TRIALS; other groups pack together.
+    Chunks carry the groups already cut, each piece under its key, so
+    workers run them without computing a group key again."""
     low = LOCKSTEP_MIN_TRIALS
     sizes = {"a": 64, None: 1, "b": low - 1, "c": low + 1}
     groups = [
@@ -1478,12 +1481,13 @@ def test_pool_chunks_never_cut_a_lockstep_group_below_the_minimum():
     ]
     for size in (1, 2, 5, 16, 100):
         chunks = batch_mod._chunk_groups(groups, size)
-        flat = [spec for chunk in chunks for spec in chunk]
+        flat = [spec for chunk in chunks for _, part in chunk for spec in part]
         assert flat == [spec for _, group in groups for spec in group]
         for chunk in chunks:
-            per_group = Counter(key for key, _ in chunk)
-            for key in ("a", "c"):
-                assert per_group[key] == 0 or per_group[key] >= low, size
+            for key, part in chunk:
+                assert {spec_key for spec_key, _ in part} == {key}
+                if key in ("a", "c"):
+                    assert len(part) >= low, size
 
 
 def test_pinned_batch_counts_congestion_once(bf4_random_problem, monkeypatch):

@@ -214,7 +214,7 @@ class TestStore:
                 spec.seed, spec.content_hash(), executor.run(spec).result
             )
         with pytest.raises(ReproError, match="incomplete"):
-            store.finalize_shard(0)
+            store.finalize_shard(writer)
 
     def test_compaction_preserves_record_bytes(self, manifest, tmp_path):
         store = open_store(tmp_path / "s", manifest)

@@ -29,6 +29,7 @@ from dataclasses import asdict
 
 from repro.experiments import deep_random_spec, run_spec_trials, sweep_specs
 from repro.experiments.batch import TrialExecutor
+from repro.scenarios import run_trial
 
 from _common import bench_workers
 
@@ -100,9 +101,7 @@ def test_parallel_speedup_floor():
     # The pre-batching execution model: a fresh build and a per-trial
     # engine for every spec.
     cold, cold_s, batched, batched_s = _race(
-        lambda: run_spec_trials(
-            specs, warm=False, dispatch="serial", lockstep=False
-        ),
+        lambda: [run_trial(spec) for spec in specs],
         _batched(specs),
     )
     assert _results(cold) == _results(batched)

@@ -221,17 +221,28 @@ def _experiment_modules(bench_dir) -> dict:
 
 
 def _parse_shard_ids(text: str) -> list:
-    """Parse ``--shard`` syntax: comma-separated ids and ranges (``0,2,5-7``)."""
+    """Parse ``--shard`` syntax: comma-separated ids and ranges (``0,2,5-7``).
+
+    A token that is not an id or an increasing range raises
+    :class:`ReproError`, so a typo never selects nothing and exits 0.
+    """
     shards = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            lo, hi = token.split("-", 1)
-            shards.extend(range(int(lo), int(hi) + 1))
-        else:
-            shards.append(int(token))
+        try:
+            if "-" in token:
+                lo, hi = (int(part) for part in token.split("-", 1))
+            else:
+                lo = hi = int(token)
+        except ValueError:
+            raise ReproError(
+                f"--shard: {token!r} is not a shard id or range"
+            ) from None
+        if lo > hi:
+            raise ReproError(f"--shard: range {token!r} is reversed")
+        shards.extend(range(lo, hi + 1))
     return shards
 
 

@@ -14,14 +14,7 @@ from .runner import (
     run_frontier_trials_lockstep,
     run_naive_trials_lockstep,
 )
-from .batch import (
-    TrialExecutor,
-    default_chunksize,
-    resolve_workers,
-    run_spec_trials,
-    should_use_pool,
-    usable_cpus,
-)
+from .batch import TrialExecutor, run_spec_trials
 from .configs import (
     CATALOG,
     PRESET_FAMILIES,
@@ -47,11 +40,7 @@ __all__ = [
     "run_frontier_trials_lockstep",
     "run_naive_trials_lockstep",
     "TrialExecutor",
-    "default_chunksize",
-    "resolve_workers",
     "run_spec_trials",
-    "should_use_pool",
-    "usable_cpus",
     "derive_sweep_seeds",
     "sweep_specs",
     "CATALOG",

@@ -25,19 +25,22 @@ return **byte-identical** records for the same specs:
   re-randomize frontier-set assignment and tie-breaks, never the problem —
   see :meth:`RunSpec.with_pinned_scenario`) build the problem once per
   worker.
-* **Adaptive dispatch.**  :func:`run_spec_trials` first runs the
+* **Adaptive dispatch.**  :meth:`TrialExecutor.run_specs` first runs the
   leading groups in the parent as a probe, estimates per-trial cost, and
-  falls back to (warm) serial execution when the remaining batch is too
-  small to amortize pool spin-up — so tiny sweeps are never slower than a
-  plain loop.  Requested workers are also clamped to the CPUs actually
-  usable in this process: on a single-core host a ``workers=4`` sweep runs the warm
-  serial path instead of paying fork-and-pickle for no parallelism.
+  stays serial when the remaining batch is too small to amortize pool
+  spin-up — so tiny sweeps are never slower than a plain loop.  Requested
+  workers are also clamped to the CPUs actually usable in this process: on
+  a single-core host a ``workers=4`` sweep runs serially instead of paying
+  fork-and-pickle for no parallelism.
+* **One result-cache pass.**  The executor that runs a group (the parent,
+  or the pool worker holding its chunk) looks each spec up in the on-disk
+  cache once and stores each miss once, whichever kernel ran it.
 
 Determinism: a trial's outcome is a pure function of its spec, the warm
 cache only deduplicates pure builds, and records are assembled in spec
-order — so the execution strategy (serial, warm serial, pooled, any chunk
-size) can never leak into results, telemetry counters, or trace digests
-(pinned by ``tests/test_scenarios.py`` and ``tests/test_telemetry.py``).
+order — so the execution strategy (serial or pooled, any chunk size) can
+never leak into results, telemetry counters, or trace digests (pinned by
+``tests/test_scenarios.py`` and ``tests/test_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ import pathlib
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
-from ..scenarios import ScenarioCache
-from ..scenarios.cache import DEFAULT_SCENARIO_CAPACITY
+from ..scenarios import ResultCache, ScenarioCache
 
 #: Budget for spinning up a worker pool (fork/spawn, initializer imports,
 #: first-chunk latency).  Deliberately pessimistic: when in doubt the
@@ -143,11 +145,7 @@ MAX_CHUNK_ITEMS = 512
 
 
 def default_chunksize(
-    num_items: int,
-    workers: int,
-    per_item_sec: Optional[float] = None,
-    min_chunk_sec: float = MIN_CHUNK_SEC,
-    max_chunk_sec: float = MAX_CHUNK_SEC,
+    num_items: int, workers: int, per_item_sec: Optional[float] = None
 ) -> int:
     """Chunked dispatch: ~4 chunks per worker bounds scheduling overhead
     while keeping the pool load-balanced when trial durations vary.
@@ -164,82 +162,126 @@ def default_chunksize(
         return max(1, num_items)
     size = max(1, math.ceil(num_items / (workers * 4)))
     if per_item_sec is not None and per_item_sec > 0:
-        by_duration = math.ceil(min_chunk_sec / per_item_sec)
+        by_duration = math.ceil(MIN_CHUNK_SEC / per_item_sec)
         per_worker_cap = max(1, math.ceil(num_items / workers))
         size = max(size, min(by_duration, per_worker_cap))
-        size = min(size, max(1, int(max_chunk_sec / per_item_sec)))
+        size = min(size, max(1, int(MAX_CHUNK_SEC / per_item_sec)))
     return min(size, MAX_CHUNK_ITEMS)
 
 
-def should_use_pool(
-    num_trials: int,
-    per_trial_sec: float,
-    workers: int,
-    spinup_sec: float = POOL_SPINUP_SEC,
-) -> bool:
+def should_use_pool(num_trials: int, per_trial_sec: float, workers: int) -> bool:
     """The serial-fallback boundary of the adaptive dispatcher.
 
     Pool dispatch is worth it only when the projected wall-clock saving of
     fanning ``num_trials`` across ``workers`` processes exceeds the pool's
-    spin-up cost with a safety margin.  Small or cheap batches therefore
-    stay on the (warm) serial path — never slower than a plain loop.
+    spin-up cost (:data:`POOL_SPINUP_SEC`) with a safety margin.  Small or
+    cheap batches therefore stay serial — never slower than a plain loop.
     """
     if workers <= 1 or num_trials <= 1:
         return False
     serial_sec = num_trials * max(per_trial_sec, 0.0)
     projected_saving = serial_sec * (1.0 - 1.0 / workers)
-    return projected_saving > spinup_sec * POOL_ADVANTAGE_MARGIN
+    return projected_saving > POOL_SPINUP_SEC * POOL_ADVANTAGE_MARGIN
 
 
 class TrialExecutor:
     """Executes specs with warm scenario reuse; one per process.
 
     Bundles the per-process execution state — the scenario warm cache, the
-    optional on-disk result-cache root, and the telemetry flag — so the
-    same code path serves the parent (serial and probe execution) and
-    every pool worker.
+    optional on-disk result cache, and the telemetry flag — so the same
+    code path serves the parent (serial and probe execution) and every
+    pool worker.  ``cache_root`` is a result-cache directory or a
+    :class:`~repro.scenarios.ResultCache`; ``scenarios`` may pass the
+    :class:`~repro.scenarios.ScenarioCache` to build problems in (a new
+    one by default).  The executor owns the result-cache I/O: each call of
+    :meth:`run_chunk`, :meth:`run_groups` or :meth:`run_specs` looks each
+    spec up once and stores each miss once.
     """
 
     def __init__(
         self,
-        cache_root: Optional[pathlib.Path] = None,
+        cache_root=None,
         telemetry: bool = False,
-        warm: bool = True,
-        capacity: int = DEFAULT_SCENARIO_CAPACITY,
+        scenarios: Optional[ScenarioCache] = None,
         lockstep: bool = True,
     ) -> None:
-        self.cache_root = cache_root
+        root = _cache_root(cache_root)
+        self.cache = ResultCache(root) if root is not None else None
         self.telemetry = telemetry
-        # ``warm`` may pass an existing ScenarioCache so callers running
-        # many batches over one scenario (the sweep driver's shard loop)
-        # share a single problem build across executors.
-        if isinstance(warm, ScenarioCache):
-            self.scenarios = warm
-        else:
-            self.scenarios = ScenarioCache(capacity) if warm else None
+        self.scenarios = scenarios if scenarios is not None else ScenarioCache()
         self.lockstep = lockstep
 
     def run(self, spec):
-        """Execute one spec, returning a data-only record (no problem)."""
-        from ..scenarios import run_cached, run_trial
+        """Execute one spec per trial, returning a data-only record (no
+        problem).  It does no result-cache I/O: the group that runs the
+        spec (:meth:`run_chunk`) does."""
+        from ..scenarios import run_trial
 
-        if self.cache_root is not None:
-            record = run_cached(
-                spec,
-                self.cache_root,
-                telemetry=self.telemetry,
-                warm=self.scenarios,
-            )
-        else:
-            record = run_trial(
-                spec, telemetry=self.telemetry, warm=self.scenarios
-            )
+        record = run_trial(spec, telemetry=self.telemetry, warm=self.scenarios)
         # Sweep records are plain data: the materialized problem is shared
         # with the warm cache and must not ride back across process
         # boundaries (pickling it per trial is what made the old pool 5x
         # slower than serial).
         record.problem = None
         return record
+
+    def run_specs(
+        self, specs: Sequence, workers: int = 1, emit: Optional[Callable] = None
+    ) -> List:
+        """Execute ``specs`` on up to ``workers`` processes, records in spec
+        order, passed to ``emit`` as they arrive (none kept) or returned.
+
+        ``workers`` is clamped to the CPUs this process may use.  With more
+        than one, whole groups (:meth:`groups`) run in the parent until at
+        least :data:`LOCKSTEP_MIN_TRIALS` trials ran, to estimate the
+        per-trial cost; the rest then either runs here too
+        (:func:`should_use_pool` says the batch is too small to amortize
+        pool spin-up) or is fanned across a worker pool in duration-sized
+        chunks (:func:`default_chunksize`) that never cut a lockstep group
+        below :data:`LOCKSTEP_MIN_TRIALS` (:func:`_chunk_groups`).
+        """
+        records: List = []
+        if emit is None:
+            emit = records.append
+        specs = list(specs)
+        workers = min(resolve_workers(workers), usable_cpus())
+        if workers <= 1 or len(specs) <= 1:
+            self.run_chunk(specs, emit)
+            return records
+        groups = self.groups(specs)
+        # Probe: run whole groups in the parent until at least
+        # LOCKSTEP_MIN_TRIALS specs ran, time them, and only fork when the
+        # rest amortizes pool spin-up.  No group is cut, so the probe runs
+        # each group on the kernel the rest of the batch would.
+        ran = taken = 0
+        start = perf_counter()
+        while taken < len(groups) and ran < LOCKSTEP_MIN_TRIALS:
+            ran += len(groups[taken][1])
+            taken += 1
+        self.run_groups(groups[:taken], emit)
+        per_trial = (perf_counter() - start) / ran
+        groups = groups[taken:]
+        remaining = sum(len(group) for _, group in groups)
+        if not remaining or not should_use_pool(remaining, per_trial, workers):
+            self.run_groups(groups, emit)
+            return records
+
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = _chunk_groups(
+            groups, default_chunksize(remaining, workers, per_item_sec=per_trial)
+        )
+        root = self.cache.root if self.cache is not None else None
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            initializer=_init_worker,
+            initargs=(root, self.telemetry, self.lockstep),
+        ) as pool:
+            # chunksize=1: each mapped item is already a chunk of groups.
+            for chunk_records in pool.map(_run_chunk, chunks):
+                for record in chunk_records:
+                    emit(record)
+        return records
 
     # --------------------------------------------------- lockstep batching
 
@@ -261,7 +303,7 @@ class TrialExecutor:
         or trace session (the lockstep kernel carries no per-event
         observers), arrival schedules, or non-lockstep backends.  An
         eligible key only makes the spec a candidate:
-        :meth:`_run_lockstep` still runs trials per trial when fewer than
+        :meth:`_run_group` still runs trials per trial when fewer than
         :data:`LOCKSTEP_MIN_TRIALS` of them miss the disk cache, or form a
         run of equal packet counts and depths.
         """
@@ -301,13 +343,13 @@ class TrialExecutor:
         Consecutive specs sharing a :meth:`_group_key` (a Monte Carlo run
         over one topology, on one problem or one per trial) form a group of
         up to :data:`LOCKSTEP_MAX_TRIALS` trials, handed to
-        :meth:`_run_lockstep`; every ineligible spec falls through to the
-        ordinary per-trial :meth:`run`.  Records come back in spec order
-        and are byte-identical to a per-trial loop — the kernel's per-trial
-        RNG streams replay the serial draws exactly (pinned by
-        ``tests/test_engine_lockstep.py``).  With ``emit``, each record is
-        passed to ``emit`` as soon as its kernel batch ends and none is
-        kept: the returned list is empty.
+        :meth:`_run_group`; every ineligible spec is a group of its own,
+        run by the ordinary per-trial :meth:`run`.  Records come back in
+        spec order and are byte-identical to a per-trial loop — the
+        kernel's per-trial RNG streams replay the serial draws exactly
+        (pinned by ``tests/test_engine_lockstep.py``).  With ``emit``, each
+        record is passed to ``emit`` as soon as its kernel batch ends and
+        none is kept: the returned list is empty.
         """
         return self.run_groups(self.groups(specs), emit)
 
@@ -319,10 +361,7 @@ class TrialExecutor:
         if emit is None:
             emit = records.append
         for key, group in groups:
-            if key is not None:
-                self._run_lockstep(group, emit)
-            else:
-                emit(self.run(group[0]))
+            self._run_group(key, group, emit)
         return records
 
     def groups(self, specs: Sequence) -> List:
@@ -350,83 +389,73 @@ class TrialExecutor:
             i = j
         return out
 
-    def _run_lockstep(self, group: Sequence, emit: Callable) -> None:
+    def _run_group(self, key, group: Sequence, emit: Callable) -> None:
         """Run one group, passing its records to ``emit`` in spec order.
 
-        Disk-cache hits peel out first (returned exactly as :func:`~repro.
-        scenarios.run_cached` would return them).  Fewer than
-        :data:`LOCKSTEP_MIN_TRIALS` misses run through the per-trial
-        :meth:`run`, where the reference engine is the faster kernel, and
-        nothing is built for them here.  Otherwise the misses' problems
-        are built in order and the misses cut into kernel batches:
-        consecutive trials with equal packet counts and network depths, at
-        most :data:`LOCKSTEP_MAX_SLOTS` slots (trials times packets) and at
-        least :data:`LOCKSTEP_MIN_TRIALS` trials each.  A full batch is
-        one lockstep run, stored back so cached results match the
-        per-trial path byte for byte; a shorter piece goes per trial.
+        This is the group's one result-cache pass: each spec is looked up
+        once, and hits come back as :func:`~repro.scenarios.run_cached`
+        returns them; each miss is stored once, with the ``timings`` and
+        ``audit`` its record carries, whichever kernel ran it.  A group
+        that cannot lockstep (``key`` None), or has fewer than
+        :data:`LOCKSTEP_MIN_TRIALS` misses, runs its misses through the
+        per-trial :meth:`run`, where the reference engine is the faster
+        kernel, and nothing is built for them here.  Otherwise the misses'
+        problems are built in order and the misses cut into kernel
+        batches: consecutive trials with equal packet counts and network
+        depths, at most :data:`LOCKSTEP_MAX_SLOTS` slots (trials times
+        packets) and at least :data:`LOCKSTEP_MIN_TRIALS` trials each.  A
+        full batch is one lockstep run; a shorter piece goes per trial.
         Each batch's records reach ``emit`` (after the hits before them)
         before the next batch's problems are built, so a group holds one
         batch of results at a time.  With telemetry on, a batch attaches
         each trial's counters to its result; it has no per-trial
         wall-clock spans, so its records (and cache entries) carry no
         ``timings``.  Audited specs get each trial's invariant report on
-        ``audit``, as the per-trial path gives them; both paths store it
-        with the cached result and restore it on a hit.
+        ``audit``, as the per-trial path gives them.
         """
-        from ..scenarios.dispatch import ScenarioRun
+        from ..scenarios.dispatch import load_cached_run
 
-        cache = None
-        if self.cache_root is not None:
-            from ..scenarios.cache import ResultCache
-
-            cache = ResultCache(self.cache_root)
-        slots: List[Optional[ScenarioRun]] = []
-        misses: List[int] = []
-        for spec in group:
-            hit = cache.load_record(spec) if cache is not None else None
-            if hit is not None:
-                result, timings, audit = hit
-                slots.append(
-                    ScenarioRun(
-                        spec=spec,
-                        result=result,
-                        audit=audit,
-                        cached=True,
-                        timings=timings,
-                    )
-                )
-            else:
-                slots.append(None)
-                misses.append(len(slots) - 1)
+        cache = self.cache
+        slots = [
+            load_cached_run(cache, spec) if cache is not None else None
+            for spec in group
+        ]
+        misses = [k for k, slot in enumerate(slots) if slot is None]
         emitted = 0
 
         def fill(ks, records) -> None:
-            # Emit every slot up to the first one still running; an emitted
-            # slot is dropped so the group keeps no finished record.
+            # Store each new record, then emit every slot up to the first
+            # one still running; an emitted slot is dropped so the group
+            # keeps no finished record.
             nonlocal emitted
             for k, record in zip(ks, records):
+                if cache is not None:
+                    cache.store(
+                        record.spec,
+                        record.result,
+                        timings=record.timings,
+                        audit=record.audit,
+                    )
                 slots[k] = record
             while emitted < len(slots) and slots[emitted] is not None:
                 record, slots[emitted] = slots[emitted], None
                 emitted += 1
                 emit(record)
 
-        fill((), ())
-        if len(misses) < LOCKSTEP_MIN_TRIALS:
-            for k in misses:
+        def per_trial(ks) -> None:
+            for k in ks:
                 fill((k,), (self.run(group[k]),))
+
+        fill((), ())
+        if key is None or len(misses) < LOCKSTEP_MIN_TRIALS:
+            per_trial(misses)
             return
 
         def flush(ks, problems) -> None:
             if len(ks) < LOCKSTEP_MIN_TRIALS:
-                for k in ks:
-                    fill((k,), (self.run(group[k]),))
-                return
-            batch = self._run_batch([group[k] for k in ks], problems)
-            if cache is not None:
-                for record in batch:
-                    cache.store(record.spec, record.result, audit=record.audit)
-            fill(ks, batch)
+                per_trial(ks)
+            else:
+                fill(ks, self._run_batch([group[k] for k in ks], problems))
 
         built = self._problems(group[k] for k in misses)
         ks: List[int] = []
@@ -452,17 +481,10 @@ class TrialExecutor:
         flush(ks, problems)
 
     def _problems(self, specs: Iterable) -> Iterator:
-        """Each spec's routing problem, in order, built as it is drawn:
-        once per run of consecutive specs of one scenario (and, without
-        the warm cache, each network once per run of consecutive specs of
-        one :func:`~repro.scenarios.cache._network_key`: one for a
-        topology that ignores its seed, one per topology seed otherwise).
-        Only the last build is held, so a group of instances never holds
-        more problems than the batch being built."""
-        from ..scenarios.cache import _network_key
-        from ..scenarios.dispatch import build_network, build_problem
-
-        key = problem = net_key = net = None
+        """Each spec's routing problem from the warm cache, in order,
+        fetched as it is drawn: once per run of consecutive specs of one
+        scenario."""
+        key = problem = None
         for spec in specs:
             # The group key fixes every other scenario field, so the
             # component seeds name the scenario within the group.
@@ -470,13 +492,7 @@ class TrialExecutor:
                 spec.topology_seed(), spec.workload_seed(), spec.selector_seed()
             )
             if seeds != key:
-                if self.scenarios is not None:
-                    problem = self.scenarios.problem_for(spec)
-                else:
-                    if _network_key(spec) != net_key:
-                        net_key = _network_key(spec)
-                        net = build_network(spec)
-                    problem = build_problem(spec, net=net)
+                problem = self.scenarios.problem_for(spec)
                 key = seeds
             yield problem
 
@@ -485,7 +501,7 @@ class TrialExecutor:
 
         A batch over several networks stops once its stragglers are no
         more than :data:`LOCKSTEP_TAIL_SHARE` of it; they rerun here per
-        trial.
+        trial, and :meth:`_run_group` stores them with the rest.
         """
         from ..scenarios.dispatch import ScenarioRun
 
@@ -612,11 +628,7 @@ _WORKER: Optional[TrialExecutor] = None
 
 
 def _init_worker(
-    cache_root: Optional[pathlib.Path],
-    telemetry: bool,
-    warm: bool,
-    capacity: int,
-    lockstep: bool = True,
+    cache_root: Optional[pathlib.Path], telemetry: bool, lockstep: bool
 ) -> None:
     """Pool initializer: pre-import the pipeline, set up per-worker state."""
     global _WORKER
@@ -627,21 +639,12 @@ def _init_worker(
     import repro.experiments.runner  # noqa: F401
     import repro.scenarios  # noqa: F401
 
-    _WORKER = TrialExecutor(
-        cache_root,
-        telemetry=telemetry,
-        warm=warm,
-        capacity=capacity,
-        lockstep=lockstep,
-    )
+    _WORKER = TrialExecutor(cache_root, telemetry=telemetry, lockstep=lockstep)
 
 
 def _run_chunk(chunk: Sequence) -> List:
     """Execute one chunk of ``(key, specs)`` groups in a pool worker."""
-    executor = _WORKER
-    if executor is None:  # pool built without the initializer; be safe
-        executor = TrialExecutor(warm=False)
-    return executor.run_groups(chunk)
+    return _WORKER.run_groups(chunk)
 
 
 # ------------------------------------------------------------ sweep dispatch
@@ -660,145 +663,50 @@ def _cache_root(cache) -> Optional[pathlib.Path]:
 def run_spec_trials(
     specs: Sequence,
     workers: int = 1,
-    chunksize: Optional[int] = None,
     cache=None,
     telemetry: bool = False,
-    progress=None,
-    warm: bool = True,
-    dispatch: str = "auto",
-    collect: bool = True,
     lockstep: bool = True,
+    emit: Optional[Callable] = None,
 ):
     """Run a list of :class:`~repro.scenarios.RunSpec`, records in spec order.
 
-    The one sweep primitive: each spec runs through
-    :func:`repro.scenarios.run_trial` (or :func:`~repro.scenarios.run_cached`
-    when ``cache`` names a cache directory), and because a spec's outcome
-    is a pure function of its content, every execution strategy returns
+    The one sweep primitive: one :class:`TrialExecutor` runs the specs on
+    up to ``workers`` processes (:meth:`TrialExecutor.run_specs`), backed
+    by the on-disk result cache when ``cache`` names one (a directory or a
+    :class:`~repro.scenarios.ResultCache`).  Because a spec's outcome is a
+    pure function of its content, every worker count returns
     byte-identical records.  Specs are plain data, so they pickle across
-    the pool by construction.  ``dispatch`` picks the strategy:
-
-    * ``"auto"`` (default) — clamp ``workers`` to usable CPUs, run whole
-      groups (:meth:`TrialExecutor.groups`) in the parent until at least
-      :data:`LOCKSTEP_MIN_TRIALS` trials ran, to estimate per-trial cost,
-      then either finish serially (batch too small to amortize pool
-      spin-up) or fan the remaining groups across a persistent worker pool
-      in duration-sized chunks that never cut a lockstep group below
-      :data:`LOCKSTEP_MIN_TRIALS` (:func:`_chunk_groups`);
-    * ``"serial"`` — force the warm in-process loop;
-    * ``"pool"`` — force pool dispatch for every spec (no probe, no CPU
-      clamp); used by tests and benchmarks that must exercise the pool
-      machinery regardless of host shape.
-
-    Trials sharing a scenario reuse one materialized problem per process
-    (``warm=True``, the default — disable to force a fresh build per
-    trial).  Records are data-only: ``record.problem`` is ``None`` (the
-    build lives in the warm cache, not on the record), so sweeps never
-    pickle networks back from workers.
+    the pool by construction.  Trials sharing a scenario reuse one
+    materialized problem per process.  Records are data-only:
+    ``record.problem`` is ``None`` (the build lives in the warm cache, not
+    on the record), so sweeps never pickle networks back from workers.
 
     ``telemetry=True`` gives every record ``result.telemetry`` counters,
     ready for :func:`repro.telemetry.aggregate_counters`.  Per-trial runs
     take them from their own telemetry session and also attach pipeline
     ``timings``; lockstep groups compute byte-equal counters in the kernel
-    and attach no ``timings`` (a batch has no per-trial spans).  ``progress(done,
-    total, record)`` fires in the parent after each record, in spec order.
+    and attach no ``timings`` (a batch has no per-trial spans).
 
-    ``collect=False`` switches to streaming mode for very large batches:
-    each record is handed to ``progress`` exactly as usual but *not*
-    retained, and the return value is an empty list — so peak memory is
+    Without ``emit`` the records are returned as a list.  With it, each
+    record is passed to ``emit(record)`` in the parent, in spec order, and
+    *not* retained; the return value is an empty list, so peak memory is
     one kernel batch of records in the parent (one chunk under the pool),
     independent of ``len(specs)``.  The sweep store (:mod:`repro.sweeps`)
     runs every shard this way.
 
-    Within every strategy, consecutive specs that differ only in seeds —
-    fixed-problem Monte Carlo batches and unpinned (instance) sweeps,
-    including those over ``random_leveled``, whose batch routes over the
-    disjoint union of one network per seed — execute on the lockstep
-    stacked kernel, in batches of at least :data:`LOCKSTEP_MIN_TRIALS`
-    disk-cache misses with equal packet counts and network depths and at
-    most :data:`LOCKSTEP_MAX_SLOTS` trial-packet slots (groups of up to
+    Consecutive specs that differ only in seeds — fixed-problem Monte
+    Carlo batches and unpinned (instance) sweeps, including those over
+    ``random_leveled``, whose batch routes over the disjoint union of one
+    network per seed — execute on the lockstep stacked kernel, in batches
+    of at least :data:`LOCKSTEP_MIN_TRIALS` disk-cache misses with equal
+    packet counts and network depths and at most
+    :data:`LOCKSTEP_MAX_SLOTS` trial-packet slots (groups of up to
     :data:`LOCKSTEP_MAX_TRIALS` specs), telemetry or not — process-level
-    parallelism multiplies lockstep width instead of replacing it.  Narrower groups
-    run per trial on the reference engine.
+    parallelism multiplies lockstep width instead of replacing it.
+    Narrower groups run per trial on the reference engine.
     ``lockstep=False`` forces the per-trial path everywhere (benchmarks use
     it to measure the kernel's speedup; results are byte-identical either
     way — see :meth:`TrialExecutor.run_chunk`).
     """
-    if dispatch not in ("auto", "serial", "pool"):
-        raise ValueError(
-            f"dispatch must be 'auto', 'serial', or 'pool', got {dispatch!r}"
-        )
-    specs = list(specs)
-    total = len(specs)
-    root = _cache_root(cache)
-    workers = resolve_workers(workers)
-    if dispatch == "auto":
-        workers = min(workers, usable_cpus())
-
-    executor = TrialExecutor(
-        root, telemetry=telemetry, warm=warm, lockstep=lockstep
-    )
-    records: List = []
-    done = 0
-
-    def _emit(record) -> None:
-        nonlocal done
-        done += 1
-        if collect:
-            records.append(record)
-        if progress is not None:
-            progress(done, total, record)
-
-    if dispatch == "serial" or (dispatch == "auto" and (workers <= 1 or total <= 1)):
-        executor.run_chunk(specs, _emit)
-        return records
-
-    groups = executor.groups(specs)
-    per_trial: Optional[float] = None
-    if dispatch == "auto":
-        # Probe: run whole groups in the parent (warm) until at least
-        # LOCKSTEP_MIN_TRIALS specs ran, time them, and only fork when the
-        # rest amortizes pool spin-up.  No group is cut, so the probe runs
-        # each group on the kernel the rest of the batch would.
-        ran = taken = 0
-        start = perf_counter()
-        while taken < len(groups) and ran < LOCKSTEP_MIN_TRIALS:
-            ran += len(groups[taken][1])
-            taken += 1
-        executor.run_groups(groups[:taken], _emit)
-        per_trial = (perf_counter() - start) / ran
-        groups = groups[taken:]
-    remaining = sum(len(group) for _, group in groups)
-    if dispatch == "auto" and (
-        not remaining or not should_use_pool(remaining, per_trial, workers)
-    ):
-        executor.run_groups(groups, _emit)
-        return records
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    if chunksize is None:
-        chunksize = default_chunksize(
-            remaining, workers, per_item_sec=per_trial
-        )
-    chunks = _chunk_groups(groups, chunksize)
-    capacity = (
-        executor.scenarios.capacity
-        if executor.scenarios is not None
-        else DEFAULT_SCENARIO_CAPACITY
-    )
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_init_worker,
-        # A ScenarioCache instance cannot cross the process boundary;
-        # workers get a fresh warm cache of the same capacity instead.  An
-        # empty ScenarioCache is falsy, so the flag reads the executor's.
-        initargs=(
-            root, telemetry, executor.scenarios is not None, capacity, lockstep
-        ),
-    ) as pool:
-        # chunksize=1: each mapped item is already a chunk of groups.
-        for chunk_records in pool.map(_run_chunk, chunks):
-            for record in chunk_records:
-                _emit(record)
-    return records
+    executor = TrialExecutor(cache, telemetry=telemetry, lockstep=lockstep)
+    return executor.run_specs(specs, workers, emit)

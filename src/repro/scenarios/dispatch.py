@@ -208,6 +208,19 @@ def run(spec: RunSpec) -> RunResult:
     return run_trial(spec).result
 
 
+def load_cached_run(cache, spec: RunSpec) -> Optional[ScenarioRun]:
+    """``spec``'s record from a :class:`~repro.scenarios.cache.ResultCache`,
+    marked ``cached``, or None on a miss: the one hit path of
+    :func:`run_cached` and the trial executor."""
+    hit = cache.load_record(spec)
+    if hit is None:
+        return None
+    result, timings, audit = hit
+    return ScenarioRun(
+        spec=spec, result=result, audit=audit, cached=True, timings=timings
+    )
+
+
 def run_cached(
     spec: RunSpec,
     cache=None,
@@ -231,12 +244,9 @@ def run_cached(
         cache = ResultCache.default()
     elif not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    hit = cache.load_record(spec)
+    hit = load_cached_run(cache, spec)
     if hit is not None:
-        result, timings, audit = hit
-        return ScenarioRun(
-            spec=spec, result=result, audit=audit, cached=True, timings=timings
-        )
+        return hit
     record = run_trial(spec, telemetry=telemetry, trace_path=trace_path, warm=warm)
     cache.store(spec, record.result, timings=record.timings, audit=record.audit)
     return record

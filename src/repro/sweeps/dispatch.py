@@ -12,10 +12,11 @@
    trials fill one executor group (:data:`~repro.experiments.batch.
    LOCKSTEP_MAX_TRIALS`), so small shards still run as wide lockstep
    batches;
-5. **executes** the gathered trials through the warm-pool batched layer
-   (:func:`~repro.experiments.run_spec_trials`) in streaming mode
-   — each record is appended to its own shard's segment the moment it
-   arrives, never accumulated, and folded into the live aggregate;
+5. **executes** the gathered trials through the walk's one trial
+   executor (:meth:`~repro.experiments.TrialExecutor.run_specs`) in
+   streaming mode — each record is appended to its own shard's segment
+   the moment it arrives, never accumulated, and folded into the live
+   aggregate;
 6. **finalizes** each shard atomically as soon as its last record is
    appended (from the writer's own count and bytes), and releases its
    lease.
@@ -227,19 +228,22 @@ def run_sweep(
     heartbeat: Optional[SweepHeartbeat] = None,
     compact: bool = True,
     stale_after: float = DEFAULT_STALE_AFTER_SEC,
-    chunksize: Optional[int] = None,
-    dispatch: str = "auto",
     lockstep: bool = True,
 ) -> SweepOutcome:
     """Execute (this invocation's share of) a sweep manifest.
 
     ``shards`` restricts the walk to explicit shard ids (cooperating
     invocations can partition by hand); the default walks every shard,
-    with lease claims arbitrating overlap.  ``resume`` additionally
-    breaks stale leases (crashed owners) before claiming.  ``cache``
-    passes a :class:`~repro.scenarios.ResultCache` root through to the
-    trial executor, so re-running a manifest whose results are cached
-    re-emits records from disk hits instead of re-routing.
+    with lease claims arbitrating overlap; an id outside the manifest
+    raises :class:`~repro.errors.ReproError` before any shard is claimed.
+    ``resume`` additionally breaks stale leases (crashed owners) before
+    claiming.  ``cache``
+    names a :class:`~repro.scenarios.ResultCache` (or its directory) for
+    the trial executor, so re-running a manifest whose results are cached
+    re-emits records from disk hits instead of re-routing.  One executor,
+    and so one warm scenario cache, serves the whole walk: a
+    fixed-problem manifest builds its (network, geometry, paths) once, not
+    once per gathered run.
 
     Consecutive pending shards are claimed (and resumed) until their
     remaining trials reach :data:`~repro.experiments.batch.
@@ -251,17 +255,16 @@ def run_sweep(
     finalized, the store is compacted (unless ``compact=False``) and the
     streaming aggregate is computed and persisted to ``aggregate.json``.
     """
-    from ..experiments.batch import LOCKSTEP_MAX_TRIALS, run_spec_trials
-    from ..scenarios import ScenarioCache
+    from ..experiments.batch import LOCKSTEP_MAX_TRIALS, TrialExecutor
 
-    # One warm scenario cache for the whole walk: fixed-problem manifests
-    # build their (network, geometry, paths) once, not once per shard.
-    warm = ScenarioCache()
+    shard_ids = list(manifest.shard_ids()) if shards is None else list(shards)
+    for shard in shard_ids:
+        manifest.shard_range(shard)  # raises on an id outside the manifest
+    executor = TrialExecutor(cache, telemetry=telemetry, lockstep=lockstep)
     store.init()
     leases = LeaseManager(store.leases_dir, stale_after=stale_after)
     outcome = SweepOutcome(manifest_hash=manifest.manifest_hash())
     started = perf_counter()
-    shard_ids = list(manifest.shard_ids()) if shards is None else list(shards)
     # Every record this invocation writes is folded here as it is
     # appended; ``folded`` maps each such shard to its resumed prefix.
     live = StreamingAggregate()
@@ -280,7 +283,7 @@ def run_sweep(
         (one open at a time), and a shard is finalized, and its lease
         released, as soon as its last record is appended.
         """
-        at = 0
+        at = done = 0
         writer: Optional[ShardWriter] = None
         last_mark = perf_counter()
 
@@ -305,8 +308,9 @@ def run_sweep(
                 writer = None
                 at += 1
 
-        def on_record(done, total, record):
-            nonlocal last_mark
+        def on_record(record):
+            nonlocal done, last_mark
+            done += 1
             claim = claims[at]
             writer.append(
                 record.spec.seed,
@@ -342,18 +346,7 @@ def run_sweep(
                 for spec in claim.specs[claim.outcome.resumed:]
             ]
             if specs:
-                run_spec_trials(
-                    specs,
-                    workers=workers,
-                    chunksize=chunksize,
-                    cache=cache,
-                    telemetry=telemetry,
-                    progress=on_record,
-                    dispatch=dispatch,
-                    collect=False,
-                    lockstep=lockstep,
-                    warm=warm,
-                )
+                executor.run_specs(specs, workers, emit=on_record)
         finally:
             if writer is not None:
                 writer.close()

@@ -98,7 +98,7 @@ def _audit_candidates(
         for cand in candidates
         for seed in range(trials)
     ]
-    records = iter(TrialExecutor(warm=scenarios).run_chunk(specs))
+    records = iter(TrialExecutor(scenarios=scenarios).run_chunk(specs))
     failures: Dict[str, List[str]] = {cand.key(): [] for cand in candidates}
     for label, _ in audit_specs:
         for cand in candidates:

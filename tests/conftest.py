@@ -79,3 +79,27 @@ def deep_random_problem(deep_random):
     """Random many-to-one problem on the deep random network."""
     wl = random_many_to_one(deep_random, 10, seed=3, min_dest_level=12)
     return select_paths_random(deep_random, wl.endpoints, seed=4)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Make ``run_spec_trials`` fan out to its worker pool on any host.
+
+    The pool still runs only what its probe leaves: whole groups run in
+    the parent until ``LOCKSTEP_MIN_TRIALS`` trials ran.  Returns a list
+    that collects how many specs each pool chunk carried.
+    """
+    import repro.experiments.batch as batch_mod
+
+    monkeypatch.setattr(batch_mod, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(batch_mod, "should_use_pool", lambda *a, **k: True)
+    pooled: list = []
+    chunk_groups = batch_mod._chunk_groups
+
+    def counting(groups, size):
+        chunks = chunk_groups(groups, size)
+        pooled.extend(sum(len(group) for _, group in chunk) for chunk in chunks)
+        return chunks
+
+    monkeypatch.setattr(batch_mod, "_chunk_groups", counting)
+    return pooled

@@ -1239,7 +1239,7 @@ def test_cache_hits_peel_out_of_the_group(tmp_path):
     width = LOCKSTEP_MIN_TRIALS
     specs = sweep_specs(base_spec(), 3 + width)
     primer = TrialExecutor(cache_root=tmp_path, lockstep=False)
-    primed = [primer.run(s) for s in specs[:3]]
+    primed = primer.run_chunk(specs[:3])
     records = TrialExecutor(cache_root=tmp_path).run_chunk(specs)
     assert [r.cached for r in records] == [True] * 3 + [False] * width
     assert [r.executor for r in records] == (
@@ -1261,8 +1261,7 @@ def test_width_threshold_counts_cache_misses(tmp_path):
     width = LOCKSTEP_MIN_TRIALS
     specs = sweep_specs(base_spec(), 2 * width)
     primer = TrialExecutor(cache_root=tmp_path, lockstep=False)
-    for spec in specs[1:width + 2]:
-        primer.run(spec)
+    primer.run_chunk(specs[1:width + 2])
     records = TrialExecutor(cache_root=tmp_path).run_chunk(specs)
     misses = [r for r in records if not r.cached]
     assert len(misses) == width - 1
@@ -1271,6 +1270,64 @@ def test_width_threshold_counts_cache_misses(tmp_path):
     assert all(r.cached for r in replay)
     for ref, got in zip(replay, records):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
+
+
+def test_union_batch_makes_one_result_cache_pass(tmp_path, monkeypatch):
+    """Each spec of a lockstep batch over a union of networks is looked up
+    in the result cache once and stored once, stragglers included: a
+    straggler runs per trial, and its cache entry keeps the ``timings``
+    its record carries.  A second pass hits every spec and returns the
+    same results and audits, byte for byte."""
+    import json
+
+    from repro.io import audit_to_dict, result_to_dict
+    from repro.scenarios import ResultCache
+
+    manifest = SweepManifest.from_base(
+        catalog_spec("deep_random").with_params(audit=True),
+        num_trials=32,
+        shard_size=32,
+        pin=False,
+    )
+    specs = manifest.shard_specs(0)
+    assert len({s.topology_seed() for s in specs}) == 32
+    loads, stores = Counter(), Counter()
+    load_record, store = ResultCache.load_record, ResultCache.store
+
+    def counted_load(self, spec):
+        loads[spec.content_hash()] += 1
+        return load_record(self, spec)
+
+    def counted_store(self, spec, *args, **kwargs):
+        stores[spec.content_hash()] += 1
+        return store(self, spec, *args, **kwargs)
+
+    monkeypatch.setattr(ResultCache, "load_record", counted_load)
+    monkeypatch.setattr(ResultCache, "store", counted_store)
+    records = TrialExecutor(tmp_path, telemetry=True).run_chunk(specs)
+    hashes = [s.content_hash() for s in specs]
+    assert loads == Counter(hashes)
+    assert stores == Counter(hashes)
+    stragglers = [r for r in records if r.executor == ""]
+    assert stragglers, Counter(r.executor for r in records)
+    assert len(stragglers) <= int(32 * batch_mod.LOCKSTEP_TAIL_SHARE)
+    cache = ResultCache(tmp_path)
+    for record in stragglers:
+        assert record.timings
+        stored = json.loads(cache.path_for(record.spec).read_text())
+        assert stored["timings"] == record.timings
+
+    def dump(record):
+        return json.dumps(
+            [result_to_dict(record.result), audit_to_dict(record.audit)],
+            sort_keys=True,
+        )
+
+    loads.clear(), stores.clear()
+    replay = TrialExecutor(tmp_path, telemetry=True).run_chunk(specs)
+    assert all(r.cached for r in replay)
+    assert loads == Counter(hashes) and not stores
+    assert [dump(r) for r in replay] == [dump(r) for r in records]
 
 
 def test_run_spec_trials_batched_lockstep_toggle_identical():
@@ -1435,15 +1492,13 @@ class TestSweepShardIdentity:
 
 
 def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
-    tmp_path, monkeypatch
+    tmp_path, forced_pool
 ):
-    """At ``workers=2`` the auto dispatcher probes and chunks by whole
-    groups: each shard's first group runs in the parent, the rest in pool
+    """At ``workers=2`` the dispatcher probes and chunks by whole groups:
+    each gathered run's first group runs in the parent, the rest in pool
     chunks (forced here, whatever the host), and no trial of a
     fixed-problem sweep whose groups qualify leaves lockstep.  The shards
     equal a ``workers=1`` run's byte for byte."""
-    monkeypatch.setattr(batch_mod, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(batch_mod, "should_use_pool", lambda *a, **k: True)
     size = LOCKSTEP_MAX_TRIALS + 2 * LOCKSTEP_MIN_TRIALS
     manifest = SweepManifest.from_base(
         base_spec(), num_trials=2 * size, shard_size=size
@@ -1459,6 +1514,9 @@ def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
     heartbeat = Tagged(beats.append, total=2 * size, interval_sec=0.0)
     pooled = open_store(tmp_path / "pooled", manifest)
     run_sweep(manifest, pooled, workers=2, heartbeat=heartbeat, compact=False)
+    # Each shard is one run: its first group of LOCKSTEP_MAX_TRIALS is the
+    # probe, and its second group goes to the pool.
+    assert sum(forced_pool) == 2 * 2 * LOCKSTEP_MIN_TRIALS
     assert len(tags) == 2 * size
     assert all(tag.startswith("lockstep[") for tag in tags), Counter(tags)
     assert beats[-1]["lockstep_trials"] == 2 * size

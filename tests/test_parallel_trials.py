@@ -3,7 +3,8 @@
 Two safety nets for the performance subsystem:
 
 * the pooled sweep path of :func:`~repro.experiments.run_spec_trials` must
-  return records *byte-identical* to a cold serial run for the same specs
+  return records *byte-identical* to a cold per-trial loop
+  (:func:`~repro.scenarios.run_trial` on each spec) for the same specs
   (every trial's RNG streams derive from its own seed, so worker count can
   never leak into results);
 * the engine's fast-path implementation (geometry cache, slot-id encoding,
@@ -18,53 +19,63 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.experiments.batch as batch_mod
 from repro.baselines import NaivePathRouter
 from repro.experiments import (
     butterfly_hotrow_spec,
     butterfly_random_spec,
     deep_random_spec,
-    default_chunksize,
     derive_sweep_seeds,
-    resolve_workers,
     run_frontier_trial,
     run_spec_trials,
-    should_use_pool,
     sweep_specs,
 )
+from repro.experiments.batch import (
+    LOCKSTEP_MIN_TRIALS,
+    default_chunksize,
+    resolve_workers,
+    should_use_pool,
+)
 from repro.net import NetworkGeometry, butterfly, mesh, slot_direction, slot_edge, slot_id
-from repro.scenarios import build_problem
+from repro.scenarios import build_problem, run_trial
 from repro.sim import Engine, TraceRecorder
 from repro.types import Direction
 
 
-def _records(specs, workers):
-    """Full result dicts of a cold serial run and a forced-pool run."""
-    serial = run_spec_trials(specs, dispatch="serial", warm=False)
-    pooled = run_spec_trials(specs, workers=workers, dispatch="pool")
-    assert [r.spec.content_hash() for r in serial] == [
-        r.spec.content_hash() for r in pooled
+def _records(specs, workers, pooled):
+    """Full result dicts of a cold per-trial loop and a pooled run.
+
+    The pooled run is per trial too, so every spec is a group of its own:
+    the probe runs :data:`LOCKSTEP_MIN_TRIALS` of them in the parent and
+    the pool (``forced_pool``) runs the rest.
+    """
+    cold = [run_trial(spec) for spec in specs]
+    records = run_spec_trials(specs, workers=workers, lockstep=False)
+    assert sum(pooled) == len(specs) - LOCKSTEP_MIN_TRIALS > 0
+    assert [r.spec.content_hash() for r in records] == [
+        s.content_hash() for s in specs
     ]
-    return [asdict(r.result) for r in serial], [asdict(r.result) for r in pooled]
+    return [asdict(r.result) for r in cold], [asdict(r.result) for r in records]
 
 
 class TestSerialParallelEquivalence:
-    SEEDS = [0, 1, 2, 3]
+    SEEDS = list(range(LOCKSTEP_MIN_TRIALS + 4))
 
-    def test_frontier_trials_identical(self):
+    def test_frontier_trials_identical(self, forced_pool):
         # Unpinned: every trial builds its own instance from its seed.
         specs = [
             butterfly_random_spec(3, seed=seed, m=8, w_factor=8.0)
             for seed in self.SEEDS
         ]
-        serial, pooled = _records(specs, workers=4)
+        serial, pooled = _records(specs, workers=4, pooled=forced_pool)
         assert serial == pooled
 
-    def test_fixed_problem_trials_identical(self):
+    def test_fixed_problem_trials_identical(self, forced_pool):
         specs = sweep_specs(
             butterfly_random_spec(3, seed=99, m=8, w_factor=8.0),
             len(self.SEEDS),
         )
-        serial, pooled = _records(specs, workers=2)
+        serial, pooled = _records(specs, workers=2, pooled=forced_pool)
         assert serial == pooled
 
     def test_build_heavy_batched_trials_identical(self):
@@ -73,11 +84,9 @@ class TestSerialParallelEquivalence:
         # instance. An in-process run of the same specs must take the
         # lockstep kernel, whatever the auto dispatcher picked on this host.
         specs = sweep_specs(deep_random_spec(20, 6, 12, seed=2026), 8)
-        cold = run_spec_trials(
-            specs, dispatch="serial", warm=False, lockstep=False
-        )
+        cold = [run_trial(spec) for spec in specs]
         batched = run_spec_trials(specs, workers=2)
-        lockstep = run_spec_trials(specs, dispatch="serial")
+        lockstep = run_spec_trials(specs)
         assert all(r.executor.startswith("lockstep") for r in lockstep)
         expected = [asdict(r.result) for r in cold]
         assert [asdict(r.result) for r in batched] == expected
@@ -86,12 +95,12 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize(
         "backend", ["naive", "greedy"], ids=["_naive_factory", "_greedy_factory"]
     )
-    def test_router_trials_identical(self, backend):
+    def test_router_trials_identical(self, backend, forced_pool):
         pinned = butterfly_random_spec(
             3, seed=5, backend=backend, max_steps=3000
         ).with_pinned_scenario()
         specs = [pinned.with_seed(seed) for seed in self.SEEDS]
-        serial, pooled = _records(specs, workers=3)
+        serial, pooled = _records(specs, workers=3, pooled=forced_pool)
         assert serial == pooled
 
 
@@ -148,7 +157,7 @@ class TestBatchedDispatch:
             butterfly_random_spec(3, seed=seed, m=8, w_factor=8.0), count
         )
 
-    def test_should_use_pool_boundary(self):
+    def test_should_use_pool_boundary(self, monkeypatch):
         # Degenerate batches and serial worker counts never fork.
         assert not should_use_pool(1, 10.0, 4)
         assert not should_use_pool(64, 0.01, 1)
@@ -159,50 +168,45 @@ class TestBatchedDispatch:
         assert not should_use_pool(12, 0.02, 4)
         # Strict inequality at the margin: saving must *exceed* the
         # (margin-scaled) spin-up budget.
-        assert should_use_pool(10, 0.1, 2, spinup_sec=0.35)
-        assert not should_use_pool(10, 0.1, 2, spinup_sec=0.4)
+        assert batch_mod.POOL_SPINUP_SEC == 0.35
+        assert should_use_pool(10, 0.1, 2)
+        monkeypatch.setattr(batch_mod, "POOL_SPINUP_SEC", 0.4)
+        assert not should_use_pool(10, 0.1, 2)
 
     def test_small_batch_auto_matches_cold_serial(self):
         specs = self._specs(6, seed=9)
-        cold = run_spec_trials(specs, workers=1, warm=False, dispatch="serial")
-        auto = run_spec_trials(specs, workers=4, dispatch="auto")
+        cold = [run_trial(spec) for spec in specs]
+        auto = run_spec_trials(specs, workers=4)
         assert [asdict(a.result) for a in cold] == [
             asdict(b.result) for b in auto
         ]
 
-    def test_forced_pool_identical_to_cold_serial(self):
-        specs = self._specs(5)
-        serial = run_spec_trials(specs, dispatch="serial", warm=False)
-        pooled = run_spec_trials(
-            specs, workers=2, chunksize=2, dispatch="pool"
-        )
-        assert [r.spec.content_hash() for r in serial] == [
+    def test_forced_pool_identical_to_cold_serial(self, forced_pool):
+        specs = self._specs(LOCKSTEP_MIN_TRIALS + 3)
+        serial = run_spec_trials(specs, lockstep=False)
+        pooled = run_spec_trials(specs, workers=2, lockstep=False)
+        assert sum(forced_pool) == 3
+        cold = [run_trial(spec) for spec in specs]
+        assert [r.spec.content_hash() for r in cold] == [
             r.spec.content_hash() for r in pooled
         ]
-        assert [asdict(a.result) for a in serial] == [
+        assert [asdict(a.result) for a in cold] == [
             asdict(b.result) for b in pooled
         ]
         # Sweep records are data-only: no problem rides back from workers.
         assert all(r.problem is None for r in serial + pooled)
 
-    def test_pool_preserves_order_and_progress(self):
-        specs = self._specs(7, seed=3)
+    def test_pool_preserves_order_and_progress(self, forced_pool):
+        specs = self._specs(LOCKSTEP_MIN_TRIALS + 4, seed=3)
         seen = []
         records = run_spec_trials(
-            specs,
-            workers=2,
-            chunksize=3,
-            dispatch="pool",
-            progress=lambda d, t, r: seen.append((d, t)),
+            specs, workers=2, lockstep=False, emit=seen.append
         )
-        assert [r.spec.content_hash() for r in records] == [
+        assert records == []
+        assert len(forced_pool) > 1  # the pooled specs span chunks
+        assert [r.spec.content_hash() for r in seen] == [
             s.content_hash() for s in specs
         ]
-        assert seen == [(i + 1, 7) for i in range(7)]
-
-    def test_dispatch_mode_is_validated(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            run_spec_trials([], dispatch="threads")
 
 
 # The exact event stream of this fixed-seed contention-heavy run was

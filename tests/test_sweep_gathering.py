@@ -374,25 +374,22 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(batch_mod, "_WORKER", None)
 
 
-def test_pool_workers_start_with_a_warm_cache(inline_pool):
-    """An empty shared ScenarioCache is falsy, yet the workers of a
-    pooled run get a warm cache of their own; ``warm=False`` gives none."""
+def test_pool_workers_start_with_a_warm_cache(inline_pool, forced_pool):
+    """The workers of a pooled run build problems in a warm cache of
+    their own: the pooled trials of a fixed-problem batch build it once."""
     specs = sweep_specs(base_spec(), 8)
-    shared = ScenarioCache()
-    assert not shared
-    records = run_spec_trials(specs, workers=2, dispatch="pool", warm=shared)
+    records = run_spec_trials(specs, workers=2, lockstep=False)
     assert len(records) == 8
-    assert batch_mod._WORKER.scenarios is not None
-    run_spec_trials(specs, workers=2, dispatch="pool", warm=False)
-    assert batch_mod._WORKER.scenarios is None
+    assert sum(forced_pool) == 8 - batch_mod.LOCKSTEP_MIN_TRIALS
+    scenarios = batch_mod._WORKER.scenarios
+    assert isinstance(scenarios, ScenarioCache)
+    assert len(scenarios) == 1
 
 
-def test_pooled_run_cuts_groups_once(inline_pool, monkeypatch):
+def test_pooled_run_cuts_groups_once(inline_pool, forced_pool, monkeypatch):
     """At 2+ workers the parent cuts the groups and the chunks carry them:
     each spec's group key is computed once, and the records equal a
     serial run's."""
-    monkeypatch.setattr(batch_mod, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(batch_mod, "should_use_pool", lambda *a, **k: True)
     greedy = [
         dataclasses.replace(base_spec(seed), backend="greedy")
         for seed in range(3)
@@ -406,7 +403,8 @@ def test_pooled_run_cuts_groups_once(inline_pool, monkeypatch):
         return group_key(self, spec)
 
     monkeypatch.setattr(TrialExecutor, "_group_key", counting)
-    pooled = run_spec_trials(specs, workers=2, chunksize=8)
+    pooled = run_spec_trials(specs, workers=2)
+    assert sum(forced_pool) == len(greedy)
     assert len(calls) == len(specs)
     serial = run_spec_trials(specs, workers=1)
     assert [r.result for r in pooled] == [r.result for r in serial]

@@ -477,6 +477,20 @@ class TestRunSweep:
         blocker.release()
         assert run_sweep(manifest, store).complete
 
+    def test_out_of_range_shard_is_rejected_before_any_claim(
+        self, manifest, tmp_path
+    ):
+        store = open_store(tmp_path / "s", manifest)
+        with pytest.raises(ReproError, match="shard 99 out of range"):
+            run_sweep(manifest, store, shards=[0, 99])
+        assert not store.leases_dir.exists() or not any(
+            store.leases_dir.iterdir()
+        )
+        assert not store.shard_complete(0)
+        # Nothing was claimed, so the full walk runs every shard here.
+        outcome = run_sweep(manifest, store)
+        assert outcome.complete and outcome.shards_done == manifest.num_shards
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kill_resume_is_byte_identical(self, manifest, tmp_path, workers):
         reference = open_store(tmp_path / "ref", manifest)
@@ -499,7 +513,6 @@ class TestRunSweep:
             fh.write(b'{"kind":"sweep_record","index":2')
         outcome = run_sweep(
             manifest, victim, workers=workers, resume=True, compact=False,
-            dispatch="serial" if workers == 1 else "auto",
         )
         assert outcome.complete
         assert outcome.trials_resumed == 2
@@ -716,6 +729,25 @@ class TestSweepCli:
         a = json.loads((shared_dir / "aggregate.json").read_text())
         b = json.loads((single_dir / "aggregate.json").read_text())
         assert a == b
+
+    @pytest.mark.parametrize(
+        "shard, message",
+        [
+            ("2-1", "range '2-1' is reversed"),
+            ("x", "'x' is not a shard id or range"),
+            ("7", "shard 7 out of range"),
+        ],
+    )
+    def test_bad_shard_selection_exits_2(
+        self, tmp_path, capsys, sweep_args, shard, message
+    ):
+        store_root = tmp_path / "store"
+        code = main(sweep_args + ["--store", str(store_root), "--shard", shard])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "sweep incomplete" not in captured.out
+        assert not list(store_root.glob("*/leases/*.lease"))
 
     def test_loaded_manifest_drives_store_run(self, tmp_path, capsys, sweep_args):
         path = tmp_path / "m.json"

@@ -185,23 +185,21 @@ class TestCounters:
         assert aggregate_counters([None, None]) is None
         assert aggregate_counters([None, snaps[0]])["runs"] == 1
 
-    def test_progress_callback_fires_per_trial(self):
-        specs = [_spec(seed=s, name=f"p{s}") for s in range(7)]
-        for dispatch_kw in (
-            {"dispatch": "serial"},
-            {"dispatch": "pool", "workers": 3, "chunksize": 2},
-        ):
+    def test_progress_callback_fires_per_trial(self, forced_pool):
+        specs = [_spec(seed=s, name=f"p{s}") for s in range(LOCKSTEP_MIN_TRIALS + 4)]
+        expected = [asdict(r.result) for r in run_spec_trials(specs)]
+        for workers in (1, 3):
             seen = []
             records = run_spec_trials(
-                specs, progress=lambda d, t, r: seen.append((d, t, r)), **dispatch_kw
+                specs, workers=workers, lockstep=False, emit=seen.append
             )
-            assert [(d, t) for d, t, _ in seen] == [(i + 1, 7) for i in range(7)]
-            # Each callback carries the record returned at that position,
-            # and records come back in spec order.
-            assert all(r is rec for (_, _, r), rec in zip(seen, records))
-            assert [r.spec.content_hash() for r in records] == [
+            # ``emit`` gets every record, in spec order, and none is kept.
+            assert records == []
+            assert [r.spec.content_hash() for r in seen] == [
                 s.content_hash() for s in specs
             ]
+            assert [asdict(r.result) for r in seen] == expected
+        assert sum(forced_pool) == 4
 
 
 # -------------------------------------------------------------------- trace
@@ -481,15 +479,17 @@ class TestCacheAndReport:
 class TestBatchedExecutionIdentity:
     """Warm-cache / pooled execution must be invisible to observability."""
 
-    def test_pooled_telemetry_counters_identical(self):
-        specs = [_spec(seed=s, name=f"t{s}") for s in (1, 2, 3, 4)]
-        cold = run_spec_trials(
-            specs, telemetry=True, warm=False, dispatch="serial"
-        )
+    def test_pooled_telemetry_counters_identical(self, forced_pool):
+        specs = [
+            _spec(seed=s, name=f"t{s}")
+            for s in range(1, LOCKSTEP_MIN_TRIALS + 5)
+        ]
+        cold = [run_trial(spec, telemetry=True) for spec in specs]
         pooled = run_spec_trials(
-            specs, workers=2, chunksize=2, telemetry=True, dispatch="pool"
+            specs, workers=2, telemetry=True, lockstep=False
         )
-        for a, b in zip(cold, pooled):
+        assert sum(forced_pool) == 4
+        for a, b in zip(cold, pooled, strict=True):
             assert a.result.telemetry == b.result.telemetry
             assert asdict(a.result) == asdict(b.result)
 

@@ -249,7 +249,6 @@ def _parse_shard_ids(text: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """The sharded manifest engine behind ``repro sweep`` (docs/sweeps.md)."""
     import dataclasses
-    import json
     import pathlib
 
     from .sweeps import (
@@ -314,15 +313,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     shards = _parse_shard_ids(args.shard) if args.shard else None
-    heartbeat = None
-    if args.progress:
-        if args.progress == "-":
-            sink = lambda record: print(  # noqa: E731
-                json.dumps(record, sort_keys=True), file=sys.stderr
-            )
-        else:
-            sink = args.progress
-        heartbeat = SweepHeartbeat(sink, total=manifest.num_trials)
+    heartbeat = (
+        SweepHeartbeat(args.progress, total=manifest.num_trials)
+        if args.progress
+        else None
+    )
 
     store = open_store(args.store, manifest)
     outcome = run_sweep(
@@ -426,20 +421,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
         # the same contract as ``sweep --manifest`` without ``--store``.
         return 0
 
-    progress = None
-    if args.progress:
-        if args.progress == "-":
-            progress = lambda record: print(  # noqa: E731
-                json.dumps(record, sort_keys=True), file=sys.stderr
-            )
-        else:
-            progress = args.progress
     report = run_study(
         study,
         args.store,
         resume=args.resume,
         workers=args.workers,
-        progress=progress,
+        progress=args.progress or None,
     )
     print_study_report(report)
     print(f"store     : {pathlib.Path(args.store)}")
@@ -742,7 +729,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial processes (1 = serial; results are identical either way)",
+        help="trial processes (1 = serial; results are identical either "
+        "way); only runs wider than one executor group (256 trials that "
+        "share a lockstep batch) fan out",
     )
     p_sweep.add_argument(
         "--fixed-problem",
@@ -910,7 +899,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="oversplit grid values",
     )
     p_tune.add_argument(
-        "--workers", type=int, default=1, help="trial processes per sweep"
+        "--workers",
+        type=int,
+        default=1,
+        help="trial processes per sweep; only rungs wider than one "
+        "executor group (256 trials) fan out",
     )
     p_tune.add_argument(
         "--resume",

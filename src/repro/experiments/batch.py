@@ -238,7 +238,9 @@ class TrialExecutor:
         (:func:`should_use_pool` says the batch is too small to amortize
         pool spin-up) or is fanned across a worker pool in duration-sized
         chunks (:func:`default_chunksize`) that never cut a lockstep group
-        below :data:`LOCKSTEP_MIN_TRIALS` (:func:`_chunk_groups`).
+        below :data:`LOCKSTEP_MIN_TRIALS` (:func:`_chunk_groups`).  So at
+        most :data:`LOCKSTEP_MAX_TRIALS` specs of one group key are one
+        group, all run by the probe: no pool starts for them.
         """
         records: List = []
         if emit is None:

@@ -12,21 +12,24 @@ fixed-size state:
 * :class:`IntSketch` count/mean/min/max/percentile sketches over integer
   metrics (makespan, per-packet delivery time, per-packet deflections,
   slowdown scaled to 1e-3).  The sketch is an exact integer histogram
-  that *coarsens itself* — when the number of distinct buckets exceeds a
+  that *coarsens itself* — while the number of distinct buckets exceeds a
   bound it doubles its bucket width and rebins — so memory stays bounded
   no matter the value range while percentiles stay within one bucket
-  width.  Deterministic: the same fold order produces the same sketch,
-  and for typical sweeps (makespans in the thousands) the histogram
-  never coarsens and percentiles are exact.
+  width.  Its state is a function of the values folded alone, never of
+  their order: the width is the smallest power of two at which they fit
+  the bound.  For typical sweeps (makespans in the thousands) the
+  histogram never coarsens and percentiles are exact.
 * telemetry counter snapshots merged pairwise through
   :func:`repro.telemetry.aggregate_counters` (additive fields sum, peaks
   max — the same semantics the CLI sweep summary always used);
 * invariant-audit tallies (audited trials, violated audits), present
   only when records carry an ``audit``.
 
-``to_dict`` emits a JSON-stable summary; ``aggregate_store`` streams a
-finished (or compacted) store through one pass, or completes an aggregate
-:func:`~repro.sweeps.run_sweep` folded as it wrote with the records it did not write.
+Every fold commutes, so records may be folded in any order.  ``to_dict``
+emits a JSON-stable summary; ``aggregate_store`` streams a finished (or
+compacted) store through one pass, or completes an aggregate
+:func:`~repro.sweeps.run_sweep` folded as it wrote with exactly the
+records it did not write.
 """
 
 from __future__ import annotations
@@ -57,39 +60,30 @@ class IntSketch:
         self.max: Optional[int] = None
         self._buckets: Dict[int, int] = {}
 
-    def add(self, value: int, weight: int = 1) -> None:
+    def add(self, value: int) -> None:
         value = int(value)
-        self.count += weight
-        self.total += value * weight
+        self.count += 1
+        self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         bucket = value // self.width
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + weight
-        if len(self._buckets) > self.max_buckets:
-            self._coarsen()
+        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+        self._fit()
 
     def add_many(self, values: Sequence[int]) -> None:
-        """Fold every value of ``values`` (ints), in order.
+        """Fold every value of ``values`` (ints) in one pass.
 
-        The state equals that of calling :meth:`add` on each value in
-        turn.  When the values' buckets fit under the bound (the usual
-        case: one record's per-packet delivery times or deflections) they
-        are counted in one pass; a list that would make the sketch coarsen
-        falls back to :meth:`add`, value by value, since where each
-        coarsening lands depends on the order of the values.
+        The values are counted at the current width, their counts added,
+        and the sketch then coarsened until it fits: the state equals
+        that of calling :meth:`add` on each value, in any order.
         """
         if not values:
             return
         width = self.width
         counts = Counter(values if width == 1 else [v // width for v in values])
         buckets = self._buckets
-        fresh = sum(1 for bucket in counts if bucket not in buckets)
-        if len(buckets) + fresh > self.max_buckets:
-            for value in values:
-                self.add(value)
-            return
         for bucket, count in counts.items():
             buckets[bucket] = buckets.get(bucket, 0) + count
         self.count += len(values)
@@ -99,14 +93,24 @@ class IntSketch:
             self.min = low
         if self.max is None or high > self.max:
             self.max = high
+        self._fit()
 
-    def _coarsen(self) -> None:
-        self.width *= 2
-        rebinned: Dict[int, int] = {}
-        for bucket, count in self._buckets.items():
-            key = bucket // 2
-            rebinned[key] = rebinned.get(key, 0) + count
-        self._buckets = rebinned
+    def _fit(self) -> None:
+        """Double the bucket width until at most ``max_buckets`` remain.
+
+        Rebinning at twice the width gives the exact counts at that width
+        (``(v // w) // 2 == v // (2 * w)``), and a set of values never needs
+        fewer buckets after more values join it, so the width is always
+        the smallest power of two at which every value folded so far fits:
+        a function of those values alone, not of their order.
+        """
+        while len(self._buckets) > self.max_buckets:
+            self.width *= 2
+            rebinned: Dict[int, int] = {}
+            for bucket, count in self._buckets.items():
+                key = bucket // 2
+                rebinned[key] = rebinned.get(key, 0) + count
+            self._buckets = rebinned
 
     @property
     def mean(self) -> Optional[float]:
@@ -162,11 +166,9 @@ class StreamingAggregate:
 
     # ---------------------------------------------------------------- folds
 
-    def add_result(self, result, cached: bool = False) -> None:
+    def add_result(self, result) -> None:
         """Fold one :class:`~repro.sim.RunResult` (live dispatch path)."""
         self.trials += 1
-        if cached:
-            self.cache_hits += 1
         self.packets += result.num_packets
         self.packets_delivered += result.delivered
         if result.delivered == result.num_packets:
@@ -198,19 +200,6 @@ class StreamingAggregate:
         if audit is not None:
             self.add_audit(audit["ok"])
 
-    def coarsened(self) -> bool:
-        """Whether any sketch has coarsened, the one case in which the
-        state depends on the order the records were folded in."""
-        return any(
-            sketch.width > 1
-            for sketch in (
-                self.makespan,
-                self.delivery_time,
-                self.deflections,
-                self.slowdown_milli,
-            )
-        )
-
     def _fold_telemetry(self, snapshot: dict) -> None:
         from ..telemetry import aggregate_counters
 
@@ -218,41 +207,6 @@ class StreamingAggregate:
         # is itself a valid snapshot whose ``runs`` carries its weight),
         # so pairwise folding matches a single batched call exactly.
         self._telemetry = aggregate_counters([self._telemetry, snapshot])
-
-    def merge_dict(self, other: dict) -> None:
-        """Fold a previously emitted aggregate (cross-store roll-ups).
-
-        Scalar tallies and telemetry merge exactly; sketches merge at
-        their emitted resolution (each percentile bucket re-folded by
-        weight), which is the usual sketch-union error bound.
-        """
-        self.trials += other["trials"]
-        self.delivered_all += other["delivered_all"]
-        self.packets += other["packets"]
-        self.packets_delivered += other["packets_delivered"]
-        self.unsafe_deflections += other["unsafe_deflections"]
-        self.cache_hits += other.get("cache_hits", 0)
-        self.audited += other.get("audited", 0)
-        self.audit_violations += other.get("audit_violations", 0)
-        for name, sketch in (
-            ("makespan", self.makespan),
-            ("delivery_time", self.delivery_time),
-            ("deflections", self.deflections),
-            ("slowdown_milli", self.slowdown_milli),
-        ):
-            summary = other.get(name)
-            if summary and summary["count"]:
-                # Reconstruct coarse mass: mean at full weight keeps the
-                # merged mean exact; min/max keep the envelope exact.
-                sketch.add(summary["min"])
-                sketch.add(summary["max"])
-                if summary["count"] > 2:
-                    sketch.add(
-                        round(summary["mean"]), weight=summary["count"] - 2
-                    )
-        telemetry = other.get("telemetry")
-        if telemetry:
-            self._fold_telemetry(telemetry)
 
     # --------------------------------------------------------------- output
 
@@ -357,30 +311,20 @@ def aggregate_store(
 
     ``live`` is an aggregate that already folded some records as they
     were written; ``folded`` maps each shard it covers to the number of
-    leading records it does not hold (a resumed prefix), in the order the
-    shards were folded.  Only the records ``live`` lacks are read back and
-    folded into it.  Every fold commutes except a sketch's coarsening, so
-    when records were folded out of manifest order (a resumed prefix or a
-    shard before the last one folded live is read back, or the shards
-    were walked out of order) and a sketch coarsened, the whole store is
-    read again in order instead: the result always equals the plain
-    one-pass fold.
+    leading records it does not hold (a resumed prefix).  Only the records
+    ``live`` lacks are read back and folded into it.  Every fold commutes,
+    so the result equals the plain one-pass fold whatever order the
+    shards were folded in.
     """
     if live is None or not folded or store.is_compacted():
         return aggregate_records(store.iter_records())
-    in_order = list(folded) == sorted(folded)
-    last = max(folded)
     for shard in store.manifest.shard_ids():
         lacking = folded.get(shard)
         if lacking == 0:
             continue
-        if lacking is not None or shard < last:
-            in_order = False
         records = store.iter_shard_records(shard)
         if lacking is not None:
             records = islice(records, lacking)
         for record in records:
             live.add_record(record)
-    if not in_order and live.coarsened():
-        return aggregate_records(store.iter_records())
     return live

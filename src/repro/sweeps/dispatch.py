@@ -38,13 +38,13 @@ out of the stored bytes (the per-shard byte-identity guarantee).
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..telemetry.progress import ProgressSink
 from ..telemetry.timing import TimingSpans
 from .aggregate import StreamingAggregate, aggregate_store, render_aggregate
 from .lease import DEFAULT_STALE_AFTER_SEC, LeaseManager, ShardLease
@@ -64,6 +64,8 @@ class SweepHeartbeat:
     (clocked on the telemetry layer's :class:`~repro.telemetry.timing.
     TimingSpans` accumulators), so a million-trial sweep is observable —
     trials done, trials/sec, ETA, cache hits — without tracing anything.
+    ``sink`` is a :class:`~repro.telemetry.ProgressSink` target: a
+    callable, a path (appended), ``"-"`` (stderr) or ``None``.
     """
 
     def __init__(
@@ -72,12 +74,7 @@ class SweepHeartbeat:
         total: int,
         interval_sec: float = 2.0,
     ) -> None:
-        self._fh = None
-        if sink is None or callable(sink):
-            self._sink = sink
-        else:
-            self._fh = open(sink, "a", encoding="utf-8")
-            self._sink = self._write_line
+        self._sink = ProgressSink(sink)
         self.total = int(total)
         self.interval_sec = float(interval_sec)
         self.spans = TimingSpans()
@@ -92,10 +89,6 @@ class SweepHeartbeat:
         self._started = perf_counter()
         self._last_emit = self._started
         self.records_emitted = 0
-
-    def _write_line(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
 
     # ------------------------------------------------------------ callbacks
 
@@ -122,7 +115,7 @@ class SweepHeartbeat:
             self.emit(shard=shard)
 
     def emit(self, shard: Optional[int] = None, final: bool = False) -> None:
-        if self._sink is None:
+        if not self._sink.enabled:
             return
         now = perf_counter()
         elapsed = now - self._started
@@ -150,9 +143,7 @@ class SweepHeartbeat:
 
     def close(self) -> None:
         self.emit(final=True)
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._sink.close()
 
 
 @dataclass
@@ -266,7 +257,8 @@ def run_sweep(
     outcome = SweepOutcome(manifest_hash=manifest.manifest_hash())
     started = perf_counter()
     # Every record this invocation writes is folded here as it is
-    # appended; ``folded`` maps each such shard to its resumed prefix.
+    # appended, in whatever order the walk reaches it; ``folded`` maps
+    # each shard finalized here to its resumed prefix.
     live = StreamingAggregate()
     folded: Dict[int, int] = {}
 
@@ -381,22 +373,24 @@ def run_sweep(
                 claims = []
         if claims:
             run_gathered(claims)
+            claims = []
+
+        outcome.complete = store.all_complete()
+        if outcome.complete:
+            aggregate = aggregate_store(store, live, folded)
+            aggregate.cache_hits = outcome.cache_hits
+            outcome.aggregate = aggregate.to_dict()
+            store.write_aggregate(outcome.aggregate)
+            if compact:
+                store.compact()
     finally:
-        # A failed claim, resume or run leaves no lease of ours behind.
+        # A failed claim, resume or run leaves no lease of ours behind,
+        # and the progress sink is closed however the walk ends.
         for claim in claims:
             claim.lease.release()
-
-    outcome.complete = store.all_complete()
-    if outcome.complete:
-        aggregate = aggregate_store(store, live, folded)
-        aggregate.cache_hits = outcome.cache_hits
-        outcome.aggregate = aggregate.to_dict()
-        store.write_aggregate(outcome.aggregate)
-        if compact:
-            store.compact()
+        if heartbeat is not None:
+            heartbeat.close()
     outcome.elapsed_sec = perf_counter() - started
-    if heartbeat is not None:
-        heartbeat.close()
     return outcome
 
 

@@ -18,6 +18,9 @@ zero-cost-when-off event hook (``docs/observability.md`` is the guide):
   summary from any artifact (spec, cache record, result file, or trace)
   without re-running anything.
 
+:class:`ProgressSink` carries the JSONL progress stream (``--progress``)
+of sweeps and tuning studies to a callable, a file or stderr.
+
 Activation is scoped through a process-local :class:`TelemetrySession`
 (``with TelemetrySession(trace_path=...):``); engines discover it at
 construction time via :func:`current_session`, so code that never opens a
@@ -34,6 +37,7 @@ from .counters import (
     counters_digest,
 )
 from .live import WINDOW_SCHEMA, WindowedMetrics
+from .progress import ProgressSink
 from .report import ReportSource, render_report, resolve_source
 from .session import TelemetryConfig, TelemetrySession
 from .timing import ENGINE_STEP_SPAN, TimingSpans, span
@@ -56,6 +60,7 @@ __all__ = [
     "TRACE_SUFFIXES",
     "Counters",
     "JsonlTraceSink",
+    "ProgressSink",
     "ReportSource",
     "TelemetryConfig",
     "TelemetrySession",

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..errors import ParameterError, ReproError
 from ..scenarios import ScenarioCache
 from ..sweeps import SweepHeartbeat, SweepManifest, open_store, run_sweep
-from ..telemetry import counters_digest
+from ..telemetry import ProgressSink, counters_digest
 from .report import CandidateVerdict, TuningReport
 from .study import TuningCandidate, TuningStudy, save_study
 
@@ -28,40 +28,31 @@ class TuningProgress:
     Emits ``tuning_rung`` / ``tuning_candidate`` records and forwards
     the per-sweep ``sweep_heartbeat`` stream to the same sink, so one
     tail shows both the search structure and the trial throughput.
-    Accepts a callable, a path (appended, one JSON object per line), or
-    ``None`` (disabled).
+    Accepts a callable, a path (appended, one JSON object per line),
+    ``"-"`` (stderr) or ``None`` (disabled): a
+    :class:`~repro.telemetry.ProgressSink` target.
     """
 
     def __init__(
         self, sink: Union[Callable[[dict], None], PathLike, None]
     ) -> None:
-        self._fh = None
-        if sink is None or callable(sink):
-            self._callable = sink
-        else:
-            self._fh = open(sink, "a", encoding="utf-8")
-            self._callable = self._write_line
+        self._sink = ProgressSink(sink)
         self.records_emitted = 0
-
-    def _write_line(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
 
     @property
     def sink(self) -> Optional[Callable[[dict], None]]:
-        """The raw callable (hand this to :class:`SweepHeartbeat`)."""
-        return self._callable
+        """The record callable, or None when disabled (hand this to
+        :class:`SweepHeartbeat`)."""
+        return self._sink if self._sink.enabled else None
 
     def emit(self, record: dict) -> None:
-        if self._callable is None:
+        if not self._sink.enabled:
             return
         self.records_emitted += 1
-        self._callable(record)
+        self._sink(record)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._sink.close()
 
 
 def _audit_candidates(

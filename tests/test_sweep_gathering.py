@@ -6,8 +6,8 @@ to its own shard and folds it into the live aggregate.  These tests pin
 that the stored bytes and the aggregate never depend on the gathering:
 against the per-trial path, across leases held elsewhere, kills in the
 middle of a batch, and resumes.  They also cover the pool plumbing that
-the batch goes through (pre-cut groups, the workers' warm cache) and
-:meth:`IntSketch.add_many`.
+the batch goes through (pre-cut groups, the workers' warm cache), and
+that an :class:`IntSketch` does not depend on the order of its folds.
 """
 
 from __future__ import annotations
@@ -242,19 +242,25 @@ class TestGatheredRuns:
         invocation did not write, equals a plain pass over the store: on a
         fresh store (nothing read back), a resumed one (the finished shard
         and the resumed prefix read back) and one that another worker
-        partly wrote.  With coarsened sketches, records folded out of
-        order make ``run_sweep`` fall back to the plain pass.  Every trial
-        routes its own instance, so the slowdowns spread widely."""
+        partly wrote, and on one walked in reverse.  With coarsened
+        sketches too, only the records the live fold lacks are read back.
+        Every trial routes its own instance, so the slowdowns spread
+        widely."""
         if small:
             request.getfixturevalue("small_sketches")
         manifest = make_manifest(5, pin=False)
         executor = TrialExecutor(telemetry=telemetry, lockstep=False)
 
         fresh = open_store(tmp_path / "fresh", manifest)
+        del count_read_back[:]
         outcome = run_sweep(manifest, fresh, telemetry=telemetry)
+        assert count_read_back == []
         assert without_cache_hits(outcome.aggregate) == one_pass(fresh)
-        if small:
-            assert aggregate_records(fresh.iter_records()).coarsened()
+        widths = [
+            outcome.aggregate[name]["bucket_width"]
+            for name in ("makespan", "delivery_time", "slowdown_milli")
+        ]
+        assert (max(widths) > 1) == small
 
         resumed = open_store(tmp_path / "resumed", manifest)
         run_sweep(manifest, resumed, shards=[0], telemetry=telemetry)
@@ -265,32 +271,34 @@ class TestGatheredRuns:
                 )
         del count_read_back[:]
         outcome = run_sweep(manifest, resumed, telemetry=telemetry)
-        if not small:
-            assert count_read_back == list(range(5 + 3))
+        assert count_read_back == list(range(5 + 3))
         assert without_cache_hits(outcome.aggregate) == one_pass(resumed)
 
         foreign = open_store(tmp_path / "foreign", manifest)
         run_sweep(manifest, foreign, shards=[2, 5], telemetry=telemetry)
         del count_read_back[:]
         outcome = run_sweep(manifest, foreign, telemetry=telemetry)
-        if not small:
-            assert count_read_back == list(range(10, 15)) + list(range(25, 30))
+        assert count_read_back == list(range(10, 15)) + list(range(25, 30))
         assert without_cache_hits(outcome.aggregate) == one_pass(foreign)
 
         # Walking shards out of order folds them out of order too.
         reversed_walk = open_store(tmp_path / "reversed", manifest)
+        del count_read_back[:]
         outcome = run_sweep(
             manifest, reversed_walk, telemetry=telemetry,
             shards=list(reversed(list(manifest.shard_ids()))),
         )
+        assert count_read_back == []
         assert without_cache_hits(outcome.aggregate) == one_pass(reversed_walk)
 
-    def test_out_of_order_fold_falls_back_to_one_pass(self, small_sketches):
-        """Where a coarsening lands depends on the fold order: these two
-        shards' makespans give a bucket width of 4 folded in manifest
-        order and 2 folded the other way round.  A live fold of shard 1
-        completed by reading shard 0 back is out of order, so the store
-        is read again in order."""
+    def test_out_of_order_fold_equals_one_pass(
+        self, small_sketches, count_read_back
+    ):
+        """These two shards' makespans coarsen the makespan sketch (they
+        once gave a bucket width of 4 folded in manifest order and 2
+        folded the other way round).  Folded in either order they give the
+        same sketch, and a live fold of shard 1 is completed by reading
+        back shard 0 alone."""
         template = TrialExecutor().run(base_spec()).result
         makespans = (
             [96, 208, 215, 175, 271, 222, 186, 111, 236, 264],
@@ -320,9 +328,12 @@ class TestGatheredRuns:
 
         in_order = aggregate_records(Store().iter_records()).to_dict()
         reversed_fold = aggregate_records(shards[1] + shards[0]).to_dict()
-        assert reversed_fold["makespan"] != in_order["makespan"]
+        assert in_order["makespan"]["bucket_width"] > 1
+        assert reversed_fold == in_order
         live = aggregate_records(shards[1])
+        del count_read_back[:]
         assert aggregate_store(Store(), live, {1: 0}).to_dict() == in_order
+        assert count_read_back == list(range(len(makespans[0])))
 
     def test_fresh_sweep_reads_nothing_back(self, tmp_path, count_read_back):
         manifest = make_manifest(5)
@@ -429,6 +440,52 @@ def test_add_many_equals_sequential_add(batches, max_buckets):
             one.add(value)
         assert vars(many) == vars(one)
     assert many.to_dict() == one.to_dict()
+
+
+#: Values spread over a grid of some stride fill every bucket they reach
+#: and still do after one doubling of the width: where one doubling per
+#: fold fell short, these made the sketch depend on the fold order.
+SKETCH_VALUES = st.one_of(
+    st.lists(st.integers(min_value=-50, max_value=5000), max_size=120),
+    st.integers(min_value=1, max_value=64).flatmap(
+        lambda stride: st.lists(
+            st.integers(min_value=-2, max_value=80).map(lambda k: k * stride),
+            max_size=120,
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    values=SKETCH_VALUES,
+    max_buckets=st.sampled_from([16, 20, 64]),
+)
+def test_sketch_state_is_order_free(data, values, max_buckets):
+    """Any permutation of the values, split any way between ``add`` and
+    ``add_many``, gives the same sketch, and no call leaves more than
+    ``max_buckets`` buckets."""
+
+    def fold(order):
+        sketch = IntSketch(max_buckets)
+        cuts = data.draw(
+            st.lists(st.integers(0, len(order)), max_size=8).map(sorted)
+        )
+        for start, stop in zip([0] + cuts, cuts + [len(order)]):
+            chunk = order[start:stop]
+            if data.draw(st.booleans()):
+                sketch.add_many(chunk)
+                assert len(sketch._buckets) <= max_buckets
+            else:
+                for value in chunk:
+                    sketch.add(value)
+                    assert len(sketch._buckets) <= max_buckets
+        return sketch
+
+    reference = vars(fold(values))
+    shuffled = data.draw(st.permutations(values))
+    assert vars(fold(shuffled)) == reference
 
 
 def test_add_many_coarsens_like_add():

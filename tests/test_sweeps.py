@@ -25,7 +25,6 @@ from repro.sweeps import (
     DEFAULT_STALE_AFTER_SEC,
     IntSketch,
     LeaseManager,
-    StreamingAggregate,
     SweepHeartbeat,
     SweepManifest,
     aggregate_store,
@@ -37,6 +36,7 @@ from repro.sweeps import (
     run_sweep,
     save_manifest,
 )
+from repro.telemetry import ProgressSink
 
 
 def small_base(seed: int = 11) -> RunSpec:
@@ -566,6 +566,47 @@ class TestRunSweep:
         assert final["trials_per_sec"] > 0
         assert "trial" in final["spans"]
 
+    def test_failed_sweep_closes_its_progress_file(
+        self, manifest, tmp_path, monkeypatch
+    ):
+        """A sweep whose walk raises still closes the ``--progress`` file
+        it opened, after its final record."""
+        store = open_store(tmp_path / "s", manifest)
+        heartbeat = SweepHeartbeat(
+            tmp_path / "hb.jsonl", total=manifest.num_trials
+        )
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(store_module.ShardWriter, "append", failing)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            run_sweep(manifest, store, heartbeat=heartbeat)
+        assert heartbeat._sink._fh is None
+        lines = (tmp_path / "hb.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1])["final"] is True
+
+    def test_progress_sink_lines(self, tmp_path, capsys):
+        """A path and ``"-"`` get the same bytes: sorted-key JSON, one
+        record a line; a callable gets the record itself."""
+        record = {"kind": "x", "b": 1, "a": [2, None]}
+        line = json.dumps(record, sort_keys=True) + "\n"
+        path = tmp_path / "p.jsonl"
+        path.write_text("earlier\n", encoding="utf-8")
+        to_file = ProgressSink(path)
+        to_file(record)
+        to_file.close()
+        to_file(record)  # dropped after close
+        assert path.read_text(encoding="utf-8") == "earlier\n" + line
+        to_stderr = ProgressSink("-")
+        to_stderr(record)
+        to_stderr.close()
+        assert capsys.readouterr().err == line
+        seen = []
+        ProgressSink(seen.append)(record)
+        assert seen == [record]
+        assert not ProgressSink(None).enabled
+
     def test_result_cache_hits_are_reported(self, manifest, tmp_path):
         cache_root = tmp_path / "cache"
         warm = run_sweep(
@@ -624,22 +665,6 @@ class TestAggregation:
         )
         text = render_aggregate(record)
         assert "trials" in text and "makespan" in text
-
-    def test_merge_dict_accumulates(self, manifest, tmp_path):
-        store = open_store(tmp_path / "s", manifest)
-        run_sweep(manifest, store, compact=False)
-        part = aggregate_store(store).to_dict()
-        merged = StreamingAggregate()
-        merged.merge_dict(part)
-        merged.merge_dict(part)
-        out = merged.to_dict()
-        assert out["trials"] == 2 * part["trials"]
-        assert out["packets"] == 2 * part["packets"]
-        assert out["makespan"]["min"] == part["makespan"]["min"]
-        assert out["makespan"]["max"] == part["makespan"]["max"]
-        assert out["makespan"]["mean"] == pytest.approx(
-            part["makespan"]["mean"], rel=0.05
-        )
 
     def test_render_empty_aggregate(self):
         assert render_aggregate({"trials": 0}) == "aggregate : no trials"

@@ -9,7 +9,6 @@ after any run.  Experiments run their trials as specs through
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 from repro.experiments import run_spec_trials
@@ -40,23 +39,6 @@ def once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-def bench_workers(default: int = 1) -> int:
-    """Trial-sweep worker count for benches that fan seeds out.
-
-    Set by ``python -m repro experiment <id> --workers N`` (via the
-    ``$REPRO_BENCH_WORKERS`` environment variable) or directly in the
-    environment.  Sweeps return identical records at any worker count, so
-    this only changes wall-clock time, never a reproduction table.
-    """
-    raw = os.environ.get("REPRO_BENCH_WORKERS")
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
 def run_pinned(specs, seeds):
     """Run each spec's instance once per routing seed, through the executor.
 
@@ -64,8 +46,7 @@ def run_pinned(specs, seeds):
     (say, one per backend on a shared instance).  Each is pinned to its
     resolved component seeds, so its trials route one fixed problem and
     only the backend's coins follow ``seeds``.  The trials run through
-    :func:`~repro.experiments.run_spec_trials` on :func:`bench_workers`
-    processes, without a result cache.  Returns ``(problem, records)``:
+    :func:`~repro.experiments.run_spec_trials`, without a result cache.  Returns ``(problem, records)``:
     the first spec's problem, built once for the table's columns, and the
     records spec by spec, seed by seed.
     """
@@ -73,7 +54,6 @@ def run_pinned(specs, seeds):
         specs = [specs]
     pinned = [spec.with_pinned_scenario() for spec in specs]
     records = run_spec_trials(
-        [trial for spec in pinned for trial in spec.with_seeds(seeds)],
-        workers=bench_workers(),
+        [trial for spec in pinned for trial in spec.with_seeds(seeds)]
     )
     return build_problem(pinned[0]), records

@@ -31,8 +31,6 @@ from repro.experiments import deep_random_spec, run_spec_trials, sweep_specs
 from repro.experiments.batch import TrialExecutor
 from repro.scenarios import run_trial
 
-from _common import bench_workers
-
 NUM_TRIALS = 64
 
 #: Lockstep kernel trials/sec over the warm per-trial executor's.
@@ -75,7 +73,7 @@ def _race(slow, fast, repeats=3):
 
 
 def _batched(specs):
-    return lambda: run_spec_trials(specs, workers=bench_workers(2))
+    return lambda: run_spec_trials(specs)
 
 
 def test_lockstep_speedup_floor():
@@ -119,9 +117,7 @@ def test_sweep_throughput_floor():
     def sweep():
         with tempfile.TemporaryDirectory() as td:
             store = open_store(pathlib.Path(td), manifest)
-            outcome = run_sweep(
-                manifest, store, workers=bench_workers(2), compact=False
-            )
+            outcome = run_sweep(manifest, store, compact=False)
             assert outcome.complete
             return store.load_aggregate()
 

@@ -45,11 +45,6 @@ from .scenarios import (
     save_spec,
 )
 
-#: Environment variable through which ``repro experiment --workers`` hands
-#: the trial-sweep worker count to the benchmark harness
-#: (``benchmarks/_common.bench_workers``).
-WORKERS_ENV_VAR = "REPRO_BENCH_WORKERS"
-
 # ------------------------------------------------------- topology spec syntax
 #
 # ``name:arg1:arg2`` shorthand over the topology registry.  Each parser maps
@@ -484,8 +479,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     env["PYTHONPATH"] = (
         str(src_dir) if not existing else str(src_dir) + os.pathsep + existing
     )
-    if args.workers is not None:
-        env[WORKERS_ENV_VAR] = str(args.workers)
     print("running:", " ".join(command))
     return subprocess.call(command, cwd=str(bench_dir), env=env)
 
@@ -729,9 +722,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial processes (1 = serial; results are identical either "
-        "way); only runs wider than one executor group (256 trials that "
-        "share a lockstep batch) fan out",
+        help="walker processes that claim and run whole shards of the "
+        "store (1 = this process only; the store's bytes are identical "
+        "either way); capped by the usable CPUs and by the shards still "
+        "pending",
     )
     p_sweep.add_argument(
         "--fixed-problem",
@@ -771,7 +765,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--shard-size",
         type=int,
         default=None,
-        help="trials per shard when deriving a manifest (default 1024)",
+        help="trials per shard when deriving a manifest (default 256, "
+        "one executor group; shards are the unit --workers spreads)",
     )
     p_sweep.add_argument(
         "--resume",
@@ -902,8 +897,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial processes per sweep; only rungs wider than one "
-        "executor group (256 trials) fan out",
+        help="walker processes per sweep, each claiming and running whole "
+        "shards; capped by the usable CPUs and by each rung's pending "
+        "shards (stores are identical either way)",
     )
     p_tune.add_argument(
         "--resume",
@@ -938,13 +934,6 @@ def make_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="e.g. t1, t4, a2, e1; omit to list available experiments",
-    )
-    p_exp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel trial processes for benches that sweep seeds "
-        "(exported as $REPRO_BENCH_WORKERS)",
     )
     p_exp.set_defaults(func=cmd_experiment)
 

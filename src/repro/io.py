@@ -4,12 +4,17 @@ Lets an experiment be captured as a file — exact topology, exact paths —
 and replayed later or on another machine, independent of generator seeds.
 Node labels may be nested tuples (all builders use them); JSON turns tuples
 into lists, so the loader converts lists back to tuples recursively.
+:func:`atomic_writer` is the tmp + rename write that every file of a sweep
+store goes through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import pathlib
+import typing
 from dataclasses import fields
 from typing import Union
 
@@ -154,6 +159,29 @@ def audit_from_dict(data: dict) -> AuditReport:
     except (KeyError, TypeError) as exc:
         raise ReproError(f"malformed audit-report record: {exc}") from exc
     return report
+
+
+@contextlib.contextmanager
+def atomic_writer(path: PathLike) -> typing.Iterator[typing.IO[bytes]]:
+    """A binary file whose bytes replace ``path`` when the block exits.
+
+    The bytes go to a temporary file of this writer's own (named for its
+    pid plus random bits) in ``path``'s directory, then renamed over
+    ``path``.  So processes writing the same path at once never share a
+    temporary file, and readers see the old bytes or the new ones, never
+    a torn file.  A block that raises leaves no temporary file behind.
+    """
+    target = pathlib.Path(path)
+    tmp = target.with_name(
+        f"{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    )
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_json(data: dict, path: PathLike) -> None:

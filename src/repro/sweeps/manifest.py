@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
+from ..experiments.batch import LOCKSTEP_MAX_TRIALS
+from ..io import atomic_writer
 from ..rng import stable_hash_seed
 from ..scenarios import RunSpec
 
@@ -47,10 +49,10 @@ PathLike = Union[str, pathlib.Path]
 MANIFEST_KIND = "sweep_manifest"
 MANIFEST_FORMAT = 1
 
-#: Default trials per shard: large enough to amortize pool spin-up per
-#: claim, small enough that a shard is minutes of work and bounds memory.
-DEFAULT_SHARD_SIZE = 1024
-
+#: Default trials per shard: one executor group, so a default manifest's
+#: shards each fill one lockstep group and are the unit that
+#: :func:`~repro.sweeps.run_sweep`'s walkers spread over processes.
+DEFAULT_SHARD_SIZE = LOCKSTEP_MAX_TRIALS
 
 @dataclass(frozen=True)
 class SweepManifest:
@@ -197,7 +199,9 @@ class SweepManifest:
         return cls(
             base=RunSpec.from_dict(data["base"]),
             seeds=tuple(int(s) for s in data["seeds"]),
-            shard_size=int(data.get("shard_size", DEFAULT_SHARD_SIZE)),
+            # A file without ``shard_size`` predates the 256 default: it
+            # keeps the 1024 it was written under, and so its hash.
+            shard_size=int(data.get("shard_size", 1024)),
             name=data.get("name", ""),
         )
 
@@ -256,13 +260,12 @@ class SweepManifest:
 def save_manifest(manifest: SweepManifest, path: PathLike) -> None:
     """Write a manifest as a JSON file, atomically (tmp + rename).
 
-    A process killed mid-write leaves at most a stray ``.tmp`` file, never
-    a partial manifest under ``path``.
+    The write goes through :func:`~repro.io.atomic_writer`: a process
+    killed mid-write leaves at most a stray ``.tmp`` file, never a partial
+    manifest under ``path``.
     """
-    target = pathlib.Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(manifest.to_json() + "\n", encoding="utf-8")
-    tmp.replace(target)
+    with atomic_writer(path) as fh:
+        fh.write((manifest.to_json() + "\n").encode("utf-8"))
 
 
 def load_manifest(path: PathLike) -> SweepManifest:

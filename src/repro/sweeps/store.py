@@ -19,11 +19,15 @@ rooted at ``<store_root>/<manifest_hash>/``::
 result}``, plus ``audit`` for audited trials — all pure functions of the
 manifest — and finalized segments are gzipped with ``mtime=0`` and a
 fixed compression level.  Same shard ⇒ same bytes, no matter which host
-wrote it, how many pool workers ran it, or where a previous attempt was
-killed.
+or walker process wrote it, or where a previous attempt was killed.
 
 **Resumability.**  Writers append to the ``.part`` file record-by-record
 and finalize atomically (tmp + rename) only when the shard is complete.
+Every finished file (segment, compacted stream, aggregate, manifest) is
+written through a temporary file of its writer's own
+(:func:`~repro.io.atomic_writer`), so two invocations finishing one store
+at once never share a temporary file, and a reader that finds segments
+gone because the other one compacted reads the compacted stream instead.
 :meth:`resume_shard` re-validates a part file line by line against the
 manifest (index order, spec hash) and truncates at the first invalid or
 torn line, so a resumed shard re-runs only the missing suffix and the
@@ -46,7 +50,7 @@ from contextlib import contextmanager
 from typing import IO, Iterator, Optional, Union
 
 from ..errors import ReproError
-from ..io import result_to_dict
+from ..io import atomic_writer, result_to_dict
 from .manifest import SweepManifest, load_manifest, save_manifest
 
 PathLike = Union[str, pathlib.Path]
@@ -347,33 +351,44 @@ class SweepStore:
                 "sweep with --resume"
             )
         target = self.segment_path(shard)
-        tmp = target.with_suffix(".gz.tmp")
-        tmp.write_bytes(_deterministic_gzip(raw))
-        tmp.replace(target)
+        with atomic_writer(target) as fh:
+            fh.write(_deterministic_gzip(raw))
         part.unlink()
         return target
 
     # --------------------------------------------------------------- readers
 
     def iter_shard_records(self, shard: int) -> Iterator[dict]:
-        """Stream one finalized shard's records (decoded dicts)."""
+        """Stream one finalized shard's records (decoded dicts).
+
+        Once the store is compacted (by this invocation or, even in the
+        middle of a read, by a cooperating one), the shard's records come
+        from the compacted stream.
+        """
         path = self.segment_path(shard)
-        if not path.exists():
-            if self.is_compacted():
-                start, stop = self.manifest.shard_range(shard)
-                for record in self.iter_records():
-                    if start <= record["index"] < stop:
-                        yield record
+        try:
+            with _read_gzip(path) as fh:
+                for line in fh:
+                    payload = _decode_line(line)
+                    if payload is None:
+                        raise ReproError(
+                            f"corrupt record in {path.name} (torn line?)"
+                        )
+                    yield payload
+            return
+        except FileNotFoundError:
+            # An open file outlives its unlink, so a segment can only go
+            # missing before it is opened.
+            if not self.is_compacted():
+                raise ReproError(
+                    f"shard {shard} has no finalized segment"
+                ) from None
+        start, stop = self.manifest.shard_range(shard)
+        for record in self.iter_records():
+            if record["index"] >= stop:
                 return
-            raise ReproError(f"shard {shard} has no finalized segment")
-        with _read_gzip(path) as fh:
-            for line in fh:
-                payload = _decode_line(line)
-                if payload is None:
-                    raise ReproError(
-                        f"corrupt record in {path.name} (torn line?)"
-                    )
-                yield payload
+            if record["index"] >= start:
+                yield record
 
     def iter_records(self) -> Iterator[dict]:
         """Stream every record in trial order (compacted or per-shard)."""
@@ -424,28 +439,32 @@ class SweepStore:
         # decompressed segments through one pinned-header GzipFile yields
         # the same deterministic bytes as compressing a single buffer —
         # in O(chunk) memory instead of O(sweep).
-        tmp = self.compacted_path.with_suffix(".gz.tmp")
-        with open(tmp, "wb") as raw_out:
-            with gzip.GzipFile(
-                filename="", mode="wb", fileobj=raw_out, mtime=0,
-                compresslevel=GZIP_LEVEL,
-            ) as zf:
-                for shard in self.manifest.shard_ids():
-                    with _read_gzip(self.segment_path(shard)) as fh:
-                        shutil.copyfileobj(fh, zf)
-        tmp.replace(self.compacted_path)
+        try:
+            with atomic_writer(self.compacted_path) as raw_out:
+                with gzip.GzipFile(
+                    filename="", mode="wb", fileobj=raw_out, mtime=0,
+                    compresslevel=GZIP_LEVEL,
+                ) as zf:
+                    for shard in self.manifest.shard_ids():
+                        with _read_gzip(self.segment_path(shard)) as fh:
+                            shutil.copyfileobj(fh, zf)
+        except FileNotFoundError:
+            # A cooperating invocation compacted the store under us and
+            # removed the segments: its stream has the same bytes.
+            if not self.is_compacted():
+                raise
+            return self.compacted_path
         if not keep_shards:
             for shard in self.manifest.shard_ids():
-                self.segment_path(shard).unlink()
+                self.segment_path(shard).unlink(missing_ok=True)
         return self.compacted_path
 
     # ------------------------------------------------------------- aggregate
 
     def write_aggregate(self, aggregate: dict) -> pathlib.Path:
-        self.aggregate_path.write_text(
-            json.dumps(aggregate, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(aggregate, indent=1, sort_keys=True) + "\n"
+        with atomic_writer(self.aggregate_path) as fh:
+            fh.write(text.encode("utf-8"))
         return self.aggregate_path
 
     def load_aggregate(self) -> Optional[dict]:

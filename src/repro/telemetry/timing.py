@@ -58,6 +58,12 @@ class TimingSpans:
         """Number of intervals folded into one span."""
         return self._count.get(name, 0)
 
+    def merge(self, other: "TimingSpans") -> None:
+        """Fold every span of ``other`` into this one's."""
+        for name, total in other._total.items():
+            self._total[name] = self._total.get(name, 0.0) + total
+            self._count[name] = self._count.get(name, 0) + other._count[name]
+
     def to_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON-safe snapshot: ``{name: {total_sec, count, mean_sec}}``."""
         out: Dict[str, Dict[str, float]] = {}

@@ -82,24 +82,82 @@ def deep_random_problem(deep_random):
 
 
 @pytest.fixture
-def forced_pool(monkeypatch):
-    """Make ``run_spec_trials`` fan out to its worker pool on any host.
+def walkers(monkeypatch):
+    """Make ``run_sweep(workers=k)`` start its walker processes on any host
+    and spread a small manifest over them.
 
-    The pool still runs only what its probe leaves: whole groups run in
-    the parent until ``LOCKSTEP_MIN_TRIALS`` trials ran.  Returns a list
-    that collects how many specs each pool chunk carried.
+    The CPU cap is lifted, and a walker gathers pending shards only up to
+    ``LOCKSTEP_MIN_TRIALS`` trials (one minimal lockstep group) instead of
+    ``LOCKSTEP_MAX_TRIALS``, so a walker does not claim a whole small
+    manifest before the others start.  Stored bytes do not depend on
+    either.  Walkers are forked, so they inherit these settings and every
+    other monkeypatch of the test.
     """
     import repro.experiments.batch as batch_mod
+    import repro.sweeps.dispatch as dispatch_mod
 
-    monkeypatch.setattr(batch_mod, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(batch_mod, "should_use_pool", lambda *a, **k: True)
-    pooled: list = []
-    chunk_groups = batch_mod._chunk_groups
+    monkeypatch.setattr(dispatch_mod, "WALKER_START_METHOD", "fork")
+    monkeypatch.setattr(dispatch_mod, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(
+        batch_mod, "LOCKSTEP_MAX_TRIALS", batch_mod.LOCKSTEP_MIN_TRIALS
+    )
 
-    def counting(groups, size):
-        chunks = chunk_groups(groups, size)
-        pooled.extend(sum(len(group) for _, group in chunk) for chunk in chunks)
-        return chunks
 
-    monkeypatch.setattr(batch_mod, "_chunk_groups", counting)
-    return pooled
+@pytest.fixture
+def walked(walkers, tmp_path):
+    """``walked(manifest, **run_sweep_kwargs)`` runs the manifest into a
+    new store at ``workers=1`` and again at ``workers=2``, asserts that the
+    two stores are byte-equal (shard segments, ``aggregate.json`` with its
+    ``cache_hits``, and the compacted stream) and that the outcomes agree,
+    and returns the ``workers=2`` store and outcome.
+
+    A ``cache`` directory is copied for each run, so both runs start from
+    the same result-cache state.
+    """
+    import pathlib
+    import shutil
+
+    from repro.sweeps import open_store, run_sweep
+
+    runs = []
+
+    def run(manifest, **kwargs):
+        runs.append(manifest)
+        stores, outcomes = [], []
+        for workers in (1, 2):
+            base = tmp_path / f"walked{len(runs)}-w{workers}"
+            options = dict(kwargs)
+            cache = options.get("cache")
+            if cache is not None:
+                if pathlib.Path(cache).exists():
+                    shutil.copytree(cache, base / "cache")
+                options["cache"] = base / "cache"
+            store = open_store(base / "store", manifest)
+            outcomes.append(
+                run_sweep(
+                    manifest, store, workers=workers, compact=False, **options
+                )
+            )
+            stores.append(store)
+        serial, walked_store = stores
+        for shard in manifest.shard_ids():
+            assert walked_store.shard_bytes(shard) == serial.shard_bytes(shard)
+        assert (
+            walked_store.aggregate_path.read_bytes()
+            == serial.aggregate_path.read_bytes()
+        )
+        for store in stores:
+            store.compact()
+        assert (
+            walked_store.compacted_path.read_bytes()
+            == serial.compacted_path.read_bytes()
+        )
+        one, two = outcomes
+        assert (two.trials_executed, two.trials_resumed, two.cache_hits) == (
+            one.trials_executed, one.trials_resumed, one.cache_hits
+        )
+        assert two.shards == one.shards
+        assert two.complete and two.aggregate == one.aggregate
+        return walked_store, two
+
+    return run

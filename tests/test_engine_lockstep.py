@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.batch as batch_mod
+import repro.sweeps.dispatch as dispatch_mod
 from repro.baselines import NaivePathRouter
 from repro.core import AlgorithmParams, FrontierFrameRouter, InvariantAuditor
 from repro.experiments import (
@@ -990,6 +991,29 @@ def test_executor_mixes_shared_and_distinct_networks_in_one_sweep():
         assert_audits_identical(ref.audit, got.audit, f"({got.spec.seed})")
 
 
+def test_stragglers_reuse_their_batch_problems(monkeypatch):
+    """256 unpinned ``deep_random`` trials: the stragglers a batch reruns
+    per trial route the problems the batch built, so each scenario is
+    built once, however many the warm cache has evicted since."""
+    import repro.scenarios.dispatch as scenario_dispatch
+
+    manifest = SweepManifest.from_base(
+        deep_random_spec(20, 6, 12), num_trials=256, shard_size=256, pin=False
+    )
+    specs = manifest.shard_specs(0)
+    built = []
+    build_problem_ = scenario_dispatch.build_problem
+
+    def counting(spec, *args, **kwargs):
+        built.append(spec.scenario_hash())
+        return build_problem_(spec, *args, **kwargs)
+
+    monkeypatch.setattr(scenario_dispatch, "build_problem", counting)
+    records = run_spec_trials(specs)
+    assert any(not r.executor for r in records)  # some trials straggled
+    assert len(built) == len({s.scenario_hash() for s in specs})
+
+
 def test_union_batch_reruns_its_stragglers_per_trial():
     """32 unpinned trials of the benchmark's ``deep_random`` cell: the
     batch stops once its last ``32 // 16`` trials are the only ones
@@ -1332,8 +1356,8 @@ def test_union_batch_makes_one_result_cache_pass(tmp_path, monkeypatch):
 
 def test_run_spec_trials_batched_lockstep_toggle_identical():
     specs = sweep_specs(base_spec(), LOCKSTEP_MIN_TRIALS + 1)
-    fast = run_spec_trials(specs, workers=1)
-    slow = run_spec_trials(specs, workers=1, lockstep=False)
+    fast = run_spec_trials(specs)
+    slow = run_spec_trials(specs, lockstep=False)
     assert all(r.executor.startswith("lockstep[") for r in fast)
     for ref, got in zip(slow, fast):
         assert_results_identical(ref.result, got.result, f"({got.spec.seed})")
@@ -1492,60 +1516,31 @@ class TestSweepShardIdentity:
 
 
 def test_workers_2_sweep_keeps_every_qualifying_group_on_lockstep(
-    tmp_path, forced_pool
+    tmp_path, monkeypatch
 ):
-    """At ``workers=2`` the dispatcher probes and chunks by whole groups:
-    each gathered run's first group runs in the parent, the rest in pool
-    chunks (forced here, whatever the host), and no trial of a
-    fixed-problem sweep whose groups qualify leaves lockstep.  The shards
-    equal a ``workers=1`` run's byte for byte."""
+    """At ``workers=2`` two walker processes each run whole shards, so no
+    trial of a fixed-problem sweep whose groups qualify leaves lockstep:
+    the final heartbeat line, which merges both walkers' tallies, counts
+    every trial as a lockstep one.  The shards equal a ``workers=1`` run's
+    byte for byte."""
+    monkeypatch.setattr(dispatch_mod, "usable_cpus", lambda: 8)
     size = LOCKSTEP_MAX_TRIALS + 2 * LOCKSTEP_MIN_TRIALS
     manifest = SweepManifest.from_base(
         base_spec(), num_trials=2 * size, shard_size=size
     )
-    tags = []
-
-    class Tagged(SweepHeartbeat):
-        def note_trial(self, cached, trial_sec, executor=""):
-            tags.append(executor)
-            super().note_trial(cached, trial_sec, executor=executor)
-
     beats = []
-    heartbeat = Tagged(beats.append, total=2 * size, interval_sec=0.0)
-    pooled = open_store(tmp_path / "pooled", manifest)
-    run_sweep(manifest, pooled, workers=2, heartbeat=heartbeat, compact=False)
-    # Each shard is one run: its first group of LOCKSTEP_MAX_TRIALS is the
-    # probe, and its second group goes to the pool.
-    assert sum(forced_pool) == 2 * 2 * LOCKSTEP_MIN_TRIALS
-    assert len(tags) == 2 * size
-    assert all(tag.startswith("lockstep[") for tag in tags), Counter(tags)
-    assert beats[-1]["lockstep_trials"] == 2 * size
+    heartbeat = SweepHeartbeat(beats.append, total=2 * size, interval_sec=0.0)
+    walked = open_store(tmp_path / "walked", manifest)
+    run_sweep(manifest, walked, workers=2, heartbeat=heartbeat, compact=False)
+    final = beats[-1]
+    assert final["final"]
+    assert (final["done"], final["executed"]) == (2 * size, 2 * size)
+    assert final["lockstep_trials"] == 2 * size
+    assert final["executor"].startswith("lockstep[")
     serial = open_store(tmp_path / "serial", manifest)
     run_sweep(manifest, serial, workers=1, compact=False)
     for shard in manifest.shard_ids():
-        assert pooled.shard_bytes(shard) == serial.shard_bytes(shard)
-
-
-def test_pool_chunks_never_cut_a_lockstep_group_below_the_minimum():
-    """Pool chunks keep each qualifying group whole or split it into
-    pieces of at least LOCKSTEP_MIN_TRIALS; other groups pack together.
-    Chunks carry the groups already cut, each piece under its key, so
-    workers run them without computing a group key again."""
-    low = LOCKSTEP_MIN_TRIALS
-    sizes = {"a": 64, None: 1, "b": low - 1, "c": low + 1}
-    groups = [
-        (key, [(key, k) for k in range(sizes[key])])
-        for key in ("a", None, "b", "c", None)
-    ]
-    for size in (1, 2, 5, 16, 100):
-        chunks = batch_mod._chunk_groups(groups, size)
-        flat = [spec for chunk in chunks for _, part in chunk for spec in part]
-        assert flat == [spec for _, group in groups for spec in group]
-        for chunk in chunks:
-            for key, part in chunk:
-                assert {spec_key for spec_key, _ in part} == {key}
-                if key in ("a", "c"):
-                    assert len(part) >= low, size
+        assert walked.shard_bytes(shard) == serial.shard_bytes(shard)
 
 
 def test_pinned_batch_counts_congestion_once(bf4_random_problem, monkeypatch):

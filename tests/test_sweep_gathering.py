@@ -5,14 +5,13 @@ trials fill one executor group, runs them as one batch, writes each record
 to its own shard and folds it into the live aggregate.  These tests pin
 that the stored bytes and the aggregate never depend on the gathering:
 against the per-trial path, across leases held elsewhere, kills in the
-middle of a batch, and resumes.  They also cover the pool plumbing that
-the batch goes through (pre-cut groups, the workers' warm cache), and
-that an :class:`IntSketch` does not depend on the order of its folds.
+middle of a batch, and resumes.  They also cover the executor plumbing
+that the batch goes through (groups cut once, each walker's warm cache),
+and that an :class:`IntSketch` does not depend on the order of its folds.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import types
 
@@ -25,7 +24,7 @@ from repro.errors import ReproError
 from repro.io import result_to_dict
 from repro.experiments import run_spec_trials, sweep_specs
 from repro.experiments.batch import TrialExecutor
-from repro.scenarios import RunSpec, ScenarioCache
+from repro.scenarios import RunSpec
 from repro.sweeps import (
     IntSketch,
     LeaseManager,
@@ -358,49 +357,39 @@ class TestGatheredRuns:
             store.finalize_shard(writer)
 
 
-# --------------------------------------------------------------- pool plumbing
+# ------------------------------------------------------------ walker plumbing
 
 
-class InlinePool:
-    """A ProcessPoolExecutor stand-in that runs its initializer and every
-    chunk in this process."""
+def test_pool_workers_start_with_a_warm_cache(walkers, tmp_path, monkeypatch):
+    """The walker processes of ``run_sweep(workers=2)`` each build
+    problems in a warm cache of their own: across both walkers of a
+    fixed-problem sweep, a process builds the problem at most once."""
+    import os
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.initargs = initargs
-        initializer(*initargs)
+    import repro.scenarios.dispatch as scenario_dispatch
 
-    def __enter__(self):
-        return self
+    log = tmp_path / "built.log"
+    build_problem = scenario_dispatch.build_problem
 
-    def __exit__(self, *exc):
-        return None
+    def counting(spec, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build_problem(spec, *args, **kwargs)
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(batch_mod, "_WORKER", None)
-
-
-def test_pool_workers_start_with_a_warm_cache(inline_pool, forced_pool):
-    """The workers of a pooled run build problems in a warm cache of
-    their own: the pooled trials of a fixed-problem batch build it once."""
-    specs = sweep_specs(base_spec(), 8)
-    records = run_spec_trials(specs, workers=2, lockstep=False)
-    assert len(records) == 8
-    assert sum(forced_pool) == 8 - batch_mod.LOCKSTEP_MIN_TRIALS
-    scenarios = batch_mod._WORKER.scenarios
-    assert isinstance(scenarios, ScenarioCache)
-    assert len(scenarios) == 1
+    monkeypatch.setattr(scenario_dispatch, "build_problem", counting)
+    manifest = SweepManifest.from_base(
+        base_spec(), num_trials=24, shard_size=batch_mod.LOCKSTEP_MIN_TRIALS
+    )
+    store = open_store(tmp_path / "s", manifest)
+    outcome = run_sweep(manifest, store, workers=2, lockstep=False)
+    assert outcome.complete
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) >= 1
 
 
-def test_pooled_run_cuts_groups_once(inline_pool, forced_pool, monkeypatch):
-    """At 2+ workers the parent cuts the groups and the chunks carry them:
-    each spec's group key is computed once, and the records equal a
-    serial run's."""
+def test_executor_cuts_groups_once(monkeypatch):
+    """The executor cuts a chunk into groups once: each spec's group key
+    is computed once, and the records equal a per-trial run's."""
     greedy = [
         dataclasses.replace(base_spec(seed), backend="greedy")
         for seed in range(3)
@@ -414,11 +403,10 @@ def test_pooled_run_cuts_groups_once(inline_pool, forced_pool, monkeypatch):
         return group_key(self, spec)
 
     monkeypatch.setattr(TrialExecutor, "_group_key", counting)
-    pooled = run_spec_trials(specs, workers=2)
-    assert sum(forced_pool) == len(greedy)
+    records = run_spec_trials(specs)
     assert len(calls) == len(specs)
-    serial = run_spec_trials(specs, workers=1)
-    assert [r.result for r in pooled] == [r.result for r in serial]
+    serial = run_spec_trials(specs, lockstep=False)
+    assert [r.result for r in records] == [r.result for r in serial]
 
 
 # ------------------------------------------------------------------ sketches

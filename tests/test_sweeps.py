@@ -27,6 +27,7 @@ from repro.sweeps import (
     LeaseManager,
     SweepHeartbeat,
     SweepManifest,
+    SweepStore,
     aggregate_store,
     encode_record,
     load_manifest,
@@ -566,6 +567,29 @@ class TestRunSweep:
         assert final["trials_per_sec"] > 0
         assert "trial" in final["spans"]
 
+    def test_heartbeat_counts_other_walkers(self):
+        """Live lines add the trials of shards other walkers finalized;
+        the final line holds every walker's merged tallies instead."""
+        beats = []
+        heartbeat = SweepHeartbeat(beats.append, total=10, interval_sec=0.0)
+        heartbeat.note_prior_trials(2)
+        heartbeat.note_trial(False, 0.5, executor="lockstep[w=6]")
+        heartbeat.elsewhere = lambda: 4
+        heartbeat.emit()
+        assert (beats[-1]["done"], beats[-1]["executed"]) == (7, 5)
+        other = SweepHeartbeat(None, total=0)
+        for _ in range(7):
+            other.note_trial(True, 0.25, executor="")
+        heartbeat.elsewhere = None
+        heartbeat.merge(other)
+        heartbeat.close()
+        final = beats[-1]
+        assert (final["done"], final["executed"]) == (10, 8)
+        assert final["cache_hits"] == 7 and final["lockstep_trials"] == 1
+        assert final["executor"] == "lockstep[w=6]"
+        assert final["spans"]["trial"]["count"] == 8
+        assert final["spans"]["trial"]["total_sec"] == 2.25
+
     def test_failed_sweep_closes_its_progress_file(
         self, manifest, tmp_path, monkeypatch
     ):
@@ -618,6 +642,54 @@ class TestRunSweep:
         )
         assert replay.cache_hits == manifest.num_trials
         assert replay.aggregate["cache_hits"] == manifest.num_trials
+
+
+    def test_unpinned_audited_walkers_match_one_walker(self, walked):
+        manifest = SweepManifest.from_base(
+            small_base().with_params(audit=True),
+            num_trials=24,
+            shard_size=4,
+            pin=False,
+        )
+        _, outcome = walked(manifest)
+        assert outcome.aggregate["audited"] == 24
+        assert outcome.aggregate["audit_violations"] == 0
+
+    @pytest.mark.parametrize("during", ["aggregate", "compact"])
+    def test_two_finishers_at_once(self, manifest, tmp_path, monkeypatch, during):
+        """Two invocations finish one store at once: the other one
+        compacts, and removes the segments, in the middle of this one's
+        read.  Both return, and the compacted bytes are unchanged."""
+        reference = open_store(tmp_path / "ref", manifest)
+        run_sweep(manifest, reference)
+        first = open_store(tmp_path / "s", manifest)
+        run_sweep(manifest, first, compact=False)
+        second = SweepStore(first.root, manifest)
+        read_gzip = store_module._read_gzip
+        raced = []
+
+        def racing(path):
+            if not raced:
+                raced.append(path)
+                assert second.compact() == second.compacted_path
+            return read_gzip(path)
+
+        monkeypatch.setattr(store_module, "_read_gzip", racing)
+        if during == "aggregate":
+            outcome = run_sweep(manifest, first)
+            assert outcome.complete
+            got = dict(outcome.aggregate)
+            want = dict(reference.load_aggregate())
+            got.pop("cache_hits"), want.pop("cache_hits")
+            assert got == want
+        else:
+            assert first.compact() == first.compacted_path
+        assert raced == [first.segment_path(0)]
+        assert first.compacted_path.read_bytes() == (
+            reference.compacted_path.read_bytes()
+        )
+        assert not list(first.shards_dir.iterdir())
+        assert not list(first.dir.glob("*.tmp"))
 
 
 # ----------------------------------------------------------------- aggregate

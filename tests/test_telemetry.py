@@ -29,7 +29,9 @@ from repro.experiments import (
 )
 from repro.experiments.batch import LOCKSTEP_MIN_TRIALS, TrialExecutor
 from repro.scenarios import RunSpec, build_problem, run_cached, run_trial, save_spec
+from repro.io import result_to_dict
 from repro.sim import Engine, EventKind, TraceEvent, TraceRecorder
+from repro.sweeps import SweepHeartbeat, SweepManifest
 from repro.telemetry import (
     Counters,
     JsonlTraceSink,
@@ -149,14 +151,15 @@ class TestCounters:
         )
         assert tel["level_peaks"]  # butterfly levels were occupied
 
-    def test_serial_parallel_telemetry_identical(self):
+    def test_serial_parallel_telemetry_identical(self, walked):
         specs = [_spec(seed=s, name=f"t{s}") for s in (1, 2, 3, 4)]
-        serial = run_spec_trials(specs, workers=1, telemetry=True)
-        parallel = run_spec_trials(specs, workers=4, telemetry=True)
-        for a, b in zip(serial, parallel):
-            assert a.result.telemetry == b.result.telemetry
-            assert asdict(a.result) == asdict(b.result)
-            assert a.timings is not None and b.timings is not None
+        serial = run_spec_trials(specs, telemetry=True)
+        manifest = SweepManifest(_spec(seed=1), (1, 2, 3, 4), shard_size=1)
+        store, _ = walked(manifest, telemetry=True)
+        walked_records = list(store.iter_records())
+        for a, b in zip(serial, walked_records, strict=True):
+            assert a.timings is not None
+            assert result_to_dict(a.result) == b["result"]
 
     def test_replay_matches_live(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
@@ -185,22 +188,34 @@ class TestCounters:
         assert aggregate_counters([None, None]) is None
         assert aggregate_counters([None, snaps[0]])["runs"] == 1
 
-    def test_progress_callback_fires_per_trial(self, forced_pool):
+    def test_progress_callback_fires_per_trial(self, walked):
         specs = [_spec(seed=s, name=f"p{s}") for s in range(LOCKSTEP_MIN_TRIALS + 4)]
         expected = [asdict(r.result) for r in run_spec_trials(specs)]
-        for workers in (1, 3):
-            seen = []
-            records = run_spec_trials(
-                specs, workers=workers, lockstep=False, emit=seen.append
-            )
-            # ``emit`` gets every record, in spec order, and none is kept.
-            assert records == []
-            assert [r.spec.content_hash() for r in seen] == [
-                s.content_hash() for s in specs
-            ]
-            assert [asdict(r.result) for r in seen] == expected
-        assert sum(forced_pool) == 4
-
+        seen = []
+        records = run_spec_trials(specs, lockstep=False, emit=seen.append)
+        # ``emit`` gets every record, in spec order, and none is kept.
+        assert records == []
+        assert [r.spec.content_hash() for r in seen] == [
+            s.content_hash() for s in specs
+        ]
+        assert [asdict(r.result) for r in seen] == expected
+        # Two walkers: the final heartbeat line counts both walkers'
+        # trials, and the store holds every record in spec order.
+        manifest = SweepManifest(
+            specs[0], tuple(s.seed for s in specs), shard_size=2
+        )
+        beats = []
+        heartbeat = SweepHeartbeat(
+            beats.append, total=len(specs), interval_sec=0.0
+        )
+        store, _ = walked(manifest, lockstep=False, heartbeat=heartbeat)
+        final = beats[-1]
+        assert final["final"]
+        assert final["done"] == final["executed"] == len(specs)
+        assert final["spans"]["trial"]["count"] == len(specs)
+        assert [r["spec_hash"] for r in store.iter_records()] == [
+            s.content_hash() for s in specs
+        ]
 
 # -------------------------------------------------------------------- trace
 
@@ -479,19 +494,23 @@ class TestCacheAndReport:
 class TestBatchedExecutionIdentity:
     """Warm-cache / pooled execution must be invisible to observability."""
 
-    def test_pooled_telemetry_counters_identical(self, forced_pool):
-        specs = [
-            _spec(seed=s, name=f"t{s}")
-            for s in range(1, LOCKSTEP_MIN_TRIALS + 5)
+    def test_pooled_telemetry_counters_identical(self, walked, tmp_path):
+        seeds = tuple(range(1, LOCKSTEP_MIN_TRIALS + 5))
+        specs = [_spec(seed=s, name=f"t{s}") for s in seeds]
+        cold = [
+            result_to_dict(run_trial(spec, telemetry=True).result)
+            for spec in specs
         ]
-        cold = [run_trial(spec, telemetry=True) for spec in specs]
-        pooled = run_spec_trials(
-            specs, workers=2, telemetry=True, lockstep=False
-        )
-        assert sum(forced_pool) == 4
-        for a, b in zip(cold, pooled, strict=True):
-            assert a.result.telemetry == b.result.telemetry
-            assert asdict(a.result) == asdict(b.result)
+        manifest = SweepManifest(_spec(seed=seeds[0]), seeds, shard_size=2)
+        # A cold result cache, then one every spec hits.
+        cache = tmp_path / "cache"
+        for expected_hits in (0, len(specs)):
+            store, outcome = walked(
+                manifest, telemetry=True, lockstep=False, cache=cache
+            )
+            assert outcome.cache_hits == expected_hits
+            assert [r["result"] for r in store.iter_records()] == cold
+            run_spec_trials(specs, cache=cache, telemetry=True)
 
     def test_warm_cache_preserves_trace_digest(self, tmp_path):
         from repro.scenarios import ScenarioCache
